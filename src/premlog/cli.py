@@ -5,6 +5,10 @@ can move inside the recursion), optimize (print the rewritten program),
 verify (sample the transfer equation empirically), bench (time the
 shortest-path variants on generated graphs).
 
+run, check and optimize are views over one engine.plan(): run evaluates the
+planned program, check prints the plan's verdicts, and optimize prints the
+planned program, which is exactly what run executes.
+
 Exit codes: 0 success, 1 bad input, 2 budget exhausted, 3 a constraint or
 aggregate was rejected (or an audited run disagreed with the oracle).
 """
@@ -16,13 +20,13 @@ import json
 import sys
 from typing import List, Optional
 
-from .analysis import classify_premability, constraint_from_annotations
+from .analysis import PremVerdict, constraint_from_annotations
 from .bench import GraphSpec, gen_graph, run_benchmark
-from .engine import EvalOptions, default_query, run_program
-from .errors import AmbiguousCost, BudgetExceeded, NoCost, PremlogError
+from .engine import EvalOptions, default_query, execute, plan
+from .errors import BudgetExceeded, PremlogError
 from .model import Program, format_value, tuple_sort_key
 from .parser import format_program, load_edge_list, load_facts_path, parse_program
-from .rewrite import compile_count_in_recursion, push_constraint
+from .rewrite import compile_count_in_recursion
 from .verify import check_prem_empirical, trust_but_verify_run
 
 EXIT_OK = 0
@@ -143,11 +147,34 @@ def _cmd_run(args) -> int:
         max_tuples=args.max_tuples,
     )
 
+    report = None
     if args.trust_but_verify:
         result, report = trust_but_verify_run(program, options)
-        _print_answers(result, args)
-        for line in result.warnings:
-            print(f"warning: {line}", file=sys.stderr)
+    else:
+        # Refuse unproven recursive aggregates up front; nothing has run yet.
+        planned = plan(program, force_push=args.force_push)
+        bad = [ob for ob in planned.obligations if not ob.approved]
+        for ob in bad:
+            reason = (
+                ob.verdict.rejection.condition
+                if ob.verdict is not None and ob.verdict.rejection is not None
+                else "; ".join(ob.notes) or "no transferable extremum"
+            )
+            print(
+                f"error: rule {ob.rule_id} uses {ob.kind} inside its own recursion "
+                f"and the max transfer was rejected ({reason}). The fixpoint may "
+                f"be wrong or diverge. Stratify the program, or rerun with "
+                f"--trust-but-verify to execute it anyway under audit.",
+                file=sys.stderr,
+            )
+        if bad:
+            return EXIT_REJECTED
+        result = execute(planned, options)
+
+    _print_answers(result, args)
+    for line in result.warnings:
+        print(f"warning: {line}", file=sys.stderr)
+    if report is not None:
         for line in report.positivity:
             print(f"audit: {line}", file=sys.stderr)
         for ob in result.obligations:
@@ -168,43 +195,14 @@ def _cmd_run(args) -> int:
                     f"audit: rule {ob.rule_id} {ob.kind} transfer sampled: {state}",
                     file=sys.stderr,
                 )
-        if report.diffs:
-            for pred, (missing, extra) in sorted(report.diffs.items()):
-                print(
-                    f"audit: {pred} disagrees with the oracle "
-                    f"({len(missing)} missing, {len(extra)} unexpected)",
-                    file=sys.stderr,
-                )
-            return EXIT_REJECTED
-        if args.stats:
-            print(_stats_line(result.stats), file=sys.stderr)
-        return EXIT_OK
-
-    # Refuse unproven recursive aggregates up front; nothing has run yet.
-    _, obligations = compile_count_in_recursion(program)
-    bad = [ob for ob in obligations if not ob.approved]
-    if bad:
-        for ob in bad:
-            reason = (
-                ob.verdict.rejection.condition
-                if ob.verdict is not None and ob.verdict.rejection is not None
-                else "; ".join(ob.notes) or "no transferable extremum"
-            )
+        for pred, (missing, extra) in sorted(report.diffs.items()):
             print(
-                f"error: rule {ob.rule_id} uses {ob.kind} inside its own recursion "
-                f"and the max transfer was rejected ({reason}). The fixpoint may "
-                f"be wrong or diverge. Stratify the program, or rerun with "
-                f"--trust-but-verify to execute it anyway under audit.",
+                f"audit: {pred} disagrees with the oracle "
+                f"({len(missing)} missing, {len(extra)} unexpected)",
                 file=sys.stderr,
             )
-        return EXIT_REJECTED
-
-    result = run_program(
-        program, options, push=True, force_push=args.force_push
-    )
-    _print_answers(result, args)
-    for line in result.warnings:
-        print(f"warning: {line}", file=sys.stderr)
+        if report.diffs:
+            return EXIT_REJECTED
     if args.stats:
         print(_stats_line(result.stats), file=sys.stderr)
     return EXIT_OK
@@ -236,12 +234,11 @@ def _print_answers(result, args) -> None:
 
 
 def _cmd_check(args) -> int:
-    program = _load_program(args)
+    planned = plan(_load_program(args))
     lines: List[str] = []
     ok = True
 
-    compiled, obligations = compile_count_in_recursion(program)
-    for ob in obligations:
+    for ob in planned.obligations:
         if ob.approved:
             just = "; ".join(j for _, j in ob.verdict.plan) if ob.verdict else ""
             lines.append(f"APPROVED: rule {ob.rule_id} {ob.kind} in recursion ({just})")
@@ -254,19 +251,12 @@ def _cmd_check(args) -> int:
             )
             lines.append(f"REJECTED: rule {ob.rule_id} {ob.kind} in recursion: {reason}")
 
-    constraints = [fc.constraint for fc in compiled.final_constraints]
-    if not constraints:
-        derived = constraint_from_annotations(compiled)
-        if derived is not None:
-            constraints = []  # already enforced in place, nothing left to push
-    for constraint in constraints:
-        try:
-            verdict = classify_premability(compiled, constraint)
-        except (NoCost, AmbiguousCost) as exc:
+    for step in planned.steps:
+        verdict = step.verdict
+        if not isinstance(verdict, PremVerdict):
             ok = False
-            lines.append(f"REJECTED: {exc}")
-            continue
-        if verdict.approved:
+            lines.append(f"REJECTED: {verdict}")
+        elif verdict.approved:
             just = "; ".join(j for _, j in verdict.plan)
             lines.append(f"APPROVED: {just}")
         else:
@@ -282,41 +272,31 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    program = _load_program(args)
-    executed, obligations = compile_count_in_recursion(program)
-    ok = all(ob.approved for ob in obligations)
-    for ob in obligations:
+    planned = plan(_load_program(args), force_push=args.force_push)
+    ok = all(ob.approved for ob in planned.obligations)
+    for ob in planned.obligations:
         if not ob.approved:
             print(f"warning: rule {ob.rule_id} {ob.kind} left unproven", file=sys.stderr)
-    for fc in list(executed.final_constraints):
-        try:
-            verdict = classify_premability(executed, fc.constraint)
-        except (NoCost, AmbiguousCost) as exc:
-            print(f"warning: constraint not pushed: {exc}", file=sys.stderr)
+    for step in planned.steps:
+        verdict = step.verdict
+        if not isinstance(verdict, PremVerdict):
+            print(f"warning: constraint not pushed: {verdict}", file=sys.stderr)
             ok = False
-            continue
-        if not verdict.approved and args.force_push:
-            from dataclasses import replace
-
-            from .model import constraint_conjuncts
-
-            print(f"warning: forcing rejected push: {verdict.rejection!r}", file=sys.stderr)
-            verdict = replace(
-                verdict,
-                rejection=None,
-                plan=tuple(
-                    (c, "forced despite rejection")
-                    for c in constraint_conjuncts(fc.constraint)
-                ),
+        elif step.action == "skipped":
+            print(
+                f"warning: constraint on rule {step.rule_id} not pushed: the recursion "
+                f"already carries a working extremum",
+                file=sys.stderr,
             )
-        if verdict.approved:
-            executed, trace = push_constraint(executed, verdict)
-            for line in trace.lines():
-                print(f"# {line}", file=sys.stderr)
-        else:
+        elif step.action == "kept":
             print(f"warning: {verdict.rejection!r}", file=sys.stderr)
             ok = False
-    sys.stdout.write(format_program(executed))
+        else:
+            if step.action == "forced":
+                print(f"warning: forcing rejected push: {verdict.rejection!r}", file=sys.stderr)
+            for line in step.trace.lines():
+                print(f"# {line}", file=sys.stderr)
+    sys.stdout.write(format_program(planned.executed))
     return EXIT_OK if ok else EXIT_REJECTED
 
 

@@ -19,9 +19,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .analysis import PremVerdict, classify_premability, stratify
+from .analysis import (
+    DependencyGraph,
+    PremVerdict,
+    Rejection,
+    build_dependency_graph,
+    classify_premability,
+    stratify,
+)
 from .errors import (
     AmbiguousCost,
     BudgetExceeded,
@@ -46,9 +53,11 @@ from .model import (
     Rule,
     Variable,
     constraint_conjuncts,
+    constraint_predicate,
     compare_values,
     eval_interpreted,
     eval_term,
+    final_rules,
     interp_copy,
     substitute,
 )
@@ -938,14 +947,8 @@ def iterated_fixpoint(
     fixpoint = seminaive_fixpoint if options.mode == "seminaive" else naive_fixpoint
     budget = options.max_tuples
     for stratum in strata:
-        opts = EvalOptions(
-            mode=options.mode,
-            max_iterations=options.max_iterations,
-            max_tuples=budget,
-            monitor_positivity=options.monitor_positivity,
-        )
         try:
-            db, stats = fixpoint(stratum.rules, db, opts, monitor)
+            db, stats = fixpoint(stratum.rules, db, replace(options, max_tuples=budget), monitor)
         except BudgetExceeded as exc:
             if exc.stats is not None:
                 total.merge(exc.stats)
@@ -961,13 +964,114 @@ def iterated_fixpoint(
 # =====================================================================================
 
 
+@dataclass(frozen=True)
+class ConstraintStep:
+    """What plan() did with one final constraint.
+
+    verdict is the classifier's answer, or the NoCost/AmbiguousCost it raised
+    instead. action is 'pushed', 'forced' (pushed despite a rejection), 'kept'
+    (left in its stratified final rule) or 'skipped' (the recursion already
+    carries a working extremum, and the final rule filters on top of it).
+    """
+
+    rule_id: str
+    verdict: Union[PremVerdict, NoCost, AmbiguousCost]
+    action: str
+    trace: Optional[RewriteTrace] = None
+
+
+@dataclass
+class ProgramPlan:
+    program: Program
+    obligations: List[CompileObligation]
+    steps: List[ConstraintStep]
+    executed: Program
+    warnings: List[str]
+
+
+def plan(
+    program: Program, push: bool = True, force_push: bool = False, trust: bool = False
+) -> ProgramPlan:
+    """Compile recursive count/sum, then decide and apply every constraint push.
+
+    A rejected constraint is left in its stratified final rule (the safe
+    fallback); force_push applies it inside the recursion anyway, which can
+    change answers on programs that fail the check. trust runs unproven
+    count/sum natively (see compile_count_in_recursion).
+    """
+    warnings: List[str] = []
+    executed, obligations = compile_count_in_recursion(program, assume=trust)
+    for ob in obligations:
+        if not ob.approved:
+            reason = ob.verdict.rejection.condition if ob.verdict and ob.verdict.rejection else "no cost path"
+            warnings.append(
+                f"rule {ob.rule_id}: recursive {ob.kind} is not provably safe ({reason}); "
+                f"results may be wrong if run anyway"
+            )
+        warnings.extend(ob.notes)
+
+    steps: List[ConstraintStep] = []
+    for fc in executed.final_constraints if push else ():
+        graph = build_dependency_graph(executed)
+        try:
+            verdict = classify_premability(executed, fc.constraint, graph)
+        except (NoCost, AmbiguousCost) as exc:
+            warnings.append(f"constraint on rule {fc.rule_id} not pushed: {exc}")
+            steps.append(ConstraintStep(fc.rule_id, exc, "kept"))
+            continue
+        if any(r.extremum is not None for r in verdict.procedure):
+            warnings.append(
+                f"constraint on rule {fc.rule_id} not pushed: the recursion "
+                f"already carries a working extremum"
+            )
+            steps.append(ConstraintStep(fc.rule_id, verdict, "skipped"))
+            continue
+        if verdict.approved:
+            verdict = _reject_other_readers(graph, verdict, fc.rule_id)
+        if verdict.approved:
+            executed, trace = push_constraint(executed, verdict)
+            steps.append(ConstraintStep(fc.rule_id, verdict, "pushed", trace))
+        elif force_push:
+            warnings.append(f"forcing rejected push: {verdict.rejection!r}")
+            forced = replace(
+                verdict,
+                rejection=None,
+                plan=tuple(
+                    (c, "forced despite rejection") for c in constraint_conjuncts(fc.constraint)
+                ),
+            )
+            executed, trace = push_constraint(executed, forced)
+            steps.append(ConstraintStep(fc.rule_id, verdict, "forced", trace))
+        else:
+            warnings.append(f"constraint kept in final rule: {verdict.rejection!r}")
+            steps.append(ConstraintStep(fc.rule_id, verdict, "kept"))
+    return ProgramPlan(program, obligations, steps, executed, warnings)
+
+
+def _reject_other_readers(
+    graph: DependencyGraph, verdict: PremVerdict, final_rule: str
+) -> PremVerdict:
+    """Reject a push into a recursion that a rule outside it, other than the
+    constraint's own final rule, also reads: the push changes what that
+    recursion holds, not only what the final rule keeps.
+
+    This lives here rather than in classify_premability because that also
+    classifies count/sum shadows, whose heads other rules are meant to read.
+    """
+    scc = graph.scc_members(constraint_predicate(verdict.constraint))
+    for e in graph.edges:
+        if e.body in scc and e.head not in scc and e.rule_id != final_rule:
+            conjunct = constraint_conjuncts(verdict.constraint)[0]
+            rejection = Rejection(conjunct, f"{e.body} is also read by rule {e.rule_id}", e.rule_id)
+            return replace(verdict, rejection=rejection)
+    return verdict
+
+
 @dataclass
 class RunResult:
     program: Program
     executed: Program
-    verdicts: List[PremVerdict]
     obligations: List[CompileObligation]
-    traces: List[RewriteTrace]
     db: Interpretation
     stats: EvalStats
     warnings: List[str]
@@ -980,19 +1084,28 @@ class RunResult:
 
 
 def default_query(program: Program) -> Optional[str]:
-    used: Set[str] = set()
-    for r in program.rules:
-        for g in r.body:
-            if isinstance(g, Atom):
-                used.add(g.predicate)
-            elif isinstance(g, Negated):
-                used.add(g.atom.predicate)
-    finals = [r.head.predicate for r in program.rules if r.head.predicate not in used]
+    finals = final_rules(program.rules)
     if finals:
-        return finals[-1]
+        return finals[-1].head.predicate
     if program.rules:
         return program.rules[-1].head.predicate
     return None
+
+
+def execute(planned: ProgramPlan, options: Optional[EvalOptions] = None) -> RunResult:
+    """Evaluate a plan's executed program."""
+    monitor: List[str] = []
+    db, stats = iterated_fixpoint(planned.executed, options, monitor)
+    fallback = any(step.action == "kept" for step in planned.steps)
+    return RunResult(
+        planned.program,
+        planned.executed,
+        planned.obligations,
+        db,
+        stats,
+        planned.warnings + monitor,
+        fallback,
+    )
 
 
 def run_program(
@@ -1002,68 +1115,5 @@ def run_program(
     force_push: bool = False,
     trust_aggregates: bool = False,
 ) -> RunResult:
-    """Full pipeline: compile recursive aggregates, push what is provable, run.
-
-    A rejected constraint is left in its stratified final rule (the safe
-    fallback); force_push applies it inside the recursion anyway, which can
-    change answers on programs that fail the check.
-    """
-    options = options or EvalOptions()
-    warnings: List[str] = []
-    executed, obligations = compile_count_in_recursion(program, assume=trust_aggregates)
-    for ob in obligations:
-        if not ob.approved:
-            reason = ob.verdict.rejection.condition if ob.verdict and ob.verdict.rejection else "no cost path"
-            warnings.append(
-                f"rule {ob.rule_id}: recursive {ob.kind} is not provably safe ({reason}); "
-                f"results may be wrong if run anyway"
-            )
-        warnings.extend(ob.notes)
-
-    verdicts: List[PremVerdict] = []
-    traces: List[RewriteTrace] = []
-    fallback = False
-    if push:
-        for fc in list(executed.final_constraints):
-            try:
-                verdict = classify_premability(executed, fc.constraint)
-            except (NoCost, AmbiguousCost) as exc:
-                warnings.append(f"constraint on rule {fc.rule_id} not pushed: {exc}")
-                fallback = True
-                continue
-            verdicts.append(verdict)
-            if any(r.extremum is not None for r in verdict.procedure):
-                # the working rules already enforce their own head constraint
-                # (mmin/mmax style); the final rule stays a projection on top
-                warnings.append(
-                    f"constraint on rule {fc.rule_id} not pushed: the recursion "
-                    f"already carries a working extremum"
-                )
-                continue
-            if verdict.approved:
-                executed, trace = push_constraint(executed, verdict)
-                traces.append(trace)
-            elif force_push:
-                forced = replace(
-                    verdict,
-                    rejection=None,
-                    plan=tuple(
-                        (c, "forced despite rejection")
-                        for c in constraint_conjuncts(fc.constraint)
-                    ),
-                )
-                warnings.append(
-                    f"forcing rejected push: {verdict.rejection!r}"
-                )
-                executed, trace = push_constraint(executed, forced)
-                traces.append(trace)
-            else:
-                warnings.append(f"constraint kept in final rule: {verdict.rejection!r}")
-                fallback = True
-
-    monitor: List[str] = []
-    db, stats = iterated_fixpoint(executed, options, monitor)
-    warnings.extend(monitor)
-    return RunResult(
-        program, executed, verdicts, obligations, traces, db, stats, warnings, fallback
-    )
+    """Full pipeline: plan(), then evaluate the executed program."""
+    return execute(plan(program, push, force_push, trust_aggregates), options)

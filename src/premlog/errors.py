@@ -78,10 +78,6 @@ class PlanMismatch(PremlogError):
     """A push plan was applied to a program it was not computed for."""
 
 
-class NonPositiveSummand(PremlogError):
-    """A sum/msum accumulated a value <= 0 while positivity was being enforced."""
-
-
 class NegativeLength(PremlogError):
     """The shortest-distance reference requires non-negative arc lengths."""
 

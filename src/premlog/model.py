@@ -245,9 +245,6 @@ class HeadExtremum:
     monotonic: bool
     cost: int  # head argument position of the cost value
 
-    def label(self) -> str:
-        return ("m" if self.monotonic else "") + self.kind
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -258,9 +255,6 @@ class Rule:
 
     def regular_goals(self) -> List[Atom]:
         return [g for g in self.body if isinstance(g, Atom)]
-
-    def comparisons(self) -> List[Comparison]:
-        return [g for g in self.body if isinstance(g, Comparison)]
 
     def aggregate(self) -> Optional[AggregateGoal]:
         for g in self.body:
@@ -391,17 +385,24 @@ class Program:
     def rules_defining(self, predicate: str) -> List[Rule]:
         return [r for r in self.rules if r.head.predicate == predicate]
 
-    def facts_for(self, predicate: str) -> List[Atom]:
-        return [f for f in self.facts if f.predicate == predicate]
-
-    def idb_predicates(self) -> List[str]:
-        return list({r.head.predicate: None for r in self.rules})
-
     def with_rules(self, rules: Iterable[Rule]) -> "Program":
         return replace(self, rules=tuple(rules))
 
     def with_facts(self, extra: Iterable[Atom]) -> "Program":
         return replace(self, facts=self.facts + tuple(extra))
+
+
+def final_rules(rules: Iterable[Rule]) -> List[Rule]:
+    """Rules whose head predicate no rule body reads, positively or negated."""
+    rules = list(rules)
+    read = set()
+    for r in rules:
+        for g in r.body:
+            if isinstance(g, Atom):
+                read.add(g.predicate)
+            elif isinstance(g, Negated):
+                read.add(g.atom.predicate)
+    return [r for r in rules if r.head.predicate not in read]
 
 
 # =====================================================================================
@@ -420,10 +421,6 @@ def interp_copy(i: Interpretation) -> Interpretation:
 def interp_eq(a: Interpretation, b: Interpretation) -> bool:
     preds = set(a) | set(b)
     return all(a.get(p, set()) == b.get(p, set()) for p in preds)
-
-
-def interp_size(i: Interpretation) -> int:
-    return sum(len(r) for r in i.values())
 
 
 def interp_add(i: Interpretation, predicate: str, t: GroundTuple) -> bool:

@@ -57,6 +57,7 @@ from .model import (
     Term,
     Variable,
     bound_op_kind,
+    final_rules,
     make_constraint,
     term_variables,
 )
@@ -608,17 +609,9 @@ def _term_var_names(t: Term) -> List[str]:
 
 
 def _extract_final_constraints(rules: Sequence[Rule]) -> List[FinalConstraint]:
-    used: Set[str] = set()
-    for r in rules:
-        for g in r.body:
-            if isinstance(g, Atom):
-                used.add(g.predicate)
-            elif isinstance(g, Negated):
-                used.add(g.atom.predicate)
-
     out: List[FinalConstraint] = []
-    for r in rules:
-        if r.head.predicate in used or r.extremum is not None:
+    for r in final_rules(rules):
+        if r.extremum is not None:
             continue
         regular = [g for g in r.regular_goals() if g.predicate != RANGE_PREDICATE]
         if len(regular) != 1:

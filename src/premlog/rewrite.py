@@ -15,7 +15,7 @@ natively with running accumulators that release only at the fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .errors import PlanMismatch, PremlogError
 from .model import (
@@ -30,7 +30,6 @@ from .model import (
     Extremum,
     FinalConstraint,
     Goal,
-    HeadExtremum,
     Negated,
     Program,
     Rule,
@@ -41,6 +40,7 @@ from .model import (
 from .analysis import (
     DependencyGraph,
     PremVerdict,
+    _apply_conjunct,
     build_dependency_graph,
     classify_premability,
     guard_region,
@@ -100,7 +100,10 @@ def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, Re
         if r.id in targets:
             rewritten = r
             for conjunct, _ in verdict.plan:
-                rewritten = _apply_push(rewritten, conjunct, costmap)
+                if isinstance(conjunct, Extremum) and rewritten.extremum is not None:
+                    raise PlanMismatch(f"rule {r.id} already carries a head extremum")
+                rewritten = _apply_conjunct(rewritten, conjunct, costmap)
+            rewritten = replace(rewritten, id=r.id + "'" * len(verdict.plan))
             renamed[r.id] = rewritten.id
             new_rules.append(rewritten)
         elif final_entry is not None and r.id == final_entry.rule_id:
@@ -120,17 +123,6 @@ def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, Re
         ),
     )
     return out, RewriteTrace(verdict.constraint, verdict.plan, renamed, final_ids)
-
-
-def _apply_push(rule: Rule, conjunct: Union[Bound, Extremum], costmap: Dict[str, int]) -> Rule:
-    pos = costmap[rule.head.predicate]
-    rid = rule.id + "'"
-    if isinstance(conjunct, Bound):
-        guard = Comparison(conjunct.op, rule.head.args[pos], Constant(conjunct.limit))
-        return Rule(rid, rule.head, rule.body + (guard,), rule.extremum)
-    if rule.extremum is not None:
-        raise PlanMismatch(f"rule {rule.id} already carries a head extremum")
-    return Rule(rid, rule.head, rule.body, HeadExtremum(conjunct.kind, False, pos))
 
 
 def _strip_final(rule: Rule, plan) -> Rule:

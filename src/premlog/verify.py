@@ -15,7 +15,7 @@ count/sum runs on trust, these checks probe the semantics directly:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .analysis import build_dependency_graph, classify_premability, stratify
@@ -42,6 +42,7 @@ from .model import (
     Variable,
     constraint_predicate,
     facts_to_interp,
+    final_rules,
     interp_copy,
     interp_eq,
     tuple_sort_key,
@@ -280,23 +281,12 @@ def trust_but_verify_run(
     database.
     """
     options = options or EvalOptions()
-    run_opts = EvalOptions(
-        mode=options.mode,
-        max_iterations=options.max_iterations,
-        max_tuples=options.max_tuples,
-        monitor_positivity=True,
-    )
-    result = run_program(program, run_opts, trust_aggregates=True)
+    result = run_program(program, replace(options, monitor_positivity=True), trust_aggregates=True)
     oracle = brute_force_oracle(
         program, EvalOptions(mode="naive", max_tuples=options.max_tuples)
     )
 
-    used: Set[str] = set()
-    for r in program.rules:
-        for g in r.body:
-            if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE:
-                used.add(g.predicate)
-    finals = {r.head.predicate for r in program.rules if r.head.predicate not in used}
+    finals = {r.head.predicate for r in final_rules(program.rules)}
     watched = sorted(finals | _obligation_heads(program, result))
 
     positivity = [w for w in result.warnings if "non-positive summand" in w]

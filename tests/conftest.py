@@ -61,6 +61,23 @@ arc(a,b,1). arc(b,c,4). arc(b,a,2).
 # cycle costs 3 and stays because the exit rule never seeds it cheaper).
 SPATH_EXPECTED = {("b", 1), ("c", 5), ("a", 3)}
 
+# A min<>-annotated recursion under a final bound: the recursion already
+# keeps its own working extremum, so the bound stays in the final rule.
+SPATH_PRECONSTRAINED_BOUNDED = SPATH_PRECONSTRAINED.replace(
+    "spath_prem(Y,Dy) :- path(Y,Dy).", "spath_prem(Y,Dy) :- path(Y,Dy), Dy<4."
+)
+
+# Two final rules read one recursion. Pushing r3's min into path would also
+# drop path(c,5), which r4 still needs.
+SHARED_RECURSION = """
+r1: path(Y,Dy) :- arc(a,Y,Dy).
+r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy, Dy>Dx.
+r3: spath(Y,Dy) :- path(Y,Dy), is_min((Y),(Dy)).
+r4: lpath(Y,Dy) :- path(Y,Dy), Dy<10.
+arc(a,b,1). arc(b,c,1). arc(a,c,5).
+"""
+SHARED_RECURSION_LPATH = {("b", 1), ("c", 2), ("c", 5)}
+
 # ===== party programs ========================================================
 
 # max over mcount; approving the push needs one unfolding of cntfriends

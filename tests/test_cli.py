@@ -7,7 +7,14 @@ import pytest
 
 from premlog.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_REJECTED, main
 
-from conftest import CAPPED_MAX, BOUNDED_PATH, SHORTEST_PATH, PART_EXPLOSION, PART_EXPLOSION_NOGUARD
+from conftest import (
+    BOUNDED_PATH,
+    CAPPED_MAX,
+    PART_EXPLOSION,
+    PART_EXPLOSION_NOGUARD,
+    SHORTEST_PATH,
+    SPATH_MONOTONIC,
+)
 
 
 @pytest.fixture
@@ -151,6 +158,12 @@ def test_optimize_prints_rewritten_program(write, capsys):
     captured = capsys.readouterr()
     assert captured.out.strip() == BOUNDED_PATH_PUSHED.strip()
     assert captured.err.startswith("# pushed")
+
+
+def test_optimize_leaves_working_extremum_alone(write, capsys):
+    prog = write("mmin.dl", SPATH_MONOTONIC)
+    assert main(["optimize", prog]) == EXIT_OK
+    assert "path(Y,mmin<Dy>)" in capsys.readouterr().out
 
 
 def test_optimize_rejection_exit(write, capsys):

@@ -12,6 +12,7 @@ from premlog.engine import (
     apply_ico,
     compile_plan,
     default_query,
+    plan,
 )
 from premlog.errors import BudgetExceeded, SafetyError, TypeMismatch
 from premlog.model import Bound, Extremum, facts_to_interp
@@ -25,6 +26,8 @@ from conftest import (
     CAPPED_MAX_FORCED_TOPP,
     CAPPED_MAX_STRATIFIED_P,
     CAPPED_MAX_STRATIFIED_TOPP,
+    SHARED_RECURSION,
+    SHARED_RECURSION_LPATH,
     SHORTEST_PATH,
     SHORTEST_PATH_SPATH,
     answers,
@@ -158,6 +161,22 @@ def test_c1_forced_naive_converges_in_two_sweeps():
     interp, stats = P.naive_fixpoint(p_rules, {"p": {(2,), (5,)}}, P.EvalOptions(mode="naive"))
     assert interp["p"] == {(5,)}
     assert stats.iterations == 2  # one productive sweep plus the confirming one
+
+
+def test_shared_recursion_matches_oracle():
+    prog = P.parse_program(SHARED_RECURSION)
+    res = P.run_program(prog)
+    oracle = P.brute_force_oracle(prog)
+    assert set(res.answers("lpath")) == SHARED_RECURSION_LPATH == oracle["lpath"]
+    assert res.db["spath"] == oracle["spath"]
+    assert res.fallback
+
+
+def test_plan_rejects_push_into_recursion_read_elsewhere():
+    steps = plan(P.parse_program(SHARED_RECURSION)).steps
+    assert [(s.rule_id, s.action) for s in steps] == [("r3", "kept"), ("r4", "kept")]
+    assert steps[0].verdict.rejection.condition == "path is also read by rule r4"
+    assert steps[0].verdict.rejection.rule_id == "r4"
 
 
 def test_stratified_negation():
