@@ -233,6 +233,13 @@ def _print_answers(result, args) -> None:
 # =====================================================================================
 
 
+def _not_pushed(step) -> str:
+    return (
+        f"constraint on rule {step.rule_id} not pushed: the recursion "
+        f"already carries a working extremum"
+    )
+
+
 def _cmd_check(args) -> int:
     planned = plan(_load_program(args))
     lines: List[str] = []
@@ -256,6 +263,8 @@ def _cmd_check(args) -> int:
         if not isinstance(verdict, PremVerdict):
             ok = False
             lines.append(f"REJECTED: {verdict}")
+        elif step.action == "skipped":
+            lines.append(f"SKIPPED: {_not_pushed(step)}")
         elif verdict.approved:
             just = "; ".join(j for _, j in verdict.plan)
             lines.append(f"APPROVED: {just}")
@@ -283,11 +292,7 @@ def _cmd_optimize(args) -> int:
             print(f"warning: constraint not pushed: {verdict}", file=sys.stderr)
             ok = False
         elif step.action == "skipped":
-            print(
-                f"warning: constraint on rule {step.rule_id} not pushed: the recursion "
-                f"already carries a working extremum",
-                file=sys.stderr,
-            )
+            print(f"warning: {_not_pushed(step)}", file=sys.stderr)
         elif step.action == "kept":
             print(f"warning: {verdict.rejection!r}", file=sys.stderr)
             ok = False

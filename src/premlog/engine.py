@@ -1,6 +1,15 @@
 """Bottom-up evaluation: naive and seminaive fixpoints under constraints.
 
-Both modes share one rule executor. The naive loop literally iterates
+Both modes, and apply_ico, share one rule executor: generated code. Each
+rule's plan (its goals in a safe order) becomes one Python function per
+delta version, compiled on first use and cached. The function is a nest of
+loops, one per body atom, that probes hash indexes with tuple keys, binds
+Datalog variables to locals, inlines checked 64-bit arithmetic and
+comparisons, and hands each head tuple (or aggregate row) straight to the
+caller's sink, so admission happens per binding. Tracebacks and profiles
+name the function `<premlog rule ID vK>` (`full` when no delta is read).
+
+The naive loop literally iterates
 I <- gamma(T(I u edb)): every sweep recomputes all consequences, then the
 working constraints (head extrema, implicit count/sum projection) filter the
 result; the loop stops when the interpretation repeats, and the confirming
@@ -19,7 +28,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from functools import lru_cache, partial
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .analysis import (
     DependencyGraph,
@@ -39,6 +61,8 @@ from .errors import (
 )
 from .model import (
     EXTREMA_KINDS,
+    INT_MAX,
+    INT_MIN,
     RANGE_PREDICATE,
     AggregateGoal,
     Atom,
@@ -52,14 +76,14 @@ from .model import (
     Program,
     Rule,
     Variable,
+    check_int,
+    checked_arith,
+    compare_values,
     constraint_conjuncts,
     constraint_predicate,
-    compare_values,
-    eval_interpreted,
     eval_term,
     final_rules,
     interp_copy,
-    substitute,
 )
 from .rewrite import CompileObligation, RewriteTrace, compile_count_in_recursion, push_constraint
 
@@ -141,12 +165,6 @@ class RelationStore:
         return ix.get(key, ())
 
 
-@dataclass(frozen=True)
-class ChangeSet:
-    inserted: bool
-    displaced: Optional[GroundTuple] = None
-
-
 class ExtremaIndex:
     """One tuple per key; a newcomer wins only strictly, ties keep the incumbent."""
 
@@ -161,7 +179,8 @@ class ExtremaIndex:
         c = self.cost
         return t[:c] + t[c + 1 :]
 
-    def insert(self, t: GroundTuple) -> ChangeSet:
+    def insert(self, t: GroundTuple) -> Tuple[bool, Optional[GroundTuple]]:
+        """Return whether t was admitted, and the incumbent it displaced or None."""
         v = t[self.cost]
         if not isinstance(v, int):
             raise TypeMismatch(f"extremum over non-integer value {v!r}")
@@ -169,13 +188,13 @@ class ExtremaIndex:
         incumbent = self.best.get(key)
         if incumbent is None:
             self.best[key] = t
-            return ChangeSet(True)
+            return True, None
         held = incumbent[self.cost]
         better = v < held if self.kind == "min" else v > held
         if not better:
-            return ChangeSet(False)
+            return False, None
         self.best[key] = t
-        return ChangeSet(True, incumbent)
+        return True, incumbent
 
 
 class MonotonicIndex:
@@ -211,7 +230,7 @@ class _Scan:
     atom: Atom
     positions: Tuple[int, ...]  # statically bound positions, index key order
     key_parts: Tuple[Tuple[str, object], ...]  # ('c', value) | ('v', name) per position
-    binds: Tuple[Tuple[int, object], ...]  # remaining positions: ('c', value)|('v', name)
+    binds: Tuple[Tuple[int, str], ...]  # remaining positions: (position, variable name)
     scc_ordinal: Optional[int]
 
 
@@ -222,7 +241,6 @@ class _Plan:
     n_scc: int
     agg: Optional[AggregateGoal]
     post_filters: Tuple[Comparison, ...]
-    head: Tuple[Tuple[str, object], ...]  # ('c', value) | ('v', name)
 
 
 def compile_plan(rule: Rule, scc_preds: Set[str]) -> _Plan:
@@ -304,10 +322,7 @@ def compile_plan(rule: Rule, scc_preds: Set[str]) -> _Plan:
             elif isinstance(chosen, Comparison) and chosen.op == "=" and isinstance(chosen.left, Variable):
                 bound.add(chosen.left.name)
 
-    head = tuple(
-        ("c", a.value) if isinstance(a, Constant) else ("v", a.name) for a in rule.head.args
-    )
-    return _Plan(rule, tuple(steps), n_scc, agg, tuple(post), head)
+    return _Plan(rule, tuple(steps), n_scc, agg, tuple(post))
 
 
 def _tvars(t) -> Iterator[str]:
@@ -318,8 +333,325 @@ def _tvars(t) -> Iterator[str]:
         yield from _tvars(t.right)
 
 
-def _build_head(plan: _Plan, binding: Dict[str, object]) -> GroundTuple:
-    return tuple(v if k == "c" else binding[v] for k, v in plan.head)
+# =====================================================================================
+# RULE CODE
+# =====================================================================================
+
+# Loops nested deeper than this continue in an inner function: CPython refuses
+# more than 20 statically nested blocks in one function.
+_MAX_LOOPS = 16
+
+# What generated code calls besides builtins; the error paths call the model's
+# own checks so that messages stay the same.
+_RUNTIME = {
+    "BudgetExceeded": BudgetExceeded,
+    "TypeMismatch": TypeMismatch,
+    "check_int": check_int,
+    "checked_arith": checked_arith,
+    "compare_values": compare_values,
+    "eval_term": eval_term,
+}
+
+
+class _Source:
+    """The Python source of one generated function, written top to bottom.
+
+    Every goal after a loop sits inside that loop, so lines only ever indent
+    further; a failed test moves on to the next binding with `continue`, or
+    leaves the function with `return` before its first loop. Datalog variables
+    become locals with generated names; values a name cannot carry as a
+    literal (predicate names, terms for error messages) live in the namespace.
+    """
+
+    def __init__(self, header: str, namespace: Dict[str, object]):
+        self.lines = [header]
+        self.namespace = namespace
+        self.names: Dict[str, str] = {}  # Datalog variable -> local or literal
+        self.ints: Set[str] = set()  # locals that hold an integer once assigned
+        self.indent = 1
+        self.loops = 0
+        self.calls: List[str] = []  # pending calls of inner functions
+        self.count = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def add(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+    def skip(self) -> str:
+        return "continue" if self.loops else "return"
+
+    def loop(self, header: str) -> None:
+        if self.loops == _MAX_LOOPS:
+            inner = self.fresh("_more")
+            self.add(f"def {inner}():")
+            self.calls.append("    " * self.indent + f"{inner}()")
+            self.indent += 1
+            self.loops = 0
+        self.add(header)
+        self.indent += 1
+        self.loops += 1
+
+    def text(self) -> str:
+        return "\n".join(self.lines + self.calls[::-1]) + "\n"
+
+    def constant(self, value: object) -> str:
+        name = f"_k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def bind(self, name: str) -> str:
+        local = self.names[name] = self.fresh("v")
+        return local
+
+    def literal(self, value: object) -> str:
+        if type(value) not in (int, str):
+            raise PremlogError(f"constant {value!r} is neither an integer nor a symbol")
+        return repr(value)
+
+    def term(self, t) -> Tuple[str, bool]:
+        """Write what evaluating t takes; return its expression and whether
+        it is an integer whatever the binding (eval_term, inlined)."""
+        if isinstance(t, Constant):
+            return self.literal(t.value), type(t.value) is int
+        if isinstance(t, Variable):
+            local = self.names.get(t.name)
+            if local is None:  # raise eval_term's error where it would be raised
+                self.add(f"eval_term({self.constant(t)}, {{}})")
+                return "None", False
+            return local, local in self.ints
+        left, left_int = self.term(t.left)
+        right, right_int = self.term(t.right)
+        out = self.fresh("_x")
+        if t.op in ("+", "-", "*"):
+            value = f"{left} {t.op} {right}"
+            checks = self.int_checks((left, left_int), (right, right_int))
+            if checks:
+                value += f" if {checks} else checked_arith({t.op!r}, {left}, {right})"
+            self.add(f"{out} = {value}")
+            self.add(f"if {out} > {INT_MAX} or {out} < {INT_MIN}: check_int({out})")
+        else:
+            self.add(f"{out} = checked_arith({t.op!r}, {left}, {right})")
+        self.ints.add(out)
+        return out, True
+
+    def int_checks(self, *operands: Tuple[str, bool]) -> str:
+        """The isinstance tests an integer-only operation needs. Its slow path
+        raises on anything else, so past it the operands are known integers."""
+        checks = []
+        for x, known in operands:
+            if not known:
+                checks.append(f"isinstance({x}, int)")
+                if x.isidentifier():
+                    self.ints.add(x)
+        return " and ".join(checks)
+
+    def tuple_of(self, terms) -> str:
+        items = [self.term(t)[0] for t in terms]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+    def comparison(self, goal: Comparison, assign: bool = True) -> None:
+        """eval_interpreted, inlined: an equality whose left side is an unbound
+        variable assigns it (when assign is set), anything else is a test."""
+        if goal.op == "=" and isinstance(goal.left, Variable) and goal.left.name not in self.names:
+            value, _ = self.term(goal.right)
+            if assign:  # a local is never reassigned within its scope, so alias it
+                self.names[goal.left.name] = value
+            return
+        left, left_int = self.term(goal.left)
+        right, right_int = self.term(goal.right)
+        if goal.op == "=":
+            self.add(f"if {left} != {right}: {self.skip()}")
+        elif goal.op == "!=":
+            self.add(f"if {left} == {right}: {self.skip()}")
+        elif goal.op in ("<", "<=", ">", ">="):
+            test = f"{left} {goal.op} {right}"
+            checks = self.int_checks((left, left_int), (right, right_int))
+            if checks:
+                test = f"({test} if {checks} else compare_values({goal.op!r}, {left}, {right}))"
+            self.add(f"if not {test}: {self.skip()}")
+        else:
+            self.add(f"if not compare_values({goal.op!r}, {left}, {right}): {self.skip()}")
+
+
+def _generate(plan: _Plan, mutable: FrozenSet[str], version: Optional[int]) -> Tuple[str, Dict]:
+    """Source of `rule(ctx, emit)`, plus `release(key, values, emit)` for a
+    counting aggregate, and the namespace both run in."""
+    namespace: Dict[str, object] = dict(_RUNTIME)
+    src = _Source(
+        "def rule(ctx, emit, isinstance=isinstance, int=int, list=list, range=range):",
+        namespace,
+    )
+    src.add("store = ctx.store")
+    if version is not None:
+        src.add("delta = ctx.delta")
+    # Resolve every store once; a store object lives as long as its context.
+    # A relation the stratum cannot change has the same index whenever it is
+    # built, so build it here and probe it without a method call.
+    stores: Dict[str, Tuple[str, str]] = {}
+    indexes: Dict[Tuple[str, Tuple[int, ...]], str] = {}
+    for step in plan.steps:
+        atom = step.atom if isinstance(step, (_Scan, Negated)) else None
+        if atom is None:
+            continue
+        if atom.predicate not in stores:
+            s, tuples = stores[atom.predicate] = (src.fresh("_s"), src.fresh("_t"))
+            src.add(f"{s} = store({src.constant(atom.predicate)})")
+            src.add(f"{tuples} = {s}.tuples")
+        index = (atom.predicate, step.positions) if isinstance(step, _Scan) else None
+        if index and index[1] and atom.predicate not in mutable and index not in indexes:
+            s = stores[atom.predicate][0]
+            indexes[index] = src.fresh("_i")
+            src.add(f"{s}.match({index[1]!r}, ())")
+            src.add(f"{indexes[index]} = {s}.indexes[{index[1]!r}]")
+
+    for step in plan.steps:
+        if isinstance(step, _Scan):
+            index = indexes.get((step.atom.predicate, step.positions))
+            _scan(src, step, stores[step.atom.predicate], index, mutable, version)
+        elif isinstance(step, Comparison):
+            src.comparison(step)
+        elif isinstance(step, Negated):
+            probe = src.tuple_of(step.atom.args)
+            src.add(f"if {probe} in {stores[step.atom.predicate][1]}: {src.skip()}")
+        else:
+            _range(src, step)
+
+    agg = plan.agg
+    head = plan.rule.head.args
+    if agg is None:
+        src.add(f"emit({src.tuple_of(head)})")
+        return src.text(), namespace
+    key = src.tuple_of(Variable(v) for v in agg.group_by)
+    measured = src.tuple_of(Variable(v) for v in agg.measured)
+    if agg.kind in EXTREMA_KINDS:
+        src.add(f"emit(({key}, {measured}), {src.tuple_of(head)})")
+        return src.text(), namespace
+    src.add(f"emit({key}, {measured})")
+
+    # A counting result binds only the group and the result: post filters see
+    # that binding and no other, and an assignment among them binds nothing.
+    rel = _Source("def release(key, values, emit, isinstance=isinstance, int=int):", namespace)
+    for i, name in enumerate(agg.group_by):
+        rel.add(f"{rel.bind(name)} = key[{i}]")
+    rel.loop(f"for {rel.bind(agg.result)} in values:")
+    for goal in plan.post_filters:
+        rel.comparison(goal, assign=False)
+    rel.add(f"emit({rel.tuple_of(head)})")
+    return src.text() + rel.text(), namespace
+
+
+def _scan(
+    src: _Source,
+    scan: _Scan,
+    store: Tuple[str, str],
+    index: Optional[str],
+    mutable: FrozenSet[str],
+    version: Optional[int],
+) -> None:
+    """Loop over the tuples matching one body atom.
+
+    Admission happens per binding, so a relation of the running stratum can
+    change under the loop: its tuples are snapshot first, and one displaced
+    in the meantime is skipped. Relations the stratum cannot change are
+    iterated in place, which visits the same tuples in the same order.
+    """
+    s, tuples = store
+    pred = scan.atom.predicate
+    row = src.fresh("_r")
+    key = [
+        (p, src.literal(v) if k == "c" else src.names[v])
+        for p, (k, v) in zip(scan.positions, scan.key_parts)
+    ]
+    if version is not None and scan.scc_ordinal == version:
+        live = src.fresh("_d")
+        src.add(f"{live} = delta.get({src.constant(pred)})")
+        src.loop(f"for {row} in list({live} or ()):")
+        src.add(f"if {row} not in {live}: continue")
+        for p, value in key:
+            src.add(f"if {row}[{p}] != {value}: continue")
+    else:
+        exclude = None
+        if version is not None and scan.scc_ordinal is not None and scan.scc_ordinal < version:
+            # Older versions read the full store minus the current delta.
+            exclude = src.fresh("_e")
+            src.add(f"{exclude} = delta.get({src.constant(pred)}, ())")
+        source = tuples
+        if key:
+            parts = ", ".join(value for _, value in key) + ("," if len(key) == 1 else "")
+            if index is None:
+                source = f"{s}.match({scan.positions!r}, ({parts}))"
+            else:
+                source = f"{index}.get(({parts}), ())"
+        if pred in mutable:
+            source = f"list({source})"
+        src.loop(f"for {row} in {source}:")
+        if pred in mutable:
+            src.add(f"if {row} not in {tuples}: continue")
+        if exclude is not None:
+            src.add(f"if {row} in {exclude}: continue")
+    for p, name in scan.binds:
+        local = src.names.get(name)
+        if local is None:
+            src.add(f"{src.bind(name)} = {row}[{p}]")
+        else:
+            src.add(f"if {row}[{p}] != {local}: continue")
+
+
+def _range(src: _Source, goal: Atom) -> None:
+    """int_up2(C, J): test J in 1..C when J is bound, else enumerate it."""
+    count, known = src.term(goal.args[0])
+    c = src.fresh("_c")
+    src.add(f"{c} = {count}")
+    if not known:
+        src.add(
+            f"if not isinstance({c}, int): "
+            f"raise TypeMismatch('range over non-integer %r' % ({c},))"
+        )
+    src.ints.add(c)
+    j = goal.args[1]
+    if isinstance(j, Constant) or j.name in src.names:
+        value, _ = src.term(j)
+        src.add(f"if not (isinstance({value}, int) and 1 <= {value} <= {c}): {src.skip()}")
+        return
+    src.add(
+        f"if {c} > ctx.max_span: "
+        f"raise BudgetExceeded('range 1..%s exceeds the tuple budget' % ({c},))"
+    )
+    local = src.bind(j.name)
+    src.ints.add(local)
+    src.loop(f"for {local} in range(1, {c} + 1):")
+
+
+@dataclass(frozen=True)
+class _RuleCode:
+    plan: _Plan
+    # run(ctx, emit): emit(head) per binding; emit(key, measured) for a counting
+    # aggregate; emit((key, measured), head) for is_min/is_max.
+    run: Callable
+    # release(key, values, emit): a counting aggregate's head per result value.
+    release: Optional[Callable]
+
+
+@lru_cache(maxsize=256)
+def _rule_code(rule: Rule, mutable: FrozenSet[str], version: Optional[int]) -> _RuleCode:
+    """Generate and compile one rule's nested-loop function.
+
+    mutable names the relations the running stratum changes while the
+    function runs (its head predicates; none for naive sweeps and apply_ico,
+    which collect before they write). version is the ordinal, among the body
+    atoms over mutable relations, of the one that reads the current delta;
+    None reads full stores. What is emitted follows from the rule's
+    aggregate. The cache is bounded: verify calls apply_ico on the same rules
+    thousands of times, and a stream of fresh programs must not grow it.
+    """
+    plan = compile_plan(rule, mutable)
+    source, namespace = _generate(plan, mutable, version)
+    tag = "full" if version is None else f"v{version}"
+    exec(compile(source, f"<premlog rule {rule.id} {tag}>", "exec"), namespace)
+    return _RuleCode(plan, namespace["rule"], namespace.get("release"))
 
 
 # =====================================================================================
@@ -328,14 +660,13 @@ def _build_head(plan: _Plan, binding: Dict[str, object]) -> GroundTuple:
 
 
 class _Context:
-    """Shared state for one fixpoint loop: stores, deltas, version selection."""
+    """Shared state for one fixpoint loop: stores, the current delta, budget."""
 
-    __slots__ = ("stores", "delta", "version", "max_span")
+    __slots__ = ("stores", "delta", "max_span")
 
     def __init__(self, stores: Dict[str, RelationStore], max_span: int):
         self.stores = stores
         self.delta: Dict[str, Set[GroundTuple]] = {}
-        self.version: Optional[int] = None
         self.max_span = max_span
 
     def store(self, pred: str) -> RelationStore:
@@ -344,90 +675,6 @@ class _Context:
             s = RelationStore()
             self.stores[pred] = s
         return s
-
-
-def _scan_source(ctx: _Context, scan: _Scan, key: Tuple) -> Iterator[GroundTuple]:
-    """Yield matching tuples, rechecking liveness at consumption time.
-
-    Stores and deltas mutate while join generators are suspended (admission
-    happens per binding), so every view snapshots first and skips tuples that
-    were displaced in the meantime.
-    """
-    store = ctx.store(scan.atom.predicate)
-    pred = scan.atom.predicate
-    if ctx.version is not None and scan.scc_ordinal == ctx.version:
-        live = ctx.delta.get(pred)
-        if not live:
-            return
-        for t in list(live):
-            if t not in live:
-                continue
-            for i, p in enumerate(scan.positions):
-                if t[p] != key[i]:
-                    break
-            else:
-                yield t
-        return
-    exclude = None
-    if ctx.version is not None and scan.scc_ordinal is not None and scan.scc_ordinal < ctx.version:
-        exclude = ctx.delta.get(pred, ())
-    for t in list(store.match(scan.positions, key)):
-        if t not in store.tuples:
-            continue
-        if exclude is not None and t in exclude:
-            continue
-        yield t
-
-
-def _bindings(ctx: _Context, steps: Tuple[object, ...], i: int, binding: Dict) -> Iterator[Dict]:
-    if i == len(steps):
-        yield binding
-        return
-    step = steps[i]
-    if isinstance(step, _Scan):
-        key = tuple(v if k == "c" else binding[v] for k, v in step.key_parts)
-        for t in _scan_source(ctx, step, key):
-            nb = dict(binding)
-            ok = True
-            for pos, name in step.binds:
-                v = t[pos]
-                cur = nb.get(name, _MISS)
-                if cur is _MISS:
-                    nb[name] = v
-                elif cur != v:
-                    ok = False
-                    break
-            if ok:
-                yield from _bindings(ctx, steps, i + 1, nb)
-    elif isinstance(step, Comparison):
-        ok, nb = eval_interpreted(step, binding)
-        if ok:
-            yield from _bindings(ctx, steps, i + 1, nb if nb is not binding else binding)
-    elif isinstance(step, Negated):
-        t = substitute(step.atom, binding).as_tuple()
-        if t not in ctx.store(step.atom.predicate):
-            yield from _bindings(ctx, steps, i + 1, binding)
-    else:  # range goal int_up2(C, J)
-        c = eval_term(step.args[0], binding)
-        if not isinstance(c, int):
-            raise TypeMismatch(f"range over non-integer {c!r}")
-        j_term = step.args[1]
-        if isinstance(j_term, Constant) or (
-            isinstance(j_term, Variable) and j_term.name in binding
-        ):
-            j = eval_term(j_term, binding)
-            if isinstance(j, int) and 1 <= j <= c:
-                yield from _bindings(ctx, steps, i + 1, binding)
-        else:
-            if c > ctx.max_span:
-                raise BudgetExceeded(f"range 1..{c} exceeds the tuple budget")
-            for j in range(1, c + 1):
-                nb = dict(binding)
-                nb[j_term.name] = j
-                yield from _bindings(ctx, steps, i + 1, nb)
-
-
-_MISS = object()
 
 
 # =====================================================================================
@@ -485,46 +732,30 @@ def eval_aggregate(kind: str, rows: Iterable[Tuple[Tuple, Tuple]]):
 # =====================================================================================
 
 
-def _agg_row(plan: _Plan, binding: Dict) -> Tuple[Tuple, Tuple]:
-    agg = plan.agg
-    key = tuple(binding[v] for v in agg.group_by)
-    measured = tuple(binding[v] for v in agg.measured)
-    return key, measured
-
-
-def _emit_counting(plan: _Plan, key: Tuple, values) -> Iterator[GroundTuple]:
-    agg = plan.agg
-    binding = dict(zip(agg.group_by, key))
-    if isinstance(values, int):
-        values = (values,)
-    for v in values:
-        binding[agg.result] = v
-        if all(eval_interpreted(f, binding)[0] for f in plan.post_filters):
-            yield _build_head(plan, binding)
-
-
-def _rule_candidates(ctx: _Context, plan: _Plan) -> Iterator[GroundTuple]:
-    """All head tuples derivable from the current stores (no delta logic)."""
-    agg = plan.agg
+def _rule_candidates(ctx: _Context, code: _RuleCode, emit: Callable[[GroundTuple], object]) -> None:
+    """Pass every head tuple derivable from the current stores to emit."""
+    agg = code.plan.agg
     if agg is None:
-        for b in _bindings(ctx, plan.steps, 0, {}):
-            yield _build_head(plan, b)
+        code.run(ctx, emit)
         return
-    rows = set()
-    keep: Dict[Tuple[Tuple, Tuple], Dict] = {}
-    for b in _bindings(ctx, plan.steps, 0, {}):
-        row = _agg_row(plan, b)
-        rows.add(row)
-        if agg.kind in EXTREMA_KINDS and row not in keep:
-            keep[row] = b
-    result = eval_aggregate(agg.kind, rows)
     if agg.kind in EXTREMA_KINDS:
-        for (key, measured), b in keep.items():
+        # (key, measured) -> the head of its first binding; an extremum does
+        # not depend on the order its rows arrive in.
+        keep: Dict[Tuple[Tuple, Tuple], GroundTuple] = {}
+        code.run(ctx, keep.setdefault)
+        result = eval_aggregate(agg.kind, keep)
+        for (key, measured), head in keep.items():
             if result.get(key) == measured[0]:
-                yield _build_head(plan, b)
+                emit(head)
         return
-    for key, values in result.items():
-        yield from _emit_counting(plan, key, values)
+    rows: Set[Tuple[Tuple, Tuple]] = set()
+    code.run(ctx, lambda key, measured: rows.add((key, measured)))
+    for key, values in eval_aggregate(agg.kind, rows).items():
+        code.release(key, (values,) if isinstance(values, int) else values, emit)
+
+
+def _add_to(interp: Interpretation, pred: str, t: GroundTuple) -> None:
+    interp.setdefault(pred, set()).add(t)
 
 
 # =====================================================================================
@@ -602,9 +833,11 @@ def seminaive_fixpoint(
         stores[pred] = RelationStore(rel if pred not in head_preds else None)
     ctx = _Context(stores, options.max_tuples)
     gates = _build_gates(rules)
-    plans = {r.id: compile_plan(r, head_preds) for r in rules}
-    recursive_rules = [r for r in rules if plans[r.id].n_scc > 0]
-    exit_rules = [r for r in rules if plans[r.id].n_scc == 0]
+    mutable = frozenset(head_preds)
+    n_scc = {r.id: compile_plan(r, head_preds).n_scc for r in rules}
+    exit_code = [(r, _rule_code(r, mutable, None)) for r in rules if n_scc[r.id] == 0]
+    delta_code = [(r, _rule_code(r, mutable, v)) for r in rules for v in range(n_scc[r.id])]
+    code_of = {r.id: code for r, code in exit_code + delta_code}
 
     delta: Dict[str, Set[GroundTuple]] = {}
     next_delta: Dict[str, Set[GroundTuple]] = {}
@@ -616,39 +849,44 @@ def seminaive_fixpoint(
             if s is not None:
                 s.discard(t)
 
-    def admit(pred: str, t: GroundTuple) -> bool:
-        stats.derived += 1
-        if stats.derived > options.max_tuples:
-            raise BudgetExceeded(
-                f"tuple budget of {options.max_tuples} exhausted",
-                stats=stats,
-                partial=_snapshot(ctx.stores),
-            )
+    limit = options.max_tuples
+
+    def admitter(pred: str) -> Callable[[GroundTuple], bool]:
         store = ctx.store(pred)
         mono = gates.monotonic.get(pred)
-        if mono is not None:
-            if not mono.insert(t) or not store.add(t):
-                return False
-            stats.retained += 1
-            next_delta.setdefault(pred, set()).add(t)
-            return True
         ex = gates.extrema.get(pred)
-        if ex is not None:
-            change = ex.insert(t)
-            if not change.inserted:
+
+        def admit(t: GroundTuple) -> bool:
+            stats.derived += 1
+            if stats.derived > limit:
+                raise BudgetExceeded(
+                    f"tuple budget of {limit} exhausted",
+                    stats=stats,
+                    partial=_snapshot(ctx.stores),
+                )
+            if mono is not None:
+                if not mono.insert(t) or not store.add(t):
+                    return False
+            elif ex is not None:
+                inserted, displaced = ex.insert(t)
+                if not inserted:
+                    return False
+                if displaced is not None:
+                    drop_everywhere(pred, displaced)
+                    stats.deleted += 1
+                store.add(t)
+            elif not store.add(t):
                 return False
-            if change.displaced is not None:
-                drop_everywhere(pred, change.displaced)
-                stats.deleted += 1
-            store.add(t)
             stats.retained += 1
-            next_delta.setdefault(pred, set()).add(t)
+            fresh = next_delta.get(pred)
+            if fresh is None:
+                fresh = next_delta[pred] = set()
+            fresh.add(t)
             return True
-        if store.add(t):
-            stats.retained += 1
-            next_delta.setdefault(pred, set()).add(t)
-            return True
-        return False
+
+        return admit
+
+    admit = {pred: admitter(pred) for pred in head_preds}
 
     # Incremental aggregate state, one slot per rule.
     witness: Dict[str, Dict[Tuple, Set[Tuple]]] = {}
@@ -656,8 +894,8 @@ def seminaive_fixpoint(
     prefix_best: Dict[str, Dict[Tuple, Dict[Tuple, int]]] = {}
     warned: Set[str] = set()
 
-    def feed_aggregate(rule: Rule, plan: _Plan, key: Tuple, measured: Tuple) -> None:
-        agg = plan.agg
+    def feed_aggregate(rule: Rule, code: _RuleCode, key: Tuple, measured: Tuple) -> None:
+        agg = code.plan.agg
         slot = witness.setdefault(rule.id, {})
         ws = slot.setdefault(key, set())
         if measured in ws:
@@ -685,17 +923,15 @@ def seminaive_fixpoint(
                 if agg.kind == "mcount"
                 else sum(max(v, 0) for v in prefix_best[rule.id][key].values())
             )
-            for v in range(have + 1, target + 1):
-                for t in _emit_counting(plan, key, (v,)):
-                    admit(rule.head.predicate, t)
+            code.release(key, range(have + 1, target + 1), admit[rule.head.predicate])
             if target > have:
                 track[key] = target
 
     def release_deferred() -> bool:
-        changed = False
+        retained = stats.retained
         for r in rules:
-            plan = plans[r.id]
-            agg = plan.agg
+            code = code_of[r.id]
+            agg = code.plan.agg
             if agg is None or agg.kind not in ("count", "sum"):
                 continue
             track = emitted.setdefault(r.id, {})
@@ -709,37 +945,29 @@ def seminaive_fixpoint(
                 if track.get(key) == total:
                     continue
                 track[key] = total
-                for t in _emit_counting(plan, key, (total,)):
-                    if admit(r.head.predicate, t):
-                        changed = True
-        return changed
+                code.release(key, (total,), admit[r.head.predicate])
+        return stats.retained > retained  # some release was admitted
 
-    def run_rule(rule: Rule, version: Optional[int]) -> None:
-        plan = plans[rule.id]
-        ctx.version = version
-        if plan.agg is None:
-            for b in _bindings(ctx, plan.steps, 0, {}):
-                admit(rule.head.predicate, _build_head(plan, b))
-        elif plan.agg.kind in EXTREMA_KINDS:
+    def run_rule(rule: Rule, code: _RuleCode) -> None:
+        agg = code.plan.agg
+        if agg is None:
+            code.run(ctx, admit[rule.head.predicate])
+        elif agg.kind in EXTREMA_KINDS:
             # Stratified filter: body predicates are complete, evaluate statically.
-            for t in _rule_candidates(ctx, plan):
-                admit(rule.head.predicate, t)
+            _rule_candidates(ctx, code, admit[rule.head.predicate])
         else:
-            for b in _bindings(ctx, plan.steps, 0, {}):
-                key, measured = _agg_row(plan, b)
-                feed_aggregate(rule, plan, key, measured)
-        ctx.version = None
+            code.run(ctx, partial(feed_aggregate, rule, code))
 
     # Seed: facts for stratum predicates enter through the gates.
     for pred in head_preds:
         for t in edb.get(pred, ()):
-            admit(pred, t)
+            admit[pred](t)
 
     # Round 1: exit rules fire once over the full stores.
     stats.iterations += 1
     _check_iterations(stats, options, ctx)
-    for r in exit_rules:
-        run_rule(r, None)
+    for r, code in exit_code:
+        run_rule(r, code)
     delta, next_delta = next_delta, {}
 
     while True:
@@ -751,9 +979,8 @@ def seminaive_fixpoint(
         stats.iterations += 1
         _check_iterations(stats, options, ctx)
         ctx.delta = delta
-        for r in recursive_rules:
-            for version in range(plans[r.id].n_scc):
-                run_rule(r, version)
+        for r, code in delta_code:
+            run_rule(r, code)
         ctx.delta = {}
         delta, next_delta = next_delta, {}
 
@@ -791,9 +1018,22 @@ def naive_fixpoint(
     started = time.perf_counter()
     head_preds = {r.head.predicate for r in rules}
     gates = _build_gates(rules)
-    plans = {r.id: compile_plan(r, head_preds) for r in rules}
+    codes = [(r, _rule_code(r, frozenset(), None)) for r in rules]
     mono = {p: MonotonicIndex(ix.kind, ix.cost) for p, ix in gates.monotonic.items()}
     seeds = {p: set(edb.get(p, set())) for p in head_preds}
+
+    def collect(target: Set[GroundTuple]) -> Callable[[GroundTuple], None]:
+        def add(t: GroundTuple) -> None:
+            stats.derived += 1
+            if stats.derived > options.max_tuples:
+                raise BudgetExceeded(
+                    f"tuple budget of {options.max_tuples} exhausted",
+                    stats=stats,
+                    partial={p: set(v) for p, v in out.items() if v},
+                )
+            target.add(t)
+
+        return add
 
     current: Dict[str, Set[GroundTuple]] = {p: set() for p in head_preds}
     while True:
@@ -813,16 +1053,8 @@ def naive_fixpoint(
             )
 
         out: Dict[str, Set[GroundTuple]] = {p: set(current[p] | seeds[p]) for p in head_preds}
-        for r in rules:
-            for t in _rule_candidates(ctx, plans[r.id]):
-                stats.derived += 1
-                if stats.derived > options.max_tuples:
-                    raise BudgetExceeded(
-                        f"tuple budget of {options.max_tuples} exhausted",
-                        stats=stats,
-                        partial={p: set(v) for p, v in out.items() if v},
-                    )
-                out[r.head.predicate].add(t)
+        for r, code in codes:
+            _rule_candidates(ctx, code, collect(out[r.head.predicate]))
 
         new: Dict[str, Set[GroundTuple]] = {}
         for pred in head_preds:
@@ -897,9 +1129,8 @@ def apply_ico(rules: Sequence[Rule], interp: Interpretation) -> Interpretation:
     ctx = _Context(stores, 10_000_000)
     out = interp_copy(interp)
     for r in rules:
-        plan = compile_plan(r, set())
-        for t in _rule_candidates(ctx, plan):
-            out.setdefault(r.head.predicate, set()).add(t)
+        code = _rule_code(r, frozenset(), None)
+        _rule_candidates(ctx, code, partial(_add_to, out, r.head.predicate))
     return out
 
 

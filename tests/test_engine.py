@@ -1,6 +1,8 @@
 """Stores, plans, fixpoint evaluation in both modes, run_program wiring."""
 from __future__ import annotations
 
+import traceback
+
 import pytest
 
 import premlog as P
@@ -14,7 +16,7 @@ from premlog.engine import (
     default_query,
     plan,
 )
-from premlog.errors import BudgetExceeded, SafetyError, TypeMismatch
+from premlog.errors import BudgetExceeded, Overflow, SafetyError, TypeMismatch, UnboundVariable
 from premlog.model import Bound, Extremum, facts_to_interp
 
 from conftest import (
@@ -50,19 +52,19 @@ def test_relation_store_match_uses_indexes():
 
 def test_extrema_index_strict_improvement_only():
     ix = ExtremaIndex("min", 1)
-    assert ix.insert(("b", 5)).inserted
-    ch = ix.insert(("b", 3))
-    assert ch.inserted and ch.displaced == ("b", 5)
-    assert not ix.insert(("b", 3)).inserted  # tie keeps the incumbent
-    assert not ix.insert(("b", 7)).inserted
+    assert ix.insert(("b", 5)) == (True, None)
+    inserted, displaced = ix.insert(("b", 3))
+    assert inserted and displaced == ("b", 5)
+    assert ix.insert(("b", 3)) == (False, None)  # tie keeps the incumbent
+    assert ix.insert(("b", 7)) == (False, None)
     assert ix.best[("b",)] == ("b", 3)
 
 
 def test_extrema_index_max_direction():
     ix = ExtremaIndex("max", 1)
     ix.insert(("b", 5))
-    assert ix.insert(("b", 9)).displaced == ("b", 5)
-    assert not ix.insert(("b", 9)).inserted
+    assert ix.insert(("b", 9)) == (True, ("b", 5))
+    assert ix.insert(("b", 9)) == (False, None)
 
 
 def test_extrema_index_rejects_symbolic_cost():
@@ -201,6 +203,170 @@ def test_seminaive_handles_self_join_on_delta():
         ("a", "b"), ("b", "c"), ("c", "d"),
         ("a", "c"), ("b", "d"), ("a", "d"),
     }
+
+
+# ===== executor edge cases ====================================================
+
+MODES = ("seminaive", "naive")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_repeated_variable_and_constant_arguments(mode):
+    text = """
+    r1: loop(X) :- arc(X,X,W).
+    r2: from_a(Y,W) :- arc(a,Y,W).
+    r3: twice(X,Z) :- loop(X), arc(X,Z,W), loop(Z), arc(Z,Z,W).
+    arc(a,a,1). arc(a,b,2). arc(b,b,2). arc(b,c,2). arc(c,c,3).
+    """
+    res = run_text(text, mode=mode)
+    assert set(res.answers("loop")) == {("a",), ("b",), ("c",)}
+    assert set(res.answers("from_a")) == {("a", 1), ("b", 2)}
+    # (b,c) fails: the two arcs must share W
+    assert set(res.answers("twice")) == {("a", "a"), ("a", "b"), ("b", "b"), ("c", "c")}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_repeated_variable_in_recursive_delta_scan(mode):
+    text = """
+    r1: t(X,Y) :- arc(X,Y).
+    r2: t(X,Y) :- t(X,Z), t(Z,Y).
+    r3: cyc(X) :- t(X,X).
+    arc(a,b). arc(b,a). arc(b,c).
+    """
+    assert answers(text, "cyc", mode=mode) == {("a",), ("b",)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_negation_probe_with_constant(mode):
+    text = """
+    r1: lonely(X) :- node(X), not arc(X,b), not arc(a,X).
+    node(a). node(b). node(c). node(d). node(e).
+    arc(a,b). arc(c,b). arc(a,d).
+    """
+    assert answers(text, "lonely", mode=mode) == {("e",)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_range_goal_bound_unbound_and_constant(mode):
+    text = """
+    r1: upto(J) :- limit(K), int_up2(K,J).
+    r2: within(J) :- limit(K), num(J), int_up2(K,J).
+    r3: has_two(K) :- limit(K), int_up2(K,2).
+    limit(3). num(0). num(2). num(3). num(4). num(x).
+    """
+    res = run_text(text, mode=mode)
+    assert set(res.answers("upto")) == {(1,), (2,), (3,)}
+    assert set(res.answers("within")) == {(2,), (3,)}
+    assert set(res.answers("has_two")) == {(3,)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_range_goal_over_budget_and_over_symbol(mode):
+    text = "r1: upto(J) :- limit(K), int_up2(K,J).\nlimit(100)."
+    with pytest.raises(BudgetExceeded, match=r"^range 1\.\.100 exceeds the tuple budget$"):
+        P.run_program(P.parse_program(text), P.EvalOptions(mode=mode, max_tuples=99))
+    assert len(run_text(text, mode=mode).answers("upto")) == 100
+    with pytest.raises(TypeMismatch, match=r"^range over non-integer 'x'$"):
+        run_text(text.replace("limit(100)", "limit(x)"), mode=mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "expr, value, result",
+    [
+        ("A + 1", 9223372036854775806, 9223372036854775807),
+        ("A + 1", 9223372036854775807, None),
+        ("A * 2", 4611686018427387903, 9223372036854775806),
+        ("A * 2", 4611686018427387904, None),
+        ("0 - A - 2", 9223372036854775807, None),
+        ("(A + 1) * (A - 1)", 3037000499, 9223372030926249000),
+        ("(A + 1) * (A - 1)", 3037000500, None),
+    ],
+)
+def test_arithmetic_overflow_at_the_64_bit_edge(mode, expr, value, result):
+    text = f"r1: out(X) :- n(A), X = {expr}.\nn({value})."
+    if result is None:
+        with pytest.raises(Overflow, match=r"^integer -?\d+ outside signed 64-bit range$"):
+            run_text(text, mode=mode)
+    else:
+        assert run_text(text, mode=mode).answers("out") == [(result,)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "goal, message",
+    [
+        ("X = A + 1", "arithmetic '+' needs integers, got 'a' and 1"),
+        ("X = 2 * A", "arithmetic '*' needs integers, got 2 and 'a'"),
+        ("X = (A - 1) + B", "arithmetic '-' needs integers, got 'a' and 1"),
+        ("X = B + (A - 1)", "arithmetic '-' needs integers, got 'a' and 1"),
+        ("X = A, X > B", "ordering '>' needs integers, got 'a' and 7"),
+        ("X = B, A <= X", "ordering '<=' needs integers, got 'a' and 7"),
+    ],
+)
+def test_type_mismatch_over_a_symbol(mode, goal, message):
+    text = f"r1: out(X) :- n(A), m(B), {goal}.\nn(a). m(7)."
+    with pytest.raises(TypeMismatch) as err:
+        run_text(text, mode=mode)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_equality_across_types(mode):
+    text = """
+    r1: differ(A,B) :- n(A), m(B), A != B.
+    r2: same(A) :- n(A), m(B), A = B.
+    n(1). n(a). m(1). m(b).
+    """
+    res = run_text(text, mode=mode)
+    assert set(res.answers("differ")) == {(1, "b"), ("a", 1), ("a", "b")}
+    assert set(res.answers("same")) == {(1,)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_variables_named_like_python_constants(mode):
+    text = """
+    r1: swap(True,None) :- pair(None,True).
+    r2: total(None,False) :- swap(None,True), False = None + True.
+    pair(1,2). pair(3,4).
+    """
+    res = run_text(text, mode=mode)
+    assert set(res.answers("swap")) == {(2, 1), (4, 3)}
+    assert set(res.answers("total")) == {(2, 3), (4, 7)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_counting_result_filters(mode):
+    # Filters on a count result see the group and the result only.
+    program = "r1: big(G,C) :- item(G,Y), count((G),(Y),C), {}.\nitem(a,1). item(a,2). item(b,5)."
+    assert set(run_text(program.format("C >= 2"), mode=mode).answers("big")) == {("a", 2)}
+    assert run_text(program.format("G = C"), mode=mode).answers("big") == []
+    with pytest.raises(UnboundVariable, match="^variable Y is not bound$"):
+        run_text(program.format("C > 1, Y > C"), mode=mode)
+
+
+@pytest.mark.parametrize(
+    "mode, text, filename",
+    [
+        ("seminaive", "r7: out(X) :- n(A), X = A + 1.\nn(9223372036854775807).", "<premlog rule r7 full>"),
+        ("naive", "r7: out(X) :- n(A), X = A + 1.\nn(9223372036854775807).", "<premlog rule r7 full>"),
+        ("seminaive", "r1: c(X) :- n(X).\nr2: c(Y) :- c(X), Y = X * 2.\nn(3).", "<premlog rule r2 v0>"),
+    ],
+    ids=["exit-rule", "naive-sweep", "delta-version"],
+)
+def test_generated_code_names_its_rule_in_tracebacks(mode, text, filename):
+    with pytest.raises(Overflow) as err:
+        run_text(text, mode=mode)
+    assert filename in [frame.filename for frame in traceback.extract_tb(err.value.__traceback__)]
+
+
+def test_deeply_nested_rule_runs():
+    # More body atoms than CPython allows nested loops in one function.
+    n = 24
+    body = ", ".join(f"e(X{i},X{i + 1})" for i in range(n))
+    text = f"r1: walk(X0,X{n}) :- {body}.\n" + " ".join(f"e({i},{i + 1})." for i in range(n + 2))
+    for mode in MODES:
+        assert set(run_text(text, mode=mode).answers("walk")) == {(0, n), (1, n + 1), (2, n + 2)}
 
 
 # ===== helpers on interpretations ============================================

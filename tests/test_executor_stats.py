@@ -1,0 +1,153 @@
+"""Frozen executor counts: (iterations, derived, retained, deleted) per run.
+
+`derived` counts every produced head tuple, so it moves with the order in
+which the executor enumerates bindings and admits tuples (a displaced tuple
+stops firing within the same iteration). These numbers were taken from the
+recursive-generator executor and must not move when the executor changes.
+Node ids are integers, so set iteration order, and with it every count,
+does not depend on PYTHONHASHSEED (checked under hash seeds 0, 1 and 12345).
+"""
+from __future__ import annotations
+
+import pytest
+
+import premlog as P
+from premlog import bench
+
+import conftest
+
+# (kind, n, p, graph seed) -> least path length from node 0
+GRAPH_ANSWERS = {
+    ("cyclic", 16, 0.2, 4): {0: 19, 1: 15, 2: 13, 3: 23, 4: 1, 5: 7, 6: 29, 7: 13, 8: 17, 9: 12, 10: 9, 11: 21, 12: 4, 13: 11, 14: 28, 15: 9},
+    ("cyclic", 22, 0.15, 5): {0: 31, 1: 17, 2: 17, 3: 32, 4: 24, 5: 23, 6: 9, 7: 14, 8: 11, 9: 10, 10: 6, 11: 11, 12: 26, 13: 20, 14: 8, 15: 7, 16: 21, 17: 22, 18: 12, 19: 20, 20: 24, 21: 20},
+    ("dag", 18, 0.4, 3): {1: 18, 2: 20, 3: 19, 5: 38, 6: 38, 7: 23, 8: 35, 9: 16, 10: 35, 11: 20, 12: 5, 13: 5, 14: 23, 15: 19, 16: 16, 17: 21},
+    ("dag", 24, 0.25, 1): {1: 3, 7: 1, 12: 20, 13: 13, 14: 14, 15: 18, 16: 11, 17: 1, 18: 23, 19: 13, 20: 18, 21: 8, 22: 19, 23: 4},
+    ("dag", 30, 0.2, 2): {3: 3, 5: 10, 8: 6, 11: 7, 13: 4, 15: 9, 18: 22, 19: 11, 20: 5, 21: 20, 22: 27, 24: 6, 25: 16, 26: 11, 27: 11, 28: 11, 29: 11},
+}
+
+COUNTS = {
+    (("cyclic", 16, 0.2, 4), "spath_mmin", "naive"): (7, 220, 36, 0),
+    (("cyclic", 16, 0.2, 4), "spath_mmin", "seminaive"): (7, 85, 38, 0),
+    (("cyclic", 16, 0.2, 4), "spath_prem", "naive"): (7, 201, 36, 4),
+    (("cyclic", 16, 0.2, 4), "spath_prem", "seminaive"): (7, 77, 37, 5),
+    (("cyclic", 22, 0.15, 5), "spath_mmin", "naive"): (7, 346, 50, 0),
+    (("cyclic", 22, 0.15, 5), "spath_mmin", "seminaive"): (7, 162, 62, 0),
+    (("cyclic", 22, 0.15, 5), "spath_prem", "naive"): (7, 305, 50, 6),
+    (("cyclic", 22, 0.15, 5), "spath_prem", "seminaive"): (7, 114, 57, 13),
+    (("dag", 18, 0.4, 3), "spath", "naive"): (10, 993, 189, 0),
+    (("dag", 18, 0.4, 3), "spath", "seminaive"): (10, 222, 189, 0),
+    (("dag", 18, 0.4, 3), "spath_mmin", "naive"): (7, 210, 33, 0),
+    (("dag", 18, 0.4, 3), "spath_mmin", "seminaive"): (7, 73, 36, 0),
+    (("dag", 18, 0.4, 3), "spath_prem", "naive"): (7, 209, 33, 1),
+    (("dag", 18, 0.4, 3), "spath_prem", "seminaive"): (7, 73, 36, 4),
+    (("dag", 24, 0.25, 1), "spath", "naive"): (10, 302, 65, 0),
+    (("dag", 24, 0.25, 1), "spath", "seminaive"): (10, 65, 65, 0),
+    (("dag", 24, 0.25, 1), "spath_mmin", "naive"): (6, 95, 28, 0),
+    (("dag", 24, 0.25, 1), "spath_mmin", "seminaive"): (6, 40, 28, 0),
+    (("dag", 24, 0.25, 1), "spath_prem", "naive"): (6, 95, 28, 0),
+    (("dag", 24, 0.25, 1), "spath_prem", "seminaive"): (6, 40, 28, 0),
+    (("dag", 30, 0.2, 2), "spath", "naive"): (9, 308, 70, 0),
+    (("dag", 30, 0.2, 2), "spath", "seminaive"): (9, 71, 70, 0),
+    (("dag", 30, 0.2, 2), "spath_mmin", "naive"): (6, 133, 38, 0),
+    (("dag", 30, 0.2, 2), "spath_mmin", "seminaive"): (6, 57, 40, 0),
+    (("dag", 30, 0.2, 2), "spath_prem", "naive"): (6, 129, 38, 4),
+    (("dag", 30, 0.2, 2), "spath_prem", "seminaive"): (6, 52, 39, 5),
+}
+
+# spath on a cyclic graph diverges; the budget stops it with partial state:
+# (stats, tuples per predicate in the partial interpretation).
+BUDGET = {
+    (("cyclic", 16, 0.2, 4), "naive"): ((7, 3001, 671, 0), (("path", 969),)),
+    (("cyclic", 16, 0.2, 4), "seminaive"): ((8, 3001, 1354, 0), (("arc", 49), ("path", 1354))),
+    (("cyclic", 22, 0.15, 5), "naive"): ((6, 3001, 761, 0), (("path", 1165),)),
+    (("cyclic", 22, 0.15, 5), "seminaive"): ((7, 3001, 1496, 0), (("arc", 79), ("path", 1496))),
+}
+
+# All-pairs shortest paths by doubling: both body atoms read the recursion,
+# so one delta version scans the full store while the gate displaces tuples
+# in it, and the other excludes the current delta from it.
+DOUBLING = {
+    "min": "r1: d(X,Y,min<C>) :- arc(X,Y,C).\nr2: d(X,Y,min<C>) :- d(X,Z,C1), d(Z,Y,C2), C=C1+C2.\n",
+    "mmin": (
+        "r1: d(X,Y,mmin<C>) :- arc(X,Y,C).\nr2: d(X,Y,mmin<C>) :- d(X,Z,C1), d(Z,Y,C2), C=C1+C2.\n"
+        "r3: best(X,Y,min<C>) :- d(X,Y,C).\n"
+    ),
+}
+DOUBLING_COUNTS = {
+    (("cyclic", 12, 0.25, 4), "min", "naive"): (5, 4289, 154, 10),
+    (("cyclic", 12, 0.25, 4), "min", "seminaive"): (4, 2324, 202, 58),
+    (("cyclic", 12, 0.25, 4), "mmin", "naive"): (7, 5070, 298, 0),
+    (("cyclic", 12, 0.25, 4), "mmin", "seminaive"): (6, 4970, 359, 0),
+    (("cyclic", 16, 0.2, 6), "min", "naive"): (5, 9831, 277, 21),
+    (("cyclic", 16, 0.2, 6), "min", "seminaive"): (4, 5486, 384, 128),
+    (("cyclic", 16, 0.2, 6), "mmin", "naive"): (7, 11643, 533, 0),
+    (("cyclic", 16, 0.2, 6), "mmin", "seminaive"): (6, 13029, 660, 0),
+    (("dag", 16, 0.3, 7), "min", "naive"): (4, 411, 70, 2),
+    (("dag", 16, 0.3, 7), "min", "seminaive"): (4, 196, 77, 9),
+    (("dag", 16, 0.3, 7), "mmin", "naive"): (6, 550, 138, 0),
+    (("dag", 16, 0.3, 7), "mmin", "seminaive"): (6, 282, 145, 0),
+}
+
+# Fixture programs of conftest.py, which exercise the aggregate feed, the
+# mmin gate and static is_min rules.
+FIXTURES = {
+    ("CAPPED_MAX", "naive"): (8, 22, 8, 0),
+    ("CAPPED_MAX", "seminaive"): (9, 8, 8, 0),
+    ("MUTUAL_COUNT", "naive"): (4, 18, 8, 0),
+    ("MUTUAL_COUNT", "seminaive"): (5, 8, 8, 0),
+    ("PART_EXPLOSION", "naive"): (6, 32, 12, 0),
+    ("PART_EXPLOSION", "seminaive"): (6, 12, 12, 0),
+    ("SHORTEST_PATH", "naive"): (5, 12, 5, 1),
+    ("SHORTEST_PATH", "seminaive"): (5, 5, 5, 1),
+    ("SPATH_MONOTONIC", "naive"): (5, 14, 6, 0),
+    ("SPATH_MONOTONIC", "seminaive"): (5, 7, 6, 0),
+}
+
+
+def int_graph(kind, n, p, seed):
+    arcs = bench.gen_graph(bench.GraphSpec(kind, n, p, (1, 20), seed))
+    return [(int(u[1:]), int(v[1:]), w) for u, v, w in arcs]
+
+
+def counts(stats):
+    return (stats.iterations, stats.derived, stats.retained, stats.deleted)
+
+
+@pytest.mark.parametrize("graph, variant, mode", sorted(COUNTS))
+def test_shortest_path_counts_frozen(graph, variant, mode):
+    arcs = int_graph(*graph)
+    got, stats = bench.shortest_paths(variant, arcs, 0, P.EvalOptions(mode=mode))
+    assert got == GRAPH_ANSWERS[graph] == bench.dijkstra_reference(arcs, 0)
+    assert counts(stats) == COUNTS[graph, variant, mode]
+
+
+@pytest.mark.parametrize("graph, mode", sorted(BUDGET))
+def test_budget_partial_state_frozen(graph, mode):
+    arcs = int_graph(*graph)
+    with pytest.raises(P.BudgetExceeded) as info:
+        bench.shortest_paths("spath", arcs, 0, P.EvalOptions(mode=mode, max_tuples=3000))
+    sizes = tuple(sorted((p, len(v)) for p, v in info.value.partial.items()))
+    assert (counts(info.value.stats), sizes) == BUDGET[graph, mode]
+
+
+@pytest.mark.parametrize("name, mode", sorted(FIXTURES))
+def test_fixture_counts_frozen(name, mode):
+    result = conftest.run_text(getattr(conftest, name), mode=mode)
+    assert counts(result.stats) == FIXTURES[name, mode]
+
+
+def test_party_cascade_counts_frozen():
+    result = conftest.run_text(conftest.PARTY_COUNT + conftest.CASCADE_FACTS)
+    assert counts(result.stats) == (9, 12, 12, 1)
+    assert result.answers("attend") == sorted(conftest.CASCADE_ATTEND)
+
+
+@pytest.mark.parametrize("graph, variant, mode", sorted(DOUBLING_COUNTS))
+def test_doubling_counts_frozen(graph, variant, mode):
+    arcs = int_graph(*graph)
+    facts = "".join(f"arc({u},{v},{w}).\n" for u, v, w in arcs)
+    result = conftest.run_text(DOUBLING[variant] + facts, mode=mode)
+    nodes = {u for u, _, _ in arcs}
+    expected = {(x, y, c) for x in nodes for y, c in bench.dijkstra_reference(arcs, x).items()}
+    assert set(result.answers("d" if variant == "min" else "best")) == expected
+    assert counts(result.stats) == DOUBLING_COUNTS[graph, variant, mode]

@@ -129,9 +129,9 @@ def test_extrema_index_keeps_one_best_per_key(kind, inserts):
     idx = ExtremaIndex(kind, 1)
     admitted = displaced = 0
     for t in inserts:
-        cs = idx.insert(t)
-        admitted += 1 if cs.inserted else 0
-        displaced += 1 if cs.displaced is not None else 0
+        inserted, incumbent = idx.insert(t)
+        admitted += 1 if inserted else 0
+        displaced += 1 if incumbent is not None else 0
     pick = min if kind == "min" else max
     best_value = {}
     for k, v in inserts:
