@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .engine import EvalOptions, EvalStats, run_program
 from .errors import BudgetExceeded, NegativeLength, PremlogError
-from .model import Atom, Constant, Program, Value
+from .model import Fact, Program, Value
 from .parser import parse_program
 
 Arc = Tuple[Value, Value, int]
@@ -61,10 +61,8 @@ def check_lengths(arcs: Iterable[Arc]) -> None:
             raise NegativeLength(f"arc {u}->{v} has negative length {w}")
 
 
-def arc_facts(arcs: Iterable[Arc]) -> Tuple[Atom, ...]:
-    return tuple(
-        Atom("arc", (Constant(u), Constant(v), Constant(w))) for u, v, w in arcs
-    )
+def arc_facts(arcs: Iterable[Arc]) -> Tuple[Fact, ...]:
+    return tuple(Fact("arc", (u, v, w)) for u, v, w in arcs)
 
 
 # =====================================================================================

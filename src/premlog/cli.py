@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from .analysis import PremVerdict, constraint_from_annotations
@@ -50,7 +51,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INPUT
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls, and
+    # callers that run main() many times (tests, benchmarks) skip the rebuild.
     parser = argparse.ArgumentParser(
         prog="premlog",
         description="Datalog with min/max/count/sum pushed into recursion when provably safe.",
@@ -119,11 +123,8 @@ def _program_args(cmd: argparse.ArgumentParser) -> None:
 def _load_program(args) -> Program:
     with open(args.program, "r", encoding="utf-8") as fh:
         program = parse_program(fh.read())
-    extra = []
     for path in args.facts:
-        extra.extend(load_facts_path(path))
-    if extra:
-        program = program.with_facts(tuple(extra))
+        program = program.with_facts(load_facts_path(path))
     return program
 
 
@@ -349,10 +350,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.facts:
-        arcs = []
-        for path in args.facts:
-            for atom in load_edge_list(path):
-                arcs.append(tuple(a.value for a in atom.args))
+        arcs = [fact.values for path in args.facts for fact in load_edge_list(path)]
         spec = None
     else:
         spec = GraphSpec(

@@ -29,6 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -82,6 +83,7 @@ from .model import (
     constraint_conjuncts,
     constraint_predicate,
     eval_term,
+    facts_to_interp,
     final_rules,
     interp_copy,
 )
@@ -121,14 +123,23 @@ class EvalStats:
 # =====================================================================================
 
 
+def _key_of(positions: Tuple[int, ...]) -> Callable[[GroundTuple], Tuple]:
+    # Keys stay tuples, as the generated probes build them.
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda t: (t[p],)
+    return itemgetter(*positions)
+
+
 class RelationStore:
     """A set of ground tuples with lazily built positional hash indexes."""
 
-    __slots__ = ("tuples", "indexes")
+    __slots__ = ("tuples", "indexes", "_keyed")
 
     def __init__(self, tuples: Optional[Iterable[GroundTuple]] = None):
         self.tuples: Set[GroundTuple] = set(tuples) if tuples else set()
         self.indexes: Dict[Tuple[int, ...], Dict[Tuple, Set[GroundTuple]]] = {}
+        self._keyed: List[Tuple[Callable[[GroundTuple], Tuple], Dict]] = []
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -140,16 +151,14 @@ class RelationStore:
         if t in self.tuples:
             return False
         self.tuples.add(t)
-        for positions, ix in self.indexes.items():
-            key = tuple(t[p] for p in positions)
-            ix.setdefault(key, set()).add(t)
+        for key_of, ix in self._keyed:
+            ix.setdefault(key_of(t), set()).add(t)
         return True
 
     def remove(self, t: GroundTuple) -> None:
         self.tuples.discard(t)
-        for positions, ix in self.indexes.items():
-            key = tuple(t[p] for p in positions)
-            bucket = ix.get(key)
+        for key_of, ix in self._keyed:
+            bucket = ix.get(key_of(t))
             if bucket is not None:
                 bucket.discard(t)
 
@@ -159,9 +168,11 @@ class RelationStore:
         ix = self.indexes.get(positions)
         if ix is None:
             ix = {}
+            key_of = _key_of(positions)
             for t in self.tuples:
-                ix.setdefault(tuple(t[p] for p in positions), set()).add(t)
+                ix.setdefault(key_of(t), set()).add(t)
             self.indexes[positions] = ix
+            self._keyed.append((key_of, ix))
         return ix.get(key, ())
 
 
@@ -1171,9 +1182,7 @@ def iterated_fixpoint(
     """Evaluate a program stratum by stratum, bottom up."""
     options = options or EvalOptions()
     strata = stratify(program)
-    db: Interpretation = {}
-    for f in program.facts:
-        db.setdefault(f.predicate, set()).add(f.as_tuple())
+    db = facts_to_interp(program.facts)
     total = EvalStats()
     fixpoint = seminaive_fixpoint if options.mode == "seminaive" else naive_fixpoint
     budget = options.max_tuples

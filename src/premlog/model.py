@@ -9,7 +9,7 @@ equality works across types.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .errors import Overflow, PremlogError, TypeMismatch, UnboundVariable
 
@@ -359,10 +359,20 @@ class FinalConstraint:
     constraint: Constraint
 
 
+class Fact(NamedTuple):
+    """A ground fact: the EDB travels as these from loading to the engine's sets."""
+
+    predicate: str
+    values: Tuple[Value, ...]
+
+    def as_tuple(self) -> Tuple[Value, ...]:
+        return self.values
+
+
 @dataclass(frozen=True)
 class Program:
     rules: Tuple[Rule, ...]
-    facts: Tuple[Atom, ...] = ()
+    facts: Tuple[Fact, ...] = ()
     final_constraints: Tuple[FinalConstraint, ...] = ()
     # Rules defining int_up2; documentation for the range generator, not executed.
     support_rules: Tuple[Rule, ...] = ()
@@ -370,9 +380,7 @@ class Program:
     approved_recursive_aggregates: frozenset = frozenset()
 
     def predicates(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for f in self.facts:
-            seen.setdefault(f.predicate, None)
+        seen: Dict[str, None] = dict.fromkeys(f.predicate for f in self.facts)
         for r in self.rules:
             seen.setdefault(r.head.predicate, None)
             for g in r.body:
@@ -388,7 +396,7 @@ class Program:
     def with_rules(self, rules: Iterable[Rule]) -> "Program":
         return replace(self, rules=tuple(rules))
 
-    def with_facts(self, extra: Iterable[Atom]) -> "Program":
+    def with_facts(self, extra: Iterable[Fact]) -> "Program":
         return replace(self, facts=self.facts + tuple(extra))
 
 
@@ -431,50 +439,12 @@ def interp_add(i: Interpretation, predicate: str, t: GroundTuple) -> bool:
     return True
 
 
-def facts_to_interp(facts: Iterable[Atom]) -> Interpretation:
+def facts_to_interp(facts: Iterable[Fact]) -> Interpretation:
+    """The EDB as sets per predicate, each filled in fact order."""
     out: Interpretation = {}
-    for f in facts:
-        interp_add(out, f.predicate, f.as_tuple())
+    for predicate, values in facts:
+        rel = out.get(predicate)
+        if rel is None:
+            rel = out[predicate] = set()
+        rel.add(values)
     return out
-
-
-# =====================================================================================
-# SUBSTITUTION AND INTERPRETED GOALS
-# =====================================================================================
-
-
-def substitute(atom: Atom, binding: Mapping[str, Value]) -> Atom:
-    """Replace every variable in `atom` using `binding`; result is ground."""
-    args: List[Term] = []
-    for a in atom.args:
-        if isinstance(a, Constant):
-            args.append(a)
-        elif isinstance(a, Variable):
-            try:
-                args.append(Constant(binding[a.name]))
-            except KeyError:
-                raise UnboundVariable(f"variable {a.name} has no binding") from None
-        else:
-            raise PremlogError(f"arithmetic term {a!r} in predicate argument")
-    return Atom(atom.predicate, tuple(args))
-
-
-def eval_interpreted(goal: Comparison, binding: Mapping[str, Value]):
-    """Evaluate a comparison under checked integer arithmetic.
-
-    Returns (truth, binding). An equality whose left side is a single unbound
-    variable acts as an assignment: the returned binding is extended with the
-    computed value and truth is True.
-    """
-    if (
-        goal.op == "="
-        and isinstance(goal.left, Variable)
-        and goal.left.name not in binding
-    ):
-        value = eval_term(goal.right, binding)
-        extended = dict(binding)
-        extended[goal.left.name] = value
-        return True, extended
-    left = eval_term(goal.left, binding)
-    right = eval_term(goal.right, binding)
-    return compare_values(goal.op, left, right), binding

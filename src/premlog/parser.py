@@ -1,5 +1,8 @@
 """Parser for the rule language, a pretty printer, and fact loaders.
 
+Fact files and edge lists load straight into ground Facts; see the fact file
+loaders at the end.
+
 Hand-written lexer and recursive-descent parser. Syntax:
 
     r1: path(Y,Dy) :- arc(a,Y,Dy), Dy>=0.
@@ -24,6 +27,7 @@ Normalization performed here, after parsing:
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -48,6 +52,7 @@ from .model import (
     Comparison,
     Constant,
     Extremum,
+    Fact,
     FinalConstraint,
     Goal,
     HeadExtremum,
@@ -55,9 +60,11 @@ from .model import (
     Program,
     Rule,
     Term,
+    Value,
     Variable,
     bound_op_kind,
     final_rules,
+    format_value,
     make_constraint,
     term_variables,
 )
@@ -375,7 +382,7 @@ class Parser:
 def parse_program(text: str) -> Program:
     clauses = Parser(tokenize(text)).parse_clauses()
 
-    facts: List[Atom] = []
+    facts: List[Fact] = []
     rule_clauses: List[_Clause] = []
     for c in clauses:
         if not c.body:
@@ -385,7 +392,7 @@ def parse_program(text: str) -> Program:
                 raise ParseError(f"fact {c.head!r} is not ground", c.line)
             if c.label is not None:
                 raise ParseError("facts take no label", c.line)
-            facts.append(c.head)
+            facts.append(Fact(c.head.predicate, c.head.as_tuple()))
         else:
             rule_clauses.append(c)
 
@@ -432,25 +439,23 @@ def _assign_ids(clauses: List[_Clause]) -> List[str]:
     return ids
 
 
-def _check_arities(facts: List[Atom], clauses: List[_Clause]) -> None:
+def _check_arities(facts: List[Fact], clauses: List[_Clause]) -> None:
     seen: Dict[str, int] = {}
 
-    def check(atom: Atom, line: int) -> None:
-        prior = seen.setdefault(atom.predicate, atom.arity)
-        if prior != atom.arity:
-            raise ArityConflict(
-                f"{atom.predicate} used with arity {atom.arity}, earlier {prior}", line
-            )
+    def check(predicate: str, arity: int, line: int) -> None:
+        prior = seen.setdefault(predicate, arity)
+        if prior != arity:
+            raise ArityConflict(f"{predicate} used with arity {arity}, earlier {prior}", line)
 
     for f in facts:
-        check(f, 0)
+        check(f.predicate, len(f.values), 0)
     for c in clauses:
-        check(c.head, c.line)
+        check(c.head.predicate, c.head.arity, c.line)
         for g in c.body:
+            if isinstance(g, Negated):
+                g = g.atom
             if isinstance(g, Atom):
-                check(g, c.line)
-            elif isinstance(g, Negated):
-                check(g.atom, c.line)
+                check(g.predicate, g.arity, c.line)
     if seen.get(RANGE_PREDICATE, 2) != 2:
         raise ArityConflict(f"{RANGE_PREDICATE} has arity 2")
 
@@ -658,13 +663,6 @@ def _comparison_bound(g: Comparison, predicate: str, positions: Dict[str, int]):
     return None
 
 
-def parse_facts(text: str) -> List[Atom]:
-    program = parse_program(text)
-    if program.rules or program.support_rules:
-        raise ParseError("facts input contains rules")
-    return list(program.facts)
-
-
 # =====================================================================================
 # PRETTY PRINTER
 # =====================================================================================
@@ -732,8 +730,14 @@ def format_rule(rule: Rule) -> str:
     return f"{rule.id}: {head_text} :- {', '.join(goals)}."
 
 
+def format_fact(f: Fact) -> str:
+    if not f.values:
+        return f"{f.predicate}."
+    return f"{f.predicate}({','.join(map(format_value, f.values))})."
+
+
 def format_program(p: Program) -> str:
-    lines = [format_atom(f) + "." for f in p.facts]
+    lines = [format_fact(f) for f in p.facts]
     for r in p.support_rules:
         lines.append(format_rule(r))
     for r in p.rules:
@@ -746,24 +750,71 @@ def format_program(p: Program) -> str:
 # =====================================================================================
 
 
-def _node_value(field: str):
-    try:
-        return int(field)
-    except ValueError:
-        return field
+# parse_facts reads a fact file line by line when every non-blank line holds one
+# fact p(a1,...,an). or p. whose arguments are lowercase ASCII identifiers or
+# optionally negative integers, blanks around them. Any other line (a comment,
+# two facts, a label, a variable, `- 5`, non-ASCII text), an arity conflict or a
+# non-binary int_up2 sends the whole text through parse_program, which raises
+# every error with the message, line and column it always had.
+_ARG = r"[ \t\r]*(?:-?[0-9]+|[a-z][A-Za-z0-9_']*)[ \t\r]*"
+_FACT_LINE = re.compile(
+    rf"[ \t\r]*([a-z][A-Za-z0-9_']*)[ \t\r]*(?:\(({_ARG}(?:,{_ARG})*)\))?[ \t\r]*\.[ \t\r]*"
+)
 
 
-def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Atom]:
+def _read_fact_lines(text: str) -> Optional[List[Fact]]:
+    """The facts of `text` if every line is blank or one such fact, else None."""
+    facts: List[Fact] = []
+    arities: Dict[str, int] = {}
+    for line in text.split("\n"):
+        m = _FACT_LINE.fullmatch(line)
+        if m is None:
+            if line.strip(" \t\r"):
+                return None
+            continue
+        predicate, args = m.groups()
+        values = () if args is None else tuple(
+            int(a) if a[0] in "-0123456789" else a for a in map(str.strip, args.split(","))
+        )
+        if arities.setdefault(predicate, len(values)) != len(values):
+            return None
+        facts.append(Fact(predicate, values))
+    return facts if arities.get(RANGE_PREDICATE, 2) == 2 else None
+
+
+def parse_facts(text: str) -> List[Fact]:
+    facts = _read_fact_lines(text)
+    if facts is not None:
+        return facts
+    program = parse_program(text)
+    if program.rules or program.support_rules:
+        raise ParseError("facts input contains rules")
+    return list(program.facts)
+
+
+def _node_value(field: str) -> Value:
+    # Only a sign or a decimal digit can start what int() accepts: 3, -3, +4, 007, 1_000.
+    head = field[:1]
+    if head.isdecimal() or head in ("+", "-"):
+        try:
+            return int(field)
+        except ValueError:
+            pass
+    return field
+
+
+def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Fact]:
     """Load arc/3 facts from a tsv or csv edge list.
 
-    Lines hold `src dst length` or `src dst` (length defaults to 1).
-    Node fields that look like integers are loaded as integers.
+    Lines hold `src dst length` or `src dst` (length defaults to 1); blank
+    lines and lines starting with '#' are skipped, and a repeated line is
+    loaded once. Node fields that int() accepts are loaded as integers.
     """
     if fmt is None:
         fmt = "csv" if os.path.splitext(path)[1].lower() == ".csv" else "tsv"
     if fmt not in ("tsv", "csv"):
         raise LoadError(f"unknown edge list format {fmt!r}")
-    facts: List[Atom] = []
+    facts: List[Fact] = []
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -783,21 +834,12 @@ def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Atom]:
             if key in seen:
                 continue
             seen.add(key)
-            facts.append(
-                Atom(
-                    "arc",
-                    (
-                        Constant(_node_value(fields[0])),
-                        Constant(_node_value(fields[1])),
-                        Constant(length),
-                    ),
-                )
-            )
+            facts.append(Fact("arc", (_node_value(fields[0]), _node_value(fields[1]), length)))
     return facts
 
 
-def load_facts_path(path: str) -> List[Atom]:
-    """Dispatch on extension: .tsv/.csv edge lists, anything else rule syntax."""
+def load_facts_path(path: str) -> List[Fact]:
+    """Dispatch on extension: .tsv/.csv edge lists, anything else fact syntax."""
     ext = os.path.splitext(path)[1].lower()
     if ext in (".tsv", ".csv"):
         return load_edge_list(path, ext.lstrip("."))

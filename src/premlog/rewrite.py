@@ -26,7 +26,6 @@ from .model import (
     Atom,
     Bound,
     Comparison,
-    Constant,
     Extremum,
     FinalConstraint,
     Goal,
@@ -247,26 +246,6 @@ def expand_msum(goal: AggregateGoal, rule: Optional[Rule] = None) -> Tuple[Tuple
                 f"non-positive contributions are dropped by the expansion"
             )
     return (range_goal, counter), warnings
-
-
-def int_up2_support_rules() -> Tuple[Rule, Rule]:
-    """The defining rules of the unit range generator, for reference output."""
-    c, j, j1 = Variable("C"), Variable("J"), Variable("J1")
-    base = Rule(
-        "u1",
-        Atom(RANGE_PREDICATE, (c, Constant(1))),
-        (Comparison(">", c, Constant(0)),),
-    )
-    step = Rule(
-        "u2",
-        Atom(RANGE_PREDICATE, (c, j1)),
-        (
-            Atom(RANGE_PREDICATE, (c, j)),
-            Comparison("=", j1, ArithExpr("+", j, Constant(1))),
-            Comparison("<=", j1, c),
-        ),
-    )
-    return base, step
 
 
 def materialize_monotonic(program: Program) -> Tuple[Program, Dict[str, int]]:

@@ -79,7 +79,7 @@ def _arities(program: Program) -> Dict[str, int]:
             if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE:
                 out.setdefault(g.predicate, g.arity)
     for f in program.facts:
-        out.setdefault(f.predicate, f.arity)
+        out.setdefault(f.predicate, len(f.values))
     return out
 
 
@@ -93,9 +93,9 @@ def _position_pools(program: Program, arities: Dict[str, int]) -> Dict[str, List
     pools: Dict[str, List[Set[Value]]] = {
         p: [set() for _ in range(n)] for p, n in arities.items()
     }
-    for f in program.facts:
-        for i, a in enumerate(f.args):
-            pools[f.predicate][i].add(a.value)
+    for predicate, values in program.facts:
+        for i, v in enumerate(values):
+            pools[predicate][i].add(v)
     for r in program.rules:
         atoms = [r.head] + [g for g in r.body if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE]
         for atom in atoms:

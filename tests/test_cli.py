@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 
 import pytest
 
+from premlog.bench import SPATH_PREM_TEMPLATE, dijkstra_reference
 from premlog.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_REJECTED, main
 
 from conftest import (
@@ -74,6 +77,44 @@ def test_run_stats_line(write, capsys):
     assert main(["run", prog, "--stats"]) == EXIT_OK
     err = capsys.readouterr().err
     assert "derived" in err and "iterations" in err
+
+
+def _without_wall_ms(err):
+    return re.sub(r" wall_ms=[0-9.]+", "", err)
+
+
+def test_run_stats_same_bytes_for_dl_and_tsv_facts(write, capsys):
+    # A cyclic graph with symbolic node ids, so set order follows string hashes.
+    rng = random.Random(5)
+    arcs = [(f"n{i}", f"n{j}", rng.randint(1, 20)) for i in range(40) for j in rng.sample(range(40), 4)]
+    prog = write("spath.dl", SPATH_PREM_TEMPLATE.format(src="n0"))
+    files = [
+        write("g.dl", "".join(f"arc({u},{v},{w}).\n" for u, v, w in arcs)),
+        write("g.tsv", "".join(f"{u}\t{v}\t{w}\n" for u, v, w in arcs)),
+        # two facts per line: read by the program parser, not the line reader
+        write("g2.dl", "".join(f"arc({u},{v},{w}). " for u, v, w in arcs)),
+    ]
+    seen = []
+    for facts in files:
+        assert main(["run", prog, "--facts", facts, "--stats"]) == EXIT_OK
+        captured = capsys.readouterr()
+        seen.append((captured.out, _without_wall_ms(captured.err)))
+    best = dijkstra_reference(arcs, "n0")
+    assert seen[0][0] == "".join(f"spath_prem({v},{best[v]}).\n" for v in sorted(best))
+    assert "derived=" in seen[0][1]
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+def test_main_calls_share_no_state(write, capsys):
+    rules = write("rules.dl", RULES_ONLY)
+    first = write("a.dl", "arc(a,b,1).\n")
+    second = write("b.dl", "arc(a,c,2).\n")
+    assert main(["run", rules, "--facts", first, "--query", "path"]) == EXIT_OK
+    assert capsys.readouterr().out == "path(b,1).\n"
+    assert main(["run", rules, "--facts", second]) == EXIT_OK
+    assert capsys.readouterr().out == "spath(c,2).\n"
+    assert main(["run", rules]) == EXIT_OK
+    assert capsys.readouterr().out == ""
 
 
 def test_run_missing_file_is_input_error(capsys):

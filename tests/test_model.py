@@ -4,11 +4,10 @@ from __future__ import annotations
 import pytest
 
 import premlog as P
-from premlog.errors import Overflow, TypeMismatch, UnboundVariable
+from premlog.errors import Overflow, TypeMismatch
 from premlog.model import (
     Atom,
     Bound,
-    Comparison,
     Constant,
     Extremum,
     INT_MAX,
@@ -18,14 +17,12 @@ from premlog.model import (
     compare_values,
     constraint_conjuncts,
     constraint_predicate,
-    eval_interpreted,
     facts_to_interp,
     format_value,
     interp_add,
     interp_copy,
     interp_eq,
     make_constraint,
-    substitute,
     tuple_sort_key,
 )
 
@@ -74,37 +71,6 @@ def test_atom_variables_and_tuple():
     atom = Atom("arc", (Variable("X"), Constant("b"), Variable("X")))
     assert list(atom.variables()) == ["X", "X"]
     assert Atom("f", (Constant(1), Constant("a"))).as_tuple() == (1, "a")
-
-
-def test_substitute_grounds_atom():
-    atom = Atom("arc", (Variable("X"), Variable("Y")))
-    out = substitute(atom, {"X": "a", "Y": 3})
-    assert out.as_tuple() == ("a", 3)
-
-
-def test_substitute_unbound_raises():
-    atom = Atom("arc", (Variable("X"),))
-    with pytest.raises(UnboundVariable):
-        substitute(atom, {})
-
-
-def test_eval_interpreted_comparison():
-    goal = Comparison("<", Variable("X"), Constant(5))
-    ok, binding = eval_interpreted(goal, {"X": 3})
-    assert ok and binding == {"X": 3}
-    ok, _ = eval_interpreted(goal, {"X": 7})
-    assert not ok
-
-
-def test_eval_interpreted_assignment_extends_binding():
-    from premlog.model import ArithExpr
-
-    goal = Comparison("=", Variable("D"), ArithExpr("+", Variable("A"), Constant(2)))
-    ok, binding = eval_interpreted(goal, {"A": 3})
-    assert ok and binding["D"] == 5
-    # already bound: behaves as an equality test
-    ok, _ = eval_interpreted(goal, {"A": 3, "D": 9})
-    assert not ok
 
 
 def test_interp_helpers():

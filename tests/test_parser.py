@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import premlog as P
 from premlog.errors import ArityConflict, MalformedAggregate, ParseError, SafetyError
-from premlog.model import AggregateGoal, Bound, Conjunction, Extremum, HeadExtremum
-from premlog.parser import load_edge_list
+from premlog.model import AggregateGoal, Bound, Conjunction, Extremum, Fact, HeadExtremum
+from premlog.parser import _read_fact_lines, load_edge_list
 
 from conftest import CAPPED_MAX, BOUNDED_PATH, PARTY_GATED, PART_EXPLOSION
 
@@ -221,3 +223,127 @@ def test_load_facts_path_dispatches_on_extension(tmp_path):
     g = tmp_path / "g.tsv"
     g.write_text("a\tb\t1\n")
     assert load_facts_path(str(g))[0].predicate == "arc"
+
+
+def test_load_edge_list_integer_fields_are_what_int_accepts(tmp_path):
+    f = tmp_path / "g.tsv"
+    f.write_text("-3\t+4\t5\n007\t1_000\t2\nn17\tn18\n1x\t-\t3\n+a\t_1\t4\n")
+    assert [a.as_tuple() for a in load_edge_list(str(f))] == [
+        (-3, 4, 5),
+        (7, 1000, 2),
+        ("n17", "n18", 1),
+        ("1x", "-", 3),
+        ("+a", "_1", 4),
+    ]
+
+
+def test_load_edge_list_csv_with_spaces(tmp_path):
+    f = tmp_path / "g.csv"
+    f.write_text("a , b , 3\n 1,2 , 4\n\n n17 ,-3\n")
+    assert [a.as_tuple() for a in load_edge_list(str(f))] == [
+        ("a", "b", 3),
+        (1, 2, 4),
+        ("n17", -3, 1),
+    ]
+
+
+# ===== the line fact reader ===================================================
+
+
+def _facts_or_error(parse, text):
+    try:
+        return list(parse(text))
+    except Exception as exc:  # the two readers must fail alike, whatever the error
+        return (type(exc), str(exc))
+
+
+def _program_facts(text):
+    return P.parse_program(text).facts
+
+
+def test_fact_lines_read_plain_facts():
+    text = "arc(a,b,-3).\n  arc( n1 , 007 ,5) . \r\n\n\tq.\nw(x'y,aB_1,-0).\n"
+    facts = _read_fact_lines(text)
+    assert facts == [
+        Fact("arc", ("a", "b", -3)),
+        Fact("arc", ("n1", 7, 5)),
+        Fact("q", ()),
+        Fact("w", ("x'y", "aB_1", 0)),
+    ]
+    assert facts == list(_program_facts(text))
+    assert P.parse_facts(text) == facts
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "% arcs\narc(a,b,1).",  # a comment
+        "arc(a,b,1). arc(b,c,2).",  # two facts on one line
+        "arc(a,b,1).\narc(b,c,2). % tail",
+        "r1: arc(a,b,1).",  # a label
+        "arc(X,b,1).",  # a variable
+        "arc(_,b,1).",
+        "arc(a,b,- 5).",  # a sign apart from its digits
+        "arc(a,b,+5).",
+        "arc(é,b,1).",  # non-ASCII text
+        "arc(a,b,\u0663).",
+        "arc(a,b,1).\x0c",
+        "arc(a,b,1).\narc(a,b).",  # two arities
+        "int_up2(1,2,3).",
+        "p().",
+        "arc(a,b,1)",
+        "arc(a,\nb,1).",
+    ],
+)
+def test_fact_lines_fall_back_to_the_program_parser(text):
+    assert _read_fact_lines(text) is None
+    assert _facts_or_error(P.parse_facts, text) == _facts_or_error(_program_facts, text)
+
+
+def test_fact_lines_keep_error_positions():
+    with pytest.raises(ArityConflict, match="arc used with arity 2, earlier 3"):
+        P.parse_facts("arc(a,b,1).\narc(a,b).\n")
+    with pytest.raises(ParseError, match="line 2, col 9: expected a term"):
+        P.parse_facts("arc(a,b,1).\narc(a,b,,1).\n")
+    with pytest.raises(ParseError, match="line 3, col 1: unexpected character"):
+        P.parse_facts("arc(a,b,1).\n\n\x0c\n")
+    with pytest.raises(ParseError, match="facts input contains rules"):
+        P.parse_facts("p(X) :- q(X).\nq(a).\n")
+
+
+_NAMES = ["p", "arc", "aB", "q'", "int_up2", "P", "_x", "\u00e9t", "not", "min"]
+_ARGS = ["a", "n17", "b'", "0", "-3", "- 5", "007", "+4", "1_000", "X", "_", "\u00e4", "\u0663", "12ab", "-"]
+_JUNK = ["%", "% c", "\r", "\x0c", " ", "\t", "r1: ", ",", ".", "(", ")", "-", "'"]
+
+
+@st.composite
+def _fact_text(draw):
+    # Half the picks come from the first, plain entries, so whole texts of
+    # plain facts (the fast path) are common.
+    name = draw(st.one_of(st.sampled_from(_NAMES[:4]), st.sampled_from(_NAMES)))
+    args = draw(st.lists(st.one_of(st.sampled_from(_ARGS[:6]), st.sampled_from(_ARGS)), max_size=3))
+    pad = draw(st.sampled_from(["", " ", "\t", "\r"]))
+    body = f"({pad}{(',' + pad).join(args)})" if args else ""
+    return f"{name}{body}{pad}."
+
+
+_LINE = st.one_of(
+    _fact_text(),
+    _fact_text(),
+    st.lists(st.one_of(_fact_text(), st.sampled_from(_JUNK)), max_size=3).map("".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_LINE, max_size=6).map("\n".join))
+def test_fact_reader_agrees_with_the_program_parser(text):
+    assert _facts_or_error(P.parse_facts, text) == _facts_or_error(_program_facts, text)
+
+
+def test_format_program_prints_facts_as_parsed():
+    text = "q.\narc(a,-3,007).\nr1: p(X) :- q, arc(X,Y,Z).\n"
+    program = P.parse_program(text)
+    assert P.format_program(program) == "q.\narc(a,-3,7).\nr1: p(X) :- q, arc(X,Y,Z).\n"
+    assert P.format_program(program.with_facts(P.parse_facts("q.\nw(b,-1).\n"))).startswith(
+        "q.\narc(a,-3,7).\nq.\nw(b,-1).\n"
+    )

@@ -10,7 +10,6 @@ from premlog.parser import format_goal
 from premlog.rewrite import (
     desugar_extremum,
     expand_msum,
-    int_up2_support_rules,
     materialize_monotonic,
 )
 
@@ -111,11 +110,6 @@ def test_desugar_is_max_uses_greater():
 
 
 # ===== msum and int_up2 =======================================================
-
-
-def test_int_up2_support_rules_shape():
-    lo, step = int_up2_support_rules()
-    assert lo.head.predicate == "int_up2" and step.head.predicate == "int_up2"
 
 
 def test_expand_msum_goes_through_mcount():
