@@ -20,13 +20,13 @@ later extremum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import AmbiguousCost, NoCost, PremlogError, StratificationError
 from .model import (
     COUNTING_KINDS,
+    FLIP_OP,
     RANGE_PREDICATE,
-    AggregateGoal,
     ArithExpr,
     Atom,
     Bound,
@@ -34,7 +34,6 @@ from .model import (
     Constant,
     Constraint,
     Extremum,
-    Goal,
     HeadExtremum,
     Negated,
     Program,
@@ -43,6 +42,8 @@ from .model import (
     Variable,
     constraint_conjuncts,
     constraint_predicate,
+    map_goal,
+    term_variables,
 )
 
 # =====================================================================================
@@ -188,10 +189,7 @@ def stratify(program: Program, graph: Optional[DependencyGraph] = None) -> List[
         rules = tuple(r for r in program.rules if r.head.predicate in members)
         if not rules:
             continue
-        recursive = len(comp) > 1 or any(
-            e.head == e.body and e.head in members for e in graph.edges
-        )
-        strata.append(Stratum(len(strata), comp, rules, recursive))
+        strata.append(Stratum(len(strata), comp, rules, graph.is_recursive(comp[0])))
     return strata
 
 
@@ -259,9 +257,7 @@ def _base_cost_vars(rule: Rule, cost_term: Term) -> Set[str]:
     if agg is not None and agg.result == cost_term.name:
         # Aggregate results are produced, not copied, so nothing to propagate.
         return set()
-    defs = _definitions(rule)
-    expanded = subst_defs(cost_term, defs)
-    return {v for v in _term_vars(expanded)}
+    return set(term_variables(subst_defs(cost_term, definitions(rule))))
 
 
 # =====================================================================================
@@ -269,15 +265,7 @@ def _base_cost_vars(rule: Rule, cost_term: Term) -> Set[str]:
 # =====================================================================================
 
 
-def _term_vars(t: Term) -> Iterable[str]:
-    if isinstance(t, Variable):
-        yield t.name
-    elif isinstance(t, ArithExpr):
-        yield from _term_vars(t.left)
-        yield from _term_vars(t.right)
-
-
-def _definitions(rule: Rule) -> Dict[str, Term]:
+def definitions(rule: Rule) -> Dict[str, Term]:
     """Assignments V=expr whose target is not bound by a positive goal."""
     atom_bound: Set[str] = set()
     for g in rule.body:
@@ -444,8 +432,6 @@ def direction(t: Term, x: str, region: Region) -> str:
 # GUARD NORMALIZATION
 # =====================================================================================
 
-_FLIP_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
 
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
@@ -456,7 +442,7 @@ def _single_var_interval(coeff: int, const: int, op: str) -> Optional[Intv]:
     if op == "!=":
         return None
     if coeff < 0:
-        coeff, const, op = -coeff, -const, _FLIP_OP.get(op, op)
+        coeff, const, op = -coeff, -const, FLIP_OP.get(op, op)
     if op == "=":
         if (-const) % coeff == 0:
             v = (-const) // coeff
@@ -512,7 +498,7 @@ def guard_effect(guard: Comparison, x: str, defs: Dict[str, Term], region: Regio
         return "breaks"
     op = guard.op
     if d == "dec":
-        op = _FLIP_OP[op]
+        op = FLIP_OP[op]
     # e increases with x; guard is e OP 0
     return "lower" if op in (">", ">=") else "upper"
 
@@ -533,7 +519,7 @@ class RuleCostView:
 
 
 def make_cost_view(rule: Rule, costmap: Dict[str, int], scc: Set[str]) -> RuleCostView:
-    defs = _definitions(rule)
+    defs = definitions(rule)
     guards = tuple(
         g
         for g in rule.body
@@ -554,6 +540,14 @@ def make_cost_view(rule: Rule, costmap: Dict[str, int], scc: Set[str]) -> RuleCo
 # =====================================================================================
 # PRESERVATION AND MAPPING CHECKS
 # =====================================================================================
+
+
+def provably_positive(var: str, defs: Dict[str, Term], region: Region) -> bool:
+    """Whether the guards, directly or through var's definition, keep var >= 1."""
+    lo, _ = region.get(var, FULL)
+    if lo is None or lo < 1:
+        lo, _ = interval(subst_defs(Variable(var), defs), region)
+    return lo is not None and lo >= 1
 
 
 def _positivity_guards(view: RuleCostView, summand: str) -> Set[int]:
@@ -621,7 +615,7 @@ def _structural_flags(
             expanded = subst_defs(a, view.defs) if isinstance(a, (Variable, ArithExpr)) else a
             if isinstance(a, Constant):
                 continue
-            if x in set(_term_vars(expanded)):
+            if x in set(term_variables(expanded)):
                 reason = f"argument {a!r} depends on the cost {x}"
                 if inflation_ok:
                     inflation_ok, inf_reason = False, reason
@@ -667,10 +661,7 @@ def check_inflation_preserving(
                 inf_reason = f"cost {x} selects the aggregated witnesses"
         if agg.kind in ("msum", "sum") and inflation_ok:
             summand = agg.measured[-1]
-            lo, _ = view.region.get(summand, FULL)
-            if lo is None or lo < 1:
-                lo, _ = interval(subst_defs(Variable(summand), view.defs), view.region)
-            if lo is None or lo < 1:
+            if not provably_positive(summand, view.defs, view.region):
                 inflation_ok = False
                 inf_reason = f"summand {summand} is not provably positive"
     else:
@@ -749,43 +740,24 @@ def check_ascending(rule: Rule, costmap: Dict[str, int], scc: Set[str]) -> Tuple
 
 
 def _rename_rule(rule: Rule, suffix: str) -> Rule:
-    mapping = {v: f"{v}__{suffix}" for v in set(rule.head.variables()) | set(rule.body_variables())}
+    def rename(v: str) -> Term:
+        return Variable(f"{v}__{suffix}")
 
-    def sub_term(t: Term) -> Term:
-        if isinstance(t, Variable):
-            return Variable(mapping.get(t.name, t.name))
-        if isinstance(t, ArithExpr):
-            return ArithExpr(t.op, sub_term(t.left), sub_term(t.right))
-        return t
+    body = tuple(map_goal(g, rename) for g in rule.body)
+    return Rule(rule.id, map_goal(rule.head, rename), body, rule.extremum)
 
-    def sub_goal(g: Goal) -> Goal:
-        if isinstance(g, Atom):
-            return Atom(g.predicate, tuple(sub_term(a) for a in g.args))
-        if isinstance(g, Comparison):
-            return Comparison(g.op, sub_term(g.left), sub_term(g.right))
-        if isinstance(g, Negated):
-            return Negated(Atom(g.atom.predicate, tuple(sub_term(a) for a in g.atom.args)))
-        return AggregateGoal(
-            g.kind,
-            tuple(mapping.get(v, v) for v in g.group_by),
-            tuple(mapping.get(v, v) for v in g.measured),
-            mapping.get(g.result, g.result) if g.result is not None else None,
-        )
 
-    head = Atom(rule.head.predicate, tuple(sub_term(a) for a in rule.head.args))
-    return Rule(rule.id, head, tuple(sub_goal(g) for g in rule.body), rule.extremum)
+def _resolve(subst: Dict[str, Term], t: Term) -> Term:
+    # _unify_args binds only unbound variables, so every chain ends.
+    while isinstance(t, Variable) and t.name in subst:
+        t = subst[t.name]
+    return t
 
 
 def _unify_args(a: Tuple[Term, ...], b: Tuple[Term, ...]) -> Optional[Dict[str, Term]]:
     subst: Dict[str, Term] = {}
-
-    def walk(t: Term) -> Term:
-        while isinstance(t, Variable) and t.name in subst:
-            t = subst[t.name]
-        return t
-
     for x, y in zip(a, b):
-        x, y = walk(x), walk(y)
+        x, y = _resolve(subst, x), _resolve(subst, y)
         if isinstance(x, Variable):
             if not (isinstance(y, Variable) and y.name == x.name):
                 subst[x.name] = y
@@ -797,49 +769,6 @@ def _unify_args(a: Tuple[Term, ...], b: Tuple[Term, ...]) -> Optional[Dict[str, 
         else:
             return None
     return subst
-
-
-def _apply_subst_goal(g: Goal, subst: Dict[str, Term]) -> Optional[Goal]:
-    def walk_name(v: str) -> Optional[str]:
-        t = subst.get(v)
-        steps = 0
-        while isinstance(t, Variable):
-            v = t.name
-            t = subst.get(v)
-            steps += 1
-            if steps > 32:
-                break
-        if t is None:
-            return v
-        return None  # bound to a constant or expression
-
-    def sub_term(t: Term) -> Term:
-        if isinstance(t, Variable):
-            seen = 0
-            while isinstance(t, Variable) and t.name in subst:
-                t = subst[t.name]
-                seen += 1
-                if seen > 32:
-                    break
-            return t
-        if isinstance(t, ArithExpr):
-            return ArithExpr(t.op, sub_term(t.left), sub_term(t.right))
-        return t
-
-    if isinstance(g, Atom):
-        return Atom(g.predicate, tuple(sub_term(a) for a in g.args))
-    if isinstance(g, Comparison):
-        return Comparison(g.op, sub_term(g.left), sub_term(g.right))
-    if isinstance(g, Negated):
-        return Negated(Atom(g.atom.predicate, tuple(sub_term(a) for a in g.atom.args)))
-    group = tuple(walk_name(v) for v in g.group_by)
-    measured = tuple(walk_name(v) for v in g.measured)
-    result = walk_name(g.result) if g.result is not None else None
-    if any(v is None for v in group) or any(v is None for v in measured):
-        return None
-    if g.result is not None and result is None:
-        return None
-    return AggregateGoal(g.kind, group, measured, result)  # type: ignore[arg-type]
 
 
 def compose_procedure(program: Program, p0: str, companion: str) -> Optional[List[Rule]]:
@@ -876,20 +805,14 @@ def compose_procedure(program: Program, p0: str, companion: str) -> Optional[Lis
             subst = _unify_args(fresh.head.args, goals[slot].args)  # type: ignore[arg-type]
             if subst is None:
                 continue
-            new_goals: List[Goal] = []
-            ok = True
-            for i, g in enumerate(goals):
-                src = list(fresh.body) if i == slot else [g]
-                for s in src:
-                    applied = _apply_subst_goal(s, subst)
-                    if applied is None:
-                        ok = False
-                        break
-                    new_goals.append(applied)
-                if not ok:
-                    break
-            head = _apply_subst_goal(r.head, subst)
-            if ok and isinstance(head, Atom):
+
+            def walk(v: str) -> Term:
+                return _resolve(subst, Variable(v))
+
+            unfolded = goals[:slot] + list(fresh.body) + goals[slot + 1 :]
+            new_goals = [map_goal(g, walk) for g in unfolded]
+            if None not in new_goals:
+                head = map_goal(r.head, walk)
                 composed.append(Rule(f"{r.id}+{fresh.id}", head, tuple(new_goals), r.extremum))
     return composed or None
 
@@ -1023,12 +946,12 @@ def classify_premability(
             rejection = Rejection(conjunct, condition, rid)
             break
         plan.append((conjunct, f"{label} ({need}-safe: {', '.join(passed)})"))
-        working = [_apply_conjunct(r, conjunct, costmap) for r in working]
+        working = [apply_conjunct(r, conjunct, costmap) for r in working]
 
     return PremVerdict(program, constraint, costmap, tuple(plan), rejection, composed, procedure)
 
 
-def _apply_conjunct(rule: Rule, conjunct: Union[Bound, Extremum], costmap: Dict[str, int]) -> Rule:
+def apply_conjunct(rule: Rule, conjunct: Union[Bound, Extremum], costmap: Dict[str, int]) -> Rule:
     pos = costmap[rule.head.predicate]
     if isinstance(conjunct, Bound):
         guard = Comparison(conjunct.op, rule.head.args[pos], Constant(conjunct.limit))

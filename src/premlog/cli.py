@@ -27,7 +27,6 @@ from .engine import EvalOptions, default_query, execute, plan
 from .errors import BudgetExceeded, PremlogError
 from .model import Program, format_value, tuple_sort_key
 from .parser import format_program, load_edge_list, load_facts_path, parse_program
-from .rewrite import compile_count_in_recursion
 from .verify import check_prem_empirical, trust_but_verify_run
 
 EXIT_OK = 0
@@ -156,14 +155,9 @@ def _cmd_run(args) -> int:
         planned = plan(program, force_push=args.force_push)
         bad = [ob for ob in planned.obligations if not ob.approved]
         for ob in bad:
-            reason = (
-                ob.verdict.rejection.condition
-                if ob.verdict is not None and ob.verdict.rejection is not None
-                else "; ".join(ob.notes) or "no transferable extremum"
-            )
             print(
                 f"error: rule {ob.rule_id} uses {ob.kind} inside its own recursion "
-                f"and the max transfer was rejected ({reason}). The fixpoint may "
+                f"and the max transfer was rejected ({ob.reason}). The fixpoint may "
                 f"be wrong or diverge. Stratify the program, or rerun with "
                 f"--trust-but-verify to execute it anyway under audit.",
                 file=sys.stderr,
@@ -252,11 +246,8 @@ def _cmd_check(args) -> int:
             lines.append(f"APPROVED: rule {ob.rule_id} {ob.kind} in recursion ({just})")
         else:
             ok = False
-            reason = (
-                f"{ob.verdict.rejection!r} (rule {ob.verdict.rejection.rule_id})"
-                if ob.verdict is not None and ob.verdict.rejection is not None
-                else "; ".join(ob.notes) or "no transferable extremum"
-            )
+            rejection = ob.verdict.rejection if ob.verdict is not None else None
+            reason = f"{rejection!r} (rule {rejection.rule_id})" if rejection else ob.reason
             lines.append(f"REJECTED: rule {ob.rule_id} {ob.kind} in recursion: {reason}")
 
     for step in planned.steps:
@@ -307,8 +298,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    program = _load_program(args)
-    compiled, obligations = compile_count_in_recursion(program)
+    planned = plan(_load_program(args), push=False)
+    compiled = planned.executed
     targets = []
     for fc in compiled.final_constraints:
         targets.append((compiled, fc.constraint, None))
@@ -316,7 +307,7 @@ def _cmd_verify(args) -> int:
         derived = constraint_from_annotations(compiled)
         if derived is not None:
             targets.append((compiled, derived, None))
-    for ob in obligations:
+    for ob in planned.obligations:
         if ob.verdict is not None:
             targets.append((ob.verdict.program, ob.verdict.constraint, ob.verdict.procedure))
     if not targets:

@@ -12,8 +12,10 @@ name the function `<premlog rule ID vK>` (`full` when no delta is read).
 The naive loop literally iterates
 I <- gamma(T(I u edb)): every sweep recomputes all consequences, then the
 working constraints (head extrema, implicit count/sum projection) filter the
-result; the loop stops when the interpretation repeats, and the confirming
-sweep is counted. The seminaive loop keeps per-predicate working sets:
+result through model.keep_extremal, the one gamma that apply_constraint and
+the oracle's count projection use too; the loop stops when the
+interpretation repeats, and the confirming sweep is counted. The seminaive
+loop keeps per-predicate working sets:
 
   * a min/max head annotation admits a tuple only if it beats the incumbent
     for its key; the beaten tuple is deleted from the store and from any
@@ -35,7 +37,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -85,7 +86,10 @@ from .model import (
     eval_term,
     facts_to_interp,
     final_rules,
+    head_var_positions,
     interp_copy,
+    keep_extremal,
+    term_variables,
 )
 from .rewrite import CompileObligation, RewriteTrace, compile_count_in_recursion, push_constraint
 
@@ -265,11 +269,11 @@ def compile_plan(rule: Rule, scc_preds: Set[str]) -> _Plan:
     def ready(g) -> bool:
         if isinstance(g, Atom):
             if g.predicate == RANGE_PREDICATE:
-                return all(v in bound for v in _tvars(g.args[0]))
+                return all(v in bound for v in term_variables(g.args[0]))
             return True
         if isinstance(g, Comparison):
             if g.op == "=" and isinstance(g.left, Variable) and g.left.name not in bound:
-                return all(v in bound for v in _tvars(g.right))
+                return all(v in bound for v in term_variables(g.right))
             return all(v in bound for v in g.variables())
         if isinstance(g, Negated):
             return all(v in bound for v in g.variables())
@@ -329,19 +333,11 @@ def compile_plan(rule: Rule, scc_preds: Set[str]) -> _Plan:
         else:
             steps.append(chosen)
             if isinstance(chosen, Atom):  # range goal
-                bound.update(_tvars(chosen.args[1]))
+                bound.update(term_variables(chosen.args[1]))
             elif isinstance(chosen, Comparison) and chosen.op == "=" and isinstance(chosen.left, Variable):
                 bound.add(chosen.left.name)
 
     return _Plan(rule, tuple(steps), n_scc, agg, tuple(post))
-
-
-def _tvars(t) -> Iterator[str]:
-    if isinstance(t, Variable):
-        yield t.name
-    elif not isinstance(t, Constant):
-        yield from _tvars(t.left)
-        yield from _tvars(t.right)
 
 
 # =====================================================================================
@@ -778,8 +774,6 @@ def _add_to(interp: Interpretation, pred: str, t: GroundTuple) -> None:
 class _Gates:
     extrema: Dict[str, ExtremaIndex]
     monotonic: Dict[str, MonotonicIndex]
-    # naive mode reapplies these as filters instead of using the indexes
-    gamma: Dict[str, Tuple[str, int]]  # pred -> (kind, cost position)
 
 
 def _build_gates(rules: Sequence[Rule]) -> _Gates:
@@ -796,19 +790,11 @@ def _build_gates(rules: Sequence[Rule]) -> _Gates:
             continue
         agg = r.aggregate()
         if agg is not None and agg.kind in ("count", "sum"):
-            pos = next(
-                (
-                    i
-                    for i, a in enumerate(r.head.args)
-                    if isinstance(a, Variable) and a.name == agg.result
-                ),
-                None,
-            )
+            pos = head_var_positions(r.head).get(agg.result)
             if pos is not None:
                 entry.add(("max", False, pos))
     extrema: Dict[str, ExtremaIndex] = {}
     monotonic: Dict[str, MonotonicIndex] = {}
-    gamma: Dict[str, Tuple[str, int]] = {}
     for pred, entry in specs.items():
         if len(entry) > 1:
             raise PremlogError(f"rules defining {pred} disagree on its working constraint")
@@ -819,8 +805,7 @@ def _build_gates(rules: Sequence[Rule]) -> _Gates:
             monotonic[pred] = MonotonicIndex(kind, pos)
         else:
             extrema[pred] = ExtremaIndex(kind, pos)
-            gamma[pred] = (kind, pos)
-    return _Gates(extrema, monotonic, gamma)
+    return _Gates(extrema, monotonic)
 
 
 # =====================================================================================
@@ -1030,7 +1015,6 @@ def naive_fixpoint(
     head_preds = {r.head.predicate for r in rules}
     gates = _build_gates(rules)
     codes = [(r, _rule_code(r, frozenset(), None)) for r in rules]
-    mono = {p: MonotonicIndex(ix.kind, ix.cost) for p, ix in gates.monotonic.items()}
     seeds = {p: set(edb.get(p, set())) for p in head_preds}
 
     def collect(target: Set[GroundTuple]) -> Callable[[GroundTuple], None]:
@@ -1056,12 +1040,7 @@ def naive_fixpoint(
         for pred in head_preds:
             stores[pred] = RelationStore(current[pred] | seeds[pred])
         ctx = _Context(stores, options.max_tuples)
-        if options.max_iterations is not None and stats.iterations > options.max_iterations:
-            raise BudgetExceeded(
-                f"iteration budget of {options.max_iterations} exhausted",
-                stats=stats,
-                partial=_snapshot(stores),
-            )
+        _check_iterations(stats, options, ctx)
 
         out: Dict[str, Set[GroundTuple]] = {p: set(current[p] | seeds[p]) for p in head_preds}
         for r, code in codes:
@@ -1070,13 +1049,14 @@ def naive_fixpoint(
         new: Dict[str, Set[GroundTuple]] = {}
         for pred in head_preds:
             rel = out[pred]
-            spec = gates.gamma.get(pred)
-            if spec is not None:
-                rel = _gamma_filter(rel, spec[0], spec[1])
-            gate = mono.get(pred)
+            ex = gates.extrema.get(pred)
+            if ex is not None:
+                rel = keep_extremal(rel, ex.kind, ex.cost)
+            gate = gates.monotonic.get(pred)
             if gate is not None:
+                # Only a key's best fresh candidate can beat its incumbent.
                 admitted = set(current[pred])
-                for t in sorted(rel - current[pred], key=_mono_order(gate)):
+                for t in keep_extremal(rel - current[pred], gate.kind, gate.cost):
                     if gate.insert(t):
                         admitted.add(t)
                 rel = admitted
@@ -1097,32 +1077,6 @@ def naive_fixpoint(
             result.pop(pred, None)
     stats.wall_ms += (time.perf_counter() - started) * 1000.0
     return result, stats
-
-
-def _mono_order(gate: MonotonicIndex) -> Callable[[GroundTuple], Tuple]:
-    # Feed candidates best-first so one sweep admits only the per-key winners.
-    sign = 1 if gate.kind == "min" else -1
-
-    def key(t: GroundTuple):
-        v = t[gate.cost]
-        if not isinstance(v, int):
-            raise TypeMismatch(f"extremum over non-integer value {v!r}")
-        return (sign * v,)
-
-    return key
-
-
-def _gamma_filter(rel: Set[GroundTuple], kind: str, cost: int) -> Set[GroundTuple]:
-    best: Dict[Tuple, int] = {}
-    for t in rel:
-        v = t[cost]
-        if not isinstance(v, int):
-            raise TypeMismatch(f"extremum over non-integer value {v!r}")
-        key = t[:cost] + t[cost + 1 :]
-        held = best.get(key)
-        if held is None or (v < held if kind == "min" else v > held):
-            best[key] = v
-    return {t for t in rel if best[t[:cost] + t[cost + 1 :]] == t[cost]}
 
 
 # =====================================================================================
@@ -1155,16 +1109,7 @@ def apply_constraint(constraint: Constraint, interp: Interpretation) -> Interpre
         if isinstance(part, Bound):
             rel = {t for t in rel if compare_values(part.op, t[part.cost], part.limit)}
         else:
-            best: Dict[Tuple, int] = {}
-            for t in rel:
-                v = t[part.cost]
-                if not isinstance(v, int):
-                    raise TypeMismatch(f"extremum over non-integer value {v!r}")
-                key = tuple(t[i] for i in part.group_by)
-                held = best.get(key)
-                if held is None or (v < held if part.kind == "min" else v > held):
-                    best[key] = v
-            rel = {t for t in rel if best[tuple(t[i] for i in part.group_by)] == t[part.cost]}
+            rel = keep_extremal(rel, part.kind, part.cost, part.group_by)
         out[part.predicate] = rel
     return out
 
@@ -1243,9 +1188,8 @@ def plan(
     executed, obligations = compile_count_in_recursion(program, assume=trust)
     for ob in obligations:
         if not ob.approved:
-            reason = ob.verdict.rejection.condition if ob.verdict and ob.verdict.rejection else "no cost path"
             warnings.append(
-                f"rule {ob.rule_id}: recursive {ob.kind} is not provably safe ({reason}); "
+                f"rule {ob.rule_id}: recursive {ob.kind} is not provably safe ({ob.reason}); "
                 f"results may be wrong if run anyway"
             )
         warnings.extend(ob.notes)

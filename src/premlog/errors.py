@@ -14,7 +14,8 @@ class ParseError(PremlogError):
         self.line = line
         self.column = column
         if line is not None:
-            message = f"line {line}, col {column}: {message}"
+            where = f"line {line}" if column is None else f"line {line}, col {column}"
+            message = f"{where}: {message}"
         super().__init__(message)
 
 

@@ -9,7 +9,20 @@ equality works across types.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
+from operator import itemgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .errors import Overflow, PremlogError, TypeMismatch, UnboundVariable
 
@@ -114,6 +127,15 @@ def term_variables(term: Term) -> Iterator[str]:
     elif isinstance(term, ArithExpr):
         yield from term_variables(term.left)
         yield from term_variables(term.right)
+
+
+def map_term(term: Term, f: Callable[[str], Term]) -> Term:
+    """term with every variable V replaced by f(V)."""
+    if isinstance(term, Variable):
+        return f(term.name)
+    if isinstance(term, ArithExpr):
+        return ArithExpr(term.op, map_term(term.left, f), map_term(term.right, f))
+    return term
 
 
 def eval_term(term: Term, binding: Mapping[str, Value]) -> Value:
@@ -221,6 +243,37 @@ class AggregateGoal:
 
 
 Goal = Union[Atom, Comparison, Negated, AggregateGoal]
+
+
+def map_goal(goal: Goal, f: Callable[[str], Term]) -> Optional[Goal]:
+    """goal with every variable V replaced by f(V).
+
+    An aggregate names its variables, so it maps only to variables: None
+    when f sends one of them to a constant or an expression.
+    """
+    if isinstance(goal, Atom):
+        return Atom(goal.predicate, tuple(map_term(a, f) for a in goal.args))
+    if isinstance(goal, Comparison):
+        return Comparison(goal.op, map_term(goal.left, f), map_term(goal.right, f))
+    if isinstance(goal, Negated):
+        return Negated(map_goal(goal.atom, f))
+    mapped = [f(v) for v in goal.variables()]
+    if not all(isinstance(t, Variable) for t in mapped):
+        return None
+    names = [t.name for t in mapped]
+    n, m = len(goal.group_by), len(goal.measured)
+    result = names[n + m] if goal.result is not None else None
+    return AggregateGoal(goal.kind, tuple(names[:n]), tuple(names[n : n + m]), result)
+
+
+def head_var_positions(atom: Atom) -> Dict[str, int]:
+    """The first argument position of each variable of atom."""
+    out: Dict[str, int] = {}
+    for i, a in enumerate(atom.args):
+        if isinstance(a, Variable) and a.name not in out:
+            out[a.name] = i
+    return out
+
 
 # int_up2(C, J) is an interpreted range generator: with C bound it enumerates
 # J = 1 .. C. Rules defining it are kept as non-executed support rules.
@@ -346,6 +399,35 @@ def bound_op_kind(op: str) -> str:
     raise PremlogError(f"not a bound operator: {op!r}")
 
 
+# The ordering operator that holds with its two sides swapped.
+FLIP_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def goal_conjunct(goal: Goal, atom: Atom) -> Optional[Union[Bound, Extremum]]:
+    """The constraint on atom's predicate that a final rule's goal states.
+
+    A comparison of one of atom's variables with a constant is a bound; an
+    is_min/is_max over atom's variables is an extremum; anything else None.
+    """
+    positions = head_var_positions(atom)
+    if isinstance(goal, Comparison):
+        left, op, right = goal.left, goal.op, goal.right
+        if isinstance(left, Constant) and isinstance(right, Variable):
+            left, right, op = right, left, FLIP_OP.get(op, op)
+        if (
+            isinstance(left, Variable)
+            and isinstance(right, Constant)
+            and op in FLIP_OP
+            and left.name in positions
+        ):
+            return Bound(bound_op_kind(op), atom.predicate, positions[left.name], op, right.value)
+    elif isinstance(goal, AggregateGoal) and goal.kind in EXTREMA_KINDS:
+        if all(v in positions for v in goal.variables()):
+            group = tuple(positions[v] for v in goal.group_by)
+            return Extremum(goal.kind[3:], atom.predicate, group, positions[goal.measured[0]])
+    return None
+
+
 # =====================================================================================
 # PROGRAM
 # =====================================================================================
@@ -431,14 +513,6 @@ def interp_eq(a: Interpretation, b: Interpretation) -> bool:
     return all(a.get(p, set()) == b.get(p, set()) for p in preds)
 
 
-def interp_add(i: Interpretation, predicate: str, t: GroundTuple) -> bool:
-    rel = i.setdefault(predicate, set())
-    if t in rel:
-        return False
-    rel.add(t)
-    return True
-
-
 def facts_to_interp(facts: Iterable[Fact]) -> Interpretation:
     """The EDB as sets per predicate, each filled in fact order."""
     out: Interpretation = {}
@@ -448,3 +522,29 @@ def facts_to_interp(facts: Iterable[Fact]) -> Interpretation:
             rel = out[predicate] = set()
         rel.add(values)
     return out
+
+
+def keep_extremal(
+    rel: Set[GroundTuple], kind: str, cost: int, group: Optional[Tuple[int, ...]] = None
+) -> Set[GroundTuple]:
+    """The constraint gamma of one extremum: per group key, the tuples whose
+    cost is least ('min') or greatest ('max'), ties all kept.
+
+    group lists the key positions; None keys on every position but the cost.
+    """
+    if group is None:
+        key_of = lambda t: t[:cost] + t[cost + 1 :]
+    elif group:
+        key_of = itemgetter(*group)
+    else:
+        key_of = lambda t: ()
+    best: Dict[object, int] = {}
+    for t in rel:
+        v = t[cost]
+        if not isinstance(v, int):
+            raise TypeMismatch(f"extremum over non-integer value {v!r}")
+        key = key_of(t)
+        held = best.get(key)
+        if held is None or (v < held if kind == "min" else v > held):
+            best[key] = v
+    return {t for t in rel if best[key_of(t)] == t[cost]}

@@ -48,10 +48,8 @@ from .model import (
     AggregateGoal,
     ArithExpr,
     Atom,
-    Bound,
     Comparison,
     Constant,
-    Extremum,
     Fact,
     FinalConstraint,
     Goal,
@@ -62,9 +60,10 @@ from .model import (
     Term,
     Value,
     Variable,
-    bound_op_kind,
     final_rules,
     format_value,
+    goal_conjunct,
+    head_var_positions,
     make_constraint,
     term_variables,
 )
@@ -397,7 +396,7 @@ def parse_program(text: str) -> Program:
             rule_clauses.append(c)
 
     ids = _assign_ids(rule_clauses)
-    _check_arities(facts, rule_clauses)
+    _check_arities(clauses)
     recursive = _recursive_predicates(rule_clauses)
 
     rules: List[Rule] = []
@@ -439,23 +438,19 @@ def _assign_ids(clauses: List[_Clause]) -> List[str]:
     return ids
 
 
-def _check_arities(facts: List[Fact], clauses: List[_Clause]) -> None:
+def _check_arities(clauses: List[_Clause]) -> None:
+    """Facts and rules in source order, each atom at its clause's line."""
     seen: Dict[str, int] = {}
-
-    def check(predicate: str, arity: int, line: int) -> None:
-        prior = seen.setdefault(predicate, arity)
-        if prior != arity:
-            raise ArityConflict(f"{predicate} used with arity {arity}, earlier {prior}", line)
-
-    for f in facts:
-        check(f.predicate, len(f.values), 0)
     for c in clauses:
-        check(c.head.predicate, c.head.arity, c.line)
-        for g in c.body:
+        for g in (c.head,) + c.body:
             if isinstance(g, Negated):
                 g = g.atom
             if isinstance(g, Atom):
-                check(g.predicate, g.arity, c.line)
+                prior = seen.setdefault(g.predicate, g.arity)
+                if prior != g.arity:
+                    raise ArityConflict(
+                        f"{g.predicate} used with arity {g.arity}, earlier {prior}", c.line
+                    )
     if seen.get(RANGE_PREDICATE, 2) != 2:
         raise ArityConflict(f"{RANGE_PREDICATE} has arity 2")
 
@@ -485,14 +480,6 @@ def _recursive_predicates(clauses: List[_Clause]) -> Set[str]:
     return out
 
 
-def _head_var_positions(head: Atom) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for i, a in enumerate(head.args):
-        if isinstance(a, Variable) and a.name not in out:
-            out[a.name] = i
-    return out
-
-
 def _normalize_rule(rid: str, c: _Clause, recursive: Set[str]) -> Rule:
     head = c.head
     body = list(c.body)
@@ -514,7 +501,7 @@ def _normalize_rule(rid: str, c: _Clause, recursive: Set[str]) -> Rule:
             body.append(AggregateGoal("is_" + ann.kind, group, (ann.var,)))
 
     if head.predicate in recursive:
-        hv = _head_var_positions(head)
+        hv = head_var_positions(head)
         converted = []
         for g in body:
             if isinstance(g, AggregateGoal) and g.kind in EXTREMA_KINDS:
@@ -557,14 +544,14 @@ def _check_safety(rule: Rule, line: int) -> None:
         for g in rule.body:
             if isinstance(g, Atom) and g.predicate == RANGE_PREDICATE:
                 src, dst = g.args
-                if all(v in bound for v in _term_var_names(src)):
-                    for v in _term_var_names(dst):
+                if all(v in bound for v in term_variables(src)):
+                    for v in term_variables(dst):
                         if v not in bound:
                             bound.add(v)
                             changed = True
             elif isinstance(g, Comparison) and g.op == "=" and isinstance(g.left, Variable):
                 if g.left.name not in bound and all(
-                    v in bound for v in _term_var_names(g.right)
+                    v in bound for v in term_variables(g.right)
                 ):
                     bound.add(g.left.name)
                     changed = True
@@ -583,7 +570,7 @@ def _check_safety(rule: Rule, line: int) -> None:
             require(g.atom.variables(), "negation")
         elif isinstance(g, Comparison):
             if g.op == "=" and isinstance(g.left, Variable):
-                require(_term_var_names(g.right), "comparison")
+                require(term_variables(g.right), "comparison")
             else:
                 require(g.variables(), "comparison")
         elif isinstance(g, AggregateGoal):
@@ -609,10 +596,6 @@ def _check_safety(rule: Rule, line: int) -> None:
             raise SafetyError(f"rule {rule.id}: extremum argument must be a variable", line)
 
 
-def _term_var_names(t: Term) -> List[str]:
-    return list(term_variables(t))
-
-
 def _extract_final_constraints(rules: Sequence[Rule]) -> List[FinalConstraint]:
     out: List[FinalConstraint] = []
     for r in final_rules(rules):
@@ -621,46 +604,17 @@ def _extract_final_constraints(rules: Sequence[Rule]) -> List[FinalConstraint]:
         regular = [g for g in r.regular_goals() if g.predicate != RANGE_PREDICATE]
         if len(regular) != 1:
             continue
-        atom = regular[0]
-        positions = _head_var_positions(atom)
         parts = []
         for g in r.body:
-            if isinstance(g, Comparison):
-                part = _comparison_bound(g, atom.predicate, positions)
-                if part is not None:
-                    parts.append(part)
+            part = goal_conjunct(g, regular[0])
+            if part is not None:
+                parts.append(part)
             elif isinstance(g, AggregateGoal) and g.kind in EXTREMA_KINDS:
-                var = g.measured[0]
-                if var not in positions or any(v not in positions for v in g.group_by):
-                    parts = []
-                    break
-                parts.append(
-                    Extremum(
-                        g.kind[3:],
-                        atom.predicate,
-                        tuple(positions[v] for v in g.group_by),
-                        positions[var],
-                    )
-                )
+                parts = []  # an extremum over other variables: nothing to push
+                break
         if parts:
             out.append(FinalConstraint(r.id, make_constraint(parts)))
     return out
-
-
-def _comparison_bound(g: Comparison, predicate: str, positions: Dict[str, int]):
-    flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-    left, op, right = g.left, g.op, g.right
-    if isinstance(left, Constant) and isinstance(right, Variable):
-        left, right = right, left
-        op = flipped.get(op, op)
-    if (
-        isinstance(left, Variable)
-        and isinstance(right, Constant)
-        and op in flipped
-        and left.name in positions
-    ):
-        return Bound(bound_op_kind(op), predicate, positions[left.name], op, right.value)
-    return None
 
 
 # =====================================================================================

@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .errors import PlanMismatch, PremlogError
+from .errors import AmbiguousCost, NoCost, PlanMismatch, PremlogError
 from .model import (
     EXTREMA_KINDS,
     RANGE_PREDICATE,
     AggregateGoal,
-    ArithExpr,
     Atom,
     Bound,
     Comparison,
@@ -35,19 +34,20 @@ from .model import (
     Variable,
     constraint_conjuncts,
     constraint_predicate,
+    goal_conjunct,
+    head_var_positions,
+    map_goal,
 )
 from .analysis import (
     DependencyGraph,
     PremVerdict,
-    _apply_conjunct,
+    apply_conjunct,
     build_dependency_graph,
     classify_premability,
+    definitions,
     guard_region,
-    _definitions,
-    subst_defs,
-    interval,
+    provably_positive,
 )
-from .parser import _comparison_bound, _head_var_positions
 
 # =====================================================================================
 # CONSTRAINT PUSH
@@ -56,7 +56,6 @@ from .parser import _comparison_bound, _head_var_positions
 
 @dataclass(frozen=True)
 class RewriteTrace:
-    constraint: object
     applied: Tuple[Tuple[Union[Bound, Extremum], str], ...]
     renamed: Dict[str, str]
     final_rule: Optional[Tuple[str, str]]  # (old id, new id)
@@ -101,7 +100,7 @@ def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, Re
             for conjunct, _ in verdict.plan:
                 if isinstance(conjunct, Extremum) and rewritten.extremum is not None:
                     raise PlanMismatch(f"rule {r.id} already carries a head extremum")
-                rewritten = _apply_conjunct(rewritten, conjunct, costmap)
+                rewritten = apply_conjunct(rewritten, conjunct, costmap)
             rewritten = replace(rewritten, id=r.id + "'" * len(verdict.plan))
             renamed[r.id] = rewritten.id
             new_rules.append(rewritten)
@@ -121,32 +120,15 @@ def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, Re
             renamed.get(i, i) for i in program.approved_recursive_aggregates
         ),
     )
-    return out, RewriteTrace(verdict.constraint, verdict.plan, renamed, final_ids)
+    return out, RewriteTrace(verdict.plan, renamed, final_ids)
 
 
 def _strip_final(rule: Rule, plan) -> Rule:
-    regular = [g for g in rule.regular_goals() if g.predicate != RANGE_PREDICATE]
-    atom = regular[0]
-    positions = _head_var_positions(atom)
+    """The final rule without the goals whose conjuncts were pushed."""
+    atom = next(g for g in rule.regular_goals() if g.predicate != RANGE_PREDICATE)
     pushed = [c for c, _ in plan]
-    body: List[Goal] = []
-    for g in rule.body:
-        drop = False
-        if isinstance(g, Comparison):
-            drop = _comparison_bound(g, atom.predicate, positions) in pushed
-        elif isinstance(g, AggregateGoal) and g.kind in EXTREMA_KINDS:
-            var = g.measured[0]
-            if var in positions and all(v in positions for v in g.group_by):
-                ex = Extremum(
-                    g.kind[3:],
-                    atom.predicate,
-                    tuple(positions[v] for v in g.group_by),
-                    positions[var],
-                )
-                drop = ex in pushed
-        if not drop:
-            body.append(g)
-    return Rule(rule.id + "'" * len(plan), rule.head, tuple(body), rule.extremum)
+    body = tuple(g for g in rule.body if goal_conjunct(g, atom) not in pushed)
+    return Rule(rule.id + "'" * len(plan), rule.head, body, rule.extremum)
 
 
 # =====================================================================================
@@ -165,6 +147,8 @@ def desugar_extremum(rule: Rule) -> Tuple[Rule, Rule]:
     agg = rule.aggregate()
     if agg is None or agg.kind not in EXTREMA_KINDS:
         raise PremlogError(f"rule {rule.id} has no extremum goal to desugar")
+    if sum(isinstance(g, AggregateGoal) for g in rule.body) > 1:
+        raise PremlogError("cannot desugar a rule with a second aggregate")
     cost = agg.measured[0]
     aux_name = ("lesser_" if agg.kind == "is_min" else "greater_") + rule.id
     keep = tuple(g for g in rule.body if g is not agg)
@@ -174,24 +158,7 @@ def desugar_extremum(rule: Rule) -> Tuple[Rule, Rule]:
     while any(f"{v}{suffix}" in used for v in used):
         suffix += "1"
     renames = {v: f"{v}{suffix}" for v in used if v not in agg.group_by}
-
-    def rn_term(t):
-        if isinstance(t, Variable):
-            return Variable(renames.get(t.name, t.name))
-        if isinstance(t, ArithExpr):
-            return ArithExpr(t.op, rn_term(t.left), rn_term(t.right))
-        return t
-
-    def rn_goal(g: Goal) -> Goal:
-        if isinstance(g, Atom):
-            return Atom(g.predicate, tuple(rn_term(a) for a in g.args))
-        if isinstance(g, Comparison):
-            return Comparison(g.op, rn_term(g.left), rn_term(g.right))
-        if isinstance(g, Negated):
-            return Negated(Atom(g.atom.predicate, tuple(rn_term(a) for a in g.atom.args)))
-        raise PremlogError("cannot desugar a rule with a second aggregate")
-
-    witness = tuple(rn_goal(g) for g in keep)
+    witness = tuple(map_goal(g, lambda v: Variable(renames.get(v, v))) for g in keep)
     op = "<" if agg.kind == "is_min" else ">"
     compare = Comparison(op, Variable(renames[cost]), Variable(cost))
     aux_args = tuple(Variable(v) for v in agg.group_by + (cost,))
@@ -234,13 +201,9 @@ def expand_msum(goal: AggregateGoal, rule: Optional[Rule] = None) -> Tuple[Tuple
     )
     warnings: List[str] = []
     if rule is not None:
-        defs = _definitions(rule)
-        guards = [g for g in rule.body if isinstance(g, Comparison)]
-        region = guard_region(guards, defs)
-        lo, _ = region.get(summand, (None, None))
-        if lo is None or lo < 1:
-            lo, _ = interval(subst_defs(Variable(summand), defs), region)
-        if lo is None or lo < 1:
+        defs = definitions(rule)
+        region = guard_region([g for g in rule.body if isinstance(g, Comparison)], defs)
+        if not provably_positive(summand, defs, region):
             warnings.append(
                 f"rule {rule.id}: summand {summand} is not provably positive; "
                 f"non-positive contributions are dropped by the expansion"
@@ -280,10 +243,10 @@ def materialize_monotonic(program: Program) -> Tuple[Program, Dict[str, int]]:
 
 
 def _result_position(rule: Rule, agg: AggregateGoal) -> int:
-    for i, a in enumerate(rule.head.args):
-        if isinstance(a, Variable) and a.name == agg.result:
-            return i
-    raise PremlogError(f"rule {rule.id}: aggregate result {agg.result} is not in the head")
+    pos = head_var_positions(rule.head).get(agg.result)
+    if pos is None:
+        raise PremlogError(f"rule {rule.id}: aggregate result {agg.result} is not in the head")
+    return pos
 
 
 # =====================================================================================
@@ -295,9 +258,16 @@ def _result_position(rule: Rule, agg: AggregateGoal) -> int:
 class CompileObligation:
     rule_id: str
     kind: str  # 'count' | 'sum'
-    verdict: Optional[PremVerdict]
+    verdict: Optional[PremVerdict]  # None when the shadow could not be classified
     approved: bool
     notes: Tuple[str, ...]
+
+    @property
+    def reason(self) -> str:
+        """Why the obligation is not approved: the shadow's rejection, else the notes."""
+        if self.verdict is not None and self.verdict.rejection is not None:
+            return self.verdict.rejection.condition
+        return "; ".join(self.notes) or "no transferable extremum"
 
 
 def compile_count_in_recursion(
@@ -349,8 +319,12 @@ def compile_count_in_recursion(
         if agg.kind == "sum":
             _, warn = expand_msum(shadow_goal, shadow_rule)
             notes.extend(warn)
-        verdict = classify_premability(shadow, constraint)
-        ok = verdict.approved
+        try:
+            verdict: Optional[PremVerdict] = classify_premability(shadow, constraint)
+        except (NoCost, AmbiguousCost) as exc:
+            verdict = None
+            notes.append(str(exc))
+        ok = verdict is not None and verdict.approved
         if ok:
             approved.add(r.id)
         elif assume:

@@ -45,6 +45,7 @@ from .model import (
     final_rules,
     interp_copy,
     interp_eq,
+    keep_extremal,
     tuple_sort_key,
     value_sort_key,
 )
@@ -64,7 +65,6 @@ class PremCheckReport:
     samples: int
     verdict: str  # 'passed' | 'falsified'
     counterexample: Optional[Tuple[Interpretation, Interpretation, Interpretation]]
-    seed: int
 
     @property
     def holds(self) -> bool:
@@ -159,7 +159,7 @@ def check_prem_empirical(
             procedure = [r for r in program.rules if r.head.predicate in scc]
     rules = list(procedure)
     if not rules:
-        return PremCheckReport(0, "passed", None, seed)
+        return PremCheckReport(0, "passed", None)
 
     sampled_preds = sorted({r.head.predicate for r in rules})
     arities = _arities(program)
@@ -197,8 +197,8 @@ def check_prem_empirical(
                 constraint, apply_ico(rules, apply_constraint(constraint, interp))
             )
             if not interp_eq(again_l, again_r):
-                return PremCheckReport(n, "falsified", (interp, lhs, rhs), seed)
-    return PremCheckReport(samples, "passed", None, seed)
+                return PremCheckReport(n, "falsified", (interp, lhs, rhs))
+    return PremCheckReport(samples, "passed", None)
 
 
 # =====================================================================================
@@ -214,8 +214,8 @@ def brute_force_oracle(
     count/sum become their monotonic forms; is_min/is_max goals are desugared
     into negation of a witness predicate; the whole thing runs as a plain
     stratified fixpoint, naive by default. A count-form predicate is projected
-    to its maximal result as soon as its stratum completes, so later strata
-    read the totals, not the partial tallies. Slow, but every step is
+    to its maximal result (keep_extremal) as soon as its stratum completes, so
+    later strata read the totals, not the partial tallies. Slow, but every step is
     ordinary Datalog.
     """
     options = options or EvalOptions(mode="naive")
@@ -239,19 +239,10 @@ def brute_force_oracle(
         for pred in stratum.predicates:
             pos = projections.get(pred)
             if pos is not None and db.get(pred):
-                db[pred] = _max_project(db[pred], pos)
+                db[pred] = keep_extremal(db[pred], "max", pos)
     for pred in aux_preds:
         db.pop(pred, None)
     return db
-
-
-def _max_project(rel: Set[Tuple], pos: int) -> Set[Tuple]:
-    best: Dict[Tuple, int] = {}
-    for t in rel:
-        key = t[:pos] + t[pos + 1 :]
-        if key not in best or t[pos] > best[key]:
-            best[key] = t[pos]
-    return {t for t in rel if best[t[:pos] + t[pos + 1 :]] == t[pos]}
 
 
 # =====================================================================================

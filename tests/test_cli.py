@@ -152,6 +152,64 @@ def test_run_approved_sum_runs_natively(write, capsys):
     assert "finalcost(fleet,405)" in capsys.readouterr().out
 
 
+# r1's count reads its own recursion through q and r, which carry no cost.
+NO_COST_COUNT = (
+    "r1: p(X,C) :- e(X,Y), q(Y,D), count((X),(Y),C).\n"
+    "r2: q(X,D) :- r(X,D).\n"
+    "r3: r(X,D) :- p(X,D).\n"
+)
+NO_COST = "no cost argument found for q, r"
+
+
+def test_count_without_cost_path_is_rejected_not_bad_input(write, capsys):
+    prog = write("nocost.dl", NO_COST_COUNT)
+    assert main(["check", prog]) == EXIT_REJECTED
+    captured = capsys.readouterr()
+    assert captured.out == f"REJECTED: rule r1 count in recursion: {NO_COST}\n"
+    assert captured.err == ""
+    assert main(["run", prog]) == EXIT_REJECTED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: rule r1 uses count inside its own recursion and the max transfer was "
+        f"rejected ({NO_COST}). The fixpoint may be wrong or diverge. Stratify the "
+        f"program, or rerun with --trust-but-verify to execute it anyway under audit.\n"
+    )
+    assert main(["optimize", prog]) == EXIT_REJECTED
+    assert capsys.readouterr().err == "warning: rule r1 count left unproven\n"
+
+
+def test_count_without_cost_path_runs_under_audit(write, capsys):
+    prog = write("nocost.dl", NO_COST_COUNT)
+    assert main(["run", prog, "--trust-but-verify"]) == EXIT_OK
+    trust = "running unproven aggregate under trust-but-verify"
+    assert capsys.readouterr().err == (
+        f"warning: rule r1: recursive count is not provably safe ({NO_COST}; {trust}); "
+        f"results may be wrong if run anyway\n"
+        f"warning: {NO_COST}\n"
+        f"warning: {trust}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message, facts_only",
+    [
+        ("arc(a,b,1).\narc(a,b).\n", "line 2: arc used with arity 2, earlier 3", True),
+        ("r1: arc(a,b).\n", "line 1: facts take no label", True),
+        ("p(X) :- arc(X,Y).\n\narc(a,b,c).\n", "line 3: arc used with arity 3, earlier 2", False),
+        ("arc(a,b,1).\narc(a,b,,1).\n", "line 2, col 9: expected a term", True),
+    ],
+)
+def test_parse_errors_name_the_line_and_a_known_column(write, capsys, text, message, facts_only):
+    prog = write("bad.dl", text)
+    assert main(["run", prog]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if facts_only:  # the same text as a --facts file
+        facts = write("bad_facts.dl", text)
+        assert main(["run", write("empty.dl", ""), "--facts", facts]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_run_rejected_push_falls_back(write, capsys):
     prog = write("capped.dl", CAPPED_MAX)
     assert main(["run", prog]) == EXIT_OK

@@ -1,0 +1,88 @@
+"""Import hygiene of the package, checked with the standard library's ast.
+
+Every name a module imports must be used in it (or listed in its __all__),
+and no module imports a _private name from a sibling module: a helper two
+modules share is public.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "premlog"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imports(tree: ast.Module):
+    """(bound name, imported name, relative level, line) per imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.name, 0, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.name, node.level, node.lineno
+
+
+def _used_names(tree: ast.Module):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # Strings count only as __all__ entries and as quoted annotations.
+    quoted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            quoted.append(node.value)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            quoted.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            quoted.append(node.returns)
+    for root in quoted:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(node.value.translate(str.maketrans("[],", "   ")).split())
+    return used
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return [f"line {line}: {name}" for name, _, _, line in _imports(tree) if name not in used]
+
+
+def private_sibling_imports(source: str):
+    tree = ast.parse(source)
+    return [
+        f"line {line}: {imported}"
+        for _, imported, level, line in _imports(tree)
+        if level > 0 and imported.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_from_siblings(path):
+    assert private_sibling_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_checks_see_what_they_look_for():
+    source = "\n".join(
+        [
+            "from __future__ import annotations",
+            "import os",
+            "from .model import Atom, Rule, _hidden",
+            "from pathlib import Path",
+            "import re",
+            "x: 'Atom' = _hidden",
+            "def f() -> 'Dict[str, Rule]': 're is named here, in a docstring'",
+            "__all__ = ['Path']",
+        ]
+    )
+    assert unused_imports(source) == ["line 2: os", "line 5: re"]
+    assert private_sibling_imports(source) == ["line 3: _hidden"]

@@ -19,7 +19,6 @@ from premlog.model import (
     constraint_predicate,
     facts_to_interp,
     format_value,
-    interp_add,
     interp_copy,
     interp_eq,
     make_constraint,
@@ -78,8 +77,7 @@ def test_interp_helpers():
     assert set(i["arc"]) == {("a", "b", 1), ("b", "c", 2)}
     j = interp_copy(i)
     assert interp_eq(i, j)
-    assert interp_add(j, "arc", ("c", "d", 3))
-    assert not interp_add(j, "arc", ("c", "d", 3))  # duplicate
+    j["arc"].add(("c", "d", 3))
     assert not interp_eq(i, j)
     # empty relations do not break equality
     j["arc"].discard(("c", "d", 3))

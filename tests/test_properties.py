@@ -1,13 +1,15 @@
 """Property tests for the algebraic laws the evaluator depends on."""
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import premlog as P
 from premlog import analysis
 from premlog.engine import ExtremaIndex, apply_constraint, eval_aggregate
-from premlog.model import Bound, Extremum, make_constraint
+from premlog.errors import TypeMismatch
+from premlog.model import Bound, Extremum, keep_extremal, make_constraint
 
 from conftest import random_positive_program
 
@@ -116,6 +118,57 @@ def test_constraint_only_removes_tuples(constraint, pairs):
     out = apply_constraint(constraint, i)
     for pred, tuples in out.items():
         assert tuples <= i.get(pred, set())
+
+
+# ===== ONE GAMMA ==============================================================
+
+
+@st.composite
+def extremal_cases(draw):
+    """A relation of one arity, a kind, a cost position, a group (None, empty,
+    or some other positions) and the key positions the group stands for.
+    Values come from small pools, so keys and costs tie."""
+    arity = draw(st.integers(min_value=1, max_value=4))
+    cost = draw(st.integers(min_value=0, max_value=arity - 1))
+    others = tuple(i for i in range(arity) if i != cost)
+    group = draw(st.none() | st.lists(st.sampled_from(others), unique=True).map(tuple)
+                 if others else st.sampled_from([None, ()]))
+    value = st.sampled_from(["a", "b", 0, 1])
+    row = st.tuples(*[st.integers(min_value=-3, max_value=3) if i == cost else value
+                      for i in range(arity)])
+    rel = draw(st.sets(row, max_size=20))
+    kind = draw(st.sampled_from(["min", "max"]))
+    return rel, kind, cost, group, others if group is None else group
+
+
+@settings(max_examples=300)
+@given(extremal_cases())
+def test_keep_extremal_is_brute_force_per_group(case):
+    rel, kind, cost, group, key_positions = case
+    pick = min if kind == "min" else max
+
+    def key(t):
+        return tuple(t[i] for i in key_positions)
+
+    expected = {t for t in rel if t[cost] == pick(u[cost] for u in rel if key(u) == key(t))}
+    assert keep_extremal(rel, kind, cost, group) == expected
+
+
+def test_keep_extremal_fixed_cases():
+    rel = {("a", 3), ("a", 1), ("b", 1)}
+    assert keep_extremal(rel, "min", 1) == {("a", 1), ("b", 1)}
+    assert keep_extremal(rel, "max", 1, ()) == {("a", 3)}
+    assert keep_extremal({(2,), (5,), (5,)}, "max", 0) == {(5,)}  # arity 1: one key
+    ties = {("a", "x", 2), ("a", "y", 2), ("a", "z", 4)}
+    assert keep_extremal(ties, "min", 2, (0,)) == {("a", "x", 2), ("a", "y", 2)}
+    assert keep_extremal(set(), "min", 0) == set()
+
+
+def test_keep_extremal_rejects_a_symbol_cost():
+    with pytest.raises(TypeMismatch, match=r"^extremum over non-integer value 'x'$"):
+        keep_extremal({("a", "x")}, "min", 1)
+    with pytest.raises(TypeMismatch, match=r"^extremum over non-integer value 'x'$"):
+        keep_extremal({("a", "x")}, "max", 1, (0,))
 
 
 # ===== WORKING-SET INDEX ======================================================
