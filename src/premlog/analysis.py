@@ -1,20 +1,25 @@
 """Static analysis: dependencies, strata, and constraint push classification.
 
 The push classifier decides whether a pruning constraint attached to a final
-rule may be applied inside the recursion that feeds it:
+rule may be applied inside the recursion that feeds it. Each conjunct needs
+one property of every rule in the recursion (NEEDS), and `lacks` is the one
+place that decides each of the four:
 
-  * an upper bound may be pushed when every recursive rule is an ascending
-    mapping (head cost never below any recursive body cost), a lower bound
-    when every rule is descending;
-  * a min constraint may be pushed when every rule preserves deflation of
-    the recursive cost argument, a max constraint when every rule preserves
-    inflation.
+  * inflation (for max): raising a recursive body cost can only raise, or
+    keep, the derivable head costs;
+  * deflation (for min): lowering a body cost can only lower, or keep, them;
+  * ascending (for an upper bound): the head cost never falls below any
+    recursive body cost, and the rule preserves inflation's guard and
+    argument conditions;
+  * descending (for a lower bound): the head cost never exceeds any body
+    cost, and the rule preserves deflation's guard and argument conditions.
 
-Checks run on normalized guards: assignment definitions are substituted so
-a guard such as Dy>Dx with Dy=Dx+Dxy is judged as Dxy>0, which does not
-mention the recursive cost at all. Conjuncts are checked in order against
-the already-rewritten procedure, so a pushed bound can disqualify a
-later extremum.
+A rejection quotes the reason of the property its conjunct needs. Checks run
+on normalized guards: assignment definitions are substituted so a guard such
+as Dy>Dx with Dy=Dx+Dxy is judged as Dxy>0, which does not mention the
+recursive cost at all. Conjuncts are checked in order against the
+already-rewritten procedure, so a pushed bound can disqualify a later
+extremum.
 """
 
 from __future__ import annotations
@@ -160,15 +165,14 @@ class Stratum:
     recursive: bool
 
 
-def stratify(program: Program, graph: Optional[DependencyGraph] = None) -> List[Stratum]:
+def stratify(program: Program) -> List[Stratum]:
     """Split rules into bottom-up evaluation strata.
 
     Negation and non-monotonic aggregates may not cross back into their own
     stratum; recursive count/sum is allowed only for rules that passed the
     push check and were marked approved.
     """
-    if graph is None:
-        graph = build_dependency_graph(program)
+    graph = build_dependency_graph(program)
     approved = program.approved_recursive_aggregates
     for e in graph.edges:
         if graph.scc_of[e.head] != graph.scc_of[e.body]:
@@ -582,17 +586,16 @@ def _noncost_argument_terms(view: RuleCostView, costmap: Dict[str, int], scc: Se
                 yield a
 
 
-def _structural_flags(
-    view: RuleCostView, costmap: Dict[str, int], scc: Set[str]
-) -> Tuple[bool, bool, str, str]:
-    """Guard and argument conditions shared by all preservation checks.
+def _structural_reason(
+    view: RuleCostView, side: str, costmap: Dict[str, int], scc: Set[str]
+) -> str:
+    """Why the guards or non-cost arguments break `side` (inflation or
+    deflation), or "" when they do not.
 
-    Returns (inflation_ok, deflation_ok, inflation_reason, deflation_reason).
-    Head cost movement is handled by the callers; this covers guards and the
-    stability of non-cost arguments under cost growth.
+    Names the first guard that caps the cost on that side or pins it, else
+    the first non-cost argument that depends on the cost.
     """
-    inflation_ok, deflation_ok = True, True
-    inf_reason = def_reason = ""
+    caps, end = ("upper", "above") if side == "inflation" else ("lower", "below")
     agg = view.rule.aggregate()
     skip: Set[int] = set()
     if agg is not None and agg.kind in ("msum", "sum"):
@@ -602,136 +605,70 @@ def _structural_flags(
             if i in skip:
                 continue
             eff = guard_effect(g, x, view.defs, view.region)
-            if eff == "upper" and inflation_ok:
-                inflation_ok, inf_reason = False, f"guard {g!r} caps {x} from above"
-            elif eff == "lower" and deflation_ok:
-                deflation_ok, def_reason = False, f"guard {g!r} caps {x} from below"
-            elif eff == "breaks":
-                if inflation_ok:
-                    inflation_ok, inf_reason = False, f"guard {g!r} pins {x}"
-                if deflation_ok:
-                    deflation_ok, def_reason = False, f"guard {g!r} pins {x}"
+            if eff == caps:
+                return f"guard {g!r} caps {x} from {end}"
+            if eff == "breaks":
+                return f"guard {g!r} pins {x}"
         for a in _noncost_argument_terms(view, costmap, scc):
-            expanded = subst_defs(a, view.defs) if isinstance(a, (Variable, ArithExpr)) else a
-            if isinstance(a, Constant):
-                continue
-            if x in set(term_variables(expanded)):
-                reason = f"argument {a!r} depends on the cost {x}"
-                if inflation_ok:
-                    inflation_ok, inf_reason = False, reason
-                if deflation_ok:
-                    deflation_ok, def_reason = False, reason
-    return inflation_ok, deflation_ok, inf_reason, def_reason
+            if not isinstance(a, Constant) and x in set(term_variables(subst_defs(a, view.defs))):
+                return f"argument {a!r} depends on the cost {x}"
+    return ""
 
 
-def check_inflation_preserving(
-    rule: Rule, costmap: Dict[str, int], scc: Set[str]
-) -> Tuple[str, str]:
-    """Classify a rule as 'inflation', 'deflation', 'both', or 'neither'.
+def lacks(rule: Rule, prop: str, costmap: Dict[str, int], scc: Set[str]) -> str:
+    """Why `rule` lacks `prop`, or "" when it has it.
 
-    A rule preserves inflation when raising a recursive body cost can only
-    raise (or keep) the derivable head costs, and preserves deflation
-
-    symmetrically. Exit rules are vacuously both.
+    prop is inflation, deflation, ascending or descending (see the module
+    docstring). Exit rules, with no recursive cost input, have all four.
     """
     view = make_cost_view(rule, costmap, scc)
     if not view.body_costs:
-        return "both", "no recursive cost inputs"
+        return ""
     if view.head_cost is None:
-        return "neither", f"{rule.head.predicate} has no cost argument"
-
+        return f"{rule.head.predicate} has no cost argument"
     agg = rule.aggregate()
-    result_var = agg.result if agg is not None and agg.kind in COUNTING_KINDS else None
     head_is_result = (
-        result_var is not None
+        agg is not None
+        and agg.kind in COUNTING_KINDS
         and isinstance(view.head_cost, Variable)
-        and view.head_cost.name == result_var
+        and view.head_cost.name == agg.result
     )
 
-    inflation_ok, deflation_ok, inf_reason, def_reason = _structural_flags(view, costmap, scc)
+    if prop in ("ascending", "descending"):
+        if head_is_result:
+            return "aggregate result is not comparable to body costs"
+        head = subst_defs(view.head_cost, view.defs)
+        for _, x in view.body_costs:
+            lo, hi = interval(ArithExpr("-", head, Variable(x)), view.region)
+            if prop == "ascending" and (lo is None or lo < 0):
+                return f"head cost may drop below {x}"
+            if prop == "descending" and (hi is None or hi > 0):
+                return f"head cost may exceed {x}"
+        side = "inflation" if prop == "ascending" else "deflation"
+        return _structural_reason(view, side, costmap, scc)
 
+    reason = _structural_reason(view, prop, costmap, scc)
+    if reason:
+        return reason
     if head_is_result:
-        if deflation_ok:
-            deflation_ok, def_reason = False, f"{agg.kind} results only grow"
-        witness_parts = set(agg.group_by)
-        witness_parts |= set(agg.measured[:-1] if agg.kind in ("msum", "sum") else agg.measured)
+        if prop == "deflation":
+            return f"{agg.kind} results only grow"
+        summed = agg.kind in ("msum", "sum")
+        witnesses = set(agg.group_by) | set(agg.measured[:-1] if summed else agg.measured)
         for _, x in view.body_costs:
-            if x in witness_parts and inflation_ok:
-                inflation_ok = False
-                inf_reason = f"cost {x} selects the aggregated witnesses"
-        if agg.kind in ("msum", "sum") and inflation_ok:
-            summand = agg.measured[-1]
-            if not provably_positive(summand, view.defs, view.region):
-                inflation_ok = False
-                inf_reason = f"summand {summand} is not provably positive"
-    else:
-        head_expanded = subst_defs(view.head_cost, view.defs)
-        for _, x in view.body_costs:
-            d = direction(head_expanded, x, view.region)
-            if d not in ("inc", "indep"):
-                reason = f"head cost may fall as {x} grows"
-                if inflation_ok:
-                    inflation_ok, inf_reason = False, reason
-                if deflation_ok:
-                    deflation_ok, def_reason = False, reason
-            if agg is not None and x in set(agg.group_by) | set(agg.measured):
-                reason = f"cost {x} selects the aggregated witnesses"
-                if inflation_ok:
-                    inflation_ok, inf_reason = False, reason
-                if deflation_ok:
-                    deflation_ok, def_reason = False, reason
-
-    if inflation_ok and deflation_ok:
-        return "both", "cost flows through without caps"
-    if inflation_ok:
-        return "inflation", def_reason
-    if deflation_ok:
-        return "deflation", inf_reason
-    return "neither", inf_reason or def_reason
-
-
-def check_ascending(rule: Rule, costmap: Dict[str, int], scc: Set[str]) -> Tuple[str, str]:
-    """Classify a rule as an 'ascending'/'descending'/'both'/'neither' mapping.
-
-    Ascending means the head cost provably never falls below any recursive
-    body cost, on top of the same structural conditions inflation needs;
-    without those a pushed bound could cut tuples the body still requires.
-    """
-    view = make_cost_view(rule, costmap, scc)
-    if not view.body_costs:
-        return "both", "no recursive cost inputs"
-    if view.head_cost is None:
-        return "neither", f"{rule.head.predicate} has no cost argument"
-    agg = rule.aggregate()
-    if agg is not None and agg.kind in COUNTING_KINDS:
-        if isinstance(view.head_cost, Variable) and view.head_cost.name == agg.result:
-            return "neither", "aggregate result is not comparable to body costs"
-
-    up = down = True
-    reason_up = reason_down = ""
-    head_expanded = subst_defs(view.head_cost, view.defs)
+            if x in witnesses:
+                return f"cost {x} selects the aggregated witnesses"
+        summand = agg.measured[-1]
+        if summed and not provably_positive(summand, view.defs, view.region):
+            return f"summand {summand} is not provably positive"
+        return ""
+    head = subst_defs(view.head_cost, view.defs)
     for _, x in view.body_costs:
-        lo, hi = interval(ArithExpr("-", head_expanded, Variable(x)), view.region)
-        if lo is None or lo < 0:
-            if up:
-                up, reason_up = False, f"head cost may drop below {x}"
-        if hi is None or hi > 0:
-            if down:
-                down, reason_down = False, f"head cost may exceed {x}"
-
-    inflation_ok, deflation_ok, inf_reason, def_reason = _structural_flags(view, costmap, scc)
-    if up and not inflation_ok:
-        up, reason_up = False, inf_reason
-    if down and not deflation_ok:
-        down, reason_down = False, def_reason
-
-    if up and down:
-        return "both", "head cost equals body cost"
-    if up:
-        return "ascending", reason_down
-    if down:
-        return "descending", reason_up
-    return "neither", reason_up or reason_down
+        if direction(head, x, view.region) not in ("inc", "indep"):
+            return f"head cost may fall as {x} grows"
+        if agg is not None and x in set(agg.group_by) | set(agg.measured):
+            return f"cost {x} selects the aggregated witnesses"
+    return ""
 
 
 # =====================================================================================
@@ -851,8 +788,15 @@ class PremVerdict:
         return tuple(r.id for r in self.procedure)
 
 
-_EXTREMUM_NEEDS = {"min": ("deflation", "min-deflation"), "max": ("inflation", "max-inflation")}
-_BOUND_NEEDS = {"upper": ("ascending", "upper-ascending"), "lower": ("descending", "lower-descending")}
+# The property every procedure rule needs for a conjunct of each kind to be
+# pushed, and the rejection that names a rule lacking it.
+NEEDS = {"min": "deflation", "max": "inflation", "upper": "ascending", "lower": "descending"}
+_REJECTED = {
+    "inflation": "not inflation-preserving",
+    "deflation": "not deflation-preserving",
+    "ascending": "not an ascending mapping",
+    "descending": "not a descending mapping",
+}
 
 
 def classify_premability(
@@ -914,8 +858,6 @@ def classify_premability(
                     conjunct, "bound push through a composed recursion is not supported", working[0].id
                 )
                 break
-            need, label = _BOUND_NEEDS[conjunct.kind]
-            check = check_ascending
         else:
             rest = tuple(i for i in range(p0_arity) if i != conjunct.cost)
             if tuple(sorted(conjunct.group_by)) != rest:
@@ -925,27 +867,14 @@ def classify_premability(
                     conjunct, "the group must cover every argument except the cost", "-"
                 )
                 break
-            need, label = _EXTREMUM_NEEDS[conjunct.kind]
-            check = check_inflation_preserving
-        failures = []
-        passed = []
-        for r in working:
-            verdict, reason = check(r, costmap, scc)
-            if verdict in (need, "both"):
-                passed.append(r.id)
-            else:
-                failures.append((r.id, reason))
+        need = NEEDS[conjunct.kind]
+        failures = [(r.id, why) for r in working if (why := lacks(r, need, costmap, scc))]
         if failures:
             rid, reason = min(failures)
-            condition = {
-                "ascending": "not an ascending mapping",
-                "descending": "not a descending mapping",
-                "inflation": "not inflation-preserving",
-                "deflation": "not deflation-preserving",
-            }[need] + f": {reason}"
-            rejection = Rejection(conjunct, condition, rid)
+            rejection = Rejection(conjunct, f"{_REJECTED[need]}: {reason}", rid)
             break
-        plan.append((conjunct, f"{label} ({need}-safe: {', '.join(passed)})"))
+        safe = ", ".join(r.id for r in working)
+        plan.append((conjunct, f"{conjunct.kind}-{need} ({need}-safe: {safe})"))
         working = [apply_conjunct(r, conjunct, costmap) for r in working]
 
     return PremVerdict(program, constraint, costmap, tuple(plan), rejection, composed, procedure)
@@ -959,10 +888,8 @@ def apply_conjunct(rule: Rule, conjunct: Union[Bound, Extremum], costmap: Dict[s
     return Rule(rule.id, rule.head, rule.body, HeadExtremum(conjunct.kind, False, pos))
 
 
-def constraint_from_annotations(program: Program, graph: Optional[DependencyGraph] = None) -> Optional[Constraint]:
+def constraint_from_annotations(program: Program) -> Optional[Constraint]:
     """Recover the constraint a pre-pushed program enforces via head extrema."""
-    if graph is None:
-        graph = build_dependency_graph(program)
     for r in program.rules:
         if r.extremum is None or r.extremum.monotonic:
             continue

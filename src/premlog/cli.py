@@ -196,6 +196,8 @@ def _cmd_run(args) -> int:
                 f"({len(missing)} missing, {len(extra)} unexpected)",
                 file=sys.stderr,
             )
+        if report.unverified:
+            print(f"audit: {report.unverified}", file=sys.stderr)
         if report.diffs:
             return EXIT_REJECTED
     if args.stats:
@@ -311,7 +313,11 @@ def _cmd_verify(args) -> int:
         if ob.verdict is not None:
             targets.append((ob.verdict.program, ob.verdict.constraint, ob.verdict.procedure))
     if not targets:
-        print("error: no constraint to verify", file=sys.stderr)
+        # every obligation here lacks a verdict; say why
+        why = "; ".join(
+            f"rule {ob.rule_id} {ob.kind} in recursion: {ob.reason}" for ob in planned.obligations
+        )
+        print(f"error: no constraint to verify{': ' + why if why else ''}", file=sys.stderr)
         return EXIT_INPUT
 
     all_hold = True

@@ -1192,7 +1192,10 @@ def plan(
                 f"rule {ob.rule_id}: recursive {ob.kind} is not provably safe ({ob.reason}); "
                 f"results may be wrong if run anyway"
             )
-        warnings.extend(ob.notes)
+        if ob.verdict is not None:  # without a verdict, the notes are the reason above
+            warnings.extend(ob.notes)
+        if trust and not ob.approved:
+            warnings.append("running unproven aggregate under trust-but-verify")
 
     steps: List[ConstraintStep] = []
     for fc in executed.final_constraints if push else ():

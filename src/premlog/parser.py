@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .analysis import build_dependency_graph
 from .errors import (
     ArityConflict,
     LoadError,
@@ -397,7 +398,11 @@ def parse_program(text: str) -> Program:
 
     ids = _assign_ids(rule_clauses)
     _check_arities(clauses)
-    recursive = _recursive_predicates(rule_clauses)
+    # Recursive in the same sense the stratifier uses: the clauses read as
+    # provisional rules, before annotations are normalized.
+    provisional = Program(tuple(Rule(rid, c.head, c.body) for rid, c in zip(ids, rule_clauses)))
+    graph = build_dependency_graph(provisional)
+    recursive = {p for p in graph.scc_of if graph.is_recursive(p)}
 
     rules: List[Rule] = []
     support: List[Rule] = []
@@ -453,31 +458,6 @@ def _check_arities(clauses: List[_Clause]) -> None:
                     )
     if seen.get(RANGE_PREDICATE, 2) != 2:
         raise ArityConflict(f"{RANGE_PREDICATE} has arity 2")
-
-
-def _recursive_predicates(clauses: List[_Clause]) -> Set[str]:
-    deps: Dict[str, Set[str]] = {}
-    for c in clauses:
-        targets = deps.setdefault(c.head.predicate, set())
-        for g in c.body:
-            if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE:
-                targets.add(g.predicate)
-            elif isinstance(g, Negated):
-                targets.add(g.atom.predicate)
-    out: Set[str] = set()
-    for p in deps:
-        stack = list(deps.get(p, ()))
-        seen: Set[str] = set()
-        while stack:
-            q = stack.pop()
-            if q == p:
-                out.add(p)
-                break
-            if q in seen:
-                continue
-            seen.add(q)
-            stack.extend(deps.get(q, ()))
-    return out
 
 
 def _normalize_rule(rid: str, c: _Clause, recursive: Set[str]) -> Rule:

@@ -39,7 +39,6 @@ from .model import (
     map_goal,
 )
 from .analysis import (
-    DependencyGraph,
     PremVerdict,
     apply_conjunct,
     build_dependency_graph,
@@ -271,9 +270,7 @@ class CompileObligation:
 
 
 def compile_count_in_recursion(
-    program: Program,
-    graph: Optional[DependencyGraph] = None,
-    assume: bool = False,
+    program: Program, assume: bool = False
 ) -> Tuple[Program, List[CompileObligation]]:
     """Check every recursive count/sum by transferring max out of it.
 
@@ -283,8 +280,7 @@ def compile_count_in_recursion(
     stratification lets them through; `assume` marks them regardless (the
     trust-but-verify path) while still reporting the real verdict.
     """
-    if graph is None:
-        graph = build_dependency_graph(program)
+    graph = build_dependency_graph(program)
     obligations: List[CompileObligation] = []
     approved: Set[str] = set(program.approved_recursive_aggregates)
     for r in program.rules:
@@ -325,11 +321,8 @@ def compile_count_in_recursion(
             verdict = None
             notes.append(str(exc))
         ok = verdict is not None and verdict.approved
-        if ok:
+        if ok or assume:
             approved.add(r.id)
-        elif assume:
-            approved.add(r.id)
-            notes.append("running unproven aggregate under trust-but-verify")
         obligations.append(CompileObligation(r.id, agg.kind, verdict, ok, tuple(notes)))
     out = replace(program, approved_recursive_aggregates=frozenset(approved))
     return out, obligations

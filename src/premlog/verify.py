@@ -24,11 +24,12 @@ from .engine import (
     RunResult,
     apply_constraint,
     apply_ico,
+    execute,
     naive_fixpoint,
-    run_program,
+    plan,
     seminaive_fixpoint,
 )
-from .errors import AmbiguousCost, NoCost, Overflow, TypeMismatch
+from .errors import AmbiguousCost, BudgetExceeded, NoCost, Overflow, TypeMismatch
 from .model import (
     EXTREMA_KINDS,
     RANGE_PREDICATE,
@@ -255,10 +256,11 @@ class TrustReport:
     positivity: List[str]
     diffs: Dict[str, Tuple[List[Tuple], List[Tuple]]]  # pred -> (missing, unexpected)
     compared: List[str]
+    unverified: str = ""  # set when the oracle gave no answers to compare
 
     @property
     def clean(self) -> bool:
-        return not self.positivity and not self.diffs
+        return not self.positivity and not self.diffs and not self.unverified
 
 
 def trust_but_verify_run(
@@ -269,18 +271,25 @@ def trust_but_verify_run(
     Summand positivity is monitored during accumulation, and the observable
     relations (final predicates plus the aggregate heads) are diffed against
     the oracle. A non-empty report means the trusted run is unsound on this
-    database.
+    database, or, when the oracle runs out of budget, that it is unverified.
     """
     options = options or EvalOptions()
-    result = run_program(program, replace(options, monitor_positivity=True), trust_aggregates=True)
-    oracle = brute_force_oracle(
-        program, EvalOptions(mode="naive", max_tuples=options.max_tuples)
-    )
+    planned = plan(program, trust=True)
+    result = execute(planned, replace(options, monitor_positivity=True))
+    # execute() appends the positivity monitor's lines to the plan's warnings;
+    # they are reported once, as audit lines.
+    positivity = result.warnings[len(planned.warnings):]
+    del result.warnings[len(planned.warnings):]
+    try:
+        oracle = brute_force_oracle(
+            program, EvalOptions(mode="naive", max_tuples=options.max_tuples)
+        )
+    except BudgetExceeded as exc:
+        return result, TrustReport(positivity, {}, [], f"oracle stopped ({exc}); answers not verified")
 
     finals = {r.head.predicate for r in final_rules(program.rules)}
     watched = sorted(finals | _obligation_heads(program, result))
 
-    positivity = [w for w in result.warnings if "non-positive summand" in w]
     diffs: Dict[str, Tuple[List[Tuple], List[Tuple]]] = {}
     for pred in watched:
         native = result.db.get(pred, set())

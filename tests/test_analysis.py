@@ -6,10 +6,9 @@ import pytest
 import premlog as P
 from premlog.analysis import (
     build_dependency_graph,
-    check_ascending,
-    check_inflation_preserving,
     compose_procedure,
     find_cost_arguments,
+    lacks,
     stratify,
 )
 from premlog.errors import AmbiguousCost, NoCost, StratificationError
@@ -129,19 +128,20 @@ def _rule(prog_text, rid):
 
 def test_additive_rule_is_inflation_and_deflation():
     prog, r2 = _rule(BOUNDED_PATH + "arc(a,b,1).", "r2")
-    kind, why = check_inflation_preserving(r2, {"path": 1}, {"path"})
-    assert kind == "both"
+    assert lacks(r2, "inflation", {"path": 1}, {"path"}) == ""
+    assert lacks(r2, "deflation", {"path": 1}, {"path"}) == ""
 
 
 def test_exit_rule_vacuously_both():
     prog, r1 = _rule(BOUNDED_PATH + "arc(a,b,1).", "r1")
-    assert check_inflation_preserving(r1, {"path": 1}, {"path"})[0] == "both"
-    assert check_ascending(r1, {"path": 1}, {"path"})[0] == "both"
+    for prop in ("inflation", "deflation", "ascending", "descending"):
+        assert lacks(r1, prop, {"path": 1}, {"path"}) == ""
 
 
 def test_nonneg_guard_makes_rule_ascending():
     prog, r2 = _rule(BOUNDED_PATH + "arc(a,b,1).", "r2")
-    assert check_ascending(r2, {"path": 1}, {"path"})[0] == "ascending"
+    assert lacks(r2, "ascending", {"path": 1}, {"path"}) == ""
+    assert lacks(r2, "descending", {"path": 1}, {"path"}) != ""
 
 
 def test_unguarded_addition_is_not_ascending():
@@ -152,17 +152,18 @@ def test_unguarded_addition_is_not_ascending():
     """
     prog, r2 = _rule(text, "r2")
     # W may be negative, so the head cost can drop below the body cost
-    assert check_ascending(r2, {"p": 1}, {"p"})[0] == "neither"
-    assert check_inflation_preserving(r2, {"p": 1}, {"p"})[0] == "both"
+    assert lacks(r2, "ascending", {"p": 1}, {"p"}) != ""
+    assert lacks(r2, "descending", {"p": 1}, {"p"}) != ""
+    assert lacks(r2, "inflation", {"p": 1}, {"p"}) == ""
+    assert lacks(r2, "deflation", {"p": 1}, {"p"}) == ""
 
 
 def test_upper_capped_guard_kills_inflation():
     # J<=10 caps from above and J!=5 punches a hole, so neither direction
     # of the level shift is preserved
     prog, r1 = _rule(CAPPED_MAX, "r1")
-    kind, why = check_inflation_preserving(r1, {"p": 0}, {"p"})
-    assert kind == "neither"
-    assert "caps J from above" in why
+    assert "caps J from above" in lacks(r1, "inflation", {"p": 0}, {"p"})
+    assert lacks(r1, "deflation", {"p": 0}, {"p"}) != ""
 
 
 def test_strict_progress_guard_is_fine_for_min():
@@ -172,7 +173,7 @@ def test_strict_progress_guard_is_fine_for_min():
     arc(a,b,1).
     """
     prog, r2 = _rule(text, "r2")
-    assert check_inflation_preserving(r2, {"path": 1}, {"path"})[0] in ("deflation", "both")
+    assert lacks(r2, "deflation", {"path": 1}, {"path"}) == ""
 
 
 # ===== push classification ====================================================

@@ -17,6 +17,7 @@ from conftest import (
     PART_EXPLOSION_NOGUARD,
     SHORTEST_PATH,
     SPATH_MONOTONIC,
+    SPATH_STRATIFIED,
 )
 
 
@@ -184,11 +185,47 @@ def test_count_without_cost_path_runs_under_audit(write, capsys):
     assert main(["run", prog, "--trust-but-verify"]) == EXIT_OK
     trust = "running unproven aggregate under trust-but-verify"
     assert capsys.readouterr().err == (
-        f"warning: rule r1: recursive count is not provably safe ({NO_COST}; {trust}); "
+        f"warning: rule r1: recursive count is not provably safe ({NO_COST}); "
         f"results may be wrong if run anyway\n"
-        f"warning: {NO_COST}\n"
         f"warning: {trust}\n"
     )
+
+
+def test_verify_names_the_unclassified_obligation(write, capsys):
+    prog = write("nocost.dl", NO_COST_COUNT)
+    assert main(["verify", prog]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: no constraint to verify: rule r1 count in recursion: {NO_COST}\n"
+    )
+
+
+def test_runtime_nonpositive_summand_is_reported_once(write, capsys):
+    prog = write("parts.dl", PART_EXPLOSION_NOGUARD.replace("basic(seat,5)", "basic(seat,-5)"))
+    assert main(["run", prog, "--trust-but-verify"]) == EXIT_OK
+    reason = "not inflation-preserving: summand CQ is not provably positive"
+    assert capsys.readouterr().err == (
+        f"warning: rule r2: recursive sum is not provably safe ({reason}); "
+        f"results may be wrong if run anyway\n"
+        f"warning: rule r2: summand CQ is not provably positive; non-positive "
+        f"contributions are dropped by the expansion\n"
+        f"warning: running unproven aggregate under trust-but-verify\n"
+        f"audit: rule r2: non-positive summand -5 for key ('bike',)\n"
+        f"audit: rule r2 sum transfer sampled: no counterexample found\n"
+    )
+
+
+def test_diverging_oracle_leaves_the_run_unverified(write, capsys):
+    # the unpushed recursion the oracle evaluates never ends on a cycle
+    prog = write("spath.dl", SPATH_STRATIFIED)
+    assert main(["run", prog, "--trust-but-verify", "--max-tuples", "500"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "spath(a,3).\nspath(b,1).\nspath(c,5).\n"
+    assert captured.err == (
+        "audit: oracle stopped (tuple budget of 500 exhausted); answers not verified\n"
+    )
+    # a native run over its budget still fails
+    assert main(["run", prog, "--trust-but-verify", "--max-tuples", "3"]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget exceeded: tuple budget of 3 exhausted\n")
 
 
 @pytest.mark.parametrize(
@@ -238,6 +275,34 @@ def test_check_rejected(write, capsys):
     assert main(["check", prog]) == EXIT_REJECTED
     out = capsys.readouterr().out
     assert "REJECTED" in out and "caps" in out
+
+
+# Each rejection quotes the property its conjunct needs: a lower bound needs
+# a descending mapping, a min needs deflation.
+@pytest.mark.parametrize(
+    "text, rejection",
+    [
+        (
+            "r1: path(Y,Dy) :- arc(a,Y,Dy).\n"
+            "r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy.\n"
+            "r3: far(Y,Dy) :- path(Y,Dy), Dy>5.\n",
+            "cannot push lower(path: arg 1 > 5): not a descending mapping: "
+            "head cost may exceed Dx (rule r2)",
+        ),
+        (
+            "p(2).\n"
+            "r2: p(J1) :- p(J), J<=10, J>=2, J1=J+2.\n"
+            "r3: lowp(J1) :- p(J1), is_min((),(J1)).\n",
+            "cannot push min(p: group [], cost 0): not deflation-preserving: "
+            "guard J >= 2 caps J from below (rule r2)",
+        ),
+    ],
+    ids=["lower-bound", "min"],
+)
+def test_check_rejection_names_the_needed_property(write, capsys, text, rejection):
+    prog = write("prog.dl", text)
+    assert main(["check", prog]) == EXIT_REJECTED
+    assert capsys.readouterr().out == f"REJECTED: {rejection}\n"
 
 
 def test_check_no_constraints(write, capsys):

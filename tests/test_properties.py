@@ -216,17 +216,42 @@ GUARDS = st.sets(
 )
 
 
-@given(GUARDS)
-def test_ascending_rules_also_preserve_inflation(guards):
+def _guarded_rule(guards):
     body = "p(X,Dx), e(X,Y,Dxy), Dy=Dx+Dxy"
     for g in sorted(guards):
         body += f", {g}"
-    prog = P.parse_program(f"r1: p(Y,Dy) :- {body}.")
-    rule = prog.rules[0]
-    asc, _ = analysis.check_ascending(rule, {"p": 1}, {"p"})
-    inf, _ = analysis.check_inflation_preserving(rule, {"p": 1}, {"p"})
-    if asc in ("ascending", "both"):
-        assert inf in ("inflation", "both")
+    return P.parse_program(f"r1: p(Y,Dy) :- {body}.").rules[0]
+
+
+@given(GUARDS)
+def test_ascending_rules_also_preserve_inflation(guards):
+    rule = _guarded_rule(guards)
+    if not analysis.lacks(rule, "ascending", {"p": 1}, {"p"}):
+        assert not analysis.lacks(rule, "inflation", {"p": 1}, {"p"})
+
+
+@given(GUARDS)
+def test_descending_rules_also_preserve_deflation(guards):
+    rule = _guarded_rule(guards)
+    if not analysis.lacks(rule, "descending", {"p": 1}, {"p"}):
+        assert not analysis.lacks(rule, "deflation", {"p": 1}, {"p"})
+
+
+# Each property's reason names a failure of that property, never one that
+# only breaks its opposite.
+OPPOSITE_REASON = {
+    "deflation": "from above",
+    "inflation": "from below",
+    "descending": "may drop below",
+    "ascending": "may exceed",
+}
+
+
+@given(GUARDS)
+def test_lacks_never_quotes_the_opposite_property(guards):
+    rule = _guarded_rule(guards)
+    for prop, wrong in OPPOSITE_REASON.items():
+        assert wrong not in analysis.lacks(rule, prop, {"p": 1}, {"p"})
 
 
 # ===== EVALUATION MODES =======================================================
