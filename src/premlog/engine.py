@@ -15,15 +15,15 @@ working constraints (head extrema, implicit count/sum projection) filter the
 result through model.keep_extremal, the one gamma that apply_constraint and
 the oracle's count projection use too; the loop stops when the
 interpretation repeats, and the confirming sweep is counted. The seminaive
-loop keeps per-predicate working sets:
-
-  * a min/max head annotation admits a tuple only if it beats the incumbent
-    for its key; the beaten tuple is deleted from the store and from any
-    pending delta, so it never fires a rule;
-  * mmin/mmax admit improving tuples without deleting older ones;
-  * mcount/msum emit incrementally as fresh witnesses arrive;
-  * count/sum accumulate witnesses silently and release their totals only
-    when the fixpoint quiesces, which may restart the loop.
+loop admits each head tuple through its predicate's one gate, an
+ExtremaIndex: a min/max or mmin/mmax annotation, or the implicit max of
+count/sum, admits a tuple only if it strictly beats its key's incumbent. A
+min/max gate deletes the beaten tuple from the store and from any pending
+delta, so it never fires a rule; mmin/mmax delete nothing. Each counting
+rule keeps one _Tally of witnesses per key. A full join (naive sweeps,
+apply_ico) releases what the tally holds once the join is done; seminaive
+releases mcount/msum ladders as fresh witnesses arrive, and count/sum
+totals only when the fixpoint quiesces, which may restart the loop.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .errors import (
     TypeMismatch,
 )
 from .model import (
+    COUNTING_KINDS,
     EXTREMA_KINDS,
     INT_MAX,
     INT_MIN,
@@ -181,58 +182,86 @@ class RelationStore:
 
 
 class ExtremaIndex:
-    """One tuple per key; a newcomer wins only strictly, ties keep the incumbent."""
+    """The working-set gate of one predicate: does t strictly beat the
+    incumbent of its key? Ties keep the incumbent. min/max keep one tuple per
+    key, so the newcomer displaces the incumbent; mmin/mmax (monotonic)
+    delete nothing and only remember the best so far."""
 
-    __slots__ = ("kind", "cost", "best")
+    __slots__ = ("kind", "cost", "monotonic", "best")
 
-    def __init__(self, kind: str, cost: int):
+    def __init__(self, kind: str, cost: int, monotonic: bool = False):
         self.kind = kind
         self.cost = cost
+        self.monotonic = monotonic
         self.best: Dict[Tuple, GroundTuple] = {}
-
-    def _key(self, t: GroundTuple) -> Tuple:
-        c = self.cost
-        return t[:c] + t[c + 1 :]
 
     def insert(self, t: GroundTuple) -> Tuple[bool, Optional[GroundTuple]]:
         """Return whether t was admitted, and the incumbent it displaced or None."""
-        v = t[self.cost]
-        if not isinstance(v, int):
-            raise TypeMismatch(f"extremum over non-integer value {v!r}")
-        key = self._key(t)
-        incumbent = self.best.get(key)
-        if incumbent is None:
-            self.best[key] = t
-            return True, None
-        held = incumbent[self.cost]
-        better = v < held if self.kind == "min" else v > held
-        if not better:
-            return False, None
-        self.best[key] = t
-        return True, incumbent
-
-
-class MonotonicIndex:
-    """Admit strictly improving tuples per key; never delete admitted ones."""
-
-    __slots__ = ("kind", "cost", "best")
-
-    def __init__(self, kind: str, cost: int):
-        self.kind = kind
-        self.cost = cost
-        self.best: Dict[Tuple, int] = {}
-
-    def insert(self, t: GroundTuple) -> bool:
-        v = t[self.cost]
-        if not isinstance(v, int):
-            raise TypeMismatch(f"extremum over non-integer value {v!r}")
         c = self.cost
+        v = t[c]
+        if not isinstance(v, int):
+            raise TypeMismatch(f"extremum over non-integer value {v!r}")
         key = t[:c] + t[c + 1 :]
-        held = self.best.get(key)
-        if held is not None and (v >= held if self.kind == "min" else v <= held):
+        incumbent = self.best.get(key)
+        if incumbent is not None:
+            held = incumbent[c]
+            if v >= held if self.kind == "min" else v <= held:
+                return False, None
+        self.best[key] = t
+        return True, None if self.monotonic else incumbent
+
+
+class _Tally:
+    """The witnesses of one counting aggregate, per group key.
+
+    count and sum are the max of the mcount and msum ladders (Mazuran et al.
+    2012), so all four keep one total per key: the number of distinct
+    witnesses, or the sum of the best positive summand per witness prefix.
+    They differ only in what a key releases, every natural up to the total
+    (mcount/msum) or the total itself (count/sum), and in when the caller
+    releases it.
+    """
+
+    __slots__ = ("kind", "witnesses", "best", "released", "grown")
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.witnesses: Dict[Tuple, Set[Tuple]] = {}
+        self.best: Dict[Tuple, Dict[Tuple, int]] = {}  # key -> witness prefix -> summand
+        self.released: Dict[Tuple, int] = {}  # key -> total released last
+        self.grown: Dict[Tuple, None] = {}  # keys with a witness added since their release
+
+    def add(self, key: Tuple, measured: Tuple) -> bool:
+        """Record one row; return whether its witness is new to the key."""
+        ws = self.witnesses.setdefault(key, set())
+        if measured in ws:
             return False
-        self.best[key] = v
+        ws.add(measured)
+        self.grown[key] = None
+        if self.kind in ("msum", "sum"):
+            s = measured[-1]
+            if not isinstance(s, int):
+                raise TypeMismatch(f"summand {s!r} is not an integer")
+            best = self.best.setdefault(key, {})
+            prefix = measured[:-1]
+            if prefix not in best or s > best[prefix]:
+                best[prefix] = s
         return True
+
+    def total(self, key: Tuple) -> int:
+        if self.kind in ("mcount", "count"):
+            return len(self.witnesses[key])
+        return sum(max(s, 0) for s in self.best[key].values())
+
+    def release(self, key: Tuple) -> range:
+        """Mark the results of key up to its total released; return the new ones."""
+        self.grown.pop(key, None)
+        total = self.total(key)
+        have = self.released.get(key, 0)
+        if total <= have:
+            return range(0)
+        self.released[key] = total
+        return range(have + 1 if self.kind in ("mcount", "msum") else total, total + 1)
 
 
 # =====================================================================================
@@ -697,32 +726,18 @@ def eval_aggregate(kind: str, rows: Iterable[Tuple[Tuple, Tuple]]):
             positive summand per witness prefix.
     is_min/is_max: key -> extremal measured value.
     """
-    groups: Dict[Tuple, Set[Tuple]] = {}
-    for key, measured in rows:
-        groups.setdefault(key, set()).add(measured)
-    if kind in ("mcount", "count"):
-        if kind == "count":
-            return {k: len(ws) for k, ws in groups.items()}
-        return {k: set(range(1, len(ws) + 1)) for k, ws in groups.items()}
-    if kind in ("msum", "sum"):
-        out = {}
-        for k, ws in groups.items():
-            best: Dict[Tuple, int] = {}
-            for m in ws:
-                s = m[-1]
-                if not isinstance(s, int):
-                    raise TypeMismatch(f"summand {s!r} is not an integer")
-                prefix = m[:-1]
-                if prefix not in best or s > best[prefix]:
-                    best[prefix] = s
-            total = sum(max(s, 0) for s in best.values())
-            if kind == "sum":
-                if total >= 1:
-                    out[k] = total
-            else:
-                out[k] = set(range(1, total + 1))
-        return out
+    if kind in COUNTING_KINDS:
+        tally = _Tally(kind)
+        for key, measured in rows:
+            tally.add(key, measured)
+        released = {key: tally.release(key) for key in tally.witnesses}
+        if kind in ("mcount", "msum"):
+            return {key: set(values) for key, values in released.items()}
+        return {key: values[0] for key, values in released.items() if values}
     if kind in EXTREMA_KINDS:
+        groups: Dict[Tuple, Set[Tuple]] = {}
+        for key, measured in rows:
+            groups.setdefault(key, set()).add(measured)
         pick = min if kind == "is_min" else max
         out = {}
         for k, ws in groups.items():
@@ -755,10 +770,10 @@ def _rule_candidates(ctx: _Context, code: _RuleCode, emit: Callable[[GroundTuple
             if result.get(key) == measured[0]:
                 emit(head)
         return
-    rows: Set[Tuple[Tuple, Tuple]] = set()
-    code.run(ctx, lambda key, measured: rows.add((key, measured)))
-    for key, values in eval_aggregate(agg.kind, rows).items():
-        code.release(key, (values,) if isinstance(values, int) else values, emit)
+    tally = _Tally(agg.kind)
+    code.run(ctx, tally.add)
+    for key in tally.witnesses:
+        code.release(key, tally.release(key), emit)
 
 
 def _add_to(interp: Interpretation, pred: str, t: GroundTuple) -> None:
@@ -770,42 +785,30 @@ def _add_to(interp: Interpretation, pred: str, t: GroundTuple) -> None:
 # =====================================================================================
 
 
-@dataclass
-class _Gates:
-    extrema: Dict[str, ExtremaIndex]
-    monotonic: Dict[str, MonotonicIndex]
-
-
-def _build_gates(rules: Sequence[Rule]) -> _Gates:
+def _build_gates(rules: Sequence[Rule]) -> Dict[str, ExtremaIndex]:
     # A count/sum rule carries an implicit max on its result: the predicate is
     # read as the max projection of the monotonic form. Unannotated rules of
     # the same predicate feed the same gate; only two different annotations
     # conflict.
-    specs: Dict[str, Set[Tuple[str, bool, int]]] = {}
+    specs: Dict[str, Set[Tuple[str, int, bool]]] = {}
     for r in rules:
         pred = r.head.predicate
         entry = specs.setdefault(pred, set())
         if r.extremum is not None:
-            entry.add((r.extremum.kind, r.extremum.monotonic, r.extremum.cost))
+            entry.add((r.extremum.kind, r.extremum.cost, r.extremum.monotonic))
             continue
         agg = r.aggregate()
         if agg is not None and agg.kind in ("count", "sum"):
             pos = head_var_positions(r.head).get(agg.result)
             if pos is not None:
-                entry.add(("max", False, pos))
-    extrema: Dict[str, ExtremaIndex] = {}
-    monotonic: Dict[str, MonotonicIndex] = {}
+                entry.add(("max", pos, False))
+    gates: Dict[str, ExtremaIndex] = {}
     for pred, entry in specs.items():
         if len(entry) > 1:
             raise PremlogError(f"rules defining {pred} disagree on its working constraint")
-        if not entry:
-            continue
-        kind, mono, pos = next(iter(entry))
-        if mono:
-            monotonic[pred] = MonotonicIndex(kind, pos)
-        else:
-            extrema[pred] = ExtremaIndex(kind, pos)
-    return _Gates(extrema, monotonic)
+        if entry:
+            gates[pred] = ExtremaIndex(*next(iter(entry)))
+    return gates
 
 
 # =====================================================================================
@@ -849,8 +852,7 @@ def seminaive_fixpoint(
 
     def admitter(pred: str) -> Callable[[GroundTuple], bool]:
         store = ctx.store(pred)
-        mono = gates.monotonic.get(pred)
-        ex = gates.extrema.get(pred)
+        gate = gates.get(pred)
 
         def admit(t: GroundTuple) -> bool:
             stats.derived += 1
@@ -860,18 +862,14 @@ def seminaive_fixpoint(
                     stats=stats,
                     partial=_snapshot(ctx.stores),
                 )
-            if mono is not None:
-                if not mono.insert(t) or not store.add(t):
-                    return False
-            elif ex is not None:
-                inserted, displaced = ex.insert(t)
+            if gate is not None:
+                inserted, displaced = gate.insert(t)
                 if not inserted:
                     return False
                 if displaced is not None:
                     drop_everywhere(pred, displaced)
                     stats.deleted += 1
-                store.add(t)
-            elif not store.add(t):
+            if not store.add(t):
                 return False
             stats.retained += 1
             fresh = next_delta.get(pred)
@@ -884,64 +882,32 @@ def seminaive_fixpoint(
 
     admit = {pred: admitter(pred) for pred in head_preds}
 
-    # Incremental aggregate state, one slot per rule.
-    witness: Dict[str, Dict[Tuple, Set[Tuple]]] = {}
-    emitted: Dict[str, Dict[Tuple, int]] = {}
-    prefix_best: Dict[str, Dict[Tuple, Dict[Tuple, int]]] = {}
+    # One tally per counting rule: mcount/msum release as witnesses arrive,
+    # count/sum only when the loop quiesces.
+    tallies: Dict[str, _Tally] = {}
+    for r in rules:
+        agg = r.aggregate()
+        if agg is not None and agg.kind in COUNTING_KINDS:
+            tallies[r.id] = _Tally(agg.kind)
     warned: Set[str] = set()
 
-    def feed_aggregate(rule: Rule, code: _RuleCode, key: Tuple, measured: Tuple) -> None:
-        agg = code.plan.agg
-        slot = witness.setdefault(rule.id, {})
-        ws = slot.setdefault(key, set())
-        if measured in ws:
+    def feed(rule: Rule, code: _RuleCode, tally: _Tally, key: Tuple, measured: Tuple) -> None:
+        if not tally.add(key, measured):
             return
-        ws.add(measured)
-        if agg.kind in ("msum", "sum"):
-            s = measured[-1]
-            if not isinstance(s, int):
-                raise TypeMismatch(f"summand {s!r} is not an integer")
-            if s < 1 and options.monitor_positivity and rule.id not in warned:
-                warned.add(rule.id)
-                if monitor is not None:
-                    monitor.append(
-                        f"rule {rule.id}: non-positive summand {s} for key {key}"
-                    )
-            best = prefix_best.setdefault(rule.id, {}).setdefault(key, {})
-            pfx = measured[:-1]
-            if pfx not in best or s > best[pfx]:
-                best[pfx] = s
-        if agg.kind in ("mcount", "msum"):
-            track = emitted.setdefault(rule.id, {})
-            have = track.get(key, 0)
-            target = (
-                len(ws)
-                if agg.kind == "mcount"
-                else sum(max(v, 0) for v in prefix_best[rule.id][key].values())
-            )
-            code.release(key, range(have + 1, target + 1), admit[rule.head.predicate])
-            if target > have:
-                track[key] = target
+        if tally.kind in ("msum", "sum") and measured[-1] < 1 and options.monitor_positivity:
+            if rule.id not in warned and monitor is not None:
+                monitor.append(f"rule {rule.id}: non-positive summand {measured[-1]} for key {key}")
+            warned.add(rule.id)
+        if tally.kind in ("mcount", "msum"):
+            code.release(key, tally.release(key), admit[rule.head.predicate])
 
     def release_deferred() -> bool:
         retained = stats.retained
         for r in rules:
-            code = code_of[r.id]
-            agg = code.plan.agg
-            if agg is None or agg.kind not in ("count", "sum"):
-                continue
-            track = emitted.setdefault(r.id, {})
-            for key, ws in witness.get(r.id, {}).items():
-                if agg.kind == "count":
-                    total = len(ws)
-                else:
-                    total = sum(max(v, 0) for v in prefix_best[r.id][key].values())
-                    if total < 1:
-                        continue
-                if track.get(key) == total:
-                    continue
-                track[key] = total
-                code.release(key, (total,), admit[r.head.predicate])
+            tally = tallies.get(r.id)
+            if tally is not None and tally.kind in ("count", "sum"):
+                for key in list(tally.grown):
+                    code_of[r.id].release(key, tally.release(key), admit[r.head.predicate])
         return stats.retained > retained  # some release was admitted
 
     def run_rule(rule: Rule, code: _RuleCode) -> None:
@@ -952,7 +918,7 @@ def seminaive_fixpoint(
             # Stratified filter: body predicates are complete, evaluate statically.
             _rule_candidates(ctx, code, admit[rule.head.predicate])
         else:
-            code.run(ctx, partial(feed_aggregate, rule, code))
+            code.run(ctx, partial(feed, rule, code, tallies[rule.id]))
 
     # Seed: facts for stratum predicates enter through the gates.
     for pred in head_preds:
@@ -1024,7 +990,7 @@ def naive_fixpoint(
                 raise BudgetExceeded(
                     f"tuple budget of {options.max_tuples} exhausted",
                     stats=stats,
-                    partial={p: set(v) for p, v in out.items() if v},
+                    partial={**_snapshot(stores), **{p: set(v) for p, v in out.items() if v}},
                 )
             target.add(t)
 
@@ -1049,17 +1015,15 @@ def naive_fixpoint(
         new: Dict[str, Set[GroundTuple]] = {}
         for pred in head_preds:
             rel = out[pred]
-            ex = gates.extrema.get(pred)
-            if ex is not None:
-                rel = keep_extremal(rel, ex.kind, ex.cost)
-            gate = gates.monotonic.get(pred)
-            if gate is not None:
+            gate = gates.get(pred)
+            if gate is not None and not gate.monotonic:
+                rel = keep_extremal(rel, gate.kind, gate.cost)
+            elif gate is not None:
                 # Only a key's best fresh candidate can beat its incumbent.
-                admitted = set(current[pred])
-                for t in keep_extremal(rel - current[pred], gate.kind, gate.cost):
-                    if gate.insert(t):
-                        admitted.add(t)
-                rel = admitted
+                rel = set(current[pred])
+                for t in keep_extremal(out[pred] - current[pred], gate.kind, gate.cost):
+                    if gate.insert(t)[0]:
+                        rel.add(t)
             new[pred] = rel
 
         for pred in head_preds:

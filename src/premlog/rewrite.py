@@ -316,7 +316,7 @@ def compile_count_in_recursion(
             _, warn = expand_msum(shadow_goal, shadow_rule)
             notes.extend(warn)
         try:
-            verdict: Optional[PremVerdict] = classify_premability(shadow, constraint)
+            verdict: Optional[PremVerdict] = classify_premability(shadow, constraint, graph)
         except (NoCost, AmbiguousCost) as exc:
             verdict = None
             notes.append(str(exc))

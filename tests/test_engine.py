@@ -8,7 +8,6 @@ import pytest
 import premlog as P
 from premlog.engine import (
     ExtremaIndex,
-    MonotonicIndex,
     RelationStore,
     apply_constraint,
     apply_ico,
@@ -74,11 +73,11 @@ def test_extrema_index_rejects_symbolic_cost():
 
 
 def test_monotonic_index_never_retreats():
-    ix = MonotonicIndex("min", 1)
-    assert ix.insert(("b", 5))
-    assert ix.insert(("b", 3))
-    assert not ix.insert(("b", 4))
-    assert not ix.insert(("b", 3))
+    ix = ExtremaIndex("min", 1, monotonic=True)
+    assert ix.insert(("b", 5)) == (True, None)
+    assert ix.insert(("b", 3)) == (True, None)
+    assert ix.insert(("b", 4)) == (False, None)
+    assert ix.insert(("b", 3)) == (False, None)
 
 
 # ===== plans ==================================================================

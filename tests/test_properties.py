@@ -11,7 +11,7 @@ from premlog.engine import ExtremaIndex, apply_constraint, eval_aggregate
 from premlog.errors import TypeMismatch
 from premlog.model import Bound, Extremum, keep_extremal, make_constraint
 
-from conftest import random_positive_program
+from conftest import random_positive_program, run_text
 
 KEYS = st.sampled_from(["a", "b", "c", "d"])
 COSTS = st.integers(min_value=-20, max_value=50)
@@ -69,6 +69,31 @@ def test_sum_is_max_of_msum_on_positive_rows(per_witness):
     ladder = eval_aggregate("msum", rows)
     assert ladder == {(): set(range(1, expected + 1))}
     assert max(ladder[()]) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["count", "sum", "mcount", "msum"]),
+    st.sets(
+        st.tuples(
+            st.sampled_from(["a", "b"]),
+            st.sampled_from(["x", "y", "z"]),
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=-3, max_value=6),
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+)
+def test_counting_rule_agrees_in_every_path(kind, rows):
+    # Rows that differ only in Y repeat a witness (X,C); rows that share X
+    # with different C share a witness prefix; C may be zero or negative.
+    facts = "".join(f"q({g},{x},{y},{c}).\n" for g, x, y, c in sorted(rows))
+    text = f"r1: t(G,N) :- q(G,X,Y,C), {kind}((G),(X,C),N).\n{facts}"
+    static = eval_aggregate(kind, [((g,), (x, c)) for g, x, _, c in rows])
+    expected = {(g, n) for (g,), ns in static.items() for n in ({ns} if isinstance(ns, int) else ns)}
+    for mode in ("naive", "seminaive"):
+        assert set(run_text(text, mode=mode).answers("t")) == expected
 
 
 # ===== CONSTRAINT APPLICATION =================================================
@@ -174,25 +199,32 @@ def test_keep_extremal_rejects_a_symbol_cost():
 # ===== WORKING-SET INDEX ======================================================
 
 
+@pytest.mark.parametrize("monotonic", [False, True])
 @given(
     st.sampled_from(["min", "max"]),
     st.lists(st.tuples(KEYS, st.integers(min_value=-50, max_value=50)), max_size=40),
 )
-def test_extrema_index_keeps_one_best_per_key(kind, inserts):
-    idx = ExtremaIndex(kind, 1)
-    admitted = displaced = 0
-    for t in inserts:
-        inserted, incumbent = idx.insert(t)
-        admitted += 1 if inserted else 0
-        displaced += 1 if incumbent is not None else 0
+def test_extrema_index_keeps_one_best_per_key(monotonic, kind, inserts):
+    idx = ExtremaIndex(kind, 1, monotonic)
     pick = min if kind == "min" else max
     best_value = {}
+    admitted = displaced = 0
     for k, v in inserts:
-        best_value[(k,)] = v if (k,) not in best_value else pick(best_value[(k,)], v)
+        held = best_value.get((k,))
+        improves = held is None or pick(held, v) != held
+        inserted, incumbent = idx.insert((k, v))
+        assert inserted == improves  # exactly the strict improvements
+        if monotonic:
+            assert incumbent is None  # mmin/mmax delete nothing
+        admitted += 1 if inserted else 0
+        displaced += 1 if incumbent is not None else 0
+        if improves:
+            best_value[(k,)] = v
     assert set(idx.best) == set(best_value)
     for key, t in idx.best.items():
         assert t[1] == best_value[key]
-    assert admitted - displaced == len(idx.best)
+    if not monotonic:
+        assert admitted - displaced == len(idx.best)
 
 
 # ===== SYNTAX ROUND-TRIP ======================================================
