@@ -25,7 +25,7 @@ extremum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import AmbiguousCost, NoCost, PremlogError, StratificationError
 from .model import (
@@ -72,23 +72,18 @@ class DepEdge:
 
 @dataclass(frozen=True)
 class DependencyGraph:
-    predicates: Tuple[str, ...]
     edges: Tuple[DepEdge, ...]
     sccs: Tuple[Tuple[str, ...], ...]  # dependencies first
     scc_of: Dict[str, int]
+    # Predicates that read themselves: members of a multi-predicate SCC, and
+    # heads of self-loops.
+    recursive: FrozenSet[str]
 
     def scc_members(self, predicate: str) -> Tuple[str, ...]:
         return self.sccs[self.scc_of[predicate]]
 
-    def is_recursive(self, predicate: str) -> bool:
-        comp = self.scc_members(predicate)
-        if len(comp) > 1:
-            return True
-        return any(e.head == predicate and e.body == predicate for e in self.edges)
-
 
 def build_dependency_graph(program: Program) -> DependencyGraph:
-    preds = program.predicates()
     edges: List[DepEdge] = []
     for r in program.rules:
         agg = r.aggregate()
@@ -99,15 +94,14 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
                 edges.append(DepEdge(r.head.predicate, g.predicate, r.id, label))
             elif isinstance(g, Negated):
                 edges.append(DepEdge(r.head.predicate, g.atom.predicate, r.id, "negated"))
-    adj: Dict[str, List[str]] = {p: [] for p in preds}
+    adj: Dict[str, List[str]] = {p: [] for p in program.predicates()}
     for e in edges:
-        if e.body not in adj:
-            adj[e.body] = []
-            preds.append(e.body)
         adj[e.head].append(e.body)
     sccs = _tarjan(sorted(adj), {p: sorted(set(ts)) for p, ts in adj.items()})
     scc_of = {p: i for i, comp in enumerate(sccs) for p in comp}
-    return DependencyGraph(tuple(preds), tuple(edges), tuple(sccs), scc_of)
+    recursive = {p for comp in sccs if len(comp) > 1 for p in comp}
+    recursive.update(e.head for e in edges if e.head == e.body)
+    return DependencyGraph(tuple(edges), tuple(sccs), scc_of, frozenset(recursive))
 
 
 def _tarjan(nodes: Sequence[str], adj: Dict[str, Sequence[str]]):
@@ -193,7 +187,7 @@ def stratify(program: Program) -> List[Stratum]:
         rules = tuple(r for r in program.rules if r.head.predicate in members)
         if not rules:
             continue
-        strata.append(Stratum(len(strata), comp, rules, graph.is_recursive(comp[0])))
+        strata.append(Stratum(len(strata), comp, rules, comp[0] in graph.recursive))
     return strata
 
 
@@ -577,9 +571,7 @@ def _noncost_argument_terms(view: RuleCostView, costmap: Dict[str, int], scc: Se
     for i, a in enumerate(rule.head.args):
         if i != head_pos:
             yield a
-    for g in rule.body:
-        if not isinstance(g, Atom) or g.predicate == RANGE_PREDICATE:
-            continue
+    for g in rule.regular_goals():
         cost_pos = costmap.get(g.predicate) if g.predicate in scc else None
         for i, a in enumerate(g.args):
             if cost_pos is None or i != cost_pos:
@@ -816,7 +808,7 @@ def classify_premability(
 
     if p0 not in graph.scc_of:
         raise NoCost(f"{p0} is not defined in the program")
-    if not graph.is_recursive(p0):
+    if p0 not in graph.recursive:
         return PremVerdict(
             program,
             constraint,

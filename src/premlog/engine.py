@@ -60,6 +60,7 @@ from .errors import (
     PremlogError,
     SafetyError,
     TypeMismatch,
+    UnboundVariable,
 )
 from .model import (
     COUNTING_KINDS,
@@ -84,7 +85,6 @@ from .model import (
     compare_values,
     constraint_conjuncts,
     constraint_predicate,
-    eval_term,
     facts_to_interp,
     final_rules,
     head_var_positions,
@@ -378,14 +378,14 @@ def compile_plan(rule: Rule, scc_preds: Set[str]) -> _Plan:
 _MAX_LOOPS = 16
 
 # What generated code calls besides builtins; the error paths call the model's
-# own checks so that messages stay the same.
+# own checks, or raise its errors, so that messages stay the same.
 _RUNTIME = {
     "BudgetExceeded": BudgetExceeded,
     "TypeMismatch": TypeMismatch,
     "check_int": check_int,
     "checked_arith": checked_arith,
     "compare_values": compare_values,
-    "eval_term": eval_term,
+    "UnboundVariable": UnboundVariable,
 }
 
 
@@ -449,13 +449,14 @@ class _Source:
 
     def term(self, t) -> Tuple[str, bool]:
         """Write what evaluating t takes; return its expression and whether
-        it is an integer whatever the binding (eval_term, inlined)."""
+        it is an integer whatever the binding."""
         if isinstance(t, Constant):
             return self.literal(t.value), type(t.value) is int
         if isinstance(t, Variable):
             local = self.names.get(t.name)
-            if local is None:  # raise eval_term's error where it would be raised
-                self.add(f"eval_term({self.constant(t)}, {{}})")
+            if local is None:  # unbound here: fail where the value is first needed
+                message = f"variable {t.name} is not bound"
+                self.add(f"raise UnboundVariable({message!r})")
                 return "None", False
             return local, local in self.ints
         left, left_int = self.term(t.left)

@@ -16,7 +16,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     NamedTuple,
     Optional,
     Set,
@@ -138,17 +137,6 @@ def map_term(term: Term, f: Callable[[str], Term]) -> Term:
     return term
 
 
-def eval_term(term: Term, binding: Mapping[str, Value]) -> Value:
-    if isinstance(term, Constant):
-        return term.value
-    if isinstance(term, Variable):
-        try:
-            return binding[term.name]
-        except KeyError:
-            raise UnboundVariable(f"variable {term.name} is not bound") from None
-    return checked_arith(term.op, eval_term(term.left, binding), eval_term(term.right, binding))
-
-
 # =====================================================================================
 # GOALS
 # =====================================================================================
@@ -211,7 +199,6 @@ class Negated:
 
 AGGREGATE_KINDS = ("is_min", "is_max", "mcount", "msum", "count", "sum")
 EXTREMA_KINDS = ("is_min", "is_max")
-MONOTONIC_KINDS = ("mcount", "msum")
 COUNTING_KINDS = ("mcount", "msum", "count", "sum")
 
 
@@ -307,7 +294,8 @@ class Rule:
     extremum: Optional[HeadExtremum] = None
 
     def regular_goals(self) -> List[Atom]:
-        return [g for g in self.body if isinstance(g, Atom)]
+        """The positive goals that read a relation: every atom but int_up2."""
+        return [g for g in self.body if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE]
 
     def aggregate(self) -> Optional[AggregateGoal]:
         for g in self.body:
@@ -465,10 +453,10 @@ class Program:
         seen: Dict[str, None] = dict.fromkeys(f.predicate for f in self.facts)
         for r in self.rules:
             seen.setdefault(r.head.predicate, None)
+            for g in r.regular_goals():
+                seen.setdefault(g.predicate, None)
             for g in r.body:
-                if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE:
-                    seen.setdefault(g.predicate, None)
-                elif isinstance(g, Negated):
+                if isinstance(g, Negated):
                     seen.setdefault(g.atom.predicate, None)
         return list(seen)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 from .analysis import build_dependency_graph
 from .errors import (
@@ -107,9 +107,9 @@ def tokenize(text: str) -> List[Token]:
                 i += 1
             continue
         col = i - line_start + 1
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("int", text[i:j], line, col))
             i = j
@@ -401,8 +401,7 @@ def parse_program(text: str) -> Program:
     # Recursive in the same sense the stratifier uses: the clauses read as
     # provisional rules, before annotations are normalized.
     provisional = Program(tuple(Rule(rid, c.head, c.body) for rid, c in zip(ids, rule_clauses)))
-    graph = build_dependency_graph(provisional)
-    recursive = {p for p in graph.scc_of if graph.is_recursive(p)}
+    recursive = build_dependency_graph(provisional).recursive
 
     rules: List[Rule] = []
     support: List[Rule] = []
@@ -460,7 +459,7 @@ def _check_arities(clauses: List[_Clause]) -> None:
         raise ArityConflict(f"{RANGE_PREDICATE} has arity 2")
 
 
-def _normalize_rule(rid: str, c: _Clause, recursive: Set[str]) -> Rule:
+def _normalize_rule(rid: str, c: _Clause, recursive: AbstractSet[str]) -> Rule:
     head = c.head
     body = list(c.body)
     extremum: Optional[HeadExtremum] = None
@@ -473,12 +472,7 @@ def _normalize_rule(rid: str, c: _Clause, recursive: Set[str]) -> Rule:
         elif head.predicate in recursive:
             extremum = HeadExtremum(ann.kind, False, pos)
         else:
-            group = tuple(
-                a.name
-                for i, a in enumerate(head.args)
-                if isinstance(a, Variable) and i != pos
-            )
-            body.append(AggregateGoal("is_" + ann.kind, group, (ann.var,)))
+            body.append(_extremum_goal(head, ann.kind, pos))
 
     if head.predicate in recursive:
         hv = head_var_positions(head)
@@ -511,11 +505,19 @@ def _normalize_rule(rid: str, c: _Clause, recursive: Set[str]) -> Rule:
     return Rule(rid, head, tuple(body), extremum)
 
 
+def _extremum_goal(head: Atom, kind: str, cost: int) -> AggregateGoal:
+    """is_min/is_max over the head argument at `cost`, grouped by the other
+    head variables: the body form of a min/max head annotation."""
+    group = tuple(
+        a.name for i, a in enumerate(head.args) if isinstance(a, Variable) and i != cost
+    )
+    return AggregateGoal("is_" + kind, group, (head.args[cost].name,))
+
+
 def _check_safety(rule: Rule, line: int) -> None:
     bound: Set[str] = set()
-    for g in rule.body:
-        if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE:
-            bound.update(g.variables())
+    for g in rule.regular_goals():
+        bound.update(g.variables())
 
     # Range goals and equality assignments bind left to right; iterate to a fixpoint.
     changed = True
@@ -581,7 +583,7 @@ def _extract_final_constraints(rules: Sequence[Rule]) -> List[FinalConstraint]:
     for r in final_rules(rules):
         if r.extremum is not None:
             continue
-        regular = [g for g in r.regular_goals() if g.predicate != RANGE_PREDICATE]
+        regular = r.regular_goals()
         if len(regular) != 1:
             continue
         parts = []
@@ -639,26 +641,16 @@ def format_goal(g: Goal) -> str:
 def format_rule(rule: Rule) -> str:
     head = rule.head
     goals = [format_goal(g) for g in rule.body]
-    if rule.extremum is not None:
-        ex = rule.extremum
-        var = head.args[ex.cost]
-        assert isinstance(var, Variable)
-        if ex.monotonic:
-            parts = [
-                f"m{ex.kind}<{format_term(a)}>" if i == ex.cost else format_term(a)
-                for i, a in enumerate(head.args)
-            ]
-            head_text = f"{head.predicate}({','.join(parts)})"
-        else:
-            head_text = format_atom(head)
-            group = ",".join(
-                a.name
-                for i, a in enumerate(head.args)
-                if isinstance(a, Variable) and i != ex.cost
-            )
-            goals.append(f"is_{ex.kind}(({group}),({var.name}))")
-    else:
-        head_text = format_atom(head)
+    head_text = format_atom(head)
+    ex = rule.extremum
+    if ex is not None and ex.monotonic:
+        parts = [
+            f"m{ex.kind}<{format_term(a)}>" if i == ex.cost else format_term(a)
+            for i, a in enumerate(head.args)
+        ]
+        head_text = f"{head.predicate}({','.join(parts)})"
+    elif ex is not None:
+        goals.append(format_goal(_extremum_goal(head, ex.kind, ex.cost)))
     if not goals:
         return f"{rule.id}: {head_text}."
     return f"{rule.id}: {head_text} :- {', '.join(goals)}."

@@ -124,7 +124,7 @@ def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, Re
 
 def _strip_final(rule: Rule, plan) -> Rule:
     """The final rule without the goals whose conjuncts were pushed."""
-    atom = next(g for g in rule.regular_goals() if g.predicate != RANGE_PREDICATE)
+    atom = rule.regular_goals()[0]
     pushed = [c for c, _ in plan]
     body = tuple(g for g in rule.body if goal_conjunct(g, atom) not in pushed)
     return Rule(rule.id + "'" * len(plan), rule.head, body, rule.extremum)
@@ -174,11 +174,13 @@ def desugar_extremum(rule: Rule) -> Tuple[Rule, Rule]:
 def expand_msum(goal: AggregateGoal, rule: Optional[Rule] = None) -> Tuple[Tuple[Goal, ...], List[str]]:
     """Expand msum/sum into a unit range join plus mcount/count.
 
-    sum((),(Pno,C),T)  ->  int_up2(C,Int), count((),(Pno,C,Int),T)
+    sum((),(Pno,C),T)  ->  int_up2(C,Int), count((),(Pno,Int),T)
 
-    Each positive summand C contributes C distinct witnesses, so counting
-    them sums the summands. Non-positive summands produce no witnesses; the
-    returned warnings flag summands that are not provably positive.
+    The summand's place in the witness goes to Int, so a witness prefix Pno
+    with summands C contributes max(C) distinct witnesses: counting them sums
+    the best summand per prefix, as msum/sum do. Non-positive summands produce
+    no witnesses; the returned warnings flag summands that are not provably
+    positive.
     """
     if goal.kind not in ("msum", "sum"):
         raise PremlogError(f"{goal.kind} is not a summing aggregate")
@@ -195,7 +197,7 @@ def expand_msum(goal: AggregateGoal, rule: Optional[Rule] = None) -> Tuple[Tuple
     counter = AggregateGoal(
         "mcount" if goal.kind == "msum" else "count",
         goal.group_by,
-        goal.measured + (fresh,),
+        goal.measured[:-1] + (fresh,),
         goal.result,
     )
     warnings: List[str] = []
@@ -208,6 +210,18 @@ def expand_msum(goal: AggregateGoal, rule: Optional[Rule] = None) -> Tuple[Tuple
                 f"non-positive contributions are dropped by the expansion"
             )
     return (range_goal, counter), warnings
+
+
+def monotonic_form(rule: Rule) -> Tuple[Rule, int]:
+    """The ladder of a count/sum rule: the same rule over mcount/msum, whose
+    max is the count/sum, and the head position of the aggregate result."""
+    agg = rule.aggregate()
+    pos = head_var_positions(rule.head).get(agg.result)
+    if pos is None:
+        raise PremlogError(f"rule {rule.id}: aggregate result {agg.result} is not in the head")
+    ladder = AggregateGoal("m" + agg.kind, agg.group_by, agg.measured, agg.result)
+    body = tuple(ladder if g is agg else g for g in rule.body)
+    return Rule(rule.id, rule.head, body, rule.extremum), pos
 
 
 def materialize_monotonic(program: Program) -> Tuple[Program, Dict[str, int]]:
@@ -224,28 +238,14 @@ def materialize_monotonic(program: Program) -> Tuple[Program, Dict[str, int]]:
         if agg is None or agg.kind not in ("count", "sum"):
             new_rules.append(r)
             continue
-        pos = _result_position(r, agg)
+        ladder, pos = monotonic_form(r)
         prior = projections.setdefault(r.head.predicate, pos)
         if prior != pos:
             raise PremlogError(
                 f"{r.head.predicate} aggregates into different argument positions"
             )
-        swapped = AggregateGoal(
-            "mcount" if agg.kind == "count" else "msum",
-            agg.group_by,
-            agg.measured,
-            agg.result,
-        )
-        body = tuple(swapped if g is agg else g for g in r.body)
-        new_rules.append(Rule(r.id, r.head, body, r.extremum))
+        new_rules.append(ladder)
     return program.with_rules(new_rules), projections
-
-
-def _result_position(rule: Rule, agg: AggregateGoal) -> int:
-    pos = head_var_positions(rule.head).get(agg.result)
-    if pos is None:
-        raise PremlogError(f"rule {rule.id}: aggregate result {agg.result} is not in the head")
-    return pos
 
 
 # =====================================================================================
@@ -287,24 +287,15 @@ def compile_count_in_recursion(
         agg = r.aggregate()
         if agg is None or agg.kind not in ("count", "sum"):
             continue
-        head_scc = graph.scc_of.get(r.head.predicate)
-        recursive = any(
-            isinstance(g, Atom)
-            and g.predicate != RANGE_PREDICATE
-            and graph.scc_of.get(g.predicate) == head_scc
-            for g in r.body
-        )
-        if not recursive:
+        head_scc = graph.scc_of[r.head.predicate]
+        if all(graph.scc_of[g.predicate] != head_scc for g in r.regular_goals()):
             continue
         notes: List[str] = []
         try:
-            pos = _result_position(r, agg)
+            shadow_rule, pos = monotonic_form(r)
         except PremlogError as exc:
             obligations.append(CompileObligation(r.id, agg.kind, None, False, (str(exc),)))
             continue
-        shadow_kind = "mcount" if agg.kind == "count" else "msum"
-        shadow_goal = AggregateGoal(shadow_kind, agg.group_by, agg.measured, agg.result)
-        shadow_rule = Rule(r.id, r.head, tuple(shadow_goal if g is agg else g for g in r.body))
         shadow = program.with_rules(shadow_rule if x.id == r.id else x for x in program.rules)
         constraint = Extremum(
             "max",
@@ -313,7 +304,7 @@ def compile_count_in_recursion(
             pos,
         )
         if agg.kind == "sum":
-            _, warn = expand_msum(shadow_goal, shadow_rule)
+            _, warn = expand_msum(shadow_rule.aggregate(), shadow_rule)
             notes.extend(warn)
         try:
             verdict: Optional[PremVerdict] = classify_premability(shadow, constraint, graph)

@@ -27,13 +27,10 @@ from .engine import (
     execute,
     naive_fixpoint,
     plan,
-    seminaive_fixpoint,
 )
 from .errors import AmbiguousCost, BudgetExceeded, NoCost, Overflow, TypeMismatch
 from .model import (
     EXTREMA_KINDS,
-    RANGE_PREDICATE,
-    Atom,
     Constant,
     Constraint,
     Interpretation,
@@ -76,9 +73,8 @@ def _arities(program: Program) -> Dict[str, int]:
     out: Dict[str, int] = {}
     for r in list(program.rules) + list(program.support_rules):
         out.setdefault(r.head.predicate, r.head.arity)
-        for g in r.body:
-            if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE:
-                out.setdefault(g.predicate, g.arity)
+        for g in r.regular_goals():
+            out.setdefault(g.predicate, g.arity)
     for f in program.facts:
         out.setdefault(f.predicate, len(f.values))
     return out
@@ -98,15 +94,14 @@ def _position_pools(program: Program, arities: Dict[str, int]) -> Dict[str, List
         for i, v in enumerate(values):
             pools[predicate][i].add(v)
     for r in program.rules:
-        atoms = [r.head] + [g for g in r.body if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE]
-        for atom in atoms:
+        for atom in [r.head] + r.regular_goals():
             for i, a in enumerate(atom.args):
                 if isinstance(a, Constant):
                     pools[atom.predicate][i].add(a.value)
     for _ in range(len(program.rules) + 2):
         changed = False
         for r in program.rules:
-            body_atoms = [g for g in r.body if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE]
+            body_atoms = r.regular_goals()
             for i, a in enumerate(r.head.args):
                 if not isinstance(a, Variable):
                     continue
@@ -214,12 +209,12 @@ def brute_force_oracle(
 
     count/sum become their monotonic forms; is_min/is_max goals are desugared
     into negation of a witness predicate; the whole thing runs as a plain
-    stratified fixpoint, naive by default. A count-form predicate is projected
+    stratified naive fixpoint, whatever options.mode says (options supplies
+    the budgets). A count-form predicate is projected
     to its maximal result (keep_extremal) as soon as its stratum completes, so
     later strata read the totals, not the partial tallies. Slow, but every step is
     ordinary Datalog.
     """
-    options = options or EvalOptions(mode="naive")
     mono, projections = materialize_monotonic(program)
     rules: List[Rule] = []
     aux_preds: Set[str] = set()
@@ -233,10 +228,9 @@ def brute_force_oracle(
             rules.append(r)
     prepared = mono.with_rules(tuple(rules))
     strata = stratify(prepared)
-    fixpoint = naive_fixpoint if options.mode == "naive" else seminaive_fixpoint
     db = facts_to_interp(prepared.facts)
     for stratum in strata:
-        db, _ = fixpoint(stratum.rules, db, options)
+        db, _ = naive_fixpoint(stratum.rules, db, options)
         for pred in stratum.predicates:
             pos = projections.get(pred)
             if pos is not None and db.get(pred):

@@ -28,6 +28,17 @@ def test_dependency_graph_sccs():
     assert any(e.head == "path" and e.body == "path" for e in g.edges)
 
 
+def test_dependency_graph_recursive_set():
+    prog = P.parse_program(
+        "r1: a(X) :- b(X).\n"  # a and b read each other
+        "r2: b(X) :- a(X), e(X).\n"
+        "r3: c(X) :- c(X), e(X).\n"  # a self-loop
+        "r4: d(X) :- a(X), not c(X).\n"
+        "e(1).\n"
+    )
+    assert build_dependency_graph(prog).recursive == {"a", "b", "c"}
+
+
 def test_mutual_recursion_single_scc():
     prog = P.parse_program(PARTY_GATED + CLIQUE_FACTS)
     g = build_dependency_graph(prog)
@@ -239,6 +250,38 @@ def test_classify_lower_bound_needs_descending():
     prog = P.parse_program(text + "arc(a,b,1).")
     v = P.classify_premability(prog, prog.final_constraints[0].constraint)
     assert not v.approved
+
+
+# A product cost Dy=Dx*W has no linear form: its direction in Dx comes from
+# the sign the guard gives W, and its interval from interval arithmetic.
+@pytest.mark.parametrize(
+    "guard, final, rejection",
+    [
+        ("W>=1", "is_min((Y),(Dy))", None),
+        (
+            "W<=-1",
+            "is_min((Y),(Dy))",
+            "not deflation-preserving: head cost may fall as Dx grows",
+        ),
+        (
+            "W!=0",
+            "is_min((Y),(Dy))",
+            "not deflation-preserving: head cost may fall as Dx grows",
+        ),
+        ("W>=1", "Dy<100", "not an ascending mapping: head cost may drop below Dx"),
+    ],
+)
+def test_classify_product_cost(guard, final, rejection):
+    prog = P.parse_program(
+        "r1: path(Y,Dy) :- arc(a,Y,Dy).\n"
+        f"r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,W), {guard}, Dy=Dx*W.\n"
+        f"r3: out(Y,Dy) :- path(Y,Dy), {final}.\n"
+    )
+    v = P.classify_premability(prog, prog.final_constraints[0].constraint)
+    if rejection is None:
+        assert v.approved
+    else:
+        assert (v.rejection.condition, v.rejection.rule_id) == (rejection, "r2")
 
 
 def test_classify_rejection_names_smallest_rule_id():

@@ -132,6 +132,15 @@ def test_run_budget_exhaustion_exit_code(write, capsys):
     assert main(["run", prog, "--max-tuples", "400"]) == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("mode, derived", [("seminaive", 3), ("naive", 4)])
+def test_run_iteration_budget_exit_code(write, capsys, mode, derived):
+    prog = write("spath.dl", SPATH_STRATIFIED)
+    assert main(["run", prog, "--max-iterations", "2", "--mode", mode]) == EXIT_BUDGET
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "budget exceeded: iteration budget of 2 exhausted"
+    assert err[1].startswith(f"# iterations=3 derived={derived} retained=3 deleted=0 ")
+
+
 def test_run_refuses_unapproved_sum(write, capsys):
     prog = write("parts.dl", PART_EXPLOSION_NOGUARD)
     assert main(["run", prog]) == EXIT_REJECTED
@@ -235,6 +244,9 @@ def test_diverging_oracle_leaves_the_run_unverified(write, capsys):
         ("r1: arc(a,b).\n", "line 1: facts take no label", True),
         ("p(X) :- arc(X,Y).\n\narc(a,b,c).\n", "line 3: arc used with arity 3, earlier 2", False),
         ("arc(a,b,1).\narc(a,b,,1).\n", "line 2, col 9: expected a term", True),
+        # a digit that int() rejects is no digit to the lexer
+        ("p(\u00b2).\n", "line 1, col 3: unexpected character '\u00b2'", True),
+        ("q(X) :- p(X), X > \u00b2.\n", "line 1, col 19: unexpected character '\u00b2'", False),
     ],
 )
 def test_parse_errors_name_the_line_and_a_known_column(write, capsys, text, message, facts_only):
@@ -245,6 +257,71 @@ def test_parse_errors_name_the_line_and_a_known_column(write, capsys, text, mess
         facts = write("bad_facts.dl", text)
         assert main(["run", write("empty.dl", ""), "--facts", facts]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# A final constraint whose classification raises: r2 feeds p's cost from two
+# of p's arguments. check rejects it, optimize leaves it in place, and run
+# evaluates it stratified.
+AMBIGUOUS_COST = (
+    "r1: p(Y,D) :- e(0,Y,D).\n"
+    "r2: p(Y,D) :- p(X,Dx), e(X,Y,W), D=Dx+X+W.\n"
+    "r3: s(Y,D) :- p(Y,D), is_min((Y),(D)).\n"
+    "e(0,1,2). e(1,2,3).\n"
+)
+AMBIGUOUS_REASON = "rule r2: several arguments of p feed the cost of p"
+
+
+def test_unclassifiable_constraint_in_each_subcommand(write, capsys):
+    prog = write("ambiguous.dl", AMBIGUOUS_COST)
+    assert main(["check", prog]) == EXIT_REJECTED
+    assert capsys.readouterr() == (f"REJECTED: {AMBIGUOUS_REASON}\n", "")
+    assert main(["optimize", prog]) == EXIT_REJECTED
+    assert capsys.readouterr() == (
+        "e(0,1,2).\n"
+        "e(1,2,3).\n"
+        "r1: p(Y,D) :- e(0,Y,D).\n"
+        "r2: p(Y,D) :- p(X,Dx), e(X,Y,W), D=(Dx+X)+W.\n"
+        "r3: s(Y,D) :- p(Y,D), is_min((Y),(D)).\n",
+        f"warning: constraint not pushed: {AMBIGUOUS_REASON}\n",
+    )
+    assert main(["run", prog]) == EXIT_OK
+    assert capsys.readouterr() == (
+        "s(1,2).\ns(2,6).\n",
+        f"warning: constraint on rule r3 not pushed: {AMBIGUOUS_REASON}\n",
+    )
+
+
+# The party cascade with the guard N<=2 (perfbench/corpus.py, seed 1, program
+# 35): the count is not inflation-preserving, and the trusted native run
+# disagrees with the oracle.
+PARTY_CAPPED = """
+r1: attend(X) :- organizer(X).
+r2: attend(X) :- cnt(X,N), N<=2.
+r3: cnt(Y,N) :- attend(X), friend(Y,X), count((Y),(X),N).
+r4: fc(Y,N) :- cnt(Y,N).
+organizer(o0). organizer(o1). organizer(o2).
+friend(j0,o0). friend(j0,o1). friend(j0,o2). friend(j0,x2).
+friend(j1,j0). friend(j1,o0). friend(j1,o1). friend(j1,x1).
+friend(j2,j0). friend(j2,j1). friend(j2,o2). friend(j2,x0).
+friend(x0,j1). friend(x0,o2). friend(x0,x1). friend(x0,x2).
+friend(x1,j0). friend(x1,j1). friend(x1,x0). friend(x1,x2).
+friend(x2,o1). friend(x2,o2). friend(x2,x0). friend(x2,x1).
+"""
+
+
+def test_trust_but_verify_disagreeing_with_the_oracle_exits_rejected(write, capsys):
+    prog = write("party.dl", PARTY_CAPPED)
+    assert main(["run", prog, "--trust-but-verify"]) == EXIT_REJECTED
+    captured = capsys.readouterr()
+    assert captured.out == "fc(j0,4).\nfc(j1,2).\nfc(j2,3).\nfc(x0,3).\nfc(x1,3).\nfc(x2,3).\n"
+    assert captured.err == (
+        "warning: rule r3: recursive count is not provably safe (not inflation-preserving: "
+        "guard N__u0 <= 2 caps N__u0 from above); results may be wrong if run anyway\n"
+        "warning: running unproven aggregate under trust-but-verify\n"
+        "audit: rule r3 count transfer sampled: counterexample after 4 samples\n"
+        "audit: cnt disagrees with the oracle (5 missing, 5 unexpected)\n"
+        "audit: fc disagrees with the oracle (5 missing, 5 unexpected)\n"
+    )
 
 
 def test_run_rejected_push_falls_back(write, capsys):

@@ -136,6 +136,25 @@ def test_budget_exceeded_carries_partial_stats():
     assert err.value.stats.derived >= 500
 
 
+@pytest.mark.parametrize("mode, derived", [("seminaive", 7), ("naive", 11)])
+def test_iteration_budget_carries_stats_and_partial_state(mode, derived):
+    chain = """
+    r1: tc(X,Y) :- e(X,Y).
+    r2: tc(X,Z) :- tc(X,Y), e(Y,Z).
+    e(a,b). e(b,c). e(c,d). e(d,e).
+    """
+    with pytest.raises(BudgetExceeded, match="^iteration budget of 2 exhausted$") as err:
+        P.run_program(P.parse_program(chain), P.EvalOptions(mode=mode, max_iterations=2))
+    stats = err.value.stats
+    assert (stats.iterations, stats.derived, stats.retained, stats.deleted) == (3, derived, 7, 0)
+    # two rounds reach the paths of one and two arcs, and the input stays
+    edges = {("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")}
+    assert err.value.partial == {
+        "e": edges,
+        "tc": edges | {("a", "c"), ("b", "d"), ("c", "e")},
+    }
+
+
 def test_naive_matches_seminaive_on_fixtures():
     for text in (SHORTEST_PATH, SPATH_STRATIFIED, SPATH_PRECONSTRAINED, SPATH_MONOTONIC):
         a = run_text(text, mode="seminaive")

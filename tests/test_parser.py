@@ -86,6 +86,18 @@ def test_parse_error_reports_line():
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, col",
+    [("p(\u00b2).", 3), ("q(X) :- p(X), X > \u00b2.", 19)],
+    ids=["fact", "comparison"],
+)
+def test_superscript_digit_is_an_unexpected_character(text, col):
+    # str.isdigit accepts it but int() does not: the lexer reads decimals only
+    with pytest.raises(ParseError) as err:
+        P.parse_program(text)
+    assert str(err.value) == f"line 1, col {col}: unexpected character '\u00b2'"
+
+
 # ===== normalization ==========================================================
 
 
