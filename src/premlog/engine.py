@@ -4,10 +4,19 @@ Both modes, and apply_ico, share one rule executor: generated code. Each
 rule's plan (its goals in a safe order) becomes one Python function per
 delta version, compiled on first use and cached. The function is a nest of
 loops, one per body atom, that probes hash indexes with tuple keys, binds
-Datalog variables to locals, inlines checked 64-bit arithmetic and
-comparisons, and hands each head tuple (or aggregate row) straight to the
-caller's sink, so admission happens per binding. Tracebacks and profiles
-name the function `<premlog rule ID vK>` (`full` when no delta is read).
+Datalog variables to locals, and inlines checked 64-bit arithmetic and
+comparisons. Tracebacks and profiles name the function `<premlog rule ID vK>`
+(`full` when no delta is read).
+
+Admission happens inside that function, per binding. In a seminaive stratum
+the function writes its head's admission once per head kind (plain, min/max,
+mmin/mmax): the working-set test, the store insert, the index upkeep and the
+add to the next delta, with the stats counters as local ints added to
+EvalStats when it returns. Seeds, count/sum releases and is_min/is_max
+winners enter through `<premlog admit P>`, generated from the same source. A
+stratified is_min/is_max rule keeps each key's best rows in a dict inside the
+function, and its caller emits the winners. Naive sweeps and apply_ico, the
+oracle, hand each head tuple to the caller's sink instead.
 
 The naive loop literally iterates
 I <- gamma(T(I u edb)): every sweep recomputes all consequences, then the
@@ -15,17 +24,17 @@ working constraints (head extrema, implicit count/sum projection) filter the
 result through model.keep_extremal, the one gamma that apply_constraint and
 the oracle's count projection use too; the loop stops when the
 interpretation repeats, and the confirming sweep is counted. The seminaive
-loop admits each head tuple through its predicate's one gate, an
-ExtremaIndex: a min/max or mmin/mmax annotation, or the implicit max of
-count/sum, admits a tuple only if it strictly beats its key's incumbent. A
-min/max gate deletes the beaten tuple from the store and from any pending
-delta, so it never fires a rule; mmin/mmax delete nothing. Each counting
-rule keeps one _Tally of witnesses per key. A full join (naive sweeps,
-apply_ico) releases what the tally holds once the join is done; seminaive
-releases mcount/msum ladders as fresh witnesses arrive, and count/sum
-totals only when the fixpoint quiesces, which may restart the loop.
+loop admits each head tuple through its predicate's one gate (an
+ExtremaIndex's kind, cost and monotonic flag): a min/max or mmin/mmax
+annotation, or the implicit max of count/sum, admits a tuple only if it
+strictly beats its key's incumbent. A min/max gate deletes the beaten tuple
+from the store and from any pending delta, so it never fires a rule;
+mmin/mmax delete nothing. Each counting rule keeps one _Tally of witnesses
+per key. A full join (naive sweeps, apply_ico) releases what the tally holds
+once the join is done; seminaive releases mcount/msum ladders as fresh
+witnesses arrive, and count/sum totals only when the fixpoint quiesces,
+which may restart the loop.
 """
-
 from __future__ import annotations
 
 import time
@@ -185,7 +194,8 @@ class ExtremaIndex:
     """The working-set gate of one predicate: does t strictly beat the
     incumbent of its key? Ties keep the incumbent. min/max keep one tuple per
     key, so the newcomer displaces the incumbent; mmin/mmax (monotonic)
-    delete nothing and only remember the best so far."""
+    delete nothing and only remember the best so far. The naive oracle calls
+    insert; seminaive code writes the same test against `best` (_admit_tuple)."""
 
     __slots__ = ("kind", "cost", "monotonic", "best")
 
@@ -209,6 +219,10 @@ class ExtremaIndex:
                 return False, None
         self.best[key] = t
         return True, None if self.monotonic else incumbent
+
+
+# An ExtremaIndex's (kind, cost, monotonic): what generated admission tests.
+_GateSpec = Tuple[str, int, bool]
 
 
 class _Tally:
@@ -389,6 +403,10 @@ _RUNTIME = {
 }
 
 
+def _tuple_text(items: Sequence[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
 class _Source:
     """The Python source of one generated function, written top to bottom.
 
@@ -408,6 +426,8 @@ class _Source:
         self.loops = 0
         self.calls: List[str] = []  # pending calls of inner functions
         self.count = 0
+        self.counters: Tuple[str, ...] = ()  # local ints that inner functions update
+        self.tail: List[str] = []  # lines after the last inner call: counter flushes
 
     def fresh(self, prefix: str) -> str:
         self.count += 1
@@ -426,12 +446,14 @@ class _Source:
             self.calls.append("    " * self.indent + f"{inner}()")
             self.indent += 1
             self.loops = 0
+            if self.counters:
+                self.add(f"nonlocal {', '.join(self.counters)}")
         self.add(header)
         self.indent += 1
         self.loops += 1
 
     def text(self) -> str:
-        return "\n".join(self.lines + self.calls[::-1]) + "\n"
+        return "\n".join(self.lines + self.calls[::-1] + self.tail) + "\n"
 
     def constant(self, value: object) -> str:
         name = f"_k{len(self.namespace)}"
@@ -486,8 +508,7 @@ class _Source:
         return " and ".join(checks)
 
     def tuple_of(self, terms) -> str:
-        items = [self.term(t)[0] for t in terms]
-        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+        return _tuple_text([self.term(t)[0] for t in terms])
 
     def comparison(self, goal: Comparison, assign: bool = True) -> None:
         """eval_interpreted, inlined: an equality whose left side is an unbound
@@ -513,14 +534,24 @@ class _Source:
             self.add(f"if not compare_values({goal.op!r}, {left}, {right}): {self.skip()}")
 
 
-def _generate(plan: _Plan, mutable: FrozenSet[str], version: Optional[int]) -> Tuple[str, Dict]:
-    """Source of `rule(ctx, emit)`, plus `release(key, values, emit)` for a
+def _generate(
+    plan: _Plan, mutable: FrozenSet[str], version: Optional[int], gate: Optional[_GateSpec]
+) -> Tuple[str, Dict]:
+    """Source of `rule(ctx, sink)`, plus `release(key, values, emit)` for a
     counting aggregate, and the namespace both run in."""
     namespace: Dict[str, object] = dict(_RUNTIME)
     src = _Source(
-        "def rule(ctx, emit, isinstance=isinstance, int=int, list=list, range=range):",
+        "def rule(ctx, sink, isinstance=isinstance, int=int, list=list, range=range):",
         namespace,
     )
+    agg = plan.agg
+    head = plan.rule.head
+    admits = agg is None and head.predicate in mutable
+    if admits:
+        head_name = _admit_prologue(src, head.predicate, gate)
+    elif agg is not None and agg.kind in EXTREMA_KINDS:
+        src.add("_seq = 0")
+        src.counters = ("_seq",)
     src.add("store = ctx.store")
     if version is not None:
         src.add("delta = ctx.delta")
@@ -556,17 +587,18 @@ def _generate(plan: _Plan, mutable: FrozenSet[str], version: Optional[int]) -> T
         else:
             _range(src, step)
 
-    agg = plan.agg
-    head = plan.rule.head.args
     if agg is None:
-        src.add(f"emit({src.tuple_of(head)})")
+        items = [src.term(t) for t in head.args]
+        if admits:
+            _admit_tuple(src, head_name, gate, items)
+        else:
+            src.add(f"sink({_tuple_text([x for x, _ in items])})")
         return src.text(), namespace
     key = src.tuple_of(Variable(v) for v in agg.group_by)
-    measured = src.tuple_of(Variable(v) for v in agg.measured)
     if agg.kind in EXTREMA_KINDS:
-        src.add(f"emit(({key}, {measured}), {src.tuple_of(head)})")
+        _extremum_row(src, agg, key, head)
         return src.text(), namespace
-    src.add(f"emit({key}, {measured})")
+    src.add(f"sink({key}, {src.tuple_of(Variable(v) for v in agg.measured)})")
 
     # A counting result binds only the group and the result: post filters see
     # that binding and no other, and an assignment among them binds nothing.
@@ -576,8 +608,100 @@ def _generate(plan: _Plan, mutable: FrozenSet[str], version: Optional[int]) -> T
     rel.loop(f"for {rel.bind(agg.result)} in values:")
     for goal in plan.post_filters:
         rel.comparison(goal, assign=False)
-    rel.add(f"emit({rel.tuple_of(head)})")
+    rel.add(f"emit({rel.tuple_of(head.args)})")
     return src.text() + rel.text(), namespace
+
+
+def _admit_prologue(src: _Source, pred: str, gate: Optional[_GateSpec]) -> str:
+    """Resolve, once per call, what admitting into pred touches: its store and
+    indexes, the next delta, the gate's incumbents and the room left in the
+    tuple budget; return the name that holds pred. The counters are local
+    ints, added to ctx.stats when the function returns (ctx.exhausted adds
+    them before the budget stops it)."""
+    p = src.constant(pred)
+    src.add(f"_H = ctx.store({p})")
+    src.add("_Ht = _H.tuples")
+    src.add("_Hk = _H._keyed")
+    src.add(f"_nd = ctx.next_delta.setdefault({p}, set())")
+    if gate is not None:
+        src.add(f"_best = ctx.gates[{p}].best")
+    src.add("_stats = ctx.stats")
+    src.add("_room = ctx.max_tuples - _stats.derived")
+    src.counters = ("_derived", "_retained") + (("_deleted",) if gate and not gate[2] else ())
+    src.add(" = ".join(src.counters) + " = 0")
+    src.tail = [f"    _stats.{c[1:]} += {c}" for c in src.counters]
+    return p
+
+
+def _admit_tuple(
+    src: _Source, name: str, gate: Optional[_GateSpec], items: List[Tuple[str, bool]]
+) -> None:
+    """Admit one head tuple into the predicate held by name, given its items'
+    expressions and whether each is known to be an integer.
+
+    A plain head admits what its store lacks. A gated head admits what
+    strictly beats its key's incumbent (ties keep the incumbent); min/max then
+    displace the incumbent from the store and both deltas, so it fires no
+    rule, while mmin/mmax delete nothing. The same test as ExtremaIndex.insert,
+    which the naive oracle runs.
+    """
+    src.add(f"_h = {_tuple_text([x for x, _ in items])}")
+    src.add("_derived += 1")
+    src.add(f"if _derived > _room: ctx.exhausted({', '.join(src.counters)})")
+    if gate is None:
+        src.add("if _h not in _Ht:")
+    else:
+        kind, cost, monotonic = gate
+        value, known = items[cost]
+        if not known:
+            src.add(
+                f"if not isinstance({value}, int): "
+                f"raise TypeMismatch('extremum over non-integer value %r' % ({value},))"
+            )
+        key = _tuple_text([x for i, (x, _) in enumerate(items) if i != cost])
+        src.add(f"_o = _best.get({key})")
+        src.add(f"if _o is None or {value} {'<' if kind == 'min' else '>'} _o[{cost}]:")
+        src.add(f"    _best[{key}] = _h")
+        if not monotonic:
+            src.add("    if _o is not None:")
+            src.add(f"        ctx.drop({name}, _o)")
+            src.add("        _deleted += 1")
+        # The store holds only what the gate admitted, and _h strictly beats
+        # everything held for its key, so it is new to the store.
+    src.indent += 1
+    src.add("if _Hk: _H.add(_h)")  # the store's indexes are built: keep them current
+    src.add("else: _Ht.add(_h)")
+    src.add("_retained += 1")
+    src.add("_nd.add(_h)")
+    src.indent -= 1
+
+
+def _extremum_row(src: _Source, agg: AggregateGoal, key: str, head: Atom) -> None:
+    """Record one row of a stratified is_min/is_max rule in the sink, a dict
+    key -> [extremal value, {measured: (ordinal, head)}]: each measured tuple
+    that ties the key's extremum keeps the head of its first binding, and the
+    ordinal of that binding orders the winners as the rows arrived."""
+    measured = [src.term(Variable(v)) for v in agg.measured]
+    row = _tuple_text([x for x, _ in measured])
+    first = f"(_seq, {src.tuple_of(head.args)})"
+    value, known = measured[0]
+    if not known:
+        src.add(
+            f"if not isinstance({value}, int): "
+            f"raise TypeMismatch('extremum over non-integer values')"
+        )
+    src.add(f"_gk = {key}")
+    src.add("_g = sink.get(_gk)")
+    src.add("if _g is None:")
+    src.add("    _seq += 1")
+    src.add(f"    sink[_gk] = [{value}, {{{row}: {first}}}]")
+    src.add(f"elif {value} {'<' if agg.kind == 'is_min' else '>'} _g[0]:")
+    src.add("    _seq += 1")
+    src.add(f"    _g[0] = {value}")
+    src.add(f"    _g[1] = {{{row}: {first}}}")
+    src.add(f"elif {value} == _g[0] and {row} not in _g[1]:")
+    src.add("    _seq += 1")
+    src.add(f"    _g[1][{row}] = {first}")
 
 
 def _scan(
@@ -654,7 +778,7 @@ def _range(src: _Source, goal: Atom) -> None:
         src.add(f"if not (isinstance({value}, int) and 1 <= {value} <= {c}): {src.skip()}")
         return
     src.add(
-        f"if {c} > ctx.max_span: "
+        f"if {c} > ctx.max_tuples: "
         f"raise BudgetExceeded('range 1..%s exceeds the tuple budget' % ({c},))"
     )
     local = src.bind(j.name)
@@ -665,30 +789,53 @@ def _range(src: _Source, goal: Atom) -> None:
 @dataclass(frozen=True)
 class _RuleCode:
     plan: _Plan
-    # run(ctx, emit): emit(head) per binding; emit(key, measured) for a counting
-    # aggregate; emit((key, measured), head) for is_min/is_max.
+    # run(ctx, sink): a plain rule whose head the running stratum changes
+    # admits each head tuple itself and ignores sink; any other plain rule
+    # calls sink(head) per binding, a counting aggregate sink(key, measured),
+    # and is_min/is_max records its rows in the dict sink (_extremum_row).
     run: Callable
     # release(key, values, emit): a counting aggregate's head per result value.
     release: Optional[Callable]
 
 
 @lru_cache(maxsize=256)
-def _rule_code(rule: Rule, mutable: FrozenSet[str], version: Optional[int]) -> _RuleCode:
+def _rule_code(
+    rule: Rule, mutable: FrozenSet[str], version: Optional[int], gate: Optional[_GateSpec] = None
+) -> _RuleCode:
     """Generate and compile one rule's nested-loop function.
 
     mutable names the relations the running stratum changes while the
     function runs (its head predicates; none for naive sweeps and apply_ico,
     which collect before they write). version is the ordinal, among the body
     atoms over mutable relations, of the one that reads the current delta;
-    None reads full stores. What is emitted follows from the rule's
-    aggregate. The cache is bounded: verify calls apply_ico on the same rules
-    thousands of times, and a stream of fresh programs must not grow it.
+    None reads full stores. When the head is mutable, the function admits
+    its tuples through gate, the head predicate's (kind, cost, monotonic) or
+    None; the rule alone does not fix it, since an unannotated rule can
+    define a gated predicate. The cache is bounded: verify calls apply_ico on
+    the same rules thousands of times, and a stream of fresh programs must
+    not grow it.
     """
     plan = compile_plan(rule, mutable)
-    source, namespace = _generate(plan, mutable, version)
+    source, namespace = _generate(plan, mutable, version, gate)
     tag = "full" if version is None else f"v{version}"
     exec(compile(source, f"<premlog rule {rule.id} {tag}>", "exec"), namespace)
     return _RuleCode(plan, namespace["rule"], namespace.get("release"))
+
+
+@lru_cache(maxsize=256)
+def _admit_code(pred: str, arity: int, gate: Optional[_GateSpec]) -> Callable:
+    """`admit(ctx, t)`: the admission a rule function writes for its head,
+    as a function of one tuple, for what arrives from outside a rule
+    function: seeds, count/sum releases and is_min/is_max winners."""
+    namespace: Dict[str, object] = dict(_RUNTIME)
+    src = _Source("def admit(ctx, t, isinstance=isinstance, int=int):", namespace)
+    name = _admit_prologue(src, pred, gate)
+    items = [src.fresh("v") for _ in range(arity)]
+    if items:
+        src.add(f"{', '.join(items)}, = t")
+    _admit_tuple(src, name, gate, [(x, False) for x in items])
+    exec(compile(src.text(), f"<premlog admit {pred}>", "exec"), namespace)
+    return namespace["admit"]
 
 
 # =====================================================================================
@@ -697,14 +844,26 @@ def _rule_code(rule: Rule, mutable: FrozenSet[str], version: Optional[int]) -> _
 
 
 class _Context:
-    """Shared state for one fixpoint loop: stores, the current delta, budget."""
+    """Shared state for one fixpoint loop: the stores, the current and next
+    delta, the working-set gates, the stats and the tuple budget."""
 
-    __slots__ = ("stores", "delta", "max_span")
+    __slots__ = ("stores", "delta", "next_delta", "gates", "stats", "max_tuples", "started")
 
-    def __init__(self, stores: Dict[str, RelationStore], max_span: int):
+    def __init__(
+        self,
+        stores: Dict[str, RelationStore],
+        max_tuples: int,
+        stats: Optional[EvalStats] = None,
+        gates: Optional[Dict[str, ExtremaIndex]] = None,
+        started: float = 0.0,
+    ):
         self.stores = stores
         self.delta: Dict[str, Set[GroundTuple]] = {}
-        self.max_span = max_span
+        self.next_delta: Dict[str, Set[GroundTuple]] = {}
+        self.gates = gates or {}
+        self.stats = stats
+        self.max_tuples = max_tuples
+        self.started = started
 
     def store(self, pred: str) -> RelationStore:
         s = self.stores.get(pred)
@@ -712,6 +871,35 @@ class _Context:
             s = RelationStore()
             self.stores[pred] = s
         return s
+
+    def drop(self, pred: str, t: GroundTuple) -> None:
+        """Displace t from its store and from the current and next delta."""
+        self.stores[pred].remove(t)
+        for d in (self.delta, self.next_delta):
+            s = d.get(pred)
+            if s is not None:
+                s.discard(t)
+
+    def exhausted(self, derived: int, retained: int, deleted: int = 0) -> None:
+        """Add a generated function's counters to the stats, then stop on the
+        tuple budget with the stores as they stand."""
+        self.stats.derived += derived
+        self.stats.retained += retained
+        self.stats.deleted += deleted
+        raise _budget_stop(
+            f"tuple budget of {self.max_tuples} exhausted",
+            self.stats,
+            self.started,
+            _snapshot(self.stores),
+        )
+
+
+def _budget_stop(
+    message: str, stats: EvalStats, started: float, partial: Interpretation
+) -> BudgetExceeded:
+    """The error a budget stop raises; its stats carry the time spent so far."""
+    stats.wall_ms += (time.perf_counter() - started) * 1000.0
+    return BudgetExceeded(message, stats=stats, partial=partial)
 
 
 # =====================================================================================
@@ -762,14 +950,10 @@ def _rule_candidates(ctx: _Context, code: _RuleCode, emit: Callable[[GroundTuple
         code.run(ctx, emit)
         return
     if agg.kind in EXTREMA_KINDS:
-        # (key, measured) -> the head of its first binding; an extremum does
-        # not depend on the order its rows arrive in.
-        keep: Dict[Tuple[Tuple, Tuple], GroundTuple] = {}
-        code.run(ctx, keep.setdefault)
-        result = eval_aggregate(agg.kind, keep)
-        for (key, measured), head in keep.items():
-            if result.get(key) == measured[0]:
-                emit(head)
+        rows: Dict[Tuple, list] = {}
+        code.run(ctx, rows)
+        for _, head in sorted(first for _, firsts in rows.values() for first in firsts.values()):
+            emit(head)
         return
     tally = _Tally(agg.kind)
     code.run(ctx, tally.add)
@@ -831,57 +1015,22 @@ def seminaive_fixpoint(
     stores: Dict[str, RelationStore] = {}
     for pred, rel in edb.items():
         stores[pred] = RelationStore(rel if pred not in head_preds else None)
-    ctx = _Context(stores, options.max_tuples)
     gates = _build_gates(rules)
+    ctx = _Context(stores, options.max_tuples, stats, gates, started)
+    specs = {pred: (g.kind, g.cost, g.monotonic) for pred, g in gates.items()}
     mutable = frozenset(head_preds)
+
+    def code_for(r: Rule, version: Optional[int]) -> _RuleCode:
+        return _rule_code(r, mutable, version, specs.get(r.head.predicate))
+
     n_scc = {r.id: compile_plan(r, head_preds).n_scc for r in rules}
-    exit_code = [(r, _rule_code(r, mutable, None)) for r in rules if n_scc[r.id] == 0]
-    delta_code = [(r, _rule_code(r, mutable, v)) for r in rules for v in range(n_scc[r.id])]
+    exit_code = [(r, code_for(r, None)) for r in rules if n_scc[r.id] == 0]
+    delta_code = [(r, code_for(r, v)) for r in rules for v in range(n_scc[r.id])]
     code_of = {r.id: code for r, code in exit_code + delta_code}
-
-    delta: Dict[str, Set[GroundTuple]] = {}
-    next_delta: Dict[str, Set[GroundTuple]] = {}
-
-    def drop_everywhere(pred: str, t: GroundTuple) -> None:
-        ctx.store(pred).remove(t)
-        for d in (delta, next_delta):
-            s = d.get(pred)
-            if s is not None:
-                s.discard(t)
-
-    limit = options.max_tuples
-
-    def admitter(pred: str) -> Callable[[GroundTuple], bool]:
-        store = ctx.store(pred)
-        gate = gates.get(pred)
-
-        def admit(t: GroundTuple) -> bool:
-            stats.derived += 1
-            if stats.derived > limit:
-                raise BudgetExceeded(
-                    f"tuple budget of {limit} exhausted",
-                    stats=stats,
-                    partial=_snapshot(ctx.stores),
-                )
-            if gate is not None:
-                inserted, displaced = gate.insert(t)
-                if not inserted:
-                    return False
-                if displaced is not None:
-                    drop_everywhere(pred, displaced)
-                    stats.deleted += 1
-            if not store.add(t):
-                return False
-            stats.retained += 1
-            fresh = next_delta.get(pred)
-            if fresh is None:
-                fresh = next_delta[pred] = set()
-            fresh.add(t)
-            return True
-
-        return admit
-
-    admit = {pred: admitter(pred) for pred in head_preds}
+    arity = {r.head.predicate: r.head.arity for r in rules}
+    admit = {
+        pred: partial(_admit_code(pred, arity[pred], specs.get(pred)), ctx) for pred in head_preds
+    }
 
     # One tally per counting rule: mcount/msum release as witnesses arrive,
     # count/sum only when the loop quiesces.
@@ -914,12 +1063,15 @@ def seminaive_fixpoint(
     def run_rule(rule: Rule, code: _RuleCode) -> None:
         agg = code.plan.agg
         if agg is None:
-            code.run(ctx, admit[rule.head.predicate])
+            code.run(ctx, None)
         elif agg.kind in EXTREMA_KINDS:
             # Stratified filter: body predicates are complete, evaluate statically.
             _rule_candidates(ctx, code, admit[rule.head.predicate])
         else:
             code.run(ctx, partial(feed, rule, code, tallies[rule.id]))
+
+    def next_round() -> None:
+        ctx.delta, ctx.next_delta = ctx.next_delta, {}
 
     # Seed: facts for stratum predicates enter through the gates.
     for pred in head_preds:
@@ -928,35 +1080,36 @@ def seminaive_fixpoint(
 
     # Round 1: exit rules fire once over the full stores.
     stats.iterations += 1
-    _check_iterations(stats, options, ctx)
+    _check_iterations(stats, options, started, ctx.stores)
     for r, code in exit_code:
         run_rule(r, code)
-    delta, next_delta = next_delta, {}
+    next_round()
 
     while True:
-        if not any(delta.values()):
+        if not any(ctx.delta.values()):
             if release_deferred():
-                delta, next_delta = next_delta, {}
+                next_round()
                 continue
             break
         stats.iterations += 1
-        _check_iterations(stats, options, ctx)
-        ctx.delta = delta
+        _check_iterations(stats, options, started, ctx.stores)
         for r, code in delta_code:
             run_rule(r, code)
-        ctx.delta = {}
-        delta, next_delta = next_delta, {}
+        next_round()
 
     stats.wall_ms += (time.perf_counter() - started) * 1000.0
     return _snapshot(ctx.stores), stats
 
 
-def _check_iterations(stats: EvalStats, options: EvalOptions, ctx: _Context) -> None:
+def _check_iterations(
+    stats: EvalStats, options: EvalOptions, started: float, stores: Dict[str, RelationStore]
+) -> None:
     if options.max_iterations is not None and stats.iterations > options.max_iterations:
-        raise BudgetExceeded(
+        raise _budget_stop(
             f"iteration budget of {options.max_iterations} exhausted",
-            stats=stats,
-            partial=_snapshot(ctx.stores),
+            stats,
+            started,
+            _snapshot(stores),
         )
 
 
@@ -988,10 +1141,11 @@ def naive_fixpoint(
         def add(t: GroundTuple) -> None:
             stats.derived += 1
             if stats.derived > options.max_tuples:
-                raise BudgetExceeded(
+                raise _budget_stop(
                     f"tuple budget of {options.max_tuples} exhausted",
-                    stats=stats,
-                    partial={**_snapshot(stores), **{p: set(v) for p, v in out.items() if v}},
+                    stats,
+                    started,
+                    {**_snapshot(stores), **{p: set(v) for p, v in out.items() if v}},
                 )
             target.add(t)
 
@@ -1007,7 +1161,7 @@ def naive_fixpoint(
         for pred in head_preds:
             stores[pred] = RelationStore(current[pred] | seeds[pred])
         ctx = _Context(stores, options.max_tuples)
-        _check_iterations(stats, options, ctx)
+        _check_iterations(stats, options, started, stores)
 
         out: Dict[str, Set[GroundTuple]] = {p: set(current[p] | seeds[p]) for p in head_preds}
         for r, code in codes:
@@ -1163,8 +1317,10 @@ def plan(
             warnings.append("running unproven aggregate under trust-but-verify")
 
     steps: List[ConstraintStep] = []
+    graph: Optional[DependencyGraph] = None  # of executed; a push makes a new program
     for fc in executed.final_constraints if push else ():
-        graph = build_dependency_graph(executed)
+        if graph is None:
+            graph = build_dependency_graph(executed)
         try:
             verdict = classify_premability(executed, fc.constraint, graph)
         except (NoCost, AmbiguousCost) as exc:
@@ -1182,6 +1338,7 @@ def plan(
             verdict = _reject_other_readers(graph, verdict, fc.rule_id)
         if verdict.approved:
             executed, trace = push_constraint(executed, verdict)
+            graph = None
             steps.append(ConstraintStep(fc.rule_id, verdict, "pushed", trace))
         elif force_push:
             warnings.append(f"forcing rejected push: {verdict.rejection!r}")
@@ -1193,6 +1350,7 @@ def plan(
                 ),
             )
             executed, trace = push_constraint(executed, forced)
+            graph = None
             steps.append(ConstraintStep(fc.rule_id, verdict, "forced", trace))
         else:
             warnings.append(f"constraint kept in final rule: {verdict.rejection!r}")

@@ -641,8 +641,16 @@ def format_goal(g: Goal) -> str:
 def format_rule(rule: Rule) -> str:
     head = rule.head
     goals = [format_goal(g) for g in rule.body]
-    head_text = format_atom(head)
     ex = rule.extremum
+    if ex is not None and not isinstance(head.args[ex.cost], Variable):
+        # An annotation names a variable: a pushed extremum over a constant
+        # cost (an exit rule `p(Y,1) :- ...`) prints through a fresh one.
+        taken = set(rule.body_variables()) | set(head.variables())
+        name = next(f"C{i}" for i in range(len(taken) + 1) if f"C{i}" not in taken)
+        goals.append(f"{name}={format_term(head.args[ex.cost])}")
+        args = head.args[: ex.cost] + (Variable(name),) + head.args[ex.cost + 1 :]
+        head = Atom(head.predicate, args)
+    head_text = format_atom(head)
     if ex is not None and ex.monotonic:
         parts = [
             f"m{ex.kind}<{format_term(a)}>" if i == ex.cost else format_term(a)

@@ -407,6 +407,27 @@ def test_optimize_leaves_working_extremum_alone(write, capsys):
     assert "path(Y,mmin<Dy>)" in capsys.readouterr().out
 
 
+# A pushed min lands on an exit rule whose cost is a constant.
+CONSTANT_EXIT_COST = """
+r1: p(Y,1) :- e(a,Y).
+r2: p(Y,D) :- p(X,Dx), e(X,Y), D=Dx+1.
+r3: s(Y,D) :- p(Y,D), is_min((Y),(D)).
+e(a,b). e(b,c). e(a,c). e(c,d).
+"""
+
+
+def test_optimize_output_parses_and_runs_to_the_same_answers(write, capsys):
+    prog = write("const.dl", CONSTANT_EXIT_COST)
+    assert main(["run", prog]) == EXIT_OK
+    answers = capsys.readouterr().out
+    assert answers == "s(b,1).\ns(c,1).\ns(d,2).\n"
+    assert main(["optimize", prog]) == EXIT_OK
+    optimized = capsys.readouterr().out
+    assert "p(Y,C0) :- e(a,Y), C0=1, is_min((Y),(C0))." in optimized
+    assert main(["run", write("optimized.dl", optimized), "--query", "s"]) == EXIT_OK
+    assert capsys.readouterr().out == answers
+
+
 def test_optimize_rejection_exit(write, capsys):
     prog = write("capped.dl", CAPPED_MAX)
     assert main(["optimize", prog]) == EXIT_REJECTED

@@ -6,6 +6,7 @@ import traceback
 import pytest
 
 import premlog as P
+import premlog.engine as engine_module
 from premlog.engine import (
     ExtremaIndex,
     RelationStore,
@@ -123,13 +124,15 @@ def test_stats_report_displacements():
     assert live == len(res.db["path"]) + len(res.db["spath"])
 
 
+SPATH_CYCLIC = """
+r1: path(Y,Dy) :- arc(a,Y,Dy).
+r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy, Dy>Dx.
+arc(a,b,1). arc(b,a,1).
+"""
+
+
 def test_budget_exceeded_carries_partial_stats():
-    cyclic = """
-    r1: path(Y,Dy) :- arc(a,Y,Dy).
-    r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy, Dy>Dx.
-    arc(a,b,1). arc(b,a,1).
-    """
-    prog = P.parse_program(cyclic)
+    prog = P.parse_program(SPATH_CYCLIC)
     with pytest.raises(BudgetExceeded) as err:
         P.run_program(prog, P.EvalOptions(max_tuples=500))
     assert err.value.stats is not None
@@ -153,6 +156,22 @@ def test_iteration_budget_carries_stats_and_partial_state(mode, derived):
         "e": edges,
         "tc": edges | {("a", "c"), ("b", "d"), ("c", "e")},
     }
+
+
+@pytest.mark.parametrize("mode", ("seminaive", "naive"))
+@pytest.mark.parametrize(
+    "text, budget",
+    [
+        (SPATH_CYCLIC, dict(max_tuples=500)),
+        (SPATH_CYCLIC, dict(max_iterations=2)),
+        (SHORTEST_PATH, dict(max_tuples=2)),  # stopped inside a min gate
+    ],
+    ids=["tuples", "iterations", "gated-tuples"],
+)
+def test_budget_stop_reports_elapsed_time(mode, text, budget):
+    with pytest.raises(BudgetExceeded) as err:
+        P.run_program(P.parse_program(text), P.EvalOptions(mode=mode, **budget))
+    assert err.value.stats.wall_ms > 0
 
 
 def test_naive_matches_seminaive_on_fixtures():
@@ -197,6 +216,16 @@ def test_plan_rejects_push_into_recursion_read_elsewhere():
     assert [(s.rule_id, s.action) for s in steps] == [("r3", "kept"), ("r4", "kept")]
     assert steps[0].verdict.rejection.condition == "path is also read by rule r4"
     assert steps[0].verdict.rejection.rule_id == "r4"
+
+
+def test_plan_builds_one_graph_per_program_version(monkeypatch):
+    # Neither constraint of SHARED_RECURSION is pushed, so both are
+    # classified against the same program, and the same graph.
+    builds = []
+    real = engine_module.build_dependency_graph
+    monkeypatch.setattr(engine_module, "build_dependency_graph", lambda p: builds.append(p) or real(p))
+    assert len(plan(P.parse_program(SHARED_RECURSION)).steps) == 2
+    assert len(builds) == 1
 
 
 def test_stratified_negation():
@@ -382,9 +411,31 @@ def test_deeply_nested_rule_runs():
     # More body atoms than CPython allows nested loops in one function.
     n = 24
     body = ", ".join(f"e(X{i},X{i + 1})" for i in range(n))
-    text = f"r1: walk(X0,X{n}) :- {body}.\n" + " ".join(f"e({i},{i + 1})." for i in range(n + 2))
+    facts = " ".join(f"e({i},{i + 1})." for i in range(n + 2))
+    text = f"r1: walk(X0,X{n}) :- {body}.\n" + facts
     for mode in MODES:
         assert set(run_text(text, mode=mode).answers("walk")) == {(0, n), (1, n + 1), (2, n + 2)}
+    # The same depth under a head that admits through a working-set gate: a
+    # start of an n-arc chain improves on its cost of 1000, which min
+    # displaces and mmin keeps. The counters the inner functions update must
+    # reach the stats.
+    starts = {0, 1, 2}
+    best = {(x, n if x in starts else 1000) for x in range(n + 2)}
+    kept = {(x, 1000) for x in range(n + 2)} | {(x, n) for x in starts}
+    for ann, far, deleted in (("min", best, 3), ("mmin", kept, 0)):
+        text = (
+            f"r1: far(X,{ann}<D>) :- e(X,Y), D=1000.\n"
+            f"r2: far(X0,{ann}<D>) :- far(X0,D0), {body}, D={n}, D<D0.\n" + facts
+        )
+        for mode in MODES:
+            res = run_text(text, mode=mode)
+            assert set(res.answers("far")) == far
+            assert res.stats.retained - res.stats.deleted == len(far)
+            assert res.stats.deleted == deleted
+    # And under a stratified is_min, whose rows are recorded in inner functions.
+    text = f"r1: short(X0,min<D>) :- k(K), {body}, D=X{n}+K.\nk(5). k(3).\n" + facts
+    for mode in MODES:
+        assert set(run_text(text, mode=mode).answers("short")) == {(0, n + 3), (1, n + 4), (2, n + 5)}
 
 
 # ===== helpers on interpretations ============================================

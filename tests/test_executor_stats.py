@@ -63,6 +63,20 @@ BUDGET = {
     (("cyclic", 22, 0.15, 5), "seminaive"): ((7, 3001, 1496, 0), (("arc", 79), ("path", 1496))),
 }
 
+# spath_prem and spath_mmin stopped by a small tuple budget: the budget trips
+# inside the working-set gate, so the partial state is what the gate admitted
+# up to the last counted tuple. (graph, variant, max_tuples) -> as BUDGET.
+GATED_BUDGET = {
+    (("cyclic", 16, 0.2, 4), "spath_mmin", 40): ((3, 41, 18, 0), (("arc", 49), ("path", 18))),
+    (("cyclic", 16, 0.2, 4), "spath_mmin", 60): ((4, 61, 21, 0), (("arc", 49), ("path", 21))),
+    (("cyclic", 16, 0.2, 4), "spath_prem", 40): ((3, 41, 18, 3), (("arc", 49), ("path", 15))),
+    (("cyclic", 16, 0.2, 4), "spath_prem", 60): ((5, 61, 21, 5), (("arc", 49), ("path", 16))),
+    (("cyclic", 22, 0.15, 5), "spath_mmin", 40): ((3, 41, 28, 0), (("arc", 79), ("path", 28))),
+    (("cyclic", 22, 0.15, 5), "spath_mmin", 60): ((3, 61, 33, 0), (("arc", 79), ("path", 33))),
+    (("cyclic", 22, 0.15, 5), "spath_prem", 40): ((3, 41, 30, 11), (("arc", 79), ("path", 19))),
+    (("cyclic", 22, 0.15, 5), "spath_prem", 60): ((4, 61, 34, 12), (("arc", 79), ("path", 22))),
+}
+
 # All-pairs shortest paths by doubling: both body atoms read the recursion,
 # so one delta version scans the full store while the gate displaces tuples
 # in it, and the other excludes the current delta from it.
@@ -128,6 +142,15 @@ def test_budget_partial_state_frozen(graph, mode):
         bench.shortest_paths("spath", arcs, 0, P.EvalOptions(mode=mode, max_tuples=3000))
     sizes = tuple(sorted((p, len(v)) for p, v in info.value.partial.items()))
     assert (counts(info.value.stats), sizes) == BUDGET[graph, mode]
+
+
+@pytest.mark.parametrize("graph, variant, budget", sorted(GATED_BUDGET))
+def test_gated_budget_partial_state_frozen(graph, variant, budget):
+    arcs = int_graph(*graph)
+    with pytest.raises(P.BudgetExceeded) as info:
+        bench.shortest_paths(variant, arcs, 0, P.EvalOptions(mode="seminaive", max_tuples=budget))
+    sizes = tuple(sorted((p, len(v)) for p, v in info.value.partial.items()))
+    assert (counts(info.value.stats), sizes) == GATED_BUDGET[graph, variant, budget]
 
 
 @pytest.mark.parametrize("name, mode", sorted(FIXTURES))

@@ -7,9 +7,26 @@ from hypothesis import strategies as st
 
 import premlog as P
 from premlog import analysis
-from premlog.engine import ExtremaIndex, apply_constraint, eval_aggregate
+from premlog.engine import (
+    ExtremaIndex,
+    RelationStore,
+    apply_constraint,
+    apply_ico,
+    eval_aggregate,
+    naive_fixpoint,
+    seminaive_fixpoint,
+)
 from premlog.errors import TypeMismatch
-from premlog.model import Bound, Extremum, keep_extremal, make_constraint
+from premlog.model import (
+    AggregateGoal,
+    Atom,
+    Bound,
+    Extremum,
+    Rule,
+    Variable,
+    keep_extremal,
+    make_constraint,
+)
 
 from conftest import random_positive_program, run_text
 
@@ -94,6 +111,58 @@ def test_counting_rule_agrees_in_every_path(kind, rows):
     expected = {(g, n) for (g,), ns in static.items() for n in ({ns} if isinstance(ns, int) else ns)}
     for mode in ("naive", "seminaive"):
         assert set(run_text(text, mode=mode).answers("t")) == expected
+
+
+# ===== STRATIFIED EXTREMA =====================================================
+
+Q_VARS = ("G", "D", "W", "Z")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["is_min", "is_max"]),
+    st.sampled_from([("D",), ("D", "W")]),
+    st.sampled_from([("G", "D"), ("G", "D", "Z"), ("G", "W", "Z"), ("Z",)]),
+    st.sets(
+        st.tuples(
+            st.sampled_from(["a", "b"]),
+            st.integers(min_value=0, max_value=3),
+            st.sampled_from(["x", "y"]),
+            st.sampled_from(["u", "v", "w"]),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+)
+def test_stratified_extremum_is_eval_aggregate_with_first_heads(kind, measured, head, rows):
+    # Small costs make ties; a second measured variable makes several winners
+    # per key; head variables outside the key and the measure (Z) are taken
+    # from the first binding of each (key, measured). The parser admits only
+    # one measured variable, so the rule is built directly.
+    rule = Rule(
+        "r1",
+        Atom("s", tuple(Variable(v) for v in head)),
+        (Atom("q", tuple(Variable(v) for v in Q_VARS)), AggregateGoal(kind, ("G",), measured)),
+    )
+    edb = {"q": set(rows)}
+    first = {}
+    for t in RelationStore(edb["q"]).tuples:  # the order every executor scans q in
+        b = dict(zip(Q_VARS, t))
+        first.setdefault(((b["G"],), tuple(b[v] for v in measured)), tuple(b[v] for v in head))
+    best = eval_aggregate(kind, first)
+    expected = {h for (key, m), h in first.items() if best[key] == m[0]}
+    assert apply_ico([rule], edb)["s"] == expected
+    for fixpoint in (seminaive_fixpoint, naive_fixpoint):
+        assert fixpoint([rule], edb)[0]["s"] == expected
+
+
+@pytest.mark.parametrize("mode", ["naive", "seminaive"])
+def test_stratified_extremum_over_symbol_raises_as_eval_aggregate(mode):
+    with pytest.raises(TypeMismatch) as static:
+        eval_aggregate("is_min", [(("a",), (1,)), (("a",), ("x",))])
+    with pytest.raises(TypeMismatch) as err:
+        run_text("r1: s(G,min<D>) :- q(G,D).\nq(a,1). q(a,x).", mode=mode)
+    assert str(err.value) == str(static.value) == "extremum over non-integer values"
 
 
 # ===== CONSTRAINT APPLICATION =================================================
