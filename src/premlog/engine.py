@@ -1,12 +1,12 @@
 """Bottom-up evaluation: naive and seminaive fixpoints under constraints.
 
-Both modes, and apply_ico, share one rule executor: generated code. Each
-rule's plan (its goals in a safe order) becomes one Python function per
-delta version, compiled on first use and cached. The function is a nest of
-loops, one per body atom, that probes hash indexes with tuple keys, binds
-Datalog variables to locals, and inlines checked 64-bit arithmetic and
-comparisons. Tracebacks and profiles name the function `<premlog rule ID vK>`
-(`full` when no delta is read).
+Both modes, and the consequence step T, share one rule executor: generated
+code. Each rule's plan (its goals in a safe order) becomes one Python
+function per delta version, compiled on first use and cached. The function
+is a nest of loops, one per body atom, that probes hash indexes with tuple
+keys, binds Datalog variables to locals, and inlines checked 64-bit
+arithmetic and comparisons. Tracebacks and profiles name the function
+`<premlog rule ID vK>` (`full` when no delta is read).
 
 Admission happens inside that function, per binding. In a seminaive stratum
 the function writes its head's admission once per head kind (plain, min/max,
@@ -15,8 +15,9 @@ add to the next delta, with the stats counters as local ints added to
 EvalStats when it returns. Seeds, count/sum releases and is_min/is_max
 winners enter through `<premlog admit P>`, generated from the same source. A
 stratified is_min/is_max rule keeps each key's best rows in a dict inside the
-function, and its caller emits the winners. Naive sweeps and apply_ico, the
-oracle, hand each head tuple to the caller's sink instead.
+function, and its caller emits the winners. Naive sweeps (the oracle) and
+ConsequenceStep (the falsifier's T, compiled once per check; apply_ico uses
+it) hand each head tuple to the caller's sink instead.
 
 The naive loop literally iterates
 I <- gamma(T(I u edb)): every sweep recomputes all consequences, then the
@@ -30,8 +31,8 @@ annotation, or the implicit max of count/sum, admits a tuple only if it
 strictly beats its key's incumbent. A min/max gate deletes the beaten tuple
 from the store and from any pending delta, so it never fires a rule;
 mmin/mmax delete nothing. Each counting rule keeps one _Tally of witnesses
-per key. A full join (naive sweeps, apply_ico) releases what the tally holds
-once the join is done; seminaive releases mcount/msum ladders as fresh
+per key. A full join (naive sweeps, ConsequenceStep) releases what the tally
+holds once the join is done; seminaive releases mcount/msum ladders as fresh
 witnesses arrive, and count/sum totals only when the fixpoint quiesces,
 which may restart the loop.
 """
@@ -811,9 +812,9 @@ def _rule_code(
     None reads full stores. When the head is mutable, the function admits
     its tuples through gate, the head predicate's (kind, cost, monotonic) or
     None; the rule alone does not fix it, since an unannotated rule can
-    define a gated predicate. The cache is bounded: verify calls apply_ico on
-    the same rules thousands of times, and a stream of fresh programs must
-    not grow it.
+    define a gated predicate. The cache, keyed on the rule's value, serves a
+    process that re-parses the same text (a test suite, a benchmark pass); it
+    is bounded, so a stream of fresh programs does not grow it.
     """
     plan = compile_plan(rule, mutable)
     source, namespace = _generate(plan, mutable, version, gate)
@@ -959,10 +960,6 @@ def _rule_candidates(ctx: _Context, code: _RuleCode, emit: Callable[[GroundTuple
     code.run(ctx, tally.add)
     for key in tally.witnesses:
         code.release(key, tally.release(key), emit)
-
-
-def _add_to(interp: Interpretation, pred: str, t: GroundTuple) -> None:
-    interp.setdefault(pred, set()).add(t)
 
 
 # =====================================================================================
@@ -1203,19 +1200,41 @@ def naive_fixpoint(
 # =====================================================================================
 
 
+class ConsequenceStep:
+    """One inclusive consequence step T of some rules, compiled once for a
+    fixed part of the interpretation and applied to many varying parts.
+
+    The fixed relations are read, never derived into; their stores, and the
+    indexes the rule code builds on them, are kept from call to call. A call
+    gets fresh stores for the varying relations only, and returns a copy of
+    them plus every derivable head tuple; the fixed relations are not in it.
+    """
+
+    __slots__ = ("codes", "stores")
+
+    def __init__(self, rules: Sequence[Rule], fixed: Interpretation):
+        self.codes = [(r.head.predicate, _rule_code(r, frozenset(), None)) for r in rules]
+        if {p for p, _ in self.codes} & fixed.keys():
+            raise PremlogError("a fixed relation is the head of a rule; pass it as varying")
+        self.stores = {p: RelationStore(rel) for p, rel in fixed.items()}
+
+    def __call__(self, varying: Interpretation) -> Interpretation:
+        stores = dict(self.stores)
+        stores.update((p, RelationStore(rel)) for p, rel in varying.items())
+        ctx = _Context(stores, 10_000_000)
+        out = {p: set(rel) for p, rel in varying.items()}
+        for pred, code in self.codes:
+            _rule_candidates(ctx, code, out.setdefault(pred, set()).add)
+        return {p: rel for p, rel in out.items() if rel or p in varying}
+
+
 def apply_ico(rules: Sequence[Rule], interp: Interpretation) -> Interpretation:
     """One inclusive consequence step: interp plus every derivable head.
 
     Head extremum annotations are ignored here; constraints are applied
     separately so the two can be composed in either order.
     """
-    stores = {p: RelationStore(rel) for p, rel in interp.items()}
-    ctx = _Context(stores, 10_000_000)
-    out = interp_copy(interp)
-    for r in rules:
-        code = _rule_code(r, frozenset(), None)
-        _rule_candidates(ctx, code, partial(_add_to, out, r.head.predicate))
-    return out
+    return ConsequenceStep(rules, {})(interp)
 
 
 def apply_constraint(constraint: Constraint, interp: Interpretation) -> Interpretation:

@@ -8,6 +8,7 @@ import pytest
 import premlog as P
 import premlog.engine as engine_module
 from premlog.engine import (
+    ConsequenceStep,
     ExtremaIndex,
     RelationStore,
     apply_constraint,
@@ -448,6 +449,20 @@ def test_apply_ico_is_inclusive():
     out = apply_ico(prog.rules, interp)
     assert out["p"] == {("a",)}
     assert out["stale"] == {("z",)}
+
+
+def test_consequence_step_keeps_nothing_of_a_call_but_the_fixed_stores():
+    prog = P.parse_program("r1: p(J1) :- p(J), step(S), J<=10, J1=J+S.")
+    fixed = {"step": {(2,)}}
+    step = ConsequenceStep(prog.rules, fixed)
+    varying = {"p": {(2,)}}
+    assert step(varying) == {"p": {(2,), (4,)}}
+    assert step({}) == {}  # no p: nothing derivable, and nothing added
+    assert step({"q": {(1,)}}) == {"q": {(1,)}}
+    assert step(varying) == {"p": {(2,), (4,)}}
+    assert varying == {"p": {(2,)}} and fixed == {"step": {(2,)}}
+    with pytest.raises(P.PremlogError, match="head of a rule"):
+        ConsequenceStep(prog.rules, {"p": {(2,)}})
 
 
 def test_apply_constraint_bound_filters():

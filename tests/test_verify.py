@@ -1,8 +1,14 @@
 """Empirical equation checking, brute-force oracle, trust-but-verify audits."""
 from __future__ import annotations
 
-import premlog as P
+import pytest
 
+import premlog as P
+from premlog.engine import plan
+from premlog.model import facts_to_interp, tuple_sort_key
+from premlog.parser import format_value
+
+import conftest
 from conftest import (
     SPATH_STRATIFIED,
     CAPPED_MAX,
@@ -59,6 +65,116 @@ def test_explicit_procedure_override():
         prog, c, samples=200, seed=1, procedure=prog.rules_defining("path")
     )
     assert report.holds
+
+
+# What check_prem_empirical(samples=500) returned at seeds 0, 1 and 7 for
+# every fixture with a final constraint or a count/sum obligation, each target
+# taken as `premlog verify` takes it: (samples, verdict, counterexample as
+# the I, constrained-after and constrained-before rows). A seed reproduces
+# the RNG draws, the skipped samples and the counterexample, so no change to
+# how a check is evaluated may move them.
+FALSIFIER_TABLE = {
+    ("BOUNDED_PATH", "upper(path: arg 1 < 143)"): {0: None, 1: None, 7: None},
+    ("CAPPED_MAX", "max(p: group [], cost 0)"): {
+        0: (4, ("p(-1) p(1) p(2) p(3) p(5) p(6) p(7) p(9) p(10) p(11)", "p(12)", "p(11)")),
+        1: (4, ("p(0) p(2) p(4) p(5)", "p(6)", "p(5)")),
+        7: (2, ("p(2) p(4) p(5)", "p(6)", "p(5)")),
+    },
+    ("PARTY_COUNT", "max(cntfriends: group [0], cost 1)"): {0: None, 1: None, 7: None},
+    ("PARTY_GATED", "max(cntfriends: group [0], cost 1)"): {0: None, 1: None, 7: None},
+    ("PARTY_UNGATED", "lower(cntfriends: arg 1 >= 3)"): {0: None, 1: None, 7: None},
+    ("PART_EXPLOSION", "max(cost: group [0], cost 1)"): {0: None, 1: None, 7: None},
+    ("PART_EXPLOSION_NOGUARD", "max(cost: group [0], cost 1)"): {0: None, 1: None, 7: None},
+    ("SHARED_RECURSION", "min(path: group [0], cost 1)"): {0: None, 1: None, 7: None},
+    ("SHARED_RECURSION", "upper(path: arg 1 < 10)"): {0: None, 1: None, 7: None},
+    ("SHORTEST_PATH", "min(path: group [0], cost 1)"): {0: None, 1: None, 7: None},
+    ("SPATH_MONOTONIC", "min(path: group [0], cost 1)"): {0: None, 1: None, 7: None},
+    ("SPATH_PRECONSTRAINED_BOUNDED", "upper(path: arg 1 < 4)"): {0: None, 1: None, 7: None},
+    ("SPATH_STRATIFIED", "min(path: group [0], cost 1)"): {0: None, 1: None, 7: None},
+}
+_WITH_FACTS = {
+    "PARTY_GATED": CLIQUE_FACTS,
+    "PARTY_UNGATED": CLIQUE_FACTS,
+    "PARTY_COUNT": CASCADE_FACTS,
+}
+
+
+def _verify_targets(text):
+    """(program, constraint, procedure) per target, as `premlog verify` lists them."""
+    planned = plan(P.parse_program(text), push=False)
+    compiled = planned.executed
+    targets = [(compiled, fc.constraint, None) for fc in compiled.final_constraints]
+    for ob in planned.obligations:
+        if ob.verdict is not None:
+            targets.append((ob.verdict.program, ob.verdict.constraint, ob.verdict.procedure))
+    return targets
+
+
+def _rows(rel):
+    return " ".join(
+        f"{p}({','.join(format_value(v) for v in t)})"
+        for p in sorted(rel)
+        for t in sorted(rel[p], key=tuple_sort_key)
+    )
+
+
+def test_falsifier_table_covers_every_fixture_with_a_target():
+    covered = set()
+    for name in dir(conftest):
+        text = getattr(conftest, name)
+        if name.isupper() and isinstance(text, str):
+            for _, c, _ in _verify_targets(text + _WITH_FACTS.get(name, "")):
+                covered.add((name, repr(c)))
+    assert covered == set(FALSIFIER_TABLE)
+
+
+@pytest.mark.parametrize("fixture, constraint", sorted(FALSIFIER_TABLE))
+def test_falsifier_outcomes_are_frozen(fixture, constraint):
+    text = getattr(conftest, fixture) + _WITH_FACTS.get(fixture, "")
+    [(prog, c, procedure)] = [t for t in _verify_targets(text) if repr(t[1]) == constraint]
+    for seed, expected in FALSIFIER_TABLE[(fixture, constraint)].items():
+        report = P.check_prem_empirical(prog, c, samples=500, seed=seed, procedure=procedure)
+        if expected is None:
+            assert (report.samples, report.verdict, report.counterexample) == (500, "passed", None)
+        else:
+            got = tuple(_rows(rel) for rel in report.counterexample)
+            assert (report.samples, report.verdict, got) == (expected[0], "falsified", expected[1])
+
+
+# p is sampled and has fixed facts, and step is a fixed relation the samples
+# never touch, so a check shares both with the consequence step it compiles.
+CAPPED_STEP = """
+p(2). p(5). step(2).
+r1: p(J1) :- p(J), step(S), J<=10, J!=5, J1=J+S.
+r2: topp(J1) :- p(J1), is_max((),(J1)).
+"""
+
+
+def test_checks_share_no_state_through_the_fixed_relations():
+    prog, c = _first_constraint(CAPPED_STEP)
+    rules = prog.rules_defining("p")
+    edb = facts_to_interp(prog.facts)
+    first = P.check_prem_empirical(prog, c, samples=500, seed=0, procedure=rules)
+    second = P.check_prem_empirical(prog, c, samples=500, seed=0, procedure=rules)
+    assert first == second and first.verdict == "falsified"
+    assert facts_to_interp(prog.facts) == edb
+    interp, lhs, rhs = first.counterexample
+    # each sample starts from the facts and adds at most 12 tuples
+    assert edb["p"] <= interp["p"] and len(interp["p"] - edb["p"]) <= 12
+    for rel in (interp, lhs, rhs):
+        assert rel["step"] == {(2,)}
+    assert lhs == P.apply_constraint(c, P.apply_ico(rules, interp))
+    assert rhs == P.apply_constraint(c, P.apply_ico(rules, P.apply_constraint(c, interp)))
+
+
+def test_apply_ico_leaves_its_input_alone():
+    prog = P.parse_program(CAPPED_STEP)
+    interp = facts_to_interp(prog.facts)
+    out = P.apply_ico(prog.rules, interp)
+    assert interp == facts_to_interp(prog.facts)
+    assert out["p"] == {(2,), (4,), (5,)} and out["step"] == {(2,)}
+    again = P.apply_ico(prog.rules, out)
+    assert out["p"] == {(2,), (4,), (5,)} and again["p"] == {(2,), (4,), (5,), (6,)}
 
 
 # ===== brute-force oracle ====================================================
