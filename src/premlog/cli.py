@@ -65,7 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=("naive", "seminaive"), default="seminaive")
     run.add_argument("--query", help="predicate to print (default: the final rule's head)")
     run.add_argument("--max-tuples", type=int, default=10_000_000)
-    run.add_argument("--max-iterations", type=int, default=None)
+    run.add_argument(
+        "--max-iterations",
+        type=int,
+        default=None,
+        help="iterations each stratum may run before the run stops (exit 2); "
+        "in a greedy min/max stratum one iteration is one cost level",
+    )
     run.add_argument("--seed", type=int, default=0, help="seed for audit sampling")
     run.add_argument("--stats", action="store_true", help="print evaluation counters to stderr")
     run.add_argument("--force-push", action="store_true", help="apply a rejected rewrite anyway")

@@ -35,12 +35,22 @@ per key. A full join (naive sweeps, ConsequenceStep) releases what the tally
 holds once the join is done; seminaive releases mcount/msum ladders as fresh
 witnesses arrive, and count/sum totals only when the fixpoint quiesces,
 which may restart the loop.
+
+Each seminaive iteration takes as its delta what the one before admitted
+(breadth-first), except in a greedy stratum: one whose heads all carry a
+min/mmin gate (or all a max/mmax gate), with no counting rule, and whose
+rules analysis.lacks finds deflation-preserving and ascending (inflation-
+preserving and descending). There the cheapest queued cost level (the
+dearest) is final, and each iteration drains one level, skipping tuples
+that lost their gate since they were queued: Dijkstra's algorithm as a
+fixpoint (Knuth 1977; the greedy fixpoint of Ganguly, Greco and Zaniolo).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import (
     Callable,
@@ -61,6 +71,7 @@ from .analysis import (
     Rejection,
     build_dependency_graph,
     classify_premability,
+    lacks,
     stratify,
 )
 from .errors import (
@@ -1080,22 +1091,104 @@ def seminaive_fixpoint(
     _check_iterations(stats, options, started, ctx.stores)
     for r, code in exit_code:
         run_rule(r, code)
-    next_round()
 
-    while True:
-        if not any(ctx.delta.values()):
-            if release_deferred():
-                next_round()
-                continue
-            break
-        stats.iterations += 1
-        _check_iterations(stats, options, started, ctx.stores)
-        for r, code in delta_code:
-            run_rule(r, code)
+    if delta_code and not tallies and _greedy(rules, specs, head_preds):
+        _drain_by_cost(ctx, [code.run for _, code in delta_code], options)
+    else:
         next_round()
+        while True:
+            if not any(ctx.delta.values()):
+                if release_deferred():
+                    next_round()
+                    continue
+                break
+            stats.iterations += 1
+            _check_iterations(stats, options, started, ctx.stores)
+            for r, code in delta_code:
+                run_rule(r, code)
+            next_round()
 
     stats.wall_ms += (time.perf_counter() - started) * 1000.0
     return _snapshot(ctx.stores), stats
+
+
+def _greedy(rules: Sequence[Rule], specs: Dict[str, _GateSpec], head_preds: Set[str]) -> bool:
+    """Whether a stratum is greedy (see the module docstring). Any order of
+    draining reaches the same constrained fixpoint; the cost order of a
+    greedy stratum fires only tuples that are final."""
+    kinds = {kind for kind, _, _ in specs.values()}
+    if len(specs) != len(head_preds) or len(kinds) != 1:
+        return False
+    kind = kinds.pop()
+    costs = tuple(sorted((pred, cost) for pred, (_, cost, _) in specs.items()))
+    return all(_settles_in_order(r, kind, costs) for r in rules)
+
+
+@lru_cache(maxsize=256)
+def _settles_in_order(rule: Rule, kind: str, costs: Tuple[Tuple[str, int], ...]) -> bool:
+    """_greedy's test of one rule, given the gates' kind and cost positions;
+    cached like _rule_code, because each lacks call costs tens of µs. A rule
+    the analysis cannot read (a definition chain too deep) runs breadth-first."""
+    costmap = dict(costs)
+    props = ("deflation", "ascending") if kind == "min" else ("inflation", "descending")
+    try:
+        return not any(lacks(rule, prop, costmap, set(costmap)) for prop in props)
+    except PremlogError:
+        return False
+
+
+def _drain_by_cost(ctx: _Context, runs: List[Callable], options: EvalOptions) -> None:
+    """The greedy seminaive loop: what an iteration admits is queued by its
+    cost, and each iteration takes the cheapest queued level (the dearest
+    under max) as its delta. Each predicate queues a dict cost -> tuples, and
+    one heap holds the queued costs, pushed once per new level of a
+    predicate. A queued tuple that is no longer its key's incumbent is
+    dropped when its level comes up: min/max displaced it from the store,
+    mmin/mmax only from the gate. A level with nothing left is skipped and is
+    not an iteration, as is the second pop of a cost two predicates queued."""
+    stats = ctx.stats
+    limit = options.max_iterations
+    sign = 1 if next(iter(ctx.gates.values())).kind == "min" else -1
+    lanes = []  # per predicate: name, cost position, queue, a level's incumbents
+    for pred, gate in ctx.gates.items():
+        if gate.monotonic:
+            live = partial(_incumbents, gate.best, gate.cost)
+        else:
+            live = ctx.store(pred).tuples.intersection
+        lanes.append((pred, gate.cost, {}, live))
+    levels: List[int] = []
+    while True:
+        fresh = ctx.next_delta
+        for pred, c, queue, _ in lanes:
+            for t in fresh.get(pred, ()):
+                v = sign * t[c]
+                bucket = queue.get(v)
+                if bucket is None:
+                    queue[v] = [t]
+                    heappush(levels, v)
+                else:
+                    bucket.append(t)
+        delta: Dict[str, Set[GroundTuple]] = {}
+        while not delta:
+            if not levels:
+                return
+            v = heappop(levels)
+            for pred, _, queue, live in lanes:
+                bucket = queue.pop(v, None)
+                if bucket:
+                    held = live(bucket)
+                    if held:
+                        delta[pred] = held
+        stats.iterations += 1
+        if limit is not None and stats.iterations > limit:
+            _check_iterations(stats, options, ctx.started, ctx.stores)
+        ctx.delta, ctx.next_delta = delta, {}
+        for run in runs:
+            run(ctx, None)
+
+
+def _incumbents(best: Dict[Tuple, GroundTuple], c: int, tuples: List[GroundTuple]) -> Set[GroundTuple]:
+    return {t for t in tuples if best[t[:c] + t[c + 1 :]] is t}
 
 
 def _check_iterations(

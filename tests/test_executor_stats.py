@@ -3,9 +3,17 @@
 `derived` counts every produced head tuple, so it moves with the order in
 which the executor enumerates bindings and admits tuples (a displaced tuple
 stops firing within the same iteration). These numbers were taken from the
-recursive-generator executor and must not move when the executor changes.
-Node ids are integers, so set iteration order, and with it every count,
-does not depend on PYTHONHASHSEED (checked under hash seeds 0, 1 and 12345).
+recursive-generator executor and must not move when the executor changes,
+with one deliberate exception: the seminaive entries of spath_prem and
+spath_mmin (COUNTS, GATED_BUDGET) were refrozen once when a min recursion
+that is deflation-preserving and ascending began to run greedily, one cost
+level per iteration. That order changes iterations, derived, retained and
+deleted, never the answers, and derived only fell. The naive entries, the
+doubling program (its rule is not ascending) and SPATH_MONOTONIC (no Dy>Dx
+guard, so not ascending either) keep the breadth-first loop and their
+counts. Node ids are integers, so set iteration order, and with it every
+count, does not depend on PYTHONHASHSEED (checked under hash seeds 0, 1 and
+12345).
 """
 from __future__ import annotations
 
@@ -27,31 +35,31 @@ GRAPH_ANSWERS = {
 
 COUNTS = {
     (("cyclic", 16, 0.2, 4), "spath_mmin", "naive"): (7, 220, 36, 0),
-    (("cyclic", 16, 0.2, 4), "spath_mmin", "seminaive"): (7, 85, 38, 0),
+    (("cyclic", 16, 0.2, 4), "spath_mmin", "seminaive"): (17, 69, 36, 0),
     (("cyclic", 16, 0.2, 4), "spath_prem", "naive"): (7, 201, 36, 4),
-    (("cyclic", 16, 0.2, 4), "spath_prem", "seminaive"): (7, 77, 37, 5),
+    (("cyclic", 16, 0.2, 4), "spath_prem", "seminaive"): (17, 69, 36, 4),
     (("cyclic", 22, 0.15, 5), "spath_mmin", "naive"): (7, 346, 50, 0),
-    (("cyclic", 22, 0.15, 5), "spath_mmin", "seminaive"): (7, 162, 62, 0),
+    (("cyclic", 22, 0.15, 5), "spath_mmin", "seminaive"): (20, 107, 51, 0),
     (("cyclic", 22, 0.15, 5), "spath_prem", "naive"): (7, 305, 50, 6),
-    (("cyclic", 22, 0.15, 5), "spath_prem", "seminaive"): (7, 114, 57, 13),
+    (("cyclic", 22, 0.15, 5), "spath_prem", "seminaive"): (20, 107, 51, 7),
     (("dag", 18, 0.4, 3), "spath", "naive"): (10, 993, 189, 0),
     (("dag", 18, 0.4, 3), "spath", "seminaive"): (10, 222, 189, 0),
     (("dag", 18, 0.4, 3), "spath_mmin", "naive"): (7, 210, 33, 0),
-    (("dag", 18, 0.4, 3), "spath_mmin", "seminaive"): (7, 73, 36, 0),
+    (("dag", 18, 0.4, 3), "spath_mmin", "seminaive"): (12, 72, 35, 0),
     (("dag", 18, 0.4, 3), "spath_prem", "naive"): (7, 209, 33, 1),
-    (("dag", 18, 0.4, 3), "spath_prem", "seminaive"): (7, 73, 36, 4),
+    (("dag", 18, 0.4, 3), "spath_prem", "seminaive"): (12, 72, 35, 3),
     (("dag", 24, 0.25, 1), "spath", "naive"): (10, 302, 65, 0),
     (("dag", 24, 0.25, 1), "spath", "seminaive"): (10, 65, 65, 0),
     (("dag", 24, 0.25, 1), "spath_mmin", "naive"): (6, 95, 28, 0),
-    (("dag", 24, 0.25, 1), "spath_mmin", "seminaive"): (6, 40, 28, 0),
+    (("dag", 24, 0.25, 1), "spath_mmin", "seminaive"): (14, 40, 28, 0),
     (("dag", 24, 0.25, 1), "spath_prem", "naive"): (6, 95, 28, 0),
-    (("dag", 24, 0.25, 1), "spath_prem", "seminaive"): (6, 40, 28, 0),
+    (("dag", 24, 0.25, 1), "spath_prem", "seminaive"): (14, 40, 28, 0),
     (("dag", 30, 0.2, 2), "spath", "naive"): (9, 308, 70, 0),
     (("dag", 30, 0.2, 2), "spath", "seminaive"): (9, 71, 70, 0),
     (("dag", 30, 0.2, 2), "spath_mmin", "naive"): (6, 133, 38, 0),
-    (("dag", 30, 0.2, 2), "spath_mmin", "seminaive"): (6, 57, 40, 0),
+    (("dag", 30, 0.2, 2), "spath_mmin", "seminaive"): (15, 51, 38, 0),
     (("dag", 30, 0.2, 2), "spath_prem", "naive"): (6, 129, 38, 4),
-    (("dag", 30, 0.2, 2), "spath_prem", "seminaive"): (6, 52, 39, 5),
+    (("dag", 30, 0.2, 2), "spath_prem", "seminaive"): (15, 51, 38, 4),
 }
 
 # spath on a cyclic graph diverges; the budget stops it with partial state:
@@ -65,16 +73,24 @@ BUDGET = {
 
 # spath_prem and spath_mmin stopped by a small tuple budget: the budget trips
 # inside the working-set gate, so the partial state is what the gate admitted
-# up to the last counted tuple. (graph, variant, max_tuples) -> as BUDGET.
+# up to the last counted tuple. On the 16-node graph the greedy recursion
+# settles in 53 derived tuples, so a budget of 60 trips in the final rule's
+# stratum instead. (graph, variant, max_tuples) -> as BUDGET.
 GATED_BUDGET = {
-    (("cyclic", 16, 0.2, 4), "spath_mmin", 40): ((3, 41, 18, 0), (("arc", 49), ("path", 18))),
-    (("cyclic", 16, 0.2, 4), "spath_mmin", 60): ((4, 61, 21, 0), (("arc", 49), ("path", 21))),
-    (("cyclic", 16, 0.2, 4), "spath_prem", 40): ((3, 41, 18, 3), (("arc", 49), ("path", 15))),
-    (("cyclic", 16, 0.2, 4), "spath_prem", 60): ((5, 61, 21, 5), (("arc", 49), ("path", 16))),
-    (("cyclic", 22, 0.15, 5), "spath_mmin", 40): ((3, 41, 28, 0), (("arc", 79), ("path", 28))),
-    (("cyclic", 22, 0.15, 5), "spath_mmin", 60): ((3, 61, 33, 0), (("arc", 79), ("path", 33))),
-    (("cyclic", 22, 0.15, 5), "spath_prem", 40): ((3, 41, 30, 11), (("arc", 79), ("path", 19))),
-    (("cyclic", 22, 0.15, 5), "spath_prem", 60): ((4, 61, 34, 12), (("arc", 79), ("path", 22))),
+    (("cyclic", 16, 0.2, 4), "spath_mmin", 40): ((12, 41, 20, 0), (("arc", 49), ("path", 20))),
+    (("cyclic", 16, 0.2, 4), "spath_mmin", 60): (
+        (16, 61, 27, 0),
+        (("arc", 49), ("path", 20), ("spath_mmin", 7)),
+    ),
+    (("cyclic", 16, 0.2, 4), "spath_prem", 40): ((12, 41, 20, 4), (("arc", 49), ("path", 16))),
+    (("cyclic", 16, 0.2, 4), "spath_prem", 60): (
+        (16, 61, 27, 4),
+        (("arc", 49), ("path", 16), ("spath_prem", 7)),
+    ),
+    (("cyclic", 22, 0.15, 5), "spath_mmin", 40): ((10, 41, 23, 0), (("arc", 79), ("path", 23))),
+    (("cyclic", 22, 0.15, 5), "spath_mmin", 60): ((13, 61, 27, 0), (("arc", 79), ("path", 27))),
+    (("cyclic", 22, 0.15, 5), "spath_prem", 40): ((10, 41, 23, 3), (("arc", 79), ("path", 20))),
+    (("cyclic", 22, 0.15, 5), "spath_prem", 60): ((13, 61, 27, 5), (("arc", 79), ("path", 22))),
 }
 
 # All-pairs shortest paths by doubling: both body atoms read the recursion,
