@@ -24,8 +24,8 @@ from typing import List, Optional
 from .analysis import PremVerdict, constraint_from_annotations
 from .bench import GraphSpec, gen_graph, run_benchmark
 from .engine import EvalOptions, default_query, execute, plan
-from .errors import BudgetExceeded, PremlogError
-from .model import Program, format_value, tuple_sort_key
+from .errors import ArityConflict, BudgetExceeded, PremlogError
+from .model import Program, fact_arities, format_value, tuple_sort_key
 from .parser import format_program, load_edge_list, load_facts_path, parse_program
 from .verify import check_prem_empirical, trust_but_verify_run
 
@@ -128,8 +128,14 @@ def _program_args(cmd: argparse.ArgumentParser) -> None:
 def _load_program(args) -> Program:
     with open(args.program, "r", encoding="utf-8") as fh:
         program = parse_program(fh.read())
+    arities = program.arities()
     for path in args.facts:
-        program = program.with_facts(load_facts_path(path))
+        facts = load_facts_path(path)
+        for predicate, arity in fact_arities(facts).items():
+            prior = arities.setdefault(predicate, arity)
+            if prior != arity:
+                raise ArityConflict(f"{path}: {predicate} used with arity {arity}, earlier {prior}")
+        program = program.with_facts(facts)
     return program
 
 

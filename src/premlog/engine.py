@@ -915,42 +915,6 @@ def _budget_stop(
 
 
 # =====================================================================================
-# AGGREGATE SEMANTICS (static)
-# =====================================================================================
-
-
-def eval_aggregate(kind: str, rows: Iterable[Tuple[Tuple, Tuple]]):
-    """Evaluate an aggregate over (group key, measured) rows.
-
-    mcount: key -> {1..k} for k distinct witnesses; count: key -> k.
-    msum:   key -> {1..S}; sum: key -> S, where S totals the maximal
-            positive summand per witness prefix.
-    is_min/is_max: key -> extremal measured value.
-    """
-    if kind in COUNTING_KINDS:
-        tally = _Tally(kind)
-        for key, measured in rows:
-            tally.add(key, measured)
-        released = {key: tally.release(key) for key in tally.witnesses}
-        if kind in ("mcount", "msum"):
-            return {key: set(values) for key, values in released.items()}
-        return {key: values[0] for key, values in released.items() if values}
-    if kind in EXTREMA_KINDS:
-        groups: Dict[Tuple, Set[Tuple]] = {}
-        for key, measured in rows:
-            groups.setdefault(key, set()).add(measured)
-        pick = min if kind == "is_min" else max
-        out = {}
-        for k, ws in groups.items():
-            vals = [m[0] for m in ws]
-            if any(not isinstance(v, int) for v in vals):
-                raise TypeMismatch("extremum over non-integer values")
-            out[k] = pick(vals)
-        return out
-    raise PremlogError(f"unknown aggregate kind {kind}")
-
-
-# =====================================================================================
 # RULE EVALUATION (full join, static aggregates)
 # =====================================================================================
 

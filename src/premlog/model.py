@@ -18,6 +18,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -460,6 +461,15 @@ class Program:
                     seen.setdefault(g.atom.predicate, None)
         return list(seen)
 
+    def arities(self) -> Dict[str, int]:
+        """Each predicate's arity: its first use in a rule, else its facts'."""
+        used: Dict[str, int] = {}
+        for r in self.rules + self.support_rules:
+            negated = [g.atom for g in r.body if isinstance(g, Negated)]
+            for atom in [r.head, *r.regular_goals(), *negated]:
+                used.setdefault(atom.predicate, atom.arity)
+        return {**fact_arities(self.facts), **used}
+
     def rules_defining(self, predicate: str) -> List[Rule]:
         return [r for r in self.rules if r.head.predicate == predicate]
 
@@ -499,6 +509,13 @@ def interp_copy(i: Interpretation) -> Interpretation:
 def interp_eq(a: Interpretation, b: Interpretation) -> bool:
     preds = set(a) | set(b)
     return all(a.get(p, set()) == b.get(p, set()) for p in preds)
+
+
+def fact_arities(facts: Sequence[Fact]) -> Dict[str, int]:
+    """Each predicate's arity in `facts`, as its last fact has it: one pass at
+    C speed, then one len per predicate."""
+    last = dict(zip(map(itemgetter(0), facts), facts))
+    return {predicate: len(f.values) for predicate, f in last.items()}
 
 
 def facts_to_interp(facts: Iterable[Fact]) -> Interpretation:

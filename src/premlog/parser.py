@@ -1,9 +1,11 @@
 """Parser for the rule language, a pretty printer, and fact loaders.
 
-Fact files and edge lists load straight into ground Facts; see the fact file
-loaders at the end.
-
-Hand-written lexer and recursive-descent parser. Syntax:
+Hand-written lexer and recursive-descent parser. A plain fact line, such as
+`arc(a,b,5).`, that starts at a clause boundary never reaches the tokenizer:
+a one-regex line reader turns each run of them straight into ground Facts,
+and their arities are checked once per run. Everything else is tokenized,
+so every error keeps its message, line and column. Fact files go through
+the same parse_program; edge lists load straight into Facts. Syntax:
 
     r1: path(Y,Dy) :- arc(a,Y,Dy), Dy>=0.
     r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .analysis import build_dependency_graph
 from .errors import (
@@ -74,10 +76,9 @@ from .model import (
 # =====================================================================================
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'ident' | 'var' | 'int' | 'punct' | 'eof'
-    value: str
+class Token(NamedTuple):
+    kind: str  # 'ident' | 'var' | 'int' | 'punct' | 'facts' | 'eof'
+    value: object  # the text; for 'facts', the _FactRun read in its place
     line: int
     col: int
 
@@ -85,28 +86,97 @@ class Token:
 _PUNCT_TWO = (":-", "<=", ">=", "!=")
 _PUNCT_ONE = "()<>=,.+-*:"
 
+# A plain fact line holds one fact p(a1,...,an). or p. whose arguments are
+# lowercase ASCII identifiers or optionally negative integers, blanks around
+# them: the line reader gives it the same Fact the tokenizer and parser would.
+_ARG = r"[ \t\r]*(?:-?[0-9]+|[a-z][A-Za-z0-9_']*)[ \t\r]*"
+_FACT_LINE = re.compile(
+    rf"[ \t\r]*([a-z][A-Za-z0-9_']*)[ \t\r]*(?:\(({_ARG}(?:,{_ARG})*)\))?[ \t\r]*\.[ \t\r]*"
+)
+
+
+@dataclass
+class _FactRun:
+    """Consecutive plain fact lines, read without tokens, from line `line` on.
+
+    `arities` holds each predicate's arity at its first fact, and `mixed`
+    whether a later fact has another: _check_arities reads a run once, and
+    looks at its facts one by one only to name a conflict.
+    """
+
+    line: int
+    facts: List[Fact]
+    arities: Dict[str, int]
+    mixed: bool
+
+
+class _ArgValues(dict):
+    """Argument text -> value, each distinct text converted once."""
+
+    def __missing__(self, text: str) -> Value:
+        arg = text.strip(" \t\r")
+        value = self[text] = int(arg) if arg[0] in "-0123456789" else arg
+        return value
+
+
+def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
+    """The plain fact lines from lines[start] on, and the index of the first
+    line that is not one."""
+    facts: List[Fact] = []
+    arities: Dict[str, int] = {}
+    mixed = False
+    match = _FACT_LINE.fullmatch
+    value = _ArgValues().__getitem__
+    i, n = start, len(lines)
+    while i < n:
+        m = match(lines[i])
+        if m is None:
+            break
+        predicate, args = m.groups()
+        fact = Fact(predicate, () if args is None else tuple(map(value, args.split(","))))
+        if arities.setdefault(predicate, len(fact.values)) != len(fact.values):
+            mixed = True
+        facts.append(fact)
+        i += 1
+    return _FactRun(start + 1, facts, arities, mixed), i
+
 
 def tokenize(text: str) -> List[Token]:
+    """The tokens of `text`, line by line.
+
+    Where a line starts at a clause boundary (no token yet, or the last one
+    is a 'facts' token or the '.' that ends a clause), the line reader takes
+    the run of plain fact lines from there and leaves one 'facts' token in
+    its place.
+    """
     toks: List[Token] = []
+    lines = text.split("\n")
+    n = len(lines)
+    i = 0
+    while i < n:
+        at_boundary = not toks or toks[-1].value == "." or toks[-1].kind == "facts"
+        if at_boundary and _FACT_LINE.fullmatch(lines[i]):
+            run, end = _read_fact_run(lines, i)
+            toks.append(Token("facts", run, i + 1, 1))
+            i = end
+        else:
+            _tokenize_line(lines[i], i + 1, toks)
+            i += 1
+    toks.append(Token("eof", "", n, len(lines[-1]) + 1))
+    return toks
+
+
+def _tokenize_line(text: str, line: int, toks: List[Token]) -> None:
     i = 0
     n = len(text)
-    line = 1
-    line_start = 0
     while i < n:
         c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
         if c in " \t\r":
             i += 1
             continue
         if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        col = i - line_start + 1
+            return
+        col = i + 1
         if c.isdecimal():
             j = i
             while j < n and text[j].isdecimal():
@@ -133,8 +203,6 @@ def tokenize(text: str) -> List[Token]:
             i += 1
             continue
         raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, n - line_start + 1))
-    return toks
 
 
 # =====================================================================================
@@ -161,15 +229,15 @@ class _Clause:
 
 class Parser:
     def __init__(self, tokens: Sequence[Token]):
-        self.tokens = tokens
+        # Two more copies of the eof token let peek look two tokens past it.
+        self.tokens = [*tokens, tokens[-1], tokens[-1]]
         self.pos = 0
         self._anon = 0
 
     # -- token plumbing ---------------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        k = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[k]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -194,11 +262,18 @@ class Parser:
 
     # -- clauses ----------------------------------------------------------------------
 
-    def parse_clauses(self) -> List[_Clause]:
-        out = []
-        while self.peek().kind != "eof":
-            out.append(self.parse_clause())
-        return out
+    def parse_clauses(self) -> List[Union[_Clause, _FactRun]]:
+        """Clauses and runs of plain fact lines, in source order."""
+        out: List[Union[_Clause, _FactRun]] = []
+        while True:
+            t = self.peek()
+            if t.kind == "facts":
+                out.append(t.value)
+                self.pos += 1
+            elif t.kind == "eof":
+                return out
+            else:
+                out.append(self.parse_clause())
 
     def parse_clause(self) -> _Clause:
         start = self.peek()
@@ -385,7 +460,9 @@ def parse_program(text: str) -> Program:
     facts: List[Fact] = []
     rule_clauses: List[_Clause] = []
     for c in clauses:
-        if not c.body:
+        if isinstance(c, _FactRun):
+            facts.extend(c.facts)
+        elif not c.body:
             if c.annotations:
                 raise ParseError(f"fact {c.head.predicate} carries an annotation", c.line)
             if not c.head.is_ground():
@@ -442,10 +519,20 @@ def _assign_ids(clauses: List[_Clause]) -> List[str]:
     return ids
 
 
-def _check_arities(clauses: List[_Clause]) -> None:
+def _check_arities(clauses: List[Union[_Clause, _FactRun]]) -> None:
     """Facts and rules in source order, each atom at its clause's line."""
     seen: Dict[str, int] = {}
     for c in clauses:
+        if isinstance(c, _FactRun):
+            clash = [p for p, n in c.arities.items() if seen.setdefault(p, n) != n]
+            if clash or c.mixed:
+                k, (p, values) = next(
+                    (k, f) for k, f in enumerate(c.facts) if len(f.values) != seen[f.predicate]
+                )
+                raise ArityConflict(
+                    f"{p} used with arity {len(values)}, earlier {seen[p]}", c.line + k
+                )
+            continue
         for g in (c.head,) + c.body:
             if isinstance(g, Negated):
                 g = g.atom
@@ -684,42 +771,7 @@ def format_program(p: Program) -> str:
 # =====================================================================================
 
 
-# parse_facts reads a fact file line by line when every non-blank line holds one
-# fact p(a1,...,an). or p. whose arguments are lowercase ASCII identifiers or
-# optionally negative integers, blanks around them. Any other line (a comment,
-# two facts, a label, a variable, `- 5`, non-ASCII text), an arity conflict or a
-# non-binary int_up2 sends the whole text through parse_program, which raises
-# every error with the message, line and column it always had.
-_ARG = r"[ \t\r]*(?:-?[0-9]+|[a-z][A-Za-z0-9_']*)[ \t\r]*"
-_FACT_LINE = re.compile(
-    rf"[ \t\r]*([a-z][A-Za-z0-9_']*)[ \t\r]*(?:\(({_ARG}(?:,{_ARG})*)\))?[ \t\r]*\.[ \t\r]*"
-)
-
-
-def _read_fact_lines(text: str) -> Optional[List[Fact]]:
-    """The facts of `text` if every line is blank or one such fact, else None."""
-    facts: List[Fact] = []
-    arities: Dict[str, int] = {}
-    for line in text.split("\n"):
-        m = _FACT_LINE.fullmatch(line)
-        if m is None:
-            if line.strip(" \t\r"):
-                return None
-            continue
-        predicate, args = m.groups()
-        values = () if args is None else tuple(
-            int(a) if a[0] in "-0123456789" else a for a in map(str.strip, args.split(","))
-        )
-        if arities.setdefault(predicate, len(values)) != len(values):
-            return None
-        facts.append(Fact(predicate, values))
-    return facts if arities.get(RANGE_PREDICATE, 2) == 2 else None
-
-
 def parse_facts(text: str) -> List[Fact]:
-    facts = _read_fact_lines(text)
-    if facts is not None:
-        return facts
     program = parse_program(text)
     if program.rules or program.support_rules:
         raise ParseError("facts input contains rules")

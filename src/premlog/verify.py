@@ -68,17 +68,6 @@ class PremCheckReport:
         return self.verdict == "passed"
 
 
-def _arities(program: Program) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for r in list(program.rules) + list(program.support_rules):
-        out.setdefault(r.head.predicate, r.head.arity)
-        for g in r.regular_goals():
-            out.setdefault(g.predicate, g.arity)
-    for f in program.facts:
-        out.setdefault(f.predicate, len(f.values))
-    return out
-
-
 def _position_pools(program: Program, arities: Dict[str, int]) -> Dict[str, List[Set[Value]]]:
     """Plausible values per argument position, propagated head-to-body.
 
@@ -157,7 +146,7 @@ def check_prem_empirical(
         return PremCheckReport(0, "passed", None)
 
     sampled_preds = sorted({r.head.predicate for r in rules})
-    arities = _arities(program)
+    arities = program.arities()
     for r in rules:  # composed rules may not appear in the program
         arities.setdefault(r.head.predicate, r.head.arity)
     raw_pools = _position_pools(program, arities)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 import premlog as P
+from premlog.errors import TypeMismatch
 
 # ===== shortest-path family ==================================================
 
@@ -184,6 +185,43 @@ def run_text(text, mode="seminaive", **kw):
 
 def answers(text, predicate, **kw):
     return set(run_text(text, **kw).answers(predicate))
+
+
+def eval_aggregate(kind, rows):
+    """The static meaning of an aggregate over (group key, measured) rows,
+    the reference the engine's counting and extrema gates are held to.
+
+    mcount: key -> {1..k} for k distinct witnesses; count: key -> k.
+    msum:   key -> {1..S}; sum: key -> S, where S totals the maximal
+            positive summand per witness prefix.
+    is_min/is_max: key -> extremal measured value.
+    """
+    groups = {}
+    for key, measured in rows:
+        groups.setdefault(key, set()).add(measured)
+    if kind in ("is_min", "is_max"):
+        pick = min if kind == "is_min" else max
+        out = {}
+        for key, witnesses in groups.items():
+            values = [m[0] for m in witnesses]
+            if any(not isinstance(v, int) for v in values):
+                raise TypeMismatch("extremum over non-integer values")
+            out[key] = pick(values)
+        return out
+    totals = {}
+    for key, witnesses in groups.items():
+        if kind in ("mcount", "count"):
+            totals[key] = len(witnesses)
+            continue
+        best = {}
+        for *prefix, summand in witnesses:
+            if not isinstance(summand, int):
+                raise TypeMismatch(f"summand {summand!r} is not an integer")
+            best[tuple(prefix)] = max(summand, best.get(tuple(prefix), summand))
+        totals[key] = sum(max(s, 0) for s in best.values())
+    if kind in ("mcount", "msum"):
+        return {key: set(range(1, total + 1)) for key, total in totals.items()}
+    return {key: total for key, total in totals.items() if total > 0}
 
 
 def random_positive_program(seed: int) -> str:

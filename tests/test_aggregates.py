@@ -4,7 +4,6 @@ from __future__ import annotations
 import pytest
 
 import premlog as P
-from premlog.engine import eval_aggregate
 from premlog.errors import TypeMismatch
 
 from conftest import (
@@ -24,11 +23,12 @@ from conftest import (
     PART_EXPLOSION_FINALCOST,
     PART_EXPLOSION_NOGUARD,
     answers,
+    eval_aggregate,
     run_text,
 )
 
 
-# ===== eval_aggregate unit laws ==============================================
+# ===== laws of the static reference (conftest.eval_aggregate) ================
 
 
 def test_mcount_emits_all_naturals_up_to_cardinality():

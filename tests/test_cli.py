@@ -259,6 +259,31 @@ def test_parse_errors_name_the_line_and_a_known_column(write, capsys, text, mess
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_facts_file_arity_conflict_names_the_file(write, tmp_path, capsys, command):
+    # Once an IndexError from the generated rule code (.dl) and a silent
+    # p(a). (.tsv): a --facts file must use each predicate at the program's arity.
+    rules = write("p.dl", "r1: p(X,Z) :- arc(X,Y,Z).\n")
+    facts = write("f.dl", "arc(a,b).\n")
+    assert main([command, rules, "--facts", facts]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {facts}: arc used with arity 2, earlier 3\n")
+    rules = write("q.dl", "r1: p(X) :- arc(X,Y).\n")
+    tsv = tmp_path / "g.tsv"
+    tsv.write_text("a b 1\n")
+    assert main([command, rules, "--facts", str(tsv)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {tsv}: arc used with arity 3, earlier 2\n")
+
+
+def test_facts_files_are_checked_against_each_other(write, capsys):
+    rules = write("p.dl", "r1: p(X) :- q(X).\n")
+    first = write("a.dl", "q(a).\nw(a,1).\n")
+    second = write("b.dl", "w(b).\n")
+    assert main(["run", rules, "--facts", first, "--facts", second]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {second}: w used with arity 1, earlier 2\n")
+    assert main(["run", rules, "--facts", first, "--facts", write("c.dl", "w(b,2).\nq(b).\n")]) == EXIT_OK
+    assert capsys.readouterr().out == "p(a).\np(b).\n"
+
+
 # A final constraint whose classification raises: r2 feeds p's cost from two
 # of p's arguments. check rejects it, optimize leaves it in place, and run
 # evaluates it stratified.

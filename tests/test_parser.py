@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import premlog as P
 from premlog.errors import ArityConflict, MalformedAggregate, ParseError, SafetyError
 from premlog.model import AggregateGoal, Bound, Conjunction, Extremum, Fact, HeadExtremum
-from premlog.parser import _read_fact_lines, load_edge_list
+from premlog import parser
+from premlog.parser import Token, load_edge_list
 
 from conftest import CAPPED_MAX, BOUNDED_PATH, PARTY_GATED, PART_EXPLOSION
 
@@ -262,28 +263,43 @@ def test_load_edge_list_csv_with_spaces(tmp_path):
 # ===== the line fact reader ===================================================
 
 
-def _facts_or_error(parse, text):
+def _outcome(parse, text):
     try:
-        return list(parse(text))
-    except Exception as exc:  # the two readers must fail alike, whatever the error
+        return parse(text)
+    except Exception as exc:  # both readings must fail alike, whatever the error
         return (type(exc), str(exc))
 
 
-def _program_facts(text):
-    return P.parse_program(text).facts
+def _tokenized(text):
+    """`text` with a comment closing every line: no line is then a plain fact
+    line, so all of it goes through the tokenizer, which drops the comments.
+    On a text that ends in a newline every error keeps its line and column."""
+    return text.replace("\n", " %\n")
 
 
-def test_fact_lines_read_plain_facts():
+def _count_tokens(monkeypatch):
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return Token(*fields)
+
+    monkeypatch.setattr(parser, "Token", counting)
+    return built
+
+
+def test_fact_lines_read_plain_facts(monkeypatch):
     text = "arc(a,b,-3).\n  arc( n1 , 007 ,5) . \r\n\n\tq.\nw(x'y,aB_1,-0).\n"
-    facts = _read_fact_lines(text)
+    built = _count_tokens(monkeypatch)
+    facts = P.parse_facts(text)
     assert facts == [
         Fact("arc", ("a", "b", -3)),
         Fact("arc", ("n1", 7, 5)),
         Fact("q", ()),
         Fact("w", ("x'y", "aB_1", 0)),
     ]
-    assert facts == list(_program_facts(text))
-    assert P.parse_facts(text) == facts
+    assert {kind for kind, *_ in built} == {"facts", "eof"}  # a blank line ends a run
+    assert facts == list(P.parse_program(_tokenized(text)).facts)
 
 
 @pytest.mark.parametrize(
@@ -308,8 +324,13 @@ def test_fact_lines_read_plain_facts():
     ],
 )
 def test_fact_lines_fall_back_to_the_program_parser(text):
-    assert _read_fact_lines(text) is None
-    assert _facts_or_error(P.parse_facts, text) == _facts_or_error(_program_facts, text)
+    # Texts that are not all plain facts: whatever the line reader takes of
+    # them reads as the tokenizer reads it, up to each error's position.
+    text += "\n"
+    expected = _outcome(P.parse_program, _tokenized(text))
+    assert _outcome(P.parse_program, text) == expected
+    facts = _outcome(P.parse_facts, text)
+    assert facts == (list(expected.facts) if isinstance(expected, P.Program) else expected)
 
 
 def test_fact_lines_keep_error_positions():
@@ -321,6 +342,10 @@ def test_fact_lines_keep_error_positions():
         P.parse_facts("arc(a,b,1).\n\n\x0c\n")
     with pytest.raises(ParseError, match="facts input contains rules"):
         P.parse_facts("p(X) :- q(X).\nq(a).\n")
+    with pytest.raises(ArityConflict, match="^int_up2 has arity 2$"):
+        P.parse_facts("p(a).\nint_up2(1,2,3).\n")
+    with pytest.raises(ArityConflict, match="^line 4: q used with arity 1, earlier 2$"):
+        P.parse_program("p(a).\nr(X) :- q(X,Y).\np(b).\nq(a).\n")
 
 
 _NAMES = ["p", "arc", "aB", "q'", "int_up2", "P", "_x", "\u00e9t", "not", "min"]
@@ -346,10 +371,73 @@ _LINE = st.one_of(
 )
 
 
+_RULE_LINE = st.sampled_from(
+    [
+        "r(X) :- arc(X,Y,Z).",
+        "r1: q(X) :- p(X), X>0.",
+        "s(Y,min<D>) :- arc(a,Y,D).",
+        "p(X) :-",
+        " arc(X,b,1).",
+        "r2:",
+        "t(X) :- q(X). u(a).",
+    ]
+)
+
+
+def _lines_text(lines):
+    return "".join(line + "\n" for line in lines)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_LINE, max_size=6).map("\n".join))
+@given(st.lists(_LINE, max_size=6).map(_lines_text))
 def test_fact_reader_agrees_with_the_program_parser(text):
-    assert _facts_or_error(P.parse_facts, text) == _facts_or_error(_program_facts, text)
+    assert _outcome(P.parse_facts, text) == _outcome(P.parse_facts, _tokenized(text))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_LINE, _RULE_LINE), max_size=8).map(_lines_text))
+def test_program_parse_agrees_with_the_tokenizer_alone(text):
+    assert _outcome(P.parse_program, text) == _outcome(P.parse_program, _tokenized(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p(a) :-\n q(b).\n",  # a continuation line that looks like a fact
+        "r1:\np(a).\n",
+        "p(a). q(b).\nr(c).\n",
+        "p(a).\r\nq(X) :- p(X).\r\nr(c).\r\n",
+        "p(a).\nq(b).\nr(X) :- p(X).\np(c).\nq(d).\n",  # a fact run broken and resumed
+        "p(a).\nr(X) :- p(X).\np(a,b).\n",  # an arity conflict across the break
+        "p(a).\np(a,b).\nq(X) :- p(X,.\n",  # a syntax error after an arity conflict
+        "p(a).\np(a,b).\nq(X).\n",  # a fact check after an arity conflict
+        "q(a,b).\np(a).\np(a,b).\nq(c).\n",
+        "p(a).\n% c\n\np(b).\nint_up2(1,2,3).\n",
+    ],
+)
+def test_program_parse_agrees_with_the_tokenizer_alone_on(text):
+    assert _outcome(P.parse_program, text) == _outcome(P.parse_program, _tokenized(text))
+
+
+def test_plain_fact_lines_build_no_tokens(monkeypatch):
+    rules = "r1: path(Y,D) :- arc(a,Y,D).\nr2: path(Y,D) :- path(X,Dx), arc(X,Y,E), D=Dx+E.\n"
+    lines = [f"arc(n{i},n{i + 1},{i % 7}).\n" for i in range(100)]
+    arcs = "".join(lines)
+    built = _count_tokens(monkeypatch)
+    P.parse_program(rules)
+    rule_tokens = len(built)
+    del built[:]
+    program = P.parse_program(rules + arcs)
+    assert len(program.facts) == 100
+    assert len(built) == rule_tokens + 1  # and one 'facts' token
+    del built[:]
+    assert len(P.parse_facts("% arcs, one a line\n" + arcs)) == 100
+    assert [kind for kind, *_ in built] == ["facts", "eof"]
+    del built[:]
+    facts = P.parse_facts("".join(lines[:50] + ["p(a). q(b).\n"] + lines[50:]))
+    assert [f.predicate for f in facts[49:53]] == ["arc", "p", "q", "arc"]
+    one_fact = ["ident", "punct", "ident", "punct", "punct"]
+    assert [kind for kind, *_ in built] == ["facts", *one_fact, *one_fact, "facts", "eof"]
 
 
 def test_format_program_prints_facts_as_parsed():

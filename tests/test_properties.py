@@ -12,7 +12,6 @@ from premlog.engine import (
     RelationStore,
     apply_constraint,
     apply_ico,
-    eval_aggregate,
     naive_fixpoint,
     seminaive_fixpoint,
 )
@@ -28,7 +27,7 @@ from premlog.model import (
     make_constraint,
 )
 
-from conftest import random_positive_program, run_text
+from conftest import eval_aggregate, random_positive_program, run_text
 
 KEYS = st.sampled_from(["a", "b", "c", "d"])
 COSTS = st.integers(min_value=-20, max_value=50)
