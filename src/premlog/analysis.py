@@ -83,9 +83,12 @@ class DependencyGraph:
         return self.sccs[self.scc_of[predicate]]
 
 
-def build_dependency_graph(program: Program) -> DependencyGraph:
+def build_dependency_graph(rules: Sequence[Rule]) -> DependencyGraph:
+    """The graph of `rules` (facts add only isolated nodes): see Program.graph."""
     edges: List[DepEdge] = []
-    for r in program.rules:
+    adj: Dict[str, List[str]] = {}
+    for r in rules:
+        adj.setdefault(r.head.predicate, [])
         agg = r.aggregate()
         heavy = agg is not None and agg.kind in NONMONOTONIC_KINDS
         for g in r.body:
@@ -94,9 +97,9 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
                 edges.append(DepEdge(r.head.predicate, g.predicate, r.id, label))
             elif isinstance(g, Negated):
                 edges.append(DepEdge(r.head.predicate, g.atom.predicate, r.id, "negated"))
-    adj: Dict[str, List[str]] = {p: [] for p in program.predicates()}
     for e in edges:
         adj[e.head].append(e.body)
+        adj.setdefault(e.body, [])
     sccs = _tarjan(sorted(adj), {p: sorted(set(ts)) for p, ts in adj.items()})
     scc_of = {p: i for i, comp in enumerate(sccs) for p in comp}
     recursive = {p for comp in sccs if len(comp) > 1 for p in comp}
@@ -166,7 +169,7 @@ def stratify(program: Program) -> List[Stratum]:
     stratum; recursive count/sum is allowed only for rules that passed the
     push check and were marked approved.
     """
-    graph = build_dependency_graph(program)
+    graph = program.graph
     approved = program.approved_recursive_aggregates
     for e in graph.edges:
         if graph.scc_of[e.head] != graph.scc_of[e.body]:
@@ -791,9 +794,7 @@ _REJECTED = {
 }
 
 
-def classify_premability(
-    program: Program, constraint: Constraint, graph: Optional[DependencyGraph] = None
-) -> PremVerdict:
+def classify_premability(program: Program, constraint: Constraint) -> PremVerdict:
     """Decide, conjunct by conjunct, whether a constraint can be pushed.
 
     Bounds are checked before extrema, and each approved conjunct is applied
@@ -801,8 +802,7 @@ def classify_premability(
     pushes can disqualify later ones. A rejection names the failed condition
     and the smallest offending rule id.
     """
-    if graph is None:
-        graph = build_dependency_graph(program)
+    graph = program.graph
     p0 = constraint_predicate(constraint)
     conjuncts = constraint_conjuncts(constraint)
 

@@ -66,10 +66,8 @@ from typing import (
 )
 
 from .analysis import (
-    DependencyGraph,
     PremVerdict,
     Rejection,
-    build_dependency_graph,
     classify_premability,
     lacks,
     stratify,
@@ -308,7 +306,6 @@ class _Scan:
 class _Plan:
     rule: Rule
     steps: Tuple[object, ...]  # _Scan | Comparison | Negated | range Atom
-    n_scc: int
     agg: Optional[AggregateGoal]
     post_filters: Tuple[Comparison, ...]
 
@@ -392,7 +389,7 @@ def compile_plan(rule: Rule, scc_preds: Set[str]) -> _Plan:
             elif isinstance(chosen, Comparison) and chosen.op == "=" and isinstance(chosen.left, Variable):
                 bound.add(chosen.left.name)
 
-    return _Plan(rule, tuple(steps), n_scc, agg, tuple(post))
+    return _Plan(rule, tuple(steps), agg, tuple(post))
 
 
 # =====================================================================================
@@ -995,7 +992,8 @@ def seminaive_fixpoint(
     def code_for(r: Rule, version: Optional[int]) -> _RuleCode:
         return _rule_code(r, mutable, version, specs.get(r.head.predicate))
 
-    n_scc = {r.id: compile_plan(r, head_preds).n_scc for r in rules}
+    # One delta version per goal on a head predicate, as compile_plan numbers them.
+    n_scc = {r.id: sum(g.predicate in head_preds for g in r.regular_goals()) for r in rules}
     exit_code = [(r, code_for(r, None)) for r in rules if n_scc[r.id] == 0]
     delta_code = [(r, code_for(r, v)) for r in rules for v in range(n_scc[r.id])]
     code_of = {r.id: code for r, code in exit_code + delta_code}
@@ -1205,13 +1203,13 @@ def naive_fixpoint(
 
         return add
 
+    # The relations outside the stratum are fixed: one store each, and the
+    # indexes the rule code builds on it, for every sweep.
+    fixed = {pred: RelationStore(rel) for pred, rel in edb.items() if pred not in head_preds}
     current: Dict[str, Set[GroundTuple]] = {p: set() for p in head_preds}
     while True:
         stats.iterations += 1
-        stores: Dict[str, RelationStore] = {}
-        for pred, rel in edb.items():
-            if pred not in head_preds:
-                stores[pred] = RelationStore(rel)
+        stores = dict(fixed)
         for pred in head_preds:
             stores[pred] = RelationStore(current[pred] | seeds[pred])
         ctx = _Context(stores, options.max_tuples)
@@ -1393,12 +1391,9 @@ def plan(
             warnings.append("running unproven aggregate under trust-but-verify")
 
     steps: List[ConstraintStep] = []
-    graph: Optional[DependencyGraph] = None  # of executed; a push makes a new program
     for fc in executed.final_constraints if push else ():
-        if graph is None:
-            graph = build_dependency_graph(executed)
         try:
-            verdict = classify_premability(executed, fc.constraint, graph)
+            verdict = classify_premability(executed, fc.constraint)
         except (NoCost, AmbiguousCost) as exc:
             warnings.append(f"constraint on rule {fc.rule_id} not pushed: {exc}")
             steps.append(ConstraintStep(fc.rule_id, exc, "kept"))
@@ -1411,10 +1406,9 @@ def plan(
             steps.append(ConstraintStep(fc.rule_id, verdict, "skipped"))
             continue
         if verdict.approved:
-            verdict = _reject_other_readers(graph, verdict, fc.rule_id)
+            verdict = _reject_other_readers(verdict, fc.rule_id)
         if verdict.approved:
             executed, trace = push_constraint(executed, verdict)
-            graph = None
             steps.append(ConstraintStep(fc.rule_id, verdict, "pushed", trace))
         elif force_push:
             warnings.append(f"forcing rejected push: {verdict.rejection!r}")
@@ -1426,7 +1420,6 @@ def plan(
                 ),
             )
             executed, trace = push_constraint(executed, forced)
-            graph = None
             steps.append(ConstraintStep(fc.rule_id, verdict, "forced", trace))
         else:
             warnings.append(f"constraint kept in final rule: {verdict.rejection!r}")
@@ -1434,9 +1427,7 @@ def plan(
     return ProgramPlan(program, obligations, steps, executed, warnings)
 
 
-def _reject_other_readers(
-    graph: DependencyGraph, verdict: PremVerdict, final_rule: str
-) -> PremVerdict:
+def _reject_other_readers(verdict: PremVerdict, final_rule: str) -> PremVerdict:
     """Reject a push into a recursion that a rule outside it, other than the
     constraint's own final rule, also reads: the push changes what that
     recursion holds, not only what the final rule keeps.
@@ -1444,6 +1435,7 @@ def _reject_other_readers(
     This lives here rather than in classify_premability because that also
     classifies count/sum shadows, whose heads other rules are meant to read.
     """
+    graph = verdict.program.graph
     scc = graph.scc_members(constraint_predicate(verdict.constraint))
     for e in graph.edges:
         if e.body in scc and e.head not in scc and e.rule_id != final_rule:

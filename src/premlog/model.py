@@ -9,8 +9,10 @@ equality works across types.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import itemgetter
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -25,6 +27,9 @@ from typing import (
 )
 
 from .errors import Overflow, PremlogError, TypeMismatch, UnboundVariable
+
+if TYPE_CHECKING:
+    from .analysis import DependencyGraph
 
 # =====================================================================================
 # VALUES
@@ -450,16 +455,13 @@ class Program:
     # Rule ids whose recursive count/sum passed the push check and may run natively.
     approved_recursive_aggregates: frozenset = frozenset()
 
-    def predicates(self) -> List[str]:
-        seen: Dict[str, None] = dict.fromkeys(f.predicate for f in self.facts)
-        for r in self.rules:
-            seen.setdefault(r.head.predicate, None)
-            for g in r.regular_goals():
-                seen.setdefault(g.predicate, None)
-            for g in r.body:
-                if isinstance(g, Negated):
-                    seen.setdefault(g.atom.predicate, None)
-        return list(seen)
+    @cached_property
+    def graph(self) -> DependencyGraph:
+        """The dependency graph of the rules, built on first use. Every
+        change to a program makes a new Program, with a graph of its own."""
+        from .analysis import build_dependency_graph
+
+        return build_dependency_graph(self.rules)
 
     def arities(self) -> Dict[str, int]:
         """Each predicate's arity: its first use in a rule, else its facts'."""

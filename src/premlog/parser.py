@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
@@ -89,7 +90,9 @@ _PUNCT_ONE = "()<>=,.+-*:"
 # A plain fact line holds one fact p(a1,...,an). or p. whose arguments are
 # lowercase ASCII identifiers or optionally negative integers, blanks around
 # them: the line reader gives it the same Fact the tokenizer and parser would.
-_ARG = r"[ \t\r]*(?:-?[0-9]+|[a-z][A-Za-z0-9_']*)[ \t\r]*"
+# int() converts 640 digits under any limit Python allows; a longer literal is
+# left to the tokenizer, whose parser reports one int() refuses.
+_ARG = r"[ \t\r]*(?:-?[0-9]{1,640}|[a-z][A-Za-z0-9_']*)[ \t\r]*"
 _FACT_LINE = re.compile(
     rf"[ \t\r]*([a-z][A-Za-z0-9_']*)[ \t\r]*(?:\(({_ARG}(?:,{_ARG})*)\))?[ \t\r]*\.[ \t\r]*"
 )
@@ -139,6 +142,15 @@ def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
         facts.append(fact)
         i += 1
     return _FactRun(start + 1, facts, arities, mixed), i
+
+
+def _int_value(t: Token) -> int:
+    try:
+        return int(t.value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        message = f"integer literal of {len(t.value)} digits exceeds the limit of {limit}"
+        raise ParseError(message, t.line, t.col) from None
 
 
 def tokenize(text: str) -> List[Token]:
@@ -405,10 +417,10 @@ class Parser:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return Constant(int(t.value))
+            return Constant(_int_value(t))
         if t.kind == "punct" and t.value == "-" and self.peek(1).kind == "int":
             self.next()
-            return Constant(-int(self.next().value))
+            return Constant(-_int_value(self.next()))
         if t.kind == "var":
             self.next()
             if t.value == "_":
@@ -477,7 +489,7 @@ def parse_program(text: str) -> Program:
     _check_arities(clauses)
     # Recursive in the same sense the stratifier uses: the clauses read as
     # provisional rules, before annotations are normalized.
-    provisional = Program(tuple(Rule(rid, c.head, c.body) for rid, c in zip(ids, rule_clauses)))
+    provisional = [Rule(rid, c.head, c.body) for rid, c in zip(ids, rule_clauses)]
     recursive = build_dependency_graph(provisional).recursive
 
     rules: List[Rule] = []

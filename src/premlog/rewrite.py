@@ -41,7 +41,6 @@ from .model import (
 from .analysis import (
     PremVerdict,
     apply_conjunct,
-    build_dependency_graph,
     classify_premability,
     definitions,
     guard_region,
@@ -280,7 +279,7 @@ def compile_count_in_recursion(
     stratification lets them through; `assume` marks them regardless (the
     trust-but-verify path) while still reporting the real verdict.
     """
-    graph = build_dependency_graph(program)
+    graph = program.graph
     obligations: List[CompileObligation] = []
     approved: Set[str] = set(program.approved_recursive_aggregates)
     for r in program.rules:
@@ -307,7 +306,7 @@ def compile_count_in_recursion(
             _, warn = expand_msum(shadow_rule.aggregate(), shadow_rule)
             notes.extend(warn)
         try:
-            verdict: Optional[PremVerdict] = classify_premability(shadow, constraint, graph)
+            verdict: Optional[PremVerdict] = classify_premability(shadow, constraint)
         except (NoCost, AmbiguousCost) as exc:
             verdict = None
             notes.append(str(exc))
@@ -315,5 +314,6 @@ def compile_count_in_recursion(
         if ok or assume:
             approved.add(r.id)
         obligations.append(CompileObligation(r.id, agg.kind, verdict, ok, tuple(notes)))
-    out = replace(program, approved_recursive_aggregates=frozenset(approved))
-    return out, obligations
+    if approved == program.approved_recursive_aggregates:
+        return program, obligations  # the same program keeps its graph
+    return replace(program, approved_recursive_aggregates=frozenset(approved)), obligations

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .analysis import build_dependency_graph, classify_premability, stratify
+from .analysis import classify_premability, stratify
 from .engine import (
     ConsequenceStep,
     EvalOptions,
@@ -138,7 +138,7 @@ def check_prem_empirical(
         except (NoCost, AmbiguousCost):
             procedure = ()
         if not procedure:
-            graph = build_dependency_graph(program)
+            graph = program.graph
             scc = set(graph.scc_members(p0)) if p0 in graph.scc_of else {p0}
             procedure = [r for r in program.rules if r.head.predicate in scc]
     rules = list(procedure)
@@ -271,7 +271,8 @@ def trust_but_verify_run(
         return result, TrustReport(positivity, {}, [], f"oracle stopped ({exc}); answers not verified")
 
     finals = {r.head.predicate for r in final_rules(program.rules)}
-    watched = sorted(finals | _obligation_heads(program, result))
+    head_of = {r.id: r.head.predicate for r in program.rules}
+    watched = sorted(finals | {head_of[ob.rule_id] for ob in result.obligations})
 
     diffs: Dict[str, Tuple[List[Tuple], List[Tuple]]] = {}
     for pred in watched:
@@ -283,13 +284,3 @@ def trust_but_verify_run(
                 sorted(native - expected, key=tuple_sort_key),
             )
     return result, TrustReport(positivity, diffs, watched)
-
-
-def _obligation_heads(program: Program, result: RunResult) -> Set[str]:
-    heads: Set[str] = set()
-    by_id = {r.id: r for r in program.rules}
-    for ob in result.obligations:
-        rule = by_id.get(ob.rule_id)
-        if rule is not None:
-            heads.add(rule.head.predicate)
-    return heads

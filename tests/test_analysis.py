@@ -22,7 +22,7 @@ from conftest import SPATH_PRECONSTRAINED, CAPPED_MAX, MUTUAL_COUNT, CLIQUE_FACT
 
 def test_dependency_graph_sccs():
     prog = P.parse_program(BOUNDED_PATH + "arc(a,b,1).")
-    g = build_dependency_graph(prog)
+    g = build_dependency_graph(prog.rules)
     assert g.scc_of["path"] != g.scc_of["llpath"]
     # path is its own recursive component
     assert any(e.head == "path" and e.body == "path" for e in g.edges)
@@ -36,13 +36,22 @@ def test_dependency_graph_recursive_set():
         "r4: d(X) :- a(X), not c(X).\n"
         "e(1).\n"
     )
-    assert build_dependency_graph(prog).recursive == {"a", "b", "c"}
+    assert build_dependency_graph(prog.rules).recursive == {"a", "b", "c"}
 
 
 def test_mutual_recursion_single_scc():
     prog = P.parse_program(PARTY_GATED + CLIQUE_FACTS)
-    g = build_dependency_graph(prog)
+    g = build_dependency_graph(prog.rules)
     assert g.scc_of["attend"] == g.scc_of["cntfriends"]
+
+
+def test_program_graph_ignores_facts():
+    bare = P.parse_program(PARTY_GATED)
+    with_facts = bare.with_facts(P.parse_program(CLIQUE_FACTS + "lonely(x).").facts)
+    assert with_facts.facts and with_facts.graph is not bare.graph
+    for field in ("sccs", "edges", "recursive"):
+        assert getattr(with_facts.graph, field) == getattr(bare.graph, field)
+    assert "lonely" not in with_facts.graph.scc_of
 
 
 def test_stratify_orders_bottom_up():

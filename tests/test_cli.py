@@ -122,6 +122,31 @@ def test_run_missing_file_is_input_error(capsys):
     assert main(["run", "/nonexistent/prog.dl"]) == EXIT_INPUT
 
 
+LIMIT = 4300  # the digits int() converts by default (sys.get_int_max_str_digits)
+
+
+def test_run_long_literal_in_fact_line_is_input_error(write, capsys):
+    prog = write("big.dl", "r1: q(X) :- p(X).\np(" + "1" * 5000 + ").\n")
+    assert main(["run", prog]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: line 2, col 3: integer literal of 5000 digits exceeds the limit of {LIMIT}\n"
+    )
+    prog = write("long.dl", "r1: q(X) :- p(X).\np(" + "1" * LIMIT + ").\n")
+    assert main(["run", prog]) == EXIT_OK
+    assert capsys.readouterr().out == "q(" + "1" * LIMIT + ").\n"
+
+
+def test_run_long_literal_in_rule_is_input_error(write, capsys):
+    prog = write("big.dl", "p(1).\nr1: q(X) :- p(X), X > " + "1" * 5000 + ".\n")
+    assert main(["run", prog]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: line 2, col 23: integer literal of 5000 digits exceeds the limit of {LIMIT}\n"
+    )
+    prog = write("long.dl", "p(1).\nr1: q(X) :- p(X), X < " + "1" * LIMIT + ".\n")
+    assert main(["run", prog]) == EXIT_OK
+    assert capsys.readouterr().out == "q(1).\n"
+
+
 def test_run_budget_exhaustion_exit_code(write, capsys):
     cyclic = (
         "r1: path(Y,Dy) :- arc(a,Y,Dy).\n"

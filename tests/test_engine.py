@@ -6,7 +6,8 @@ import traceback
 import pytest
 
 import premlog as P
-import premlog.engine as engine_module
+import premlog.analysis as analysis_module
+import premlog.parser as parser_module
 from premlog.engine import (
     ConsequenceStep,
     ExtremaIndex,
@@ -15,6 +16,7 @@ from premlog.engine import (
     apply_ico,
     compile_plan,
     default_query,
+    execute,
     plan,
 )
 from premlog.errors import BudgetExceeded, Overflow, SafetyError, TypeMismatch, UnboundVariable
@@ -220,13 +222,21 @@ def test_plan_rejects_push_into_recursion_read_elsewhere():
 
 
 def test_plan_builds_one_graph_per_program_version(monkeypatch):
-    # Neither constraint of SHARED_RECURSION is pushed, so both are
-    # classified against the same program, and the same graph.
+    # The parser's provisional rules, the parsed program (count/sum compile
+    # and classification) and the pushed program (stratification): three.
     builds = []
-    real = engine_module.build_dependency_graph
-    monkeypatch.setattr(engine_module, "build_dependency_graph", lambda p: builds.append(p) or real(p))
-    assert len(plan(P.parse_program(SHARED_RECURSION)).steps) == 2
-    assert len(builds) == 1
+    real = analysis_module.build_dependency_graph
+
+    def counted(rules):
+        builds.append(rules)
+        return real(rules)
+
+    monkeypatch.setattr(analysis_module, "build_dependency_graph", counted)
+    monkeypatch.setattr(parser_module, "build_dependency_graph", counted)
+    planned = plan(P.parse_program(SHORTEST_PATH))
+    assert [s.action for s in planned.steps] == ["pushed"]
+    assert set(execute(planned).answers("spath")) == SHORTEST_PATH_SPATH
+    assert len(builds) == 3
 
 
 def test_stratified_negation():

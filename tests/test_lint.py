@@ -2,7 +2,8 @@
 
 Every name a module imports must be used in it (or listed in its __all__),
 and no module imports a _private name from a sibling module: a helper two
-modules share is public.
+modules share is public. A program's dependency graph is built in one place,
+Program.graph, besides the parser's provisional graph of its clauses.
 """
 from __future__ import annotations
 
@@ -61,6 +62,30 @@ def private_sibling_imports(source: str):
     ]
 
 
+# (module, function) pairs that may call build_dependency_graph.
+GRAPH_BUILDERS = {("model.py", "graph"), ("parser.py", "parse_program")}
+
+
+def graph_builds(source: str, module: str):
+    """(module, function, line) per call of build_dependency_graph."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "build_dependency_graph":
+                    found.append((module, function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -69,6 +94,13 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_from_siblings(path):
     assert private_sibling_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_dependency_graph_built_only_by_program_graph():
+    builds = [
+        b for path in MODULES for b in graph_builds(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert {(module, function) for module, function, _ in builds} <= GRAPH_BUILDERS
 
 
 def test_the_checks_see_what_they_look_for():
@@ -86,3 +118,14 @@ def test_the_checks_see_what_they_look_for():
     )
     assert unused_imports(source) == ["line 2: os", "line 5: re"]
     assert private_sibling_imports(source) == ["line 3: _hidden"]
+    builds = "\n".join(
+        [
+            "from . import analysis",
+            "g = build_dependency_graph(rules)",
+            "def plan(p):",
+            "    def inner():",
+            "        return analysis.build_dependency_graph(p.rules)",
+            "    return p.graph",
+        ]
+    )
+    assert graph_builds(builds, "m.py") == [("m.py", None, 2), ("m.py", "inner", 5)]
