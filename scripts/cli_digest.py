@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over the CLI's output on the generated benchmark corpus.
+
+For each seed, the 96 programs of `perfbench/corpus.generated_programs` are
+run in-process through `premlog.cli.main` under six commands: `check`,
+`optimize`, `run --mode naive --stats`, `run --stats`,
+`run --trust-but-verify --stats` and `verify --samples 100`. The digest
+covers each command's exit code, stdout and stderr, with the `wall_ms` of a
+stats line and the temporary directory masked. Two checkouts that print the
+same digest gave byte-identical output on every invocation.
+
+    python3 scripts/cli_digest.py --seeds 1-5
+
+The script re-executes itself with PYTHONHASHSEED=0, so that the digest does
+not depend on the interpreter's string hashing. perfbench is only imported.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import random
+import re
+import sys
+import tempfile
+from pathlib import Path
+from typing import List
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COMMANDS = (
+    ["check"],
+    ["optimize"],
+    ["run", "--mode", "naive", "--stats"],
+    ["run", "--stats"],
+    ["run", "--trust-but-verify", "--stats"],
+    ["verify", "--samples", "100"],
+)
+PROGRAMS_PER_SEED = 96
+_WALL_MS = re.compile(r"wall_ms=[0-9.]+")
+
+
+def parse_seeds(text: str) -> List[int]:
+    """'1-5' or '1,3,7' (or a mix, '1-3,9') as a list of seeds."""
+    seeds: List[int] = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def digest(seeds: List[int]) -> str:
+    import premlog.cli
+    import corpus
+
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "program.dl")
+        for seed in seeds:
+            for text in corpus.generated_programs(random.Random(seed), PROGRAMS_PER_SEED):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                for command in COMMANDS:
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = premlog.cli.main([command[0], path, *command[1:]])
+                    for part in (str(code), out.getvalue(), err.getvalue()):
+                        part = _WALL_MS.sub("wall_ms=*", part.replace(tmp, "<tmp>"))
+                        h.update(part.encode("utf-8") + b"\0")
+    return h.hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", default="1-5", help="corpus seeds, e.g. 1-5 or 1,3,7")
+    args = ap.parse_args()
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        os.execve(sys.executable, [sys.executable, __file__, *sys.argv[1:]], env)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    print(digest(parse_seeds(args.seeds)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -55,10 +55,10 @@ from .model import (
 # DEPENDENCY GRAPH AND STRATIFICATION
 # =====================================================================================
 
-# Edge labels: 'positive' covers plain goals and the monotonic aggregates
-# (mcount/msum), which are safe inside recursion. 'aggregated' marks goals a
-# non-monotonic aggregate (count/sum/is_min/is_max) ranges over; like negation
-# these need the full extension of the body predicates before they fire.
+# The goals a non-monotonic aggregate ranges over, like negated goals, need
+# the full extension of their predicates before the rule fires (mcount/msum
+# are safe inside recursion). stratify reads the aggregate off an edge's rule,
+# so the graph is structural: annotations and aggregates leave it unchanged.
 NONMONOTONIC_KINDS = ("count", "sum", "is_min", "is_max")
 
 
@@ -67,7 +67,7 @@ class DepEdge:
     head: str
     body: str
     rule_id: str
-    label: str  # 'positive' | 'negated' | 'aggregated'
+    negated: bool
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,11 @@ def build_dependency_graph(rules: Sequence[Rule]) -> DependencyGraph:
     adj: Dict[str, List[str]] = {}
     for r in rules:
         adj.setdefault(r.head.predicate, [])
-        agg = r.aggregate()
-        heavy = agg is not None and agg.kind in NONMONOTONIC_KINDS
         for g in r.body:
             if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE:
-                label = "aggregated" if heavy else "positive"
-                edges.append(DepEdge(r.head.predicate, g.predicate, r.id, label))
+                edges.append(DepEdge(r.head.predicate, g.predicate, r.id, False))
             elif isinstance(g, Negated):
-                edges.append(DepEdge(r.head.predicate, g.atom.predicate, r.id, "negated"))
+                edges.append(DepEdge(r.head.predicate, g.atom.predicate, r.id, True))
     for e in edges:
         adj[e.head].append(e.body)
         adj.setdefault(e.body, [])
@@ -171,14 +168,16 @@ def stratify(program: Program) -> List[Stratum]:
     """
     graph = program.graph
     approved = program.approved_recursive_aggregates
+    rule_of = {r.id: r for r in program.rules}
     for e in graph.edges:
         if graph.scc_of[e.head] != graph.scc_of[e.body]:
             continue
-        if e.label == "negated":
+        if e.negated:
             raise StratificationError(
                 f"negation of {e.body} inside its own recursive component", e.rule_id
             )
-        if e.label == "aggregated" and e.rule_id not in approved:
+        agg = rule_of[e.rule_id].aggregate()
+        if agg is not None and agg.kind in NONMONOTONIC_KINDS and e.rule_id not in approved:
             raise StratificationError(
                 f"non-monotonic aggregate over {e.body} inside its own recursive "
                 f"component (not approved for native evaluation)",

@@ -161,7 +161,7 @@ def _cmd_run(args) -> int:
 
     report = None
     if args.trust_but_verify:
-        result, report = trust_but_verify_run(program, options)
+        result, report = trust_but_verify_run(program, options, args.seed)
     else:
         # Refuse unproven recursive aggregates up front; nothing has run yet.
         planned = plan(program, force_push=args.force_push)
@@ -184,24 +184,13 @@ def _cmd_run(args) -> int:
     if report is not None:
         for line in report.positivity:
             print(f"audit: {line}", file=sys.stderr)
-        for ob in result.obligations:
-            if not ob.approved and ob.verdict is not None:
-                sampled = check_prem_empirical(
-                    ob.verdict.program,
-                    ob.verdict.constraint,
-                    samples=400,
-                    seed=args.seed,
-                    procedure=ob.verdict.procedure,
-                )
-                state = (
-                    "no counterexample found"
-                    if sampled.holds
-                    else f"counterexample after {sampled.samples} samples"
-                )
-                print(
-                    f"audit: rule {ob.rule_id} {ob.kind} transfer sampled: {state}",
-                    file=sys.stderr,
-                )
+        for ob, sampled in report.sampled:
+            state = (
+                "no counterexample found"
+                if sampled.holds
+                else f"counterexample after {sampled.samples} samples"
+            )
+            print(f"audit: rule {ob.rule_id} {ob.kind} transfer sampled: {state}", file=sys.stderr)
         for pred, (missing, extra) in sorted(report.diffs.items()):
             print(
                 f"audit: {pred} disagrees with the oracle "

@@ -15,26 +15,25 @@ add to the next delta, with the stats counters as local ints added to
 EvalStats when it returns. Seeds, count/sum releases and is_min/is_max
 winners enter through `<premlog admit P>`, generated from the same source. A
 stratified is_min/is_max rule keeps each key's best rows in a dict inside the
-function, and its caller emits the winners. Naive sweeps (the oracle) and
-ConsequenceStep (the falsifier's T, compiled once per check; apply_ico uses
-it) hand each head tuple to the caller's sink instead.
+function, and its caller emits the winners. ConsequenceStep, the full join
+of T that the naive loop sweeps with and the falsifier applies per sample
+(apply_ico too), collects each head tuple in a set of its own instead.
 
-The naive loop literally iterates
-I <- gamma(T(I u edb)): every sweep recomputes all consequences, then the
-working constraints (head extrema, implicit count/sum projection) filter the
-result through model.keep_extremal, the one gamma that apply_constraint and
-the oracle's count projection use too; the loop stops when the
-interpretation repeats, and the confirming sweep is counted. The seminaive
-loop admits each head tuple through its predicate's one gate (an
-ExtremaIndex's kind, cost and monotonic flag): a min/max or mmin/mmax
-annotation, or the implicit max of count/sum, admits a tuple only if it
-strictly beats its key's incumbent. A min/max gate deletes the beaten tuple
-from the store and from any pending delta, so it never fires a rule;
-mmin/mmax delete nothing. Each counting rule keeps one _Tally of witnesses
-per key. A full join (naive sweeps, ConsequenceStep) releases what the tally
-holds once the join is done; seminaive releases mcount/msum ladders as fresh
-witnesses arrive, and count/sum totals only when the fixpoint quiesces,
-which may restart the loop.
+The naive loop literally iterates I <- gamma(T(I u edb)): every sweep is one
+call of its stratum's ConsequenceStep, then the working constraints (head
+extrema, implicit count/sum projection) filter the result through
+model.keep_extremal, the one gamma that apply_constraint and the oracle's
+count projection use too; the loop stops when the interpretation repeats,
+and the confirming sweep is counted. The seminaive loop admits each head
+tuple through its predicate's one gate (an ExtremaIndex's kind, cost and
+monotonic flag): a min/max or mmin/mmax annotation, or the implicit max of
+count/sum, admits a tuple only if it strictly beats its key's incumbent. A
+min/max gate deletes the beaten tuple from the store and from any pending
+delta, so it never fires a rule; mmin/mmax delete nothing. Each counting
+rule keeps one _Tally of witnesses per key. A full join (ConsequenceStep)
+releases what the tally holds once the join is done; seminaive releases
+mcount/msum ladders as fresh witnesses arrive, and count/sum totals only
+when the fixpoint quiesces, which may restart the loop.
 
 Each seminaive iteration takes as its delta what the one before admitted
 (breadth-first), except in a greedy stratum: one whose heads all carry a
@@ -204,8 +203,8 @@ class ExtremaIndex:
     """The working-set gate of one predicate: does t strictly beat the
     incumbent of its key? Ties keep the incumbent. min/max keep one tuple per
     key, so the newcomer displaces the incumbent; mmin/mmax (monotonic)
-    delete nothing and only remember the best so far. The naive oracle calls
-    insert; seminaive code writes the same test against `best` (_admit_tuple)."""
+    delete nothing and only remember the best so far. naive_fixpoint's gamma
+    calls insert; seminaive code writes the same test against `best` (_admit_tuple)."""
 
     __slots__ = ("kind", "cost", "monotonic", "best")
 
@@ -400,10 +399,12 @@ def compile_plan(rule: Rule, scc_preds: Set[str]) -> _Plan:
 # more than 20 statically nested blocks in one function.
 _MAX_LOOPS = 16
 
+_TUPLE_BUDGET = "tuple budget of %s exhausted"
+
 # What generated code calls besides builtins; the error paths call the model's
 # own checks, or raise its errors, so that messages stay the same.
 _RUNTIME = {
-    "BudgetExceeded": BudgetExceeded,
+    "_TUPLE_BUDGET": _TUPLE_BUDGET,
     "TypeMismatch": TypeMismatch,
     "check_int": check_int,
     "checked_arith": checked_arith,
@@ -436,6 +437,7 @@ class _Source:
         self.calls: List[str] = []  # pending calls of inner functions
         self.count = 0
         self.counters: Tuple[str, ...] = ()  # local ints that inner functions update
+        self.stats: Tuple[str, ...] = ()  # local stats counters, in EvalStats field order
         self.tail: List[str] = []  # lines after the last inner call: counter flushes
 
     def fresh(self, prefix: str) -> str:
@@ -447,6 +449,11 @@ class _Source:
 
     def skip(self) -> str:
         return "continue" if self.loops else "return"
+
+    def stop(self, message: str) -> str:
+        """The statement that stops on a budget, given its message as an
+        expression: ctx.stop adds the local stats counters to the stats."""
+        return f"ctx.stop({', '.join((message,) + self.stats)})"
 
     def loop(self, header: str) -> None:
         if self.loops == _MAX_LOOPS:
@@ -625,8 +632,8 @@ def _admit_prologue(src: _Source, pred: str, gate: Optional[_GateSpec]) -> str:
     """Resolve, once per call, what admitting into pred touches: its store and
     indexes, the next delta, the gate's incumbents and the room left in the
     tuple budget; return the name that holds pred. The counters are local
-    ints, added to ctx.stats when the function returns (ctx.exhausted adds
-    them before the budget stops it)."""
+    ints, added to ctx.stats when the function returns (ctx.stop adds them
+    before a budget stops it)."""
     p = src.constant(pred)
     src.add(f"_H = ctx.store({p})")
     src.add("_Ht = _H.tuples")
@@ -636,9 +643,11 @@ def _admit_prologue(src: _Source, pred: str, gate: Optional[_GateSpec]) -> str:
         src.add(f"_best = ctx.gates[{p}].best")
     src.add("_stats = ctx.stats")
     src.add("_room = ctx.max_tuples - _stats.derived")
-    src.counters = ("_derived", "_retained") + (("_deleted",) if gate and not gate[2] else ())
-    src.add(" = ".join(src.counters) + " = 0")
-    src.tail = [f"    _stats.{c[1:]} += {c}" for c in src.counters]
+    src.counters = src.stats = ("_derived", "_retained") + (
+        ("_deleted",) if gate and not gate[2] else ()
+    )
+    src.add(" = ".join(src.stats) + " = 0")
+    src.tail = [f"    _stats.{c[1:]} += {c}" for c in src.stats]
     return p
 
 
@@ -652,11 +661,11 @@ def _admit_tuple(
     strictly beats its key's incumbent (ties keep the incumbent); min/max then
     displace the incumbent from the store and both deltas, so it fires no
     rule, while mmin/mmax delete nothing. The same test as ExtremaIndex.insert,
-    which the naive oracle runs.
+    which naive_fixpoint runs.
     """
     src.add(f"_h = {_tuple_text([x for x, _ in items])}")
     src.add("_derived += 1")
-    src.add(f"if _derived > _room: ctx.exhausted({', '.join(src.counters)})")
+    src.add(f"if _derived > _room: {src.stop('_TUPLE_BUDGET % ctx.max_tuples')}")
     if gate is None:
         src.add("if _h not in _Ht:")
     else:
@@ -786,10 +795,8 @@ def _range(src: _Source, goal: Atom) -> None:
         value, _ = src.term(j)
         src.add(f"if not (isinstance({value}, int) and 1 <= {value} <= {c}): {src.skip()}")
         return
-    src.add(
-        f"if {c} > ctx.max_tuples: "
-        f"raise BudgetExceeded('range 1..%s exceeds the tuple budget' % ({c},))"
-    )
+    message = f"'range 1..%s exceeds the tuple budget' % ({c},)"
+    src.add(f"if {c} > ctx.max_tuples: {src.stop(message)}")
     local = src.bind(j.name)
     src.ints.add(local)
     src.loop(f"for {local} in range(1, {c} + 1):")
@@ -814,8 +821,8 @@ def _rule_code(
     """Generate and compile one rule's nested-loop function.
 
     mutable names the relations the running stratum changes while the
-    function runs (its head predicates; none for naive sweeps and apply_ico,
-    which collect before they write). version is the ordinal, among the body
+    function runs (its head predicates; none for ConsequenceStep, which
+    collects before it writes). version is the ordinal, among the body
     atoms over mutable relations, of the one that reads the current delta;
     None reads full stores. When the head is mutable, the function admits
     its tuples through gate, the head predicate's (kind, cost, monotonic) or
@@ -853,10 +860,10 @@ def _admit_code(pred: str, arity: int, gate: Optional[_GateSpec]) -> Callable:
 
 
 class _Context:
-    """Shared state for one fixpoint loop: the stores, the current and next
-    delta, the working-set gates, the stats and the tuple budget."""
+    """Shared state for one fixpoint loop or consequence step: the stores, the
+    current and next delta, the working-set gates, the stats and the budget."""
 
-    __slots__ = ("stores", "delta", "next_delta", "gates", "stats", "max_tuples", "started")
+    __slots__ = ("stores", "delta", "next_delta", "gates", "stats", "max_tuples", "started", "collected")
 
     def __init__(
         self,
@@ -873,6 +880,7 @@ class _Context:
         self.stats = stats
         self.max_tuples = max_tuples
         self.started = started
+        self.collected: Interpretation = {}  # what a full join derived, not stored
 
     def store(self, pred: str) -> RelationStore:
         s = self.stores.get(pred)
@@ -889,18 +897,27 @@ class _Context:
             if s is not None:
                 s.discard(t)
 
-    def exhausted(self, derived: int, retained: int, deleted: int = 0) -> None:
-        """Add a generated function's counters to the stats, then stop on the
-        tuple budget with the stores as they stand."""
-        self.stats.derived += derived
-        self.stats.retained += retained
-        self.stats.deleted += deleted
-        raise _budget_stop(
-            f"tuple budget of {self.max_tuples} exhausted",
-            self.stats,
-            self.started,
-            _snapshot(self.stores),
-        )
+    def state(self) -> Interpretation:
+        """A copy of the stores as they stand, with what was collected."""
+        return _nonempty({**{p: s.tuples for p, s in self.stores.items()}, **self.collected})
+
+    def count(self, keep: Callable[[GroundTuple], None], t: GroundTuple) -> None:
+        """A sink: count t against the tuple budget, then keep it."""
+        self.stats.derived += 1
+        if self.stats.derived > self.max_tuples:
+            self.stop(_TUPLE_BUDGET % self.max_tuples)
+        keep(t)
+
+    def stop(self, message: str, derived: int = 0, retained: int = 0, deleted: int = 0) -> None:
+        """Add a generated function's counters to the stats, then stop on a
+        budget with the stats and the state (with no stats, without either)."""
+        stats = self.stats
+        if stats is None:
+            raise BudgetExceeded(message)
+        stats.derived += derived
+        stats.retained += retained
+        stats.deleted += deleted
+        raise _budget_stop(message, stats, self.started, self.state())
 
 
 def _budget_stop(
@@ -1050,7 +1067,7 @@ def seminaive_fixpoint(
 
     # Round 1: exit rules fire once over the full stores.
     stats.iterations += 1
-    _check_iterations(stats, options, started, ctx.stores)
+    _check_iterations(stats, options, started, ctx.state)
     for r, code in exit_code:
         run_rule(r, code)
 
@@ -1065,13 +1082,13 @@ def seminaive_fixpoint(
                     continue
                 break
             stats.iterations += 1
-            _check_iterations(stats, options, started, ctx.stores)
+            _check_iterations(stats, options, started, ctx.state)
             for r, code in delta_code:
                 run_rule(r, code)
             next_round()
 
     stats.wall_ms += (time.perf_counter() - started) * 1000.0
-    return _snapshot(ctx.stores), stats
+    return ctx.state(), stats
 
 
 def _greedy(rules: Sequence[Rule], specs: Dict[str, _GateSpec], head_preds: Set[str]) -> bool:
@@ -1143,7 +1160,7 @@ def _drain_by_cost(ctx: _Context, runs: List[Callable], options: EvalOptions) ->
                         delta[pred] = held
         stats.iterations += 1
         if limit is not None and stats.iterations > limit:
-            _check_iterations(stats, options, ctx.started, ctx.stores)
+            _check_iterations(stats, options, ctx.started, ctx.state)
         ctx.delta, ctx.next_delta = delta, {}
         for run in runs:
             run(ctx, None)
@@ -1154,19 +1171,16 @@ def _incumbents(best: Dict[Tuple, GroundTuple], c: int, tuples: List[GroundTuple
 
 
 def _check_iterations(
-    stats: EvalStats, options: EvalOptions, started: float, stores: Dict[str, RelationStore]
+    stats: EvalStats, options: EvalOptions, started: float, state: Callable[[], Interpretation]
 ) -> None:
     if options.max_iterations is not None and stats.iterations > options.max_iterations:
         raise _budget_stop(
-            f"iteration budget of {options.max_iterations} exhausted",
-            stats,
-            started,
-            _snapshot(stores),
+            f"iteration budget of {options.max_iterations} exhausted", stats, started, state()
         )
 
 
-def _snapshot(stores: Dict[str, RelationStore]) -> Interpretation:
-    return {p: set(s.tuples) for p, s in stores.items() if s.tuples}
+def _nonempty(interp: Dict[str, Iterable[GroundTuple]]) -> Interpretation:
+    return {p: set(rel) for p, rel in interp.items() if rel}
 
 
 # =====================================================================================
@@ -1186,38 +1200,15 @@ def naive_fixpoint(
     started = time.perf_counter()
     head_preds = {r.head.predicate for r in rules}
     gates = _build_gates(rules)
-    codes = [(r, _rule_code(r, frozenset(), None)) for r in rules]
+    fixed = {pred: rel for pred, rel in edb.items() if pred not in head_preds}
+    step = ConsequenceStep(rules, fixed, options.max_tuples, stats)
     seeds = {p: set(edb.get(p, set())) for p in head_preds}
-
-    def collect(target: Set[GroundTuple]) -> Callable[[GroundTuple], None]:
-        def add(t: GroundTuple) -> None:
-            stats.derived += 1
-            if stats.derived > options.max_tuples:
-                raise _budget_stop(
-                    f"tuple budget of {options.max_tuples} exhausted",
-                    stats,
-                    started,
-                    {**_snapshot(stores), **{p: set(v) for p, v in out.items() if v}},
-                )
-            target.add(t)
-
-        return add
-
-    # The relations outside the stratum are fixed: one store each, and the
-    # indexes the rule code builds on it, for every sweep.
-    fixed = {pred: RelationStore(rel) for pred, rel in edb.items() if pred not in head_preds}
     current: Dict[str, Set[GroundTuple]] = {p: set() for p in head_preds}
     while True:
         stats.iterations += 1
-        stores = dict(fixed)
-        for pred in head_preds:
-            stores[pred] = RelationStore(current[pred] | seeds[pred])
-        ctx = _Context(stores, options.max_tuples)
-        _check_iterations(stats, options, started, stores)
-
-        out: Dict[str, Set[GroundTuple]] = {p: set(current[p] | seeds[p]) for p in head_preds}
-        for r, code in codes:
-            _rule_candidates(ctx, code, collect(out[r.head.predicate]))
+        varying = {p: current[p] | seeds[p] for p in head_preds}
+        _check_iterations(stats, options, started, lambda: _nonempty({**fixed, **varying}))
+        out = step(varying)
 
         new: Dict[str, Set[GroundTuple]] = {}
         for pred in head_preds:
@@ -1232,22 +1223,14 @@ def naive_fixpoint(
                     if gate.insert(t)[0]:
                         rel.add(t)
             new[pred] = rel
-
-        for pred in head_preds:
-            stats.retained += len(new[pred] - current[pred])
-            stats.deleted += len(current[pred] - new[pred])
+            stats.retained += len(rel - current[pred])
+            stats.deleted += len(current[pred] - rel)
         if new == current:
             break
         current = new
 
-    result = interp_copy(edb)
-    for pred in head_preds:
-        if current[pred]:
-            result[pred] = set(current[pred])
-        elif not seeds[pred]:
-            result.pop(pred, None)
     stats.wall_ms += (time.perf_counter() - started) * 1000.0
-    return result, stats
+    return _nonempty({**edb, **current}), stats
 
 
 # =====================================================================================
@@ -1263,23 +1246,37 @@ class ConsequenceStep:
     indexes the rule code builds on them, are kept from call to call. A call
     gets fresh stores for the varying relations only, and returns a copy of
     them plus every derivable head tuple; the fixed relations are not in it.
+
+    max_tuples bounds int_up2 enumeration; given stats, a call counts each
+    derived head tuple there and stops past max_tuples, with the stats (timed
+    from the step's creation) and the relations derived so far.
     """
 
-    __slots__ = ("codes", "stores")
+    __slots__ = ("codes", "stores", "max_tuples", "stats", "started")
 
-    def __init__(self, rules: Sequence[Rule], fixed: Interpretation):
+    def __init__(
+        self,
+        rules: Sequence[Rule],
+        fixed: Interpretation,
+        max_tuples: int = 10_000_000,
+        stats: Optional[EvalStats] = None,
+    ):
+        self.started = time.perf_counter()
         self.codes = [(r.head.predicate, _rule_code(r, frozenset(), None)) for r in rules]
         if {p for p, _ in self.codes} & fixed.keys():
             raise PremlogError("a fixed relation is the head of a rule; pass it as varying")
         self.stores = {p: RelationStore(rel) for p, rel in fixed.items()}
+        self.max_tuples = max_tuples
+        self.stats = stats
 
     def __call__(self, varying: Interpretation) -> Interpretation:
         stores = dict(self.stores)
         stores.update((p, RelationStore(rel)) for p, rel in varying.items())
-        ctx = _Context(stores, 10_000_000)
-        out = {p: set(rel) for p, rel in varying.items()}
+        ctx = _Context(stores, self.max_tuples, self.stats, started=self.started)
+        out = ctx.collected = {p: set(rel) for p, rel in varying.items()}
         for pred, code in self.codes:
-            _rule_candidates(ctx, code, out.setdefault(pred, set()).add)
+            keep = out.setdefault(pred, set()).add
+            _rule_candidates(ctx, code, keep if self.stats is None else partial(ctx.count, keep))
         return {p: rel for p, rel in out.items() if rel or p in varying}
 
 

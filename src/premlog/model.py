@@ -458,10 +458,15 @@ class Program:
     @cached_property
     def graph(self) -> DependencyGraph:
         """The dependency graph of the rules, built on first use. Every
-        change to a program makes a new Program, with a graph of its own."""
+        change to the rules makes a new Program, with a graph of its own."""
         from .analysis import build_dependency_graph
 
         return build_dependency_graph(self.rules)
+
+    def adopt_graph(self, graph: DependencyGraph) -> "Program":
+        """Take graph, built by the caller from these rules, as Program.graph."""
+        self.__dict__["graph"] = graph  # where cached_property keeps its value
+        return self
 
     def arities(self) -> Dict[str, int]:
         """Each predicate's arity: its first use in a rule, else its facts'."""
@@ -479,7 +484,8 @@ class Program:
         return replace(self, rules=tuple(rules))
 
     def with_facts(self, extra: Iterable[Fact]) -> "Program":
-        return replace(self, facts=self.facts + tuple(extra))
+        # Facts are not in the graph, so the new program shares it.
+        return replace(self, facts=self.facts + tuple(extra)).adopt_graph(self.graph)
 
 
 def final_rules(rules: Iterable[Rule]) -> List[Rule]:

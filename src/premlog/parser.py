@@ -148,9 +148,12 @@ def _int_value(t: Token) -> int:
     try:
         return int(t.value)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
-        limit = sys.get_int_max_str_digits()
-        message = f"integer literal of {len(t.value)} digits exceeds the limit of {limit}"
-        raise ParseError(message, t.line, t.col) from None
+        raise ParseError(_digit_limit(len(t.value)), t.line, t.col) from None
+
+
+def _digit_limit(digits: int) -> str:
+    """What an integer of more digits than int() converts reports."""
+    return f"integer literal of {digits} digits exceeds the limit of {sys.get_int_max_str_digits()}"
 
 
 def tokenize(text: str) -> List[Token]:
@@ -487,15 +490,15 @@ def parse_program(text: str) -> Program:
 
     ids = _assign_ids(rule_clauses)
     _check_arities(clauses)
-    # Recursive in the same sense the stratifier uses: the clauses read as
-    # provisional rules, before annotations are normalized.
-    provisional = [Rule(rid, c.head, c.body) for rid, c in zip(ids, rule_clauses)]
-    recursive = build_dependency_graph(provisional).recursive
+    # Normalizing annotations, which reads the recursive set, moves aggregates
+    # and never an atom: the clauses as written give the program's graph.
+    written = [Rule(rid, c.head, c.body) for rid, c in zip(ids, rule_clauses)]
+    graph = build_dependency_graph([r for r in written if r.head.predicate != RANGE_PREDICATE])
 
     rules: List[Rule] = []
     support: List[Rule] = []
     for rid, c in zip(ids, rule_clauses):
-        rule = _normalize_rule(rid, c, recursive)
+        rule = _normalize_rule(rid, c, graph.recursive)
         if rule.head.predicate == RANGE_PREDICATE:
             support.append(rule)
         else:
@@ -508,7 +511,7 @@ def parse_program(text: str) -> Program:
         facts=tuple(facts),
         final_constraints=tuple(final),
         support_rules=tuple(support),
-    )
+    ).adopt_graph(graph)
 
 
 def _assign_ids(clauses: List[_Clause]) -> List[str]:
@@ -790,14 +793,29 @@ def parse_facts(text: str) -> List[Fact]:
     return list(program.facts)
 
 
-def _node_value(field: str) -> Value:
-    # Only a sign or a decimal digit can start what int() accepts: 3, -3, +4, 007, 1_000.
+# What int() accepts in a field without spaces: 3, -3, +4, 007, 1_000, ٣.
+_INTEGER_FIELD = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def _int_field(field: str, line: int) -> Optional[int]:
+    """field as int() reads it, or None where int() does not accept it. An
+    integer of more digits than int() converts is a LoadError: int() raises
+    the same ValueError for it as for a long field that is no integer."""
+    try:
+        return int(field)
+    except ValueError:
+        if _INTEGER_FIELD.fullmatch(field):
+            raise LoadError(_digit_limit(sum(c.isdecimal() for c in field)), line) from None
+        return None
+
+
+def _node_value(field: str, line: int) -> Value:
+    # Only a sign or a decimal digit can start what int() accepts.
     head = field[:1]
     if head.isdecimal() or head in ("+", "-"):
-        try:
-            return int(field)
-        except ValueError:
-            pass
+        value = _int_field(field, line)
+        if value is not None:
+            return value
     return field
 
 
@@ -806,7 +824,8 @@ def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Fact]:
 
     Lines hold `src dst length` or `src dst` (length defaults to 1); blank
     lines and lines starting with '#' are skipped, and a repeated line is
-    loaded once. Node fields that int() accepts are loaded as integers.
+    loaded once. Node fields that int() accepts are loaded as integers; an
+    integer field of more digits than int() converts is a LoadError.
     """
     if fmt is None:
         fmt = "csv" if os.path.splitext(path)[1].lower() == ".csv" else "tsv"
@@ -824,15 +843,15 @@ def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Fact]:
                 fields.append("1")
             if len(fields) != 3:
                 raise LoadError(f"expected 2 or 3 fields, found {len(fields)}", lineno)
-            try:
-                length = int(fields[2])
-            except ValueError:
-                raise LoadError(f"length {fields[2]!r} is not an integer", lineno) from None
+            length = _int_field(fields[2], lineno)
+            if length is None:
+                raise LoadError(f"length {fields[2]!r} is not an integer", lineno)
             key = (fields[0], fields[1], length)
             if key in seen:
                 continue
             seen.add(key)
-            facts.append(Fact("arc", (_node_value(fields[0]), _node_value(fields[1]), length)))
+            source, target = _node_value(fields[0], lineno), _node_value(fields[1], lineno)
+            facts.append(Fact("arc", (source, target, length)))
     return facts
 
 

@@ -8,8 +8,9 @@ count/sum runs on trust, these checks probe the semantics directly:
     a concrete refutation;
   * brute_force_oracle evaluates a program the slow safe way (no pushing,
     monotonic aggregate forms, extrema as negation) for answer comparison;
-  * trust_but_verify_run executes unproven aggregates natively and then
-    diffs the observable answers against the oracle.
+  * trust_but_verify_run executes unproven aggregates natively, samples
+    each one's transfer equation, and diffs the observable answers against
+    the oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .model import (
     tuple_sort_key,
     value_sort_key,
 )
-from .rewrite import desugar_extremum, materialize_monotonic
+from .rewrite import CompileObligation, desugar_extremum, materialize_monotonic
 
 # =====================================================================================
 # SAMPLED TRANSFER CHECK
@@ -237,6 +238,8 @@ def brute_force_oracle(
 @dataclass
 class TrustReport:
     positivity: List[str]
+    # The sampled transfer check of each unproven obligation with a verdict.
+    sampled: List[Tuple[CompileObligation, PremCheckReport]]
     diffs: Dict[str, Tuple[List[Tuple], List[Tuple]]]  # pred -> (missing, unexpected)
     compared: List[str]
     unverified: str = ""  # set when the oracle gave no answers to compare
@@ -247,14 +250,16 @@ class TrustReport:
 
 
 def trust_but_verify_run(
-    program: Program, options: Optional[EvalOptions] = None
+    program: Program, options: Optional[EvalOptions] = None, seed: int = 0
 ) -> Tuple[RunResult, TrustReport]:
     """Run unproven recursive aggregates natively, then audit the answers.
 
-    Summand positivity is monitored during accumulation, and the observable
-    relations (final predicates plus the aggregate heads) are diffed against
-    the oracle. A non-empty report means the trusted run is unsound on this
-    database, or, when the oracle runs out of budget, that it is unverified.
+    Summand positivity is monitored during accumulation, each unproven
+    aggregate's transfer equation is sampled (400 samples from seed), and
+    the observable relations (final predicates plus the aggregate heads) are
+    diffed against the oracle. A report that is not clean means the trusted
+    run is unsound on this database, or, when the oracle runs out of budget,
+    that it is unverified.
     """
     options = options or EvalOptions()
     planned = plan(program, trust=True)
@@ -263,12 +268,27 @@ def trust_but_verify_run(
     # they are reported once, as audit lines.
     positivity = result.warnings[len(planned.warnings):]
     del result.warnings[len(planned.warnings):]
+    sampled = [
+        (
+            ob,
+            check_prem_empirical(
+                ob.verdict.program,
+                ob.verdict.constraint,
+                samples=400,
+                seed=seed,
+                procedure=ob.verdict.procedure,
+            ),
+        )
+        for ob in result.obligations
+        if not ob.approved and ob.verdict is not None
+    ]
     try:
         oracle = brute_force_oracle(
             program, EvalOptions(mode="naive", max_tuples=options.max_tuples)
         )
     except BudgetExceeded as exc:
-        return result, TrustReport(positivity, {}, [], f"oracle stopped ({exc}); answers not verified")
+        unverified = f"oracle stopped ({exc}); answers not verified"
+        return result, TrustReport(positivity, sampled, {}, [], unverified)
 
     finals = {r.head.predicate for r in final_rules(program.rules)}
     head_of = {r.id: r.head.predicate for r in program.rules}
@@ -283,4 +303,4 @@ def trust_but_verify_run(
                 sorted(expected - native, key=tuple_sort_key),
                 sorted(native - expected, key=tuple_sort_key),
             )
-    return result, TrustReport(positivity, diffs, watched)
+    return result, TrustReport(positivity, sampled, diffs, watched)

@@ -14,6 +14,7 @@ from premlog.analysis import (
 from premlog.errors import AmbiguousCost, NoCost, StratificationError
 from premlog.model import Bound, Extremum
 
+import conftest
 from conftest import SPATH_PRECONSTRAINED, CAPPED_MAX, MUTUAL_COUNT, CLIQUE_FACTS, BOUNDED_PATH, PARTY_GATED, PARTY_COUNT, PART_EXPLOSION
 
 
@@ -48,10 +49,26 @@ def test_mutual_recursion_single_scc():
 def test_program_graph_ignores_facts():
     bare = P.parse_program(PARTY_GATED)
     with_facts = bare.with_facts(P.parse_program(CLIQUE_FACTS + "lonely(x).").facts)
-    assert with_facts.facts and with_facts.graph is not bare.graph
+    assert with_facts.facts and with_facts.graph is bare.graph
     for field in ("sccs", "edges", "recursive"):
         assert getattr(with_facts.graph, field) == getattr(bare.graph, field)
     assert "lonely" not in with_facts.graph.scc_of
+
+
+def test_parsed_graph_is_the_graph_of_the_normalized_rules():
+    # parse_program builds the graph of its clauses as written and gives it to
+    # the Program: normalizing head annotations and recursive is_min/is_max
+    # goals, and setting int_up2 rules aside, must leave it unchanged.
+    texts = [v for k, v in vars(conftest).items() if k.isupper() and isinstance(v, str)]
+    texts.append(
+        "r1: int_up2(N,J) :- int_up2(N,I), J=I+1.\n"
+        "r2: p(Y,D) :- e(a,Y,D).\n"
+        "r3: p(Y,D) :- p(X,Dx), e(X,Y,W), D=Dx+W, is_min((Y),(D)).\n"
+        "r4: q(J) :- p(Y,D), int_up2(D,J), not e(Y,Y,J)."
+    )
+    for text in texts:
+        prog = P.parse_program(text)
+        assert prog.graph == build_dependency_graph(prog.rules)
 
 
 def test_stratify_orders_bottom_up():

@@ -7,6 +7,8 @@ import re
 
 import pytest
 
+import premlog.analysis as analysis_module
+import premlog.parser as parser_module
 from premlog.bench import SPATH_PREM_TEMPLATE, dijkstra_reference
 from premlog.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_REJECTED, main
 
@@ -71,6 +73,29 @@ def test_run_edge_list_facts(write, tmp_path, capsys):
     tsv.write_text("a\tb\t1\nb\tc\t1\na\tc\t5\n")
     assert main(["run", rules, "--facts", str(tsv)]) == EXIT_OK
     assert "spath(c,2)" in capsys.readouterr().out
+
+
+def test_one_graph_per_program_version(write, tmp_path, capsys, monkeypatch):
+    builds = []
+    real = analysis_module.build_dependency_graph
+
+    def counted(rules):
+        builds.append(rules)
+        return real(rules)
+
+    monkeypatch.setattr(analysis_module, "build_dependency_graph", counted)
+    monkeypatch.setattr(parser_module, "build_dependency_graph", counted)
+    # check: the parsed program's graph serves compile, classification and push.
+    assert main(["check", write("spath.dl", SHORTEST_PATH)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("APPROVED: ")
+    assert len(builds) == 1
+    # run: the edge list's facts join the parsed program and keep its graph;
+    # the pushed program, which is stratified, has a graph of its own.
+    tsv = tmp_path / "g.tsv"
+    tsv.write_text("a\tb\t1\nb\tc\t1\na\tc\t5\n")
+    assert main(["run", write("rules.dl", RULES_ONLY), "--facts", str(tsv)]) == EXIT_OK
+    assert capsys.readouterr().out == "spath(b,1).\nspath(c,2).\n"
+    assert len(builds) == 3
 
 
 def test_run_stats_line(write, capsys):
@@ -145,6 +170,20 @@ def test_run_long_literal_in_rule_is_input_error(write, capsys):
     prog = write("long.dl", "p(1).\nr1: q(X) :- p(X), X < " + "1" * LIMIT + ".\n")
     assert main(["run", prog]) == EXIT_OK
     assert capsys.readouterr().out == "q(1).\n"
+
+
+def test_run_long_integer_in_edge_list_is_input_error(write, capsys):
+    prog = write("q.dl", "r1: q(X,Y) :- arc(X,Y,D).\n")
+    too_long = f"integer literal of 5000 digits exceeds the limit of {LIMIT}\n"
+    for row in ("1" * 5000 + "\tb\t1", "a\t" + "1" * 5000, "a\tb\t" + "1" * 5000):
+        facts = write("long.tsv", "a\tb\t2\n" + row + "\n")
+        assert main(["run", prog, "--facts", facts]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: line 2: " + too_long
+    # int() refuses a long field that is no integer with the same error: a symbol
+    facts = write("long.tsv", "1" * 5000 + "x\t" + "2" * LIMIT + "\n")
+    assert main(["run", prog, "--facts", facts, "--format", "jsonl"]) == EXIT_OK
+    row = json.loads(capsys.readouterr().out)
+    assert row["args"] == ["1" * 5000 + "x", int("2" * LIMIT)]
 
 
 def test_run_budget_exhaustion_exit_code(write, capsys):

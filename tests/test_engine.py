@@ -222,8 +222,8 @@ def test_plan_rejects_push_into_recursion_read_elsewhere():
 
 
 def test_plan_builds_one_graph_per_program_version(monkeypatch):
-    # The parser's provisional rules, the parsed program (count/sum compile
-    # and classification) and the pushed program (stratification): three.
+    # The parsed program (the parser's normalization, count/sum compile and
+    # classification) and the pushed program (stratification): two.
     builds = []
     real = analysis_module.build_dependency_graph
 
@@ -236,7 +236,7 @@ def test_plan_builds_one_graph_per_program_version(monkeypatch):
     planned = plan(P.parse_program(SHORTEST_PATH))
     assert [s.action for s in planned.steps] == ["pushed"]
     assert set(execute(planned).answers("spath")) == SHORTEST_PATH_SPATH
-    assert len(builds) == 3
+    assert len(builds) == 2
 
 
 def test_stratified_negation():
@@ -324,6 +324,19 @@ def test_range_goal_over_budget_and_over_symbol(mode):
     with pytest.raises(BudgetExceeded, match=r"^range 1\.\.100 exceeds the tuple budget$"):
         P.run_program(P.parse_program(text), P.EvalOptions(mode=mode, max_tuples=99))
     assert len(run_text(text, mode=mode).answers("upto")) == 100
+    # A range stop carries the stats and the partial state a tuple budget
+    # stop would: the strata before it, and what its own stratum derived.
+    staged = "r0: lim(K) :- base(K).\nr1: upto(J) :- lim(K), int_up2(K,J).\nlim(3). base(100)."
+    with pytest.raises(BudgetExceeded, match=r"^range 1\.\.100 exceeds the tuple budget$") as err:
+        P.run_program(P.parse_program(staged), P.EvalOptions(mode=mode, max_tuples=99))
+    stats = err.value.stats
+    expected = {"seminaive": (3, 5, 5, 0), "naive": (3, 5, 2, 0)}[mode]
+    assert (stats.iterations, stats.derived, stats.retained, stats.deleted) == expected
+    assert err.value.partial == {
+        "base": {(100,)},
+        "lim": {(3,), (100,)},
+        "upto": {(1,), (2,), (3,)},
+    }
     with pytest.raises(TypeMismatch, match=r"^range over non-integer 'x'$"):
         run_text(text.replace("limit(100)", "limit(x)"), mode=mode)
 

@@ -3,7 +3,9 @@
 Every name a module imports must be used in it (or listed in its __all__),
 and no module imports a _private name from a sibling module: a helper two
 modules share is public. A program's dependency graph is built in one place,
-Program.graph, besides the parser's provisional graph of its clauses.
+Program.graph, besides the parser's graph of the clauses it reads. The
+executor's _Context is built in two: the consequence step T, which the naive
+loop and the falsifier run, and the seminaive loop.
 """
 from __future__ import annotations
 
@@ -62,12 +64,14 @@ def private_sibling_imports(source: str):
     ]
 
 
-# (module, function) pairs that may call build_dependency_graph.
+# (module, function) pairs that may call build_dependency_graph, and _Context
+# (ConsequenceStep.__call__, the only __call__ in engine.py, and seminaive).
 GRAPH_BUILDERS = {("model.py", "graph"), ("parser.py", "parse_program")}
+CONTEXT_BUILDERS = {("engine.py", "__call__"), ("engine.py", "seminaive_fixpoint")}
 
 
-def graph_builds(source: str, module: str):
-    """(module, function, line) per call of build_dependency_graph."""
+def calls(callee: str, source: str, module: str):
+    """(module, function, line) per call of callee."""
     found = []
 
     def visit(node, function):
@@ -78,12 +82,20 @@ def graph_builds(source: str, module: str):
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "build_dependency_graph":
+                if name == callee:
                     found.append((module, function, child.lineno))
             visit(child, function)
 
     visit(ast.parse(source), None)
     return found
+
+
+def callers(callee: str):
+    return {
+        (module, function)
+        for path in MODULES
+        for module, function, _ in calls(callee, path.read_text(encoding="utf-8"), path.name)
+    }
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -97,10 +109,12 @@ def test_no_private_imports_from_siblings(path):
 
 
 def test_dependency_graph_built_only_by_program_graph():
-    builds = [
-        b for path in MODULES for b in graph_builds(path.read_text(encoding="utf-8"), path.name)
-    ]
-    assert {(module, function) for module, function, _ in builds} <= GRAPH_BUILDERS
+    assert callers("build_dependency_graph") <= GRAPH_BUILDERS
+
+
+def test_context_built_only_by_the_consequence_step_and_seminaive():
+    # naive_fixpoint sweeps with a ConsequenceStep; it builds no context of its own.
+    assert callers("_Context") == CONTEXT_BUILDERS
 
 
 def test_the_checks_see_what_they_look_for():
@@ -128,4 +142,4 @@ def test_the_checks_see_what_they_look_for():
             "    return p.graph",
         ]
     )
-    assert graph_builds(builds, "m.py") == [("m.py", None, 2), ("m.py", "inner", 5)]
+    assert calls("build_dependency_graph", builds, "m.py") == [("m.py", None, 2), ("m.py", "inner", 5)]
