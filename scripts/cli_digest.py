@@ -2,9 +2,11 @@
 """Print one SHA-256 over the CLI's output on the generated benchmark corpus.
 
 For each seed, the 96 programs of `perfbench/corpus.generated_programs` are
-run in-process through `premlog.cli.main` under six commands: `check`,
+run in-process through `premlog.cli.main` under seven commands: `check`,
 `optimize`, `run --mode naive --stats`, `run --stats`,
-`run --trust-but-verify --stats` and `verify --samples 100`. The digest
+`run --trust-but-verify --stats` and `verify --samples 100` on the program
+as generated, and `run --stats --facts F` on its rule lines (those holding
+`:-`) with the other lines, its facts, in the fact file F. The digest
 covers each command's exit code, stdout and stderr, with the `wall_ms` of a
 stats line and the temporary directory masked. Two checkouts that print the
 same digest gave byte-identical output on every invocation.
@@ -38,6 +40,8 @@ COMMANDS = (
     ["run", "--trust-but-verify", "--stats"],
     ["verify", "--samples", "100"],
 )
+# Run on the rule lines, with the fact lines in a .dl file after --facts.
+FACTS_COMMAND = ["run", "--stats", "--facts"]
 PROGRAMS_PER_SEED = 96
 _WALL_MS = re.compile(r"wall_ms=[0-9.]+")
 
@@ -56,19 +60,30 @@ def digest(seeds: List[int]) -> str:
     import corpus
 
     h = hashlib.sha256()
+
+    def run(argv: List[str]) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = premlog.cli.main(argv)
+        for part in (str(code), out.getvalue(), err.getvalue()):
+            part = _WALL_MS.sub("wall_ms=*", part.replace(tmp, "<tmp>"))
+            h.update(part.encode("utf-8") + b"\0")
+
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "program.dl")
+        path, rules, facts = (os.path.join(tmp, f) for f in ("program.dl", "rules.dl", "facts.dl"))
         for seed in seeds:
             for text in corpus.generated_programs(random.Random(seed), PROGRAMS_PER_SEED):
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                lines = text.splitlines(keepends=True)
+                for name, part in (
+                    (path, text),
+                    (rules, "".join(line for line in lines if ":-" in line)),
+                    (facts, "".join(line for line in lines if ":-" not in line)),
+                ):
+                    with open(name, "w", encoding="utf-8") as fh:
+                        fh.write(part)
                 for command in COMMANDS:
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = premlog.cli.main([command[0], path, *command[1:]])
-                    for part in (str(code), out.getvalue(), err.getvalue()):
-                        part = _WALL_MS.sub("wall_ms=*", part.replace(tmp, "<tmp>"))
-                        h.update(part.encode("utf-8") + b"\0")
+                    run([command[0], path, *command[1:]])
+                run([FACTS_COMMAND[0], rules, *FACTS_COMMAND[1:], facts])
     return h.hexdigest()
 
 

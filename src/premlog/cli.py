@@ -126,7 +126,7 @@ def _program_args(cmd: argparse.ArgumentParser) -> None:
 
 
 def _load_program(args) -> Program:
-    with open(args.program, "r", encoding="utf-8") as fh:
+    with open(args.program, "r", encoding="utf-8-sig") as fh:
         program = parse_program(fh.read())
     arities = program.arities()
     for path in args.facts:

@@ -245,10 +245,11 @@ class _Tally:
     releases it.
     """
 
-    __slots__ = ("kind", "witnesses", "best", "released", "grown")
+    __slots__ = ("kind", "witnesses", "best", "released", "grown", "watch")
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, watch: Optional[Callable[[Tuple, int], None]] = None):
         self.kind = kind
+        self.watch = watch  # msum/sum: called with each new non-positive summand
         self.witnesses: Dict[Tuple, Set[Tuple]] = {}
         self.best: Dict[Tuple, Dict[Tuple, int]] = {}  # key -> witness prefix -> summand
         self.released: Dict[Tuple, int] = {}  # key -> total released last
@@ -265,6 +266,8 @@ class _Tally:
             s = measured[-1]
             if not isinstance(s, int):
                 raise TypeMismatch(f"summand {s!r} is not an integer")
+            if s < 1 and self.watch is not None:
+                self.watch(key, s)
             best = self.best.setdefault(key, {})
             prefix = measured[:-1]
             if prefix not in best or s > best[prefix]:
@@ -933,8 +936,15 @@ def _budget_stop(
 # =====================================================================================
 
 
-def _rule_candidates(ctx: _Context, code: _RuleCode, emit: Callable[[GroundTuple], object]) -> None:
-    """Pass every head tuple derivable from the current stores to emit."""
+def _rule_candidates(
+    ctx: _Context,
+    code: _RuleCode,
+    emit: Callable[[GroundTuple], object],
+    watch: Optional[Callable[[str, Tuple, int], None]] = None,
+) -> None:
+    """Pass every head tuple derivable from the current stores to emit; a
+    msum/sum rule passes its id, group key and summand to watch for each
+    non-positive summand."""
     agg = code.plan.agg
     if agg is None:
         code.run(ctx, emit)
@@ -945,7 +955,7 @@ def _rule_candidates(ctx: _Context, code: _RuleCode, emit: Callable[[GroundTuple
         for _, head in sorted(first for _, firsts in rows.values() for first in firsts.values()):
             emit(head)
         return
-    tally = _Tally(agg.kind)
+    tally = _Tally(agg.kind, None if watch is None else partial(watch, code.plan.rule.id))
     code.run(ctx, tally.add)
     for key in tally.witnesses:
         code.release(key, tally.release(key), emit)
@@ -1021,20 +1031,16 @@ def seminaive_fixpoint(
 
     # One tally per counting rule: mcount/msum release as witnesses arrive,
     # count/sum only when the loop quiesces.
+    watch = _positivity_watch(options, monitor)
     tallies: Dict[str, _Tally] = {}
     for r in rules:
         agg = r.aggregate()
         if agg is not None and agg.kind in COUNTING_KINDS:
-            tallies[r.id] = _Tally(agg.kind)
-    warned: Set[str] = set()
+            tallies[r.id] = _Tally(agg.kind, None if watch is None else partial(watch, r.id))
 
     def feed(rule: Rule, code: _RuleCode, tally: _Tally, key: Tuple, measured: Tuple) -> None:
         if not tally.add(key, measured):
             return
-        if tally.kind in ("msum", "sum") and measured[-1] < 1 and options.monitor_positivity:
-            if rule.id not in warned and monitor is not None:
-                monitor.append(f"rule {rule.id}: non-positive summand {measured[-1]} for key {key}")
-            warned.add(rule.id)
         if tally.kind in ("mcount", "msum"):
             code.release(key, tally.release(key), admit[rule.head.predicate])
 
@@ -1179,6 +1185,23 @@ def _check_iterations(
         )
 
 
+def _positivity_watch(
+    options: EvalOptions, monitor: Optional[List[str]]
+) -> Optional[Callable[[str, Tuple, int], None]]:
+    """Under options.monitor_positivity, what reports a msum/sum rule's first
+    non-positive summand to monitor, once per rule; None otherwise."""
+    if not options.monitor_positivity or monitor is None:
+        return None
+    warned: Set[str] = set()
+
+    def watch(rule_id: str, key: Tuple, summand: int) -> None:
+        if rule_id not in warned:
+            warned.add(rule_id)
+            monitor.append(f"rule {rule_id}: non-positive summand {summand} for key {key}")
+
+    return watch
+
+
 def _nonempty(interp: Dict[str, Iterable[GroundTuple]]) -> Interpretation:
     return {p: set(rel) for p, rel in interp.items() if rel}
 
@@ -1201,7 +1224,8 @@ def naive_fixpoint(
     head_preds = {r.head.predicate for r in rules}
     gates = _build_gates(rules)
     fixed = {pred: rel for pred, rel in edb.items() if pred not in head_preds}
-    step = ConsequenceStep(rules, fixed, options.max_tuples, stats)
+    watch = _positivity_watch(options, monitor)
+    step = ConsequenceStep(rules, fixed, options.max_tuples, stats, watch)
     seeds = {p: set(edb.get(p, set())) for p in head_preds}
     current: Dict[str, Set[GroundTuple]] = {p: set() for p in head_preds}
     while True:
@@ -1249,10 +1273,11 @@ class ConsequenceStep:
 
     max_tuples bounds int_up2 enumeration; given stats, a call counts each
     derived head tuple there and stops past max_tuples, with the stats (timed
-    from the step's creation) and the relations derived so far.
+    from the step's creation) and the relations derived so far. Given watch,
+    a msum/sum rule reports its non-positive summands to it (_rule_candidates).
     """
 
-    __slots__ = ("codes", "stores", "max_tuples", "stats", "started")
+    __slots__ = ("codes", "stores", "max_tuples", "stats", "started", "watch")
 
     def __init__(
         self,
@@ -1260,6 +1285,7 @@ class ConsequenceStep:
         fixed: Interpretation,
         max_tuples: int = 10_000_000,
         stats: Optional[EvalStats] = None,
+        watch: Optional[Callable[[str, Tuple, int], None]] = None,
     ):
         self.started = time.perf_counter()
         self.codes = [(r.head.predicate, _rule_code(r, frozenset(), None)) for r in rules]
@@ -1268,6 +1294,7 @@ class ConsequenceStep:
         self.stores = {p: RelationStore(rel) for p, rel in fixed.items()}
         self.max_tuples = max_tuples
         self.stats = stats
+        self.watch = watch
 
     def __call__(self, varying: Interpretation) -> Interpretation:
         stores = dict(self.stores)
@@ -1276,7 +1303,8 @@ class ConsequenceStep:
         out = ctx.collected = {p: set(rel) for p, rel in varying.items()}
         for pred, code in self.codes:
             keep = out.setdefault(pred, set()).add
-            _rule_candidates(ctx, code, keep if self.stats is None else partial(ctx.count, keep))
+            emit = keep if self.stats is None else partial(ctx.count, keep)
+            _rule_candidates(ctx, code, emit, self.watch)
         return {p: rel for p, rel in out.items() if rel or p in varying}
 
 

@@ -2,10 +2,13 @@
 
 Hand-written lexer and recursive-descent parser. A plain fact line, such as
 `arc(a,b,5).`, that starts at a clause boundary never reaches the tokenizer:
-a one-regex line reader turns each run of them straight into ground Facts,
-and their arities are checked once per run. Everything else is tokenized,
-so every error keeps its message, line and column. Fact files go through
-the same parse_program; edge lists load straight into Facts. Syntax:
+a line reader turns each run of them straight into ground Facts, and their
+arities are checked once per run. Within a run, lines of one arity are read
+in chunks, through a pattern for that arity, converting each distinct
+argument text once and building the Facts in bulk. Everything else is
+tokenized, so every error keeps its message, line and column. Fact files go
+through the same parse_program; edge lists are read whole and load straight
+into Facts, each distinct field converted once. Syntax:
 
     r1: path(Y,Dy) :- arc(a,Y,Dy), Dy>=0.
     r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy.
@@ -32,7 +35,12 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from functools import lru_cache, partial
+from itertools import repeat, takewhile
+from re import Match
+from typing import (
+    AbstractSet, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+)
 
 from .analysis import build_dependency_graph
 from .errors import (
@@ -92,10 +100,31 @@ _PUNCT_ONE = "()<>=,.+-*:"
 # them: the line reader gives it the same Fact the tokenizer and parser would.
 # int() converts 640 digits under any limit Python allows; a longer literal is
 # left to the tokenizer, whose parser reports one int() refuses.
-_ARG = r"[ \t\r]*(?:-?[0-9]{1,640}|[a-z][A-Za-z0-9_']*)[ \t\r]*"
+_ARG_TEXT = r"[a-z][A-Za-z0-9_']*|-?[0-9]{1,640}"
+_ARG = rf"[ \t\r]*(?:{_ARG_TEXT})[ \t\r]*"
 _FACT_LINE = re.compile(
     rf"[ \t\r]*([a-z][A-Za-z0-9_']*)[ \t\r]*(?:\(({_ARG}(?:,{_ARG})*)\))?[ \t\r]*\.[ \t\r]*"
 )
+
+
+# Arities read through a pattern of their own; compiling one costs about
+# 0.1 ms per argument, so a line of more arguments is read alone.
+_PATTERN_ARITIES = 8
+
+
+@lru_cache(maxsize=_PATTERN_ARITIES)
+def _fact_line_of_arity(arity: int) -> "re.Pattern[str]":
+    """The plain fact lines of `arity` > 0: what _FACT_LINE takes with that
+    many arguments, with a group for the predicate and one per argument."""
+    args = ",".join([rf"[ \t\r]*({_ARG_TEXT})[ \t\r]*"] * arity)
+    return re.compile(rf"[ \t\r]*([a-z][A-Za-z0-9_']*)[ \t\r]*\({args}\)[ \t\r]*\.[ \t\r]*")
+
+
+# Fact((predicate, values)) at C speed: the Python-level Fact.__new__ costs
+# about as much as matching the line.
+_new_fact = partial(tuple.__new__, Fact)
+# The lines of a fact run whose matches are alive at once, at most.
+_CHUNK_LINES = 256
 
 
 @dataclass
@@ -124,7 +153,15 @@ class _ArgValues(dict):
 
 def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
     """The plain fact lines from lines[start] on, and the index of the first
-    line that is not one."""
+    line that is not one.
+
+    The run is read in chunks of up to _CHUNK_LINES lines of one arity: the
+    arity's pattern is matched line after line up to the first line it does
+    not take, each distinct argument text is converted once, and the Facts
+    are built in bulk. A `p.` line, one of more than _PATTERN_ARITIES
+    arguments, or one whose next two lines have another number of commas is
+    read alone.
+    """
     facts: List[Fact] = []
     arities: Dict[str, int] = {}
     mixed = False
@@ -136,11 +173,28 @@ def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
         if m is None:
             break
         predicate, args = m.groups()
-        fact = Fact(predicate, () if args is None else tuple(map(value, args.split(","))))
-        if arities.setdefault(predicate, len(fact.values)) != len(fact.values):
-            mixed = True
-        facts.append(fact)
-        i += 1
+        arity = 0 if args is None else args.count(",") + 1
+        # A chunk pays for itself when the next two lines look alike.
+        if (
+            arity <= _PATTERN_ARITIES
+            and i + 2 < n
+            and arity - 1 == lines[i + 1].count(",") == lines[i + 2].count(",")
+        ):
+            chunk = map(lines.__getitem__, range(i, min(n, i + _CHUNK_LINES)))
+            matches = takewhile(bool, map(_fact_line_of_arity(arity).fullmatch, chunk))
+            predicates, *columns = zip(*map(Match.groups, matches))
+            values = zip(*[map(value, column) for column in columns])
+            facts.extend(map(_new_fact, zip(map(sys.intern, predicates), values)))
+            for p in dict.fromkeys(predicates):
+                if arities.setdefault(p, arity) != arity:
+                    mixed = True
+            i += len(predicates)
+        else:  # a line read alone
+            values = tuple(map(value, args.split(","))) if arity else ()
+            facts.append(_new_fact((predicate, values)))
+            if arities.setdefault(predicate, arity) != arity:
+                mixed = True
+            i += 1
     return _FactRun(start + 1, facts, arities, mixed), i
 
 
@@ -797,7 +851,7 @@ def parse_facts(text: str) -> List[Fact]:
 _INTEGER_FIELD = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
-def _int_field(field: str, line: int) -> Optional[int]:
+def _int_field(field: str) -> Optional[int]:
     """field as int() reads it, or None where int() does not accept it. An
     integer of more digits than int() converts is a LoadError: int() raises
     the same ValueError for it as for a long field that is no integer."""
@@ -805,18 +859,30 @@ def _int_field(field: str, line: int) -> Optional[int]:
         return int(field)
     except ValueError:
         if _INTEGER_FIELD.fullmatch(field):
-            raise LoadError(_digit_limit(sum(c.isdecimal() for c in field)), line) from None
+            raise LoadError(_digit_limit(sum(c.isdecimal() for c in field))) from None
         return None
 
 
-def _node_value(field: str, line: int) -> Value:
+def _length_value(field: str) -> int:
+    value = _int_field(field)
+    if value is None:
+        raise LoadError(f"length {field!r} is not an integer")
+    return value
+
+
+def _node_value(field: str) -> Value:
     # Only a sign or a decimal digit can start what int() accepts.
     head = field[:1]
     if head.isdecimal() or head in ("+", "-"):
-        value = _int_field(field, line)
+        value = _int_field(field)
         if value is not None:
             return value
     return field
+
+
+def _csv_fields(line: str) -> List[str]:
+    text = line.strip()
+    return [f.strip() for f in text.split(",")] if text else []
 
 
 def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Fact]:
@@ -826,33 +892,68 @@ def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Fact]:
     lines and lines starting with '#' are skipped, and a repeated line is
     loaded once. Node fields that int() accepts are loaded as integers; an
     integer field of more digits than int() converts is a LoadError.
+
+    The file is read whole: each distinct field text is converted once, and
+    the lines are deduplicated and turned into Facts in bulk. A bad line is
+    then looked for line by line, so the first one is reported.
     """
     if fmt is None:
         fmt = "csv" if os.path.splitext(path)[1].lower() == ".csv" else "tsv"
     if fmt not in ("tsv", "csv"):
         raise LoadError(f"unknown edge list format {fmt!r}")
-    facts: List[Fact] = []
-    seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = [f.strip() for f in text.split(",")] if fmt == "csv" else text.split()
-            if len(fields) == 2:
-                fields.append("1")
-            if len(fields) != 3:
-                raise LoadError(f"expected 2 or 3 fields, found {len(fields)}", lineno)
-            length = _int_field(fields[2], lineno)
-            if length is None:
-                raise LoadError(f"length {fields[2]!r} is not an integer", lineno)
-            key = (fields[0], fields[1], length)
-            if key in seen:
-                continue
-            seen.add(key)
-            source, target = _node_value(fields[0], lineno), _node_value(fields[1], lineno)
-            facts.append(Fact("arc", (source, target, length)))
-    return facts
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    split = str.split if fmt == "tsv" else _csv_fields
+    rows = list(filter(None, map(split, lines)))  # the lines that are not blank
+    if "#" in text:
+        rows = [fields for fields in rows if fields[0][:1] != "#"]
+    del text
+    if not rows:
+        return []
+    try:
+        counts = set(map(len, rows))
+        if not counts <= {2, 3}:
+            raise LoadError("expected 2 or 3 fields")  # _first_bad_line names the line
+        if 2 in counts:
+            for fields in rows:
+                if len(fields) == 2:
+                    fields.append("1")
+        sources, targets, lengths = zip(*rows)
+        del rows
+        length_values = {field: _length_value(field) for field in set(lengths)}
+        # The first line of each (source, target, length) key, in file order,
+        # with one str per distinct node field, shared by every fact.
+        keys = dict.fromkeys(
+            zip(
+                map(sys.intern, sources),
+                map(sys.intern, targets),
+                map(length_values.__getitem__, lengths),
+            )
+        )
+        nodes = {field: _node_value(field) for field in set(sources).union(targets)}
+        if any(value is not field for field, value in nodes.items()):  # some node is an integer
+            sources, targets, lengths = zip(*keys)
+            keys = zip(map(nodes.__getitem__, sources), map(nodes.__getitem__, targets), lengths)
+        return list(map(_new_fact, zip(repeat("arc"), keys)))
+    except LoadError as exc:
+        raise _first_bad_line(lines, split) or exc from None
+
+
+def _first_bad_line(lines: List[str], split: Callable[[str], List[str]]) -> Optional[LoadError]:
+    """The error of the first line that is no edge, with its line number."""
+    for lineno, fields in enumerate(map(split, lines), start=1):
+        if not fields or fields[0][:1] == "#":
+            continue
+        try:
+            if len(fields) not in (2, 3):
+                raise LoadError(f"expected 2 or 3 fields, found {len(fields)}")
+            _length_value(fields[2] if len(fields) == 3 else "1")
+            _node_value(fields[0])
+            _node_value(fields[1])
+        except LoadError as exc:
+            return LoadError(str(exc), lineno)
+    return None
 
 
 def load_facts_path(path: str) -> List[Fact]:
@@ -860,5 +961,5 @@ def load_facts_path(path: str) -> List[Fact]:
     ext = os.path.splitext(path)[1].lower()
     if ext in (".tsv", ".csv"):
         return load_edge_list(path, ext.lstrip("."))
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_facts(fh.read())

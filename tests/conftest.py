@@ -6,10 +6,13 @@ paper on the tiny graphs) and then frozen here.
 """
 from __future__ import annotations
 
+import os
 import random
+import re
 
 import premlog as P
-from premlog.errors import TypeMismatch
+from premlog.errors import LoadError, TypeMismatch
+from premlog.parser import _digit_limit
 
 # ===== shortest-path family ==================================================
 
@@ -222,6 +225,51 @@ def eval_aggregate(kind, rows):
     if kind in ("mcount", "msum"):
         return {key: set(range(1, total + 1)) for key, total in totals.items()}
     return {key: total for key, total in totals.items() if total > 0}
+
+
+def load_edge_list_by_line(path, fmt=None):
+    """The edge-list reader line by line, as premlog read edge lists before
+    it read them in bulk: the reference parser.load_edge_list is held to."""
+
+    def int_field(field, line):
+        try:
+            return int(field)
+        except ValueError:
+            if re.fullmatch(r"[+-]?\d+(?:_\d+)*", field):
+                raise LoadError(_digit_limit(sum(c.isdecimal() for c in field)), line) from None
+            return None
+
+    def node_value(field, line):
+        if field[:1].isdecimal() or field[:1] in ("+", "-"):
+            value = int_field(field, line)
+            if value is not None:
+                return value
+        return field
+
+    if fmt is None:
+        fmt = "csv" if os.path.splitext(path)[1].lower() == ".csv" else "tsv"
+    facts = []
+    seen = set()
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            fields = [f.strip() for f in text.split(",")] if fmt == "csv" else text.split()
+            if len(fields) == 2:
+                fields.append("1")
+            if len(fields) != 3:
+                raise LoadError(f"expected 2 or 3 fields, found {len(fields)}", lineno)
+            length = int_field(fields[2], lineno)
+            if length is None:
+                raise LoadError(f"length {fields[2]!r} is not an integer", lineno)
+            key = (fields[0], fields[1], length)
+            if key in seen:
+                continue
+            seen.add(key)
+            source, target = node_value(fields[0], lineno), node_value(fields[1], lineno)
+            facts.append(P.Fact("arc", (source, target, length)))
+    return facts
 
 
 def random_positive_program(seed: int) -> str:

@@ -75,6 +75,30 @@ def test_run_edge_list_facts(write, tmp_path, capsys):
     assert "spath(c,2)" in capsys.readouterr().out
 
 
+BOM = "\ufeff"  # a UTF-8 byte order mark, which some editors write first
+
+
+def test_run_program_file_with_bom(write, capsys):
+    prog = write("spath.dl", BOM + SHORTEST_PATH)
+    assert main(["run", prog]) == EXIT_OK
+    assert "spath(c,2)" in capsys.readouterr().out
+
+
+def test_run_fact_file_with_bom(write, capsys):
+    rules = write("rules.dl", RULES_ONLY)
+    facts = write("facts.dl", BOM + "arc(a,b,1). arc(b,c,1). arc(a,c,5).\n")
+    assert main(["run", rules, "--facts", facts]) == EXIT_OK
+    assert "spath(c,2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, text", [("g.tsv", "a\tb\t1\nb\tc\t1\n"), ("g.csv", "a,b,1\nb,c,1\n")])
+def test_run_edge_list_with_bom(write, capsys, name, text):
+    rules = write("rules.dl", RULES_ONLY)
+    facts = write(name, BOM + text)
+    assert main(["run", rules, "--facts", facts]) == EXIT_OK
+    assert capsys.readouterr().out == "spath(b,1).\nspath(c,2).\n"
+
+
 def test_one_graph_per_program_version(write, tmp_path, capsys, monkeypatch):
     builds = []
     real = analysis_module.build_dependency_graph
@@ -218,6 +242,20 @@ def test_run_trust_but_verify_audits(write, capsys):
     captured = capsys.readouterr()
     assert "finalcost(fleet,405)" in captured.out
     assert "audit" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["seminaive", "naive"])
+def test_run_trust_but_verify_reports_a_non_positive_summand(write, capsys, mode):
+    negative_seat = PART_EXPLOSION_NOGUARD.replace("basic(seat,5)", "basic(seat,-5)")
+    prog = write("parts.dl", negative_seat)
+    assert main(["run", prog, "--trust-but-verify", "--mode", mode]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "finalcost(fleet,390)" in captured.out
+    audits = [line for line in captured.err.splitlines() if line.startswith("audit: ")]
+    assert audits == [
+        "audit: rule r2: non-positive summand -5 for key ('bike',)",
+        "audit: rule r2 sum transfer sampled: no counterexample found",
+    ]
 
 
 def test_run_approved_sum_runs_natively(write, capsys):

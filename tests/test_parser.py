@@ -11,7 +11,7 @@ from premlog.model import AggregateGoal, Bound, Conjunction, Extremum, Fact, Hea
 from premlog import parser
 from premlog.parser import Token, load_edge_list
 
-from conftest import CAPPED_MAX, BOUNDED_PATH, PARTY_GATED, PART_EXPLOSION
+from conftest import CAPPED_MAX, BOUNDED_PATH, PARTY_GATED, PART_EXPLOSION, load_edge_list_by_line
 
 
 def test_labels_and_facts():
@@ -260,6 +260,72 @@ def test_load_edge_list_csv_with_spaces(tmp_path):
     ]
 
 
+_FIELDS = ["a", "n17", "1", "01", "-3", "+4", "1_000", "\u0663", "1x", "-", "#c", "", "1" * 4301, "2" * 4300]
+_SEPARATORS = {"tsv": ["\t", " ", "\t\x0b", "\x85", "\u2028"], "csv": [",", " , ", ",\t", ",\x0c"]}
+
+
+@st.composite
+def _edge_list(draw, fmt):
+    # Lines from a few fields, so repeats are common; the line ends mix.
+    sep = st.sampled_from(_SEPARATORS[fmt])
+    field = st.one_of(st.sampled_from(_FIELDS[:4]), st.sampled_from(_FIELDS))
+    row = st.lists(st.tuples(field, sep), min_size=1, max_size=4).map(
+        lambda parts: "".join(f + s for f, s in parts)[: -len(parts[-1][1]) or None]
+    )
+    line = st.one_of(row, row, row, st.sampled_from(["", " ", "# a comment", " #x\t1\t2"]))
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    lines = draw(st.lists(st.tuples(line, ends), max_size=8))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + "".join(text + end for text, end in lines)
+
+
+def _load_outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # both readers must fail alike, whatever the error
+        return (type(exc), str(exc), getattr(exc, "line", None))
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "csv"])
+def test_load_edge_list_agrees_with_the_line_reader(fmt, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("edges") / f"g.{fmt}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_list(fmt))
+    def agree(text):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        expected = _load_outcome(load_edge_list_by_line, path)
+        assert _load_outcome(load_edge_list, path) == expected
+        if isinstance(expected, list):
+            assert all(type(f) is Fact for f in load_edge_list(path))
+
+    agree()
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("a\tb\t1\r\nc\td\r\n\r\n# c\ra\tb\t1\n", [("a", "b", 1), ("c", "d", 1)]),
+        ("a b 1\na b 01\n1 2\n01 2\n", [("a", "b", 1), (1, 2, 1), (1, 2, 1)]),
+        ("a\tb\t1\na\tb\tc\td\n", "line 2: expected 2 or 3 fields, found 4"),
+        ("a\n" + "1" * 4301 + "\tb\n", "line 1: expected 2 or 3 fields, found 1"),
+        ("a\tb\tx\n" + "1" * 4301 + "\tb\n", "line 1: length 'x' is not an integer"),
+        ("a\tb\t1\n" + "1" * 4301 + "\tb\tx\n", "line 2: length 'x' is not an integer"),
+        ("a\t" + "1" * 4301 + "\t2\na\tb\tc\td\n", "line 1: integer literal of 4301 digits"),
+    ],
+)
+def test_load_edge_list_line_ends_repeats_and_first_error(tmp_path, text, expected):
+    f = tmp_path / "g.tsv"
+    f.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, list):
+        assert [a.as_tuple() for a in load_edge_list(str(f))] == expected
+    else:
+        with pytest.raises(P.LoadError, match="^" + expected):
+            load_edge_list(str(f))
+    assert _load_outcome(load_edge_list, str(f)) == _load_outcome(load_edge_list_by_line, str(f))
+
+
 # ===== the line fact reader ===================================================
 
 
@@ -400,6 +466,10 @@ def test_program_parse_agrees_with_the_tokenizer_alone(text):
     assert _outcome(P.parse_program, text) == _outcome(P.parse_program, _tokenized(text))
 
 
+_ARCS = "arc(a,b,1).\n arc( b , c ,2).\narc(c,d,-3).\n"
+_NODES = "n(a).\nn(b).\nn(c).\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -413,10 +483,62 @@ def test_program_parse_agrees_with_the_tokenizer_alone(text):
         "p(a).\np(a,b).\nq(X).\n",  # a fact check after an arity conflict
         "q(a,b).\np(a).\np(a,b).\nq(c).\n",
         "p(a).\n% c\n\np(b).\nint_up2(1,2,3).\n",
+        # runs read in chunks of one arity (three or more lines alike)
+        _ARCS + _NODES + _ARCS + "e(a,b).\ne(b,c).\ne(c,d).\n" + _NODES,  # arity switches
+        _ARCS + "p.\n" + _ARCS + "q .\np.\n" + _NODES,  # `p.` lines inside a run
+        "p.\np.\np.\nq(a).\nq(b).\nq(c).\nr(X) :- q(X), p.\n",
+        _ARCS + _NODES + "arc(a,b).\narc(c,d).\narc(e,f).\n" + _ARCS,  # an arity conflict in a run
+        _NODES + "arc(a,b).\nn(d,e).\narc(c,d).\n",  # ... inside one chunk
+        "arc(a,b,1).\nr(X) :- arc(X,Y,Z).\n" + _NODES + "arc(b,c).\narc(c,d).\narc(d,e).\n",
+        _ARCS + "arc(a,b," + "7" * 641 + ").\n" + _ARCS,  # a 641-digit argument
+        "arc(a,b,1).\narc(b,c,-" + "7" * 641 + ").\narc(c,d,2).\narc(d,e,3).\n",
+        "arc(a,b," + "7" * 640 + ").\narc(b,c,-" + "7" * 640 + ").\narc(c,d,1).\n",
+        _ARCS + "arc(b,c," + "7" * 5000 + ").\n",  # more digits than int() converts
+        "w(a,b,c,d,e,f,g,h,i).\nw(a,b,c,d,e,f,g,h,j).\nw(a,b,c,d,e,f,g,h,1).\n",  # nine arguments
     ],
 )
 def test_program_parse_agrees_with_the_tokenizer_alone_on(text):
     assert _outcome(P.parse_program, text) == _outcome(P.parse_program, _tokenized(text))
+
+
+_RUN_ARGS = ["a", "b'", "0", "-3", "007", " x ", "\t1", "X", "- 5", "7" * 641, "7" * 5000]
+
+
+@st.composite
+def _fact_run(draw):
+    # Lines of one arity, so that they are read in chunks; now and then one
+    # of another arity, or an argument the line reader does not take.
+    arity = draw(st.sampled_from([0, 1, 2, 3, 9]))
+    arg = st.one_of(st.sampled_from(_RUN_ARGS[:7]), st.sampled_from(_RUN_ARGS[:7]), st.sampled_from(_RUN_ARGS))
+    line = st.tuples(
+        st.sampled_from(["p", "q", "arc"]),
+        st.one_of(st.just(arity), st.just(arity), st.just(arity), st.sampled_from([0, 1, 2])),
+        st.lists(arg, min_size=9, max_size=9),
+    ).map(lambda t: t[0] + (f"({','.join(t[2][: t[1]])})" if t[1] else "") + ".")
+    return draw(st.lists(line, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_fact_run(), _fact_run(), st.lists(_RULE_LINE, max_size=1)), max_size=4))
+def test_program_parse_agrees_with_the_tokenizer_alone_on_fact_runs(blocks):
+    text = _lines_text(line for block in blocks for line in block)
+    assert _outcome(P.parse_program, text) == _outcome(P.parse_program, _tokenized(text))
+
+
+def test_fact_runs_are_read_in_chunks_of_one_arity(monkeypatch):
+    patterns = []
+    real = parser._fact_line_of_arity
+    monkeypatch.setattr(parser, "_fact_line_of_arity", lambda arity: patterns.append(arity) or real(arity))
+    facts = P.parse_facts(_ARCS + "p.\n" + _NODES + "q(a,b).\n" + _ARCS)
+    assert patterns == [3, 1, 3]  # the p. and q lines are read alone
+    assert [tuple(f) for f in facts[2:6]] == [("arc", ("c", "d", -3)), ("p", ()), ("n", ("a",)), ("n", ("b",))]
+    assert all(type(f) is Fact for f in facts)
+    with pytest.raises(ArityConflict, match="^line 8: arc used with arity 2, earlier 3$"):
+        P.parse_facts(_ARCS + _NODES + "e(a,b).\narc(c,d).\ne(e,f).\n")
+    with pytest.raises(ArityConflict, match="^line 4: n used with arity 0, earlier 1$"):
+        P.parse_facts(_NODES + "n.\n")
+    long = "7" * 641
+    assert P.parse_facts(f"{_ARCS}arc(b,c,{long}).\n{_ARCS}")[3].values == ("b", "c", int(long))
 
 
 def test_plain_fact_lines_build_no_tokens(monkeypatch):
