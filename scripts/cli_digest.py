@@ -2,11 +2,13 @@
 """Print one SHA-256 over the CLI's output on the generated benchmark corpus.
 
 For each seed, the 96 programs of `perfbench/corpus.generated_programs` are
-run in-process through `premlog.cli.main` under seven commands: `check`,
+run in-process through `premlog.cli.main` under eight commands: `check`,
 `optimize`, `run --mode naive --stats`, `run --stats`,
-`run --trust-but-verify --stats` and `verify --samples 100` on the program
-as generated, and `run --stats --facts F` on its rule lines (those holding
-`:-`) with the other lines, its facts, in the fact file F. The digest
+`run --trust-but-verify --stats`, `verify --samples 100` and
+`run --stats --max-tuples 4` (a budget stop on most programs, with its
+stats line) on the program as generated, and `run --stats --facts F` on its
+rule lines (those holding `:-`) with the other lines, its facts, in the
+fact file F. The digest
 covers each command's exit code, stdout and stderr, with the `wall_ms` of a
 stats line and the temporary directory masked. Two checkouts that print the
 same digest gave byte-identical output on every invocation.
@@ -39,6 +41,7 @@ COMMANDS = (
     ["run", "--stats"],
     ["run", "--trust-but-verify", "--stats"],
     ["verify", "--samples", "100"],
+    ["run", "--stats", "--max-tuples", "4"],
 )
 # Run on the rule lines, with the fact lines in a .dl file after --facts.
 FACTS_COMMAND = ["run", "--stats", "--facts"]

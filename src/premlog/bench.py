@@ -15,11 +15,12 @@ import heapq
 import random
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .engine import EvalOptions, EvalStats, run_program
 from .errors import BudgetExceeded, NegativeLength, PremlogError
-from .model import Fact, Program, Value
+from .model import Fact, Program, Value, new_fact
 from .parser import parse_program
 
 Arc = Tuple[Value, Value, int]
@@ -62,7 +63,7 @@ def check_lengths(arcs: Iterable[Arc]) -> None:
 
 
 def arc_facts(arcs: Iterable[Arc]) -> Tuple[Fact, ...]:
-    return tuple(Fact("arc", (u, v, w)) for u, v, w in arcs)
+    return tuple(map(new_fact, zip(repeat("arc"), map(tuple, arcs))))
 
 
 # =====================================================================================

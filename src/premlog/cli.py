@@ -25,8 +25,8 @@ from .analysis import PremVerdict, constraint_from_annotations
 from .bench import GraphSpec, gen_graph, run_benchmark
 from .engine import EvalOptions, default_query, execute, plan
 from .errors import ArityConflict, BudgetExceeded, PremlogError
-from .model import Program, fact_arities, format_value, tuple_sort_key
-from .parser import format_program, load_edge_list, load_facts_path, parse_program
+from .model import Program, format_value, tuple_sort_key
+from .parser import format_program, load_edge_list, parse_program, read_facts_path
 from .verify import check_prem_empirical, trust_but_verify_run
 
 EXIT_OK = 0
@@ -130,8 +130,8 @@ def _load_program(args) -> Program:
         program = parse_program(fh.read())
     arities = program.arities()
     for path in args.facts:
-        facts = load_facts_path(path)
-        for predicate, arity in fact_arities(facts).items():
+        facts, fact_arities = read_facts_path(path)
+        for predicate, arity in fact_arities.items():
             prior = arities.setdefault(predicate, arity)
             if prior != arity:
                 raise ArityConflict(f"{path}: {predicate} used with arity {arity}, earlier {prior}")

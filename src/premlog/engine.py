@@ -43,6 +43,23 @@ preserving and descending). There the cheapest queued cost level (the
 dearest) is final, and each iteration drains one level, skipping tuples
 that lost their gate since they were queued: Dijkstra's algorithm as a
 fixpoint (Knuth 1977; the greedy fixpoint of Ganguly, Greco and Zaniolo).
+
+A seminaive run keeps its relations resident (as BigDatalog keeps its
+recursive relations across iterations): iterated_fixpoint copies each
+relation's facts into a RelationStore once, every stratum runs on the same
+stores, and only a stratum's head predicates get fresh ones. An index built
+in one stratum serves the next, the result is the stores' own sets, and
+only a budget stop copies them. seminaive_fixpoint runs one stratum the same
+way, on copies of the interpretation it is given.
+
+Each seminaive stratum also proves, once, which columns hold only integers
+(as Soufflé types its columns at compile time): a relation it only reads is
+scanned at C speed in the columns its code tests, and a head column is
+proven by the head terms (an integer literal, arithmetic, a counting result,
+or a variable read from a proven column), given the seeds. The generated
+code then skips the isinstance test on values read from a proven column;
+the proof is part of the code's cache key, and ConsequenceStep, which reads
+no proof, keeps every test.
 """
 from __future__ import annotations
 
@@ -87,6 +104,7 @@ from .model import (
     INT_MIN,
     RANGE_PREDICATE,
     AggregateGoal,
+    ArithExpr,
     Atom,
     Bound,
     Comparison,
@@ -155,14 +173,16 @@ def _key_of(positions: Tuple[int, ...]) -> Callable[[GroundTuple], Tuple]:
 
 
 class RelationStore:
-    """A set of ground tuples with lazily built positional hash indexes."""
+    """A set of ground tuples with lazily built positional hash indexes, and
+    which of its columns are proven to hold only integers."""
 
-    __slots__ = ("tuples", "indexes", "_keyed")
+    __slots__ = ("tuples", "indexes", "_keyed", "ints")
 
     def __init__(self, tuples: Optional[Iterable[GroundTuple]] = None):
         self.tuples: Set[GroundTuple] = set(tuples) if tuples else set()
         self.indexes: Dict[Tuple[int, ...], Dict[Tuple, Set[GroundTuple]]] = {}
         self._keyed: List[Tuple[Callable[[GroundTuple], Tuple], Dict]] = []
+        self.ints: Dict[int, bool] = {}  # column -> all integers, once asked
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -198,6 +218,24 @@ class RelationStore:
             self._keyed.append((key_of, ix))
         return ix.get(key, ())
 
+    def int_column(self, i: int) -> bool:
+        """Whether column i holds only integers. Asked only of a relation
+        that no running rule derives into, so the answer is kept."""
+        known = self.ints.get(i)
+        if known is None:
+            known = self.ints[i] = _all_ints(self.tuples, i)
+        return known
+
+
+def _all_ints(tuples: Iterable[GroundTuple], i: int) -> bool:
+    """Whether column i of tuples holds only integers, in one pass at C
+    speed: sum adds integers and raises TypeError at the first symbol (a
+    float, which no loader makes, would make the total a float)."""
+    try:
+        return type(sum(map(itemgetter(i), tuples))) is int
+    except TypeError:
+        return False
+
 
 class ExtremaIndex:
     """The working-set gate of one predicate: does t strictly beat the
@@ -232,6 +270,8 @@ class ExtremaIndex:
 
 # An ExtremaIndex's (kind, cost, monotonic): what generated admission tests.
 _GateSpec = Tuple[str, int, bool]
+# Relation columns, (predicate, position), proven to hold only integers.
+_Columns = FrozenSet[Tuple[str, int]]
 
 
 class _Tally:
@@ -428,11 +468,14 @@ class _Source:
     leaves the function with `return` before its first loop. Datalog variables
     become locals with generated names; values a name cannot carry as a
     literal (predicate names, terms for error messages) live in the namespace.
+    A value read from a proven column, one whose every tuple holds an integer
+    there, is known to be an integer and needs no isinstance test.
     """
 
-    def __init__(self, header: str, namespace: Dict[str, object]):
+    def __init__(self, header: str, namespace: Dict[str, object], proven: _Columns = frozenset()):
         self.lines = [header]
         self.namespace = namespace
+        self.proven = proven
         self.names: Dict[str, str] = {}  # Datalog variable -> local or literal
         self.ints: Set[str] = set()  # locals that hold an integer once assigned
         self.indent = 1
@@ -554,7 +597,11 @@ class _Source:
 
 
 def _generate(
-    plan: _Plan, mutable: FrozenSet[str], version: Optional[int], gate: Optional[_GateSpec]
+    plan: _Plan,
+    mutable: FrozenSet[str],
+    version: Optional[int],
+    gate: Optional[_GateSpec],
+    proven: _Columns,
 ) -> Tuple[str, Dict]:
     """Source of `rule(ctx, sink)`, plus `release(key, values, emit)` for a
     counting aggregate, and the namespace both run in."""
@@ -562,6 +609,7 @@ def _generate(
     src = _Source(
         "def rule(ctx, sink, isinstance=isinstance, int=int, list=list, range=range):",
         namespace,
+        proven,
     )
     agg = plan.agg
     head = plan.rule.head
@@ -777,9 +825,12 @@ def _scan(
     for p, name in scan.binds:
         local = src.names.get(name)
         if local is None:
-            src.add(f"{src.bind(name)} = {row}[{p}]")
+            local = src.bind(name)
+            src.add(f"{local} = {row}[{p}]")
         else:
             src.add(f"if {row}[{p}] != {local}: continue")
+        if (pred, p) in src.proven and local.isidentifier():  # equals a proven value
+            src.ints.add(local)
 
 
 def _range(src: _Source, goal: Atom) -> None:
@@ -819,7 +870,11 @@ class _RuleCode:
 
 @lru_cache(maxsize=256)
 def _rule_code(
-    rule: Rule, mutable: FrozenSet[str], version: Optional[int], gate: Optional[_GateSpec] = None
+    rule: Rule,
+    mutable: FrozenSet[str],
+    version: Optional[int],
+    gate: Optional[_GateSpec] = None,
+    proven: _Columns = frozenset(),
 ) -> _RuleCode:
     """Generate and compile one rule's nested-loop function.
 
@@ -830,29 +885,35 @@ def _rule_code(
     None reads full stores. When the head is mutable, the function admits
     its tuples through gate, the head predicate's (kind, cost, monotonic) or
     None; the rule alone does not fix it, since an unannotated rule can
-    define a gated predicate. The cache, keyed on the rule's value, serves a
+    define a gated predicate. proven names the columns the stratum proved
+    integer (_proven_columns); a value read from one skips its isinstance
+    test, so the same rule over other data is other code, and the proof is
+    part of the cache key. The cache, keyed on the rule's value, serves a
     process that re-parses the same text (a test suite, a benchmark pass); it
     is bounded, so a stream of fresh programs does not grow it.
     """
     plan = compile_plan(rule, mutable)
-    source, namespace = _generate(plan, mutable, version, gate)
+    source, namespace = _generate(plan, mutable, version, gate, proven)
     tag = "full" if version is None else f"v{version}"
     exec(compile(source, f"<premlog rule {rule.id} {tag}>", "exec"), namespace)
     return _RuleCode(plan, namespace["rule"], namespace.get("release"))
 
 
 @lru_cache(maxsize=256)
-def _admit_code(pred: str, arity: int, gate: Optional[_GateSpec]) -> Callable:
+def _admit_code(
+    pred: str, arity: int, gate: Optional[_GateSpec], proven: _Columns = frozenset()
+) -> Callable:
     """`admit(ctx, t)`: the admission a rule function writes for its head,
     as a function of one tuple, for what arrives from outside a rule
-    function: seeds, count/sum releases and is_min/is_max winners."""
+    function: seeds, count/sum releases and is_min/is_max winners. A column
+    of pred in proven is an integer in every such tuple."""
     namespace: Dict[str, object] = dict(_RUNTIME)
-    src = _Source("def admit(ctx, t, isinstance=isinstance, int=int):", namespace)
+    src = _Source("def admit(ctx, t, isinstance=isinstance, int=int):", namespace, proven)
     name = _admit_prologue(src, pred, gate)
     items = [src.fresh("v") for _ in range(arity)]
     if items:
         src.add(f"{', '.join(items)}, = t")
-    _admit_tuple(src, name, gate, [(x, False) for x in items])
+    _admit_tuple(src, name, gate, [(x, (pred, i) in proven) for i, x in enumerate(items)])
     exec(compile(src.text(), f"<premlog admit {pred}>", "exec"), namespace)
     return namespace["admit"]
 
@@ -993,6 +1054,112 @@ def _build_gates(rules: Sequence[Rule]) -> Dict[str, ExtremaIndex]:
 
 
 # =====================================================================================
+# INTEGER COLUMNS
+# =====================================================================================
+
+
+@lru_cache(maxsize=256)
+def _int_needs(rule: Rule) -> Tuple[Tuple[Tuple[int, _Columns], ...], _Columns]:
+    """What proves the head columns of rule integers: (position, columns)
+    for each head column whose term is not an integer whatever the binding,
+    the body columns any one of which, proven, proves it (none: nothing
+    does). And the body columns whose proof removes an isinstance test from
+    the rule's code or proves a head column.
+
+    A variable is an integer in every binding that passes the body when a
+    positive atom reads it from a proven column, when int_up2 or a counting
+    result binds it, or when an equality ties it to such a variable, to an
+    integer literal or to arithmetic (whose result is an integer, or it
+    raises): an integer equals no symbol.
+    """
+    alias: Dict[str, str] = {}
+
+    def root(v: str) -> str:
+        while v in alias:
+            v = alias[v]
+        return v
+
+    columns: Dict[str, Set[Tuple[str, int]]] = {}
+    always: Set[str] = set()
+    guarded = set(rule.head.variables())  # variables whose proof is read
+    for g in rule.body:
+        if isinstance(g, Atom) and g.predicate == RANGE_PREDICATE:
+            guarded.update(term_variables(g.args[0]))
+            if isinstance(g.args[1], Variable):
+                always.add(g.args[1].name)
+        elif isinstance(g, Atom):
+            for i, a in enumerate(g.args):
+                if isinstance(a, Variable):
+                    columns.setdefault(a.name, set()).add((g.predicate, i))
+        elif isinstance(g, Comparison):
+            sides = (g.left, g.right)
+            if g.op not in ("=", "!=") or any(isinstance(t, ArithExpr) for t in sides):
+                guarded.update(g.variables())
+            for a, b in (sides, sides[::-1]) if g.op == "=" else ():
+                if not isinstance(a, Variable):
+                    continue
+                if isinstance(b, Variable):
+                    if root(a.name) != root(b.name):
+                        alias[root(a.name)] = root(b.name)
+                elif isinstance(b, ArithExpr) or (isinstance(b, Constant) and type(b.value) is int):
+                    always.add(a.name)
+        elif isinstance(g, AggregateGoal):
+            if g.kind in COUNTING_KINDS and g.result is not None:
+                always.add(g.result)
+            elif g.kind in EXTREMA_KINDS:
+                guarded.add(g.measured[0])
+    joined: Dict[str, Set[Tuple[str, int]]] = {}
+    ints: Set[str] = set()
+    for v in set(columns) | always | guarded:
+        joined.setdefault(root(v), set()).update(columns.get(v, ()))
+        if v in always:
+            ints.add(root(v))
+
+    pending = []
+    for i, t in enumerate(rule.head.args):
+        if isinstance(t, Constant) and type(t.value) is not int:
+            pending.append((i, frozenset()))
+        elif isinstance(t, Variable) and root(t.name) not in ints:
+            pending.append((i, frozenset(joined[root(t.name)])))
+        # else an integer literal or arithmetic
+    reads = frozenset(c for v in guarded for c in joined[root(v)])
+    return tuple(pending), reads
+
+
+def _proven_columns(
+    rules: Sequence[Rule], stores: Dict[str, RelationStore], seeds: Dict[str, Set[GroundTuple]]
+) -> Tuple[_Columns, _Columns]:
+    """The columns a stratum proves to hold only integers, and which of them
+    are its heads'. A relation it reads and does not derive is scanned, once
+    per column a guard or a head reads (RelationStore.int_column). A head
+    column is proven by the head terms: the greatest set of head columns
+    that the seeds and every rule keep integer, given the rest."""
+    needs = [(r.head, _int_needs(r)) for r in rules]
+    heads = {head.predicate for head, _ in needs}
+    read: Set[Tuple[str, int]] = set()
+    for _, (_, reads) in needs:
+        for col in reads:
+            if col[0] not in heads and col not in read:
+                store = stores.get(col[0])
+                if store is None or store.int_column(col[1]):
+                    read.add(col)
+    held: Set[Tuple[str, int]] = set()
+    for head, _ in needs:
+        facts = seeds.get(head.predicate)
+        held.update((head.predicate, i) for i in range(head.arity) if not facts or _all_ints(facts, i))
+    changed = True
+    while changed:
+        changed = False
+        for head, (pending, _) in needs:
+            for i, cols in pending:
+                col = (head.predicate, i)
+                if col in held and cols.isdisjoint(read) and cols.isdisjoint(held):
+                    held.discard(col)
+                    changed = True
+    return frozenset(read | held), frozenset(held)
+
+
+# =====================================================================================
 # SEMINAIVE FIXPOINT
 # =====================================================================================
 
@@ -1003,21 +1170,40 @@ def seminaive_fixpoint(
     options: Optional[EvalOptions] = None,
     monitor: Optional[List[str]] = None,
 ) -> Tuple[Interpretation, EvalStats]:
-    """Evaluate one stratum incrementally; returns edb extended with results."""
-    options = options or EvalOptions()
+    """Evaluate one stratum incrementally; returns edb extended with results.
+    The stores are copies of edb, so edb is left as it was."""
+    stores = {pred: RelationStore(rel) for pred, rel in edb.items()}
+    stats = _seminaive_stratum(rules, stores, options or EvalOptions(), monitor)
+    return _relations(stores), stats
+
+
+def _seminaive_stratum(
+    rules: Sequence[Rule],
+    stores: Dict[str, RelationStore],
+    options: EvalOptions,
+    monitor: Optional[List[str]],
+) -> EvalStats:
+    """Evaluate one stratum incrementally in stores, which then hold its
+    results. Each head predicate gets a fresh store, its facts entering as
+    seeds through the gates; every other store, and the indexes built on it,
+    is read as it stands and kept for the next stratum."""
     stats = EvalStats()
     started = time.perf_counter()
     head_preds = {r.head.predicate for r in rules}
-    stores: Dict[str, RelationStore] = {}
-    for pred, rel in edb.items():
-        stores[pred] = RelationStore(rel if pred not in head_preds else None)
+    seeds: Dict[str, Set[GroundTuple]] = {}
+    for pred in head_preds:
+        facts = stores.get(pred)  # a predicate's rules are all in one stratum
+        if facts is not None:
+            seeds[pred] = facts.tuples
+            stores[pred] = RelationStore()
     gates = _build_gates(rules)
     ctx = _Context(stores, options.max_tuples, stats, gates, started)
     specs = {pred: (g.kind, g.cost, g.monotonic) for pred, g in gates.items()}
     mutable = frozenset(head_preds)
+    proven, held = _proven_columns(rules, stores, seeds)
 
     def code_for(r: Rule, version: Optional[int]) -> _RuleCode:
-        return _rule_code(r, mutable, version, specs.get(r.head.predicate))
+        return _rule_code(r, mutable, version, specs.get(r.head.predicate), proven)
 
     # One delta version per goal on a head predicate, as compile_plan numbers them.
     n_scc = {r.id: sum(g.predicate in head_preds for g in r.regular_goals()) for r in rules}
@@ -1026,7 +1212,8 @@ def seminaive_fixpoint(
     code_of = {r.id: code for r, code in exit_code + delta_code}
     arity = {r.head.predicate: r.head.arity for r in rules}
     admit = {
-        pred: partial(_admit_code(pred, arity[pred], specs.get(pred)), ctx) for pred in head_preds
+        pred: partial(_admit_code(pred, arity[pred], specs.get(pred), proven), ctx)
+        for pred in head_preds
     }
 
     # One tally per counting rule: mcount/msum release as witnesses arrive,
@@ -1068,7 +1255,7 @@ def seminaive_fixpoint(
 
     # Seed: facts for stratum predicates enter through the gates.
     for pred in head_preds:
-        for t in edb.get(pred, ()):
+        for t in seeds.get(pred, ()):
             admit[pred](t)
 
     # Round 1: exit rules fire once over the full stores.
@@ -1093,8 +1280,10 @@ def seminaive_fixpoint(
                 run_rule(r, code)
             next_round()
 
+    for pred, i in held:  # the stratum is done: what its heads proved stays true
+        ctx.store(pred).ints[i] = True
     stats.wall_ms += (time.perf_counter() - started) * 1000.0
-    return ctx.state(), stats
+    return stats
 
 
 def _greedy(rules: Sequence[Rule], specs: Dict[str, _GateSpec], head_preds: Set[str]) -> bool:
@@ -1204,6 +1393,12 @@ def _positivity_watch(
 
 def _nonempty(interp: Dict[str, Iterable[GroundTuple]]) -> Interpretation:
     return {p: set(rel) for p, rel in interp.items() if rel}
+
+
+def _relations(stores: Dict[str, RelationStore]) -> Interpretation:
+    """The stores' sets themselves, the empty ones left out: for a store no
+    rule will write to again."""
+    return {p: s.tuples for p, s in stores.items() if s.tuples}
 
 
 # =====================================================================================
@@ -1342,16 +1537,28 @@ def iterated_fixpoint(
     options: Optional[EvalOptions] = None,
     monitor: Optional[List[str]] = None,
 ) -> Tuple[Interpretation, EvalStats]:
-    """Evaluate a program stratum by stratum, bottom up."""
+    """Evaluate a program stratum by stratum, bottom up.
+
+    In seminaive mode the relations stay resident for the whole run: each
+    relation's facts are copied into its store once, as seminaive_fixpoint
+    copies them (so both scan them in the same order), and every stratum
+    runs on the same stores, so an index built in one serves the next. The
+    result is the stores' sets; only a budget stop copies them."""
     options = options or EvalOptions()
     strata = stratify(program)
     db = facts_to_interp(program.facts)
+    stores = None
+    if options.mode == "seminaive":
+        stores = {pred: RelationStore(rel) for pred, rel in db.items()}
     total = EvalStats()
-    fixpoint = seminaive_fixpoint if options.mode == "seminaive" else naive_fixpoint
     budget = options.max_tuples
     for stratum in strata:
+        opts = replace(options, max_tuples=budget)
         try:
-            db, stats = fixpoint(stratum.rules, db, replace(options, max_tuples=budget), monitor)
+            if stores is None:
+                db, stats = naive_fixpoint(stratum.rules, db, opts, monitor)
+            else:
+                stats = _seminaive_stratum(stratum.rules, stores, opts, monitor)
         except BudgetExceeded as exc:
             if exc.stats is not None:
                 total.merge(exc.stats)
@@ -1359,7 +1566,7 @@ def iterated_fixpoint(
             raise
         total.merge(stats)
         budget -= stats.derived
-    return db, total
+    return (db if stores is None else _relations(stores)), total
 
 
 # =====================================================================================

@@ -35,7 +35,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat, takewhile
 from re import Match
 from typing import (
@@ -77,6 +77,7 @@ from .model import (
     goal_conjunct,
     head_var_positions,
     make_constraint,
+    new_fact,
     term_variables,
 )
 
@@ -120,9 +121,6 @@ def _fact_line_of_arity(arity: int) -> "re.Pattern[str]":
     return re.compile(rf"[ \t\r]*([a-z][A-Za-z0-9_']*)[ \t\r]*\({args}\)[ \t\r]*\.[ \t\r]*")
 
 
-# Fact((predicate, values)) at C speed: the Python-level Fact.__new__ costs
-# about as much as matching the line.
-_new_fact = partial(tuple.__new__, Fact)
 # The lines of a fact run whose matches are alive at once, at most.
 _CHUNK_LINES = 256
 
@@ -184,14 +182,14 @@ def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
             matches = takewhile(bool, map(_fact_line_of_arity(arity).fullmatch, chunk))
             predicates, *columns = zip(*map(Match.groups, matches))
             values = zip(*[map(value, column) for column in columns])
-            facts.extend(map(_new_fact, zip(map(sys.intern, predicates), values)))
+            facts.extend(map(new_fact, zip(map(sys.intern, predicates), values)))
             for p in dict.fromkeys(predicates):
                 if arities.setdefault(p, arity) != arity:
                     mixed = True
             i += len(predicates)
         else:  # a line read alone
             values = tuple(map(value, args.split(","))) if arity else ()
-            facts.append(_new_fact((predicate, values)))
+            facts.append(new_fact((predicate, values)))
             if arities.setdefault(predicate, arity) != arity:
                 mixed = True
             i += 1
@@ -524,6 +522,11 @@ class Parser:
 
 
 def parse_program(text: str) -> Program:
+    return _parse_program(text)[0]
+
+
+def _parse_program(text: str) -> Tuple[Program, Dict[str, int]]:
+    """The program, and each predicate's arity as its clauses use it."""
     clauses = Parser(tokenize(text)).parse_clauses()
 
     facts: List[Fact] = []
@@ -543,7 +546,7 @@ def parse_program(text: str) -> Program:
             rule_clauses.append(c)
 
     ids = _assign_ids(rule_clauses)
-    _check_arities(clauses)
+    arities = _check_arities(clauses)
     # Normalizing annotations, which reads the recursive set, moves aggregates
     # and never an atom: the clauses as written give the program's graph.
     written = [Rule(rid, c.head, c.body) for rid, c in zip(ids, rule_clauses)]
@@ -560,12 +563,13 @@ def parse_program(text: str) -> Program:
             rules.append(rule)
 
     final = _extract_final_constraints(rules)
-    return Program(
+    program = Program(
         rules=tuple(rules),
         facts=tuple(facts),
         final_constraints=tuple(final),
         support_rules=tuple(support),
     ).adopt_graph(graph)
+    return program, arities
 
 
 def _assign_ids(clauses: List[_Clause]) -> List[str]:
@@ -588,8 +592,9 @@ def _assign_ids(clauses: List[_Clause]) -> List[str]:
     return ids
 
 
-def _check_arities(clauses: List[Union[_Clause, _FactRun]]) -> None:
-    """Facts and rules in source order, each atom at its clause's line."""
+def _check_arities(clauses: List[Union[_Clause, _FactRun]]) -> Dict[str, int]:
+    """Facts and rules in source order, each atom at its clause's line; the
+    arity of each predicate they use, in the order of first use."""
     seen: Dict[str, int] = {}
     for c in clauses:
         if isinstance(c, _FactRun):
@@ -613,6 +618,7 @@ def _check_arities(clauses: List[Union[_Clause, _FactRun]]) -> None:
                     )
     if seen.get(RANGE_PREDICATE, 2) != 2:
         raise ArityConflict(f"{RANGE_PREDICATE} has arity 2")
+    return seen
 
 
 def _normalize_rule(rid: str, c: _Clause, recursive: AbstractSet[str]) -> Rule:
@@ -841,10 +847,14 @@ def format_program(p: Program) -> str:
 
 
 def parse_facts(text: str) -> List[Fact]:
-    program = parse_program(text)
+    return _parse_facts(text)[0]
+
+
+def _parse_facts(text: str) -> Tuple[List[Fact], Dict[str, int]]:
+    program, arities = _parse_program(text)
     if program.rules or program.support_rules:
         raise ParseError("facts input contains rules")
-    return list(program.facts)
+    return list(program.facts), arities
 
 
 # What int() accepts in a field without spaces: 3, -3, +4, 007, 1_000, ٣.
@@ -935,7 +945,7 @@ def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Fact]:
         if any(value is not field for field, value in nodes.items()):  # some node is an integer
             sources, targets, lengths = zip(*keys)
             keys = zip(map(nodes.__getitem__, sources), map(nodes.__getitem__, targets), lengths)
-        return list(map(_new_fact, zip(repeat("arc"), keys)))
+        return list(map(new_fact, zip(repeat("arc"), keys)))
     except LoadError as exc:
         raise _first_bad_line(lines, split) or exc from None
 
@@ -958,8 +968,15 @@ def _first_bad_line(lines: List[str], split: Callable[[str], List[str]]) -> Opti
 
 def load_facts_path(path: str) -> List[Fact]:
     """Dispatch on extension: .tsv/.csv edge lists, anything else fact syntax."""
+    return read_facts_path(path)[0]
+
+
+def read_facts_path(path: str) -> Tuple[List[Fact], Dict[str, int]]:
+    """load_facts_path, with each predicate's arity in the facts, as the
+    reader found it: a fact file's from its parse, an edge list's arc/3."""
     ext = os.path.splitext(path)[1].lower()
     if ext in (".tsv", ".csv"):
-        return load_edge_list(path, ext.lstrip("."))
+        facts = load_edge_list(path, ext.lstrip("."))
+        return facts, ({"arc": 3} if facts else {})
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_facts(fh.read())
+        return _parse_facts(fh.read())

@@ -94,6 +94,14 @@ def test_arc_facts_shape():
     assert facts[0].predicate == "arc" and facts[0].as_tuple() == ("a", "b", 1)
 
 
+def test_arc_facts_are_the_facts_of_each_arc_in_order():
+    arcs = gen_graph(GraphSpec("dag", 40, 0.2, seed=3)) + [("n1", "n2", 7), ("n1", "n2", 7), (1, 2, 3)]
+    facts = arc_facts(arcs)
+    assert facts == tuple(P.Fact("arc", (u, v, w)) for u, v, w in arcs)
+    assert all(type(f) is P.Fact for f in facts)
+    assert arc_facts([]) == ()
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(P.PremlogError):
         variant_program("fastest", [("a", "b", 1)], "a")

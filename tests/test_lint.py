@@ -5,7 +5,8 @@ and no module imports a _private name from a sibling module: a helper two
 modules share is public. A program's dependency graph is built in one place,
 Program.graph, besides the parser's graph of the clauses it reads. The
 executor's _Context is built in two: the consequence step T, which the naive
-loop and the falsifier run, and the seminaive loop.
+loop and the falsifier run, and the seminaive stratum, which
+seminaive_fixpoint and the resident run of iterated_fixpoint share.
 """
 from __future__ import annotations
 
@@ -64,10 +65,11 @@ def private_sibling_imports(source: str):
     ]
 
 
-# (module, function) pairs that may call build_dependency_graph, and _Context
+# (module, function) pairs that may call build_dependency_graph (Program.graph
+# and the parser's body of parse_program), and _Context
 # (ConsequenceStep.__call__, the only __call__ in engine.py, and seminaive).
-GRAPH_BUILDERS = {("model.py", "graph"), ("parser.py", "parse_program")}
-CONTEXT_BUILDERS = {("engine.py", "__call__"), ("engine.py", "seminaive_fixpoint")}
+GRAPH_BUILDERS = {("model.py", "graph"), ("parser.py", "_parse_program")}
+CONTEXT_BUILDERS = {("engine.py", "__call__"), ("engine.py", "_seminaive_stratum")}
 
 
 def calls(callee: str, source: str, module: str):

@@ -238,6 +238,25 @@ def test_load_facts_path_dispatches_on_extension(tmp_path):
     assert load_facts_path(str(g))[0].predicate == "arc"
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("g.dl", "arc(a,b,1). arc(b,c,2).\nnode(a).\n"),
+        ("g.dl", "".join(f"e(n{i},n{i + 1}).\n" for i in range(40)) + "p.\nq(1,2). q(3,4).\n"),
+        ("g.dl", "% nothing\n"),
+        ("g.tsv", "a\tb\t1\nb\tc\n"),
+        ("g.csv", "# only a comment\n"),
+    ],
+    ids=["dl", "dl-runs-and-tokens", "dl-empty", "tsv", "csv-empty"],
+)
+def test_read_facts_path_gives_the_arities_of_its_facts(tmp_path, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    facts, arities = parser.read_facts_path(str(f))
+    assert facts == parser.load_facts_path(str(f))
+    assert list(arities.items()) == list(P.model.fact_arities(facts).items())
+
+
 def test_load_edge_list_integer_fields_are_what_int_accepts(tmp_path):
     f = tmp_path / "g.tsv"
     f.write_text("-3\t+4\t5\n007\t1_000\t2\nn17\tn18\n1x\t-\t3\n+a\t_1\t4\n")

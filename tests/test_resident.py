@@ -1,0 +1,227 @@
+"""Resident stores and proven integer columns.
+
+A seminaive run keeps one store per relation for all its strata, so each
+fact relation's store, and each index on it, is built once per run; and
+each stratum decides once which columns hold only integers, the generated
+code skipping the isinstance test on values read from them. Neither may
+change what a run prints, and the column proof is part of the generated
+code's cache key: the same rule text over symbolic data must still fail as
+it does on its own.
+"""
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+import premlog as P
+import premlog.engine as engine
+from premlog.cli import EXIT_INPUT, EXIT_OK, main
+from premlog.errors import BudgetExceeded
+from premlog.model import facts_to_interp
+
+# Three strata: a greedy min recursion, a plain recursion that reads it and
+# probes arc on the same index, and a range goal over what that derived.
+STAGED = """
+r1: path(Y,min<D>) :- arc(a,Y,D).
+r2: path(Y,min<D>) :- path(X,D0), arc(X,Y,W), W>1, D=D0+W, D>D0.
+r3: hop(Y,D) :- path(c,D), arc(c,Y,W).
+r4: hop(Z,D) :- hop(Y,D), arc(Y,Z,W).
+r5: loop(Y,J) :- hop(Y,D), int_up2(D,J).
+arc(a,b,1). arc(b,c,2). arc(a,c,5). arc(c,d,1). arc(d,e,1). arc(e,f,1). arc(f,g,1).
+"""
+ARCS = {
+    ("a", "b", 1), ("b", "c", 2), ("a", "c", 5),
+    ("c", "d", 1), ("d", "e", 1), ("e", "f", 1), ("f", "g", 1),
+}
+PATH = {("b", 1), ("c", 3)}
+
+
+def counts(stats):
+    return (stats.iterations, stats.derived, stats.retained, stats.deleted)
+
+
+def test_each_store_and_index_is_built_once_per_run(monkeypatch):
+    program = P.parse_program(STAGED)
+    strata = []  # per stratum: its rule ids and the stores it started from
+    built = Counter()  # RelationStore constructions
+    indexed = Counter()  # (store, positions) -> index builds
+    real_stratum = engine._seminaive_stratum
+    real_init = engine.RelationStore.__init__
+    real_match = engine.RelationStore.match
+
+    def stratum(rules, stores, options, monitor):
+        strata.append((sorted(r.id for r in rules), dict(stores)))
+        return real_stratum(rules, stores, options, monitor)
+
+    def init(self, tuples=None):
+        built["stores"] += 1
+        real_init(self, tuples)
+
+    def match(self, positions, key):
+        if positions and positions not in self.indexes:
+            indexed[id(self), positions] += 1
+        return real_match(self, positions, key)
+
+    monkeypatch.setattr(engine, "_seminaive_stratum", stratum)
+    monkeypatch.setattr(engine.RelationStore, "__init__", init)
+    monkeypatch.setattr(engine.RelationStore, "match", match)
+    result = P.run_program(program)
+
+    # One store for arc, one per head predicate (path, hop, loop).
+    assert built["stores"] == 4
+    assert [ids for ids, _ in strata] == [["r1", "r2"], ["r3", "r4"], ["r5"]]
+    arc = strata[0][1]["arc"]
+    assert all(stores["arc"] is arc for _, stores in strata)
+    assert strata[2][1]["path"] is strata[1][1]["path"]
+    assert result.db["arc"] is arc.tuples
+    # Strata 1 and 2 both probe arc on its first column: one index.
+    assert indexed[id(arc), (0,)] == 1
+    assert set(indexed.values()) == {1}
+    assert result.db["path"] == PATH
+    assert len(result.db["loop"]) == 12
+
+
+def test_resident_run_equals_a_replay_per_stratum():
+    result = P.run_program(P.parse_program(STAGED))
+    db = facts_to_interp(result.executed.facts)
+    total = P.EvalStats()
+    for stratum in P.stratify(result.executed):
+        db, stats = P.seminaive_fixpoint(stratum.rules, db)
+        total.merge(stats)
+    assert db == result.db
+    assert counts(total) == counts(result.stats) == (10, 19, 19, 1)
+
+
+def test_seminaive_fixpoint_leaves_its_input_alone():
+    edb = {"arc": set(ARCS), "path": {("z", 9)}}
+    rules = P.stratify(P.parse_program(STAGED))[0].rules
+    db, _ = P.seminaive_fixpoint(rules, edb)
+    assert edb == {"arc": ARCS, "path": {("z", 9)}}
+    assert db["arc"] == ARCS and db["arc"] is not edb["arc"]
+    assert db["path"] == PATH | {("z", 9)}
+
+
+# Frozen at the commit before resident stores: each stop falls in a later
+# stratum, and carries the stats of the whole run and the state of every
+# stratum so far.
+LATER_STOPS = [
+    (
+        dict(max_tuples=6),
+        "tuple budget of 3 exhausted",
+        (7, 7, 6, 1),
+        {"arc": ARCS, "path": PATH, "hop": {("d", 3), ("e", 3), ("f", 3)}},
+    ),
+    (
+        dict(max_iterations=3),
+        "iteration budget of 3 exhausted",
+        (7, 6, 6, 1),
+        {"arc": ARCS, "path": PATH, "hop": {("d", 3), ("e", 3), ("f", 3)}},
+    ),
+    (
+        dict(max_tuples=8),
+        "range 1..3 exceeds the tuple budget",
+        (9, 7, 7, 1),
+        {"arc": ARCS, "path": PATH, "hop": {("d", 3), ("e", 3), ("f", 3), ("g", 3)}},
+    ),
+]
+
+
+@pytest.mark.parametrize("budget, message, stats, partial", LATER_STOPS, ids=["tuples", "iterations", "range"])
+def test_budget_stop_in_a_later_stratum(budget, message, stats, partial):
+    with pytest.raises(BudgetExceeded) as err:
+        P.run_program(P.parse_program(STAGED), P.EvalOptions(**budget))
+    assert str(err.value) == message
+    assert counts(err.value.stats) == stats
+    assert err.value.partial == partial
+
+
+# ===== proven integer columns =================================================
+
+SPATH_RULES = """r1: path(Y,Dy) :- arc(a,Y,Dy).
+r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy, Dy>Dx.
+r3: spath(Y,min<Dy>) :- path(Y,Dy).
+"""
+PASSED = "PASSED: min(path: group [0], cost 1): no counterexample in 50 samples\n"
+# facts -> (run's exit code, stdout, stderr), as each prints in a fresh process.
+RUNS = {
+    "int": ("arc(a,b,1). arc(b,c,2). arc(a,c,5).\n", EXIT_OK, "spath(b,1).\nspath(c,3).\n", ""),
+    "symbolic": (
+        "arc(a,b,x). arc(b,c,y).\n",
+        EXIT_INPUT,
+        "",
+        "error: extremum over non-integer value 'x'\n",
+    ),
+    "mixed": (
+        "arc(a,b,1). arc(b,c,y).\n",
+        EXIT_INPUT,
+        "",
+        "error: arithmetic '+' needs integers, got 1 and 'y'\n",
+    ),
+    "int_max": (
+        "arc(a,b,9223372036854775807). arc(b,c,1).\n",
+        EXIT_INPUT,
+        "",
+        "error: integer 9223372036854775808 outside signed 64-bit range\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "order",
+    [("int", "symbolic"), ("symbolic", "int"), ("int", "mixed", "int_max"), ("mixed", "int", "symbolic")],
+    ids="-".join,
+)
+def test_column_proof_is_part_of_the_cache_key(tmp_path, capsys, order):
+    # The same rule text, so the same cached rule code, were the proof not
+    # in its key; verify's falsifier reads no proof and skips what raises.
+    for name in order:
+        facts, code, out, err = RUNS[name]
+        path = tmp_path / f"{name}.dl"
+        path.write_text(SPATH_RULES + facts)
+        for argv in (["run", str(path)], ["run", str(path), "--mode", "naive"]):
+            assert main(argv) == code
+            assert capsys.readouterr() == (out, err)
+        assert main(["verify", str(path), "--samples", "50"]) == EXIT_OK
+        assert capsys.readouterr() == (PASSED, "")
+
+
+def test_sum_result_is_proven_and_still_overflows():
+    text = "r1: t(G,S) :- w(G,K,V), sum((G),(K,V),S).\nr2: u(G,T) :- t(G,S), T=S+1.\n"
+    program = P.parse_program(text + "w(a,1,9223372036854775806). w(a,2,1).\n")
+    with pytest.raises(P.Overflow, match="^integer 9223372036854775808 outside signed 64-bit range$"):
+        P.run_program(program, trust_aggregates=True)
+    ok = P.run_program(P.parse_program(text + "w(a,1,5). w(a,2,1).\n"), trust_aggregates=True)
+    assert ok.answers("u") == [("a", 7)]
+
+
+def proven(text):
+    program = P.parse_program(text)
+    stores = {p: engine.RelationStore(rel) for p, rel in facts_to_interp(program.facts).items()}
+    rules = P.stratify(program)[0].rules
+    return engine._proven_columns(rules, stores, {})[0]
+
+
+@pytest.mark.parametrize(
+    "facts, expected",
+    [
+        (RUNS["int"][0], {("arc", 2), ("path", 1)}),
+        (RUNS["symbolic"][0], set()),
+        (RUNS["mixed"][0], set()),  # one symbol: the column is not proven
+    ],
+    ids=["int", "symbolic", "mixed"],
+)
+def test_proven_columns(facts, expected):
+    assert proven(SPATH_RULES + facts) == expected
+
+
+def test_head_column_proof_is_a_greatest_fixpoint():
+    # q's column is an integer in every rule given itself and the seeds; a
+    # symbolic seed, or a rule that copies a symbol, disproves it.
+    rules = "r1: q(X) :- b(X).\nr2: q(Y) :- q(X), Y = X.\nr3: q(Y) :- q(X), e(X,Y).\n"
+    assert ("q", 0) in proven(rules + "b(1). e(1,2).")
+    assert ("q", 0) not in proven(rules + "b(1). e(1,x).")
+    program = P.parse_program(rules + "b(1). e(1,2).")
+    stores = {p: engine.RelationStore(rel) for p, rel in facts_to_interp(program.facts).items()}
+    seeds = {"q": {("x",)}}
+    assert ("q", 0) not in engine._proven_columns(program.rules, stores, seeds)[0]
