@@ -116,6 +116,7 @@ from .model import (
     Program,
     Rule,
     Variable,
+    all_ints,
     check_int,
     checked_arith,
     compare_values,
@@ -124,7 +125,6 @@ from .model import (
     facts_to_interp,
     final_rules,
     head_var_positions,
-    interp_copy,
     keep_extremal,
     term_variables,
 )
@@ -210,12 +210,19 @@ class RelationStore:
             return self.tuples
         ix = self.indexes.get(positions)
         if ix is None:
+            # Keys are read at C speed, and each bucket gets its tuples in
+            # the order add() one by one would give them.
             ix = {}
-            key_of = _key_of(positions)
-            for t in self.tuples:
-                ix.setdefault(key_of(t), set()).add(t)
+            for k, t in zip(map(itemgetter(*positions), self.tuples), self.tuples):
+                bucket = ix.get(k)
+                if bucket is None:
+                    ix[k] = {t}
+                else:
+                    bucket.add(t)
+            if len(positions) == 1:  # one 1-tuple per key, not per tuple
+                ix = {(k,): bucket for k, bucket in ix.items()}
             self.indexes[positions] = ix
-            self._keyed.append((key_of, ix))
+            self._keyed.append((_key_of(positions), ix))
         return ix.get(key, ())
 
     def int_column(self, i: int) -> bool:
@@ -223,18 +230,8 @@ class RelationStore:
         that no running rule derives into, so the answer is kept."""
         known = self.ints.get(i)
         if known is None:
-            known = self.ints[i] = _all_ints(self.tuples, i)
+            known = self.ints[i] = all_ints(self.tuples, i)
         return known
-
-
-def _all_ints(tuples: Iterable[GroundTuple], i: int) -> bool:
-    """Whether column i of tuples holds only integers, in one pass at C
-    speed: sum adds integers and raises TypeError at the first symbol (a
-    float, which no loader makes, would make the total a float)."""
-    try:
-        return type(sum(map(itemgetter(i), tuples))) is int
-    except TypeError:
-        return False
 
 
 class ExtremaIndex:
@@ -317,7 +314,7 @@ class _Tally:
     def total(self, key: Tuple) -> int:
         if self.kind in ("mcount", "count"):
             return len(self.witnesses[key])
-        return sum(max(s, 0) for s in self.best[key].values())
+        return check_int(sum(max(s, 0) for s in self.best[key].values()))
 
     def release(self, key: Tuple) -> range:
         """Mark the results of key up to its total released; return the new ones."""
@@ -1146,7 +1143,7 @@ def _proven_columns(
     held: Set[Tuple[str, int]] = set()
     for head, _ in needs:
         facts = seeds.get(head.predicate)
-        held.update((head.predicate, i) for i in range(head.arity) if not facts or _all_ints(facts, i))
+        held.update((head.predicate, i) for i in range(head.arity) if not facts or all_ints(facts, i))
     changed = True
     while changed:
         changed = False
@@ -1513,8 +1510,12 @@ def apply_ico(rules: Sequence[Rule], interp: Interpretation) -> Interpretation:
 
 
 def apply_constraint(constraint: Constraint, interp: Interpretation) -> Interpretation:
-    """Filter one predicate by bounds and extrema; other relations pass through."""
-    out = interp_copy(interp)
+    """Filter one predicate by bounds and extrema.
+
+    The result is a new dict. Each relation a conjunct filters is a new set;
+    every other relation is interp's own set, shared, not copied, so a caller
+    that changes the result in place changes interp too."""
+    out = dict(interp)
     for part in constraint_conjuncts(constraint):
         rel = out.get(part.predicate)
         if not rel:

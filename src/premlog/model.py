@@ -542,6 +542,16 @@ def facts_to_interp(facts: Iterable[Fact]) -> Interpretation:
     return out
 
 
+def all_ints(tuples: Iterable[GroundTuple], i: int) -> bool:
+    """Whether column i of tuples holds only integers, in one pass at C
+    speed: sum adds integers and raises TypeError at the first symbol (a
+    float, which no loader makes, would make the total a float)."""
+    try:
+        return type(sum(map(itemgetter(i), tuples))) is int
+    except TypeError:
+        return False
+
+
 def keep_extremal(
     rel: Set[GroundTuple], kind: str, cost: int, group: Optional[Tuple[int, ...]] = None
 ) -> Set[GroundTuple]:
@@ -549,20 +559,35 @@ def keep_extremal(
     cost is least ('min') or greatest ('max'), ties all kept.
 
     group lists the key positions; None keys on every position but the cost.
+    The cost column is proven integer once, at C speed (all_ints); a
+    non-integer cost raises TypeMismatch naming the first one in rel's
+    iteration order. Keys are read with one itemgetter, and the result is
+    filled in rel's iteration order.
     """
+    if not rel:
+        return set()
+    if not all_ints(rel, cost):
+        bad = next(t[cost] for t in rel if not isinstance(t[cost], int))
+        raise TypeMismatch(f"extremum over non-integer value {bad!r}")
     if group is None:
-        key_of = lambda t: t[:cost] + t[cost + 1 :]
-    elif group:
-        key_of = itemgetter(*group)
-    else:
-        key_of = lambda t: ()
+        group = tuple(i for i in range(len(next(iter(rel)))) if i != cost)
+    if not group:
+        v = (min if kind == "min" else max)(map(itemgetter(cost), rel))
+        return {t for t in rel if t[cost] == v}
+    key_of = itemgetter(*group)
     best: Dict[object, int] = {}
-    for t in rel:
-        v = t[cost]
-        if not isinstance(v, int):
-            raise TypeMismatch(f"extremum over non-integer value {v!r}")
-        key = key_of(t)
-        held = best.get(key)
-        if held is None or (v < held if kind == "min" else v > held):
-            best[key] = v
+    if kind == "min":
+        for t in rel:
+            key = key_of(t)
+            c = t[cost]
+            held = best.get(key)
+            if held is None or c < held:
+                best[key] = c
+    else:
+        for t in rel:
+            key = key_of(t)
+            c = t[cost]
+            held = best.get(key)
+            if held is None or c > held:
+                best[key] = c
     return {t for t in rel if best[key_of(t)] == t[cost]}

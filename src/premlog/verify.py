@@ -39,6 +39,7 @@ from .model import (
     Rule,
     Value,
     Variable,
+    constraint_conjuncts,
     constraint_predicate,
     facts_to_interp,
     final_rules,
@@ -115,20 +116,13 @@ def _finalize_pool(values: Set[Value], ints_only: bool) -> List[Value]:
     return sorted(values, key=value_sort_key)[:_MAX_POOL]
 
 
-def check_prem_empirical(
-    program: Program,
-    constraint: Constraint,
-    samples: int = 1000,
-    seed: int = 0,
-    procedure: Optional[Sequence[Rule]] = None,
-) -> PremCheckReport:
-    """Test the transfer equation on random interpretations.
-
-    The fixed facts are kept in every sample; the recursive predicates get
-    random relations of up to 12 tuples drawn from the inferred pools. Any
-    sample where constraining before the consequence step changes the
-    constrained result is returned as a counterexample.
-    """
+def _sample_space(
+    program: Program, constraint: Constraint, procedure: Optional[Sequence[Rule]]
+) -> Tuple[List[Rule], List[str], Dict[str, List[List[Value]]]]:
+    """The rules of one transfer check, the predicates its samples draw
+    tuples for (in draw order), and the value pool of each of their argument
+    positions. Without a procedure, the classifier's is used, or else every
+    rule of the constrained predicate's recursion."""
     p0 = constraint_predicate(constraint)
     costmap: Dict[str, int] = {}
     if procedure is None:
@@ -144,8 +138,7 @@ def check_prem_empirical(
             procedure = [r for r in program.rules if r.head.predicate in scc]
     rules = list(procedure)
     if not rules:
-        return PremCheckReport(0, "passed", None)
-
+        return rules, [], {}
     sampled_preds = sorted({r.head.predicate for r in rules})
     arities = program.arities()
     for r in rules:  # composed rules may not appear in the program
@@ -158,26 +151,76 @@ def check_prem_empirical(
             _finalize_pool(raw_pools.get(pred, [set()] * arities[pred])[i], ints_only=(i == cost))
             for i in range(arities[pred])
         ]
+    return rules, sampled_preds, pools
+
+
+def check_prem_empirical(
+    program: Program,
+    constraint: Constraint,
+    samples: int = 1000,
+    seed: int = 0,
+    procedure: Optional[Sequence[Rule]] = None,
+) -> PremCheckReport:
+    """Test the transfer equation on random interpretations.
+
+    The fixed facts are kept in every sample; the recursive predicates get
+    random relations of up to 12 tuples drawn from the inferred pools. Any
+    sample where constraining before the consequence step changes the
+    constrained result is returned as a counterexample. A sample that the
+    constraint leaves as it is (gamma(I) = I) cannot be one: after its
+    first consequence step, which may raise, nothing more is evaluated.
+    """
+    rules, sampled_preds, pools = _sample_space(program, constraint, procedure)
+    if not rules:
+        return PremCheckReport(0, "passed", None)
 
     # Only the sampled predicates and the constrained one differ between
     # samples, or between the two sides of the equation; the rest of the EDB
     # is compiled into the step once and joined back into a counterexample.
-    touched = set(sampled_preds) | {p0}
+    touched = set(sampled_preds) | {constraint_predicate(constraint)}
     fixed = facts_to_interp(program.facts)
     rest = {p: rel for p, rel in fixed.items() if p not in touched}
+    seeded = [(p, rel) for p, rel in fixed.items() if p in touched]
+    constrained = {part.predicate for part in constraint_conjuncts(constraint)}
     step = ConsequenceStep(rules, rest)
-    rng = random.Random(seed)
+
+    # Each draw is what Random.randrange(n) returns on this interpreter,
+    # inlined: getrandbits(n.bit_length()), drawn again while it is n or
+    # more. So a seed draws the stream, and finds the counterexample, that
+    # randint(0, 12) and randrange calls per predicate and position would.
+    getrandbits = random.Random(seed).getrandbits
+    sizes = _MAX_SAMPLE_SIZE + 1
+    size_bits = sizes.bit_length()
+    n_preds = len(sampled_preds)
+    pred_bits = n_preds.bit_length()
+    draws = [
+        (pred, [(pool, len(pool), len(pool).bit_length()) for pool in pools[pred]])
+        for pred in sampled_preds
+    ]
     for n in range(1, samples + 1):
-        interp = {p: set(rel) for p, rel in fixed.items() if p in touched}
-        for _ in range(rng.randint(0, _MAX_SAMPLE_SIZE)):
-            pred = sampled_preds[rng.randrange(len(sampled_preds))]
-            t = tuple(
-                pool[rng.randrange(len(pool))] for pool in pools[pred]
-            )
-            interp.setdefault(pred, set()).add(t)
+        interp = {p: set(rel) for p, rel in seeded}
+        size = getrandbits(size_bits)
+        while size >= sizes:
+            size = getrandbits(size_bits)
+        for _ in range(size):
+            i = getrandbits(pred_bits)
+            while i >= n_preds:
+                i = getrandbits(pred_bits)
+            pred, positions = draws[i]
+            values = []
+            for pool, m, bits in positions:
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                values.append(pool[j])
+            interp.setdefault(pred, set()).add(tuple(values))
         try:
-            lhs = apply_constraint(constraint, step(interp))
-            rhs = apply_constraint(constraint, step(apply_constraint(constraint, interp)))
+            derived = step(interp)
+            before = apply_constraint(constraint, interp)
+            if all(len(before[p]) == len(interp[p]) for p in constrained if p in interp):
+                continue  # gamma(I) = I: both sides are gamma(T(I))
+            lhs = apply_constraint(constraint, derived)
+            rhs = apply_constraint(constraint, step(before))
         except (TypeMismatch, Overflow):
             continue
         if not interp_eq(lhs, rhs):

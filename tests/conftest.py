@@ -11,8 +11,18 @@ import random
 import re
 
 import premlog as P
-from premlog.errors import LoadError, TypeMismatch
+from premlog.engine import ConsequenceStep
+from premlog.errors import LoadError, Overflow, TypeMismatch
+from premlog.model import (
+    Bound,
+    compare_values,
+    constraint_conjuncts,
+    constraint_predicate,
+    facts_to_interp,
+    interp_eq,
+)
 from premlog.parser import _digit_limit
+from premlog.verify import PremCheckReport, _sample_space
 
 # ===== shortest-path family ==================================================
 
@@ -270,6 +280,72 @@ def load_edge_list_by_line(path, fmt=None):
             source, target = node_value(fields[0], lineno), node_value(fields[1], lineno)
             facts.append(P.Fact("arc", (source, target, length)))
     return facts
+
+
+def keep_extremal_by_tuple(rel, kind, cost, group=None):
+    """gamma of one extremum tuple by tuple, as premlog computed it before
+    it read the costs and the keys at C speed: the reference
+    model.keep_extremal is held to, TypeMismatch text included."""
+    if group is None:
+        key_of = lambda t: t[:cost] + t[cost + 1 :]
+    elif group:
+        key_of = lambda t: tuple(t[p] for p in group)
+    else:
+        key_of = lambda t: ()
+    best = {}
+    for t in rel:
+        v = t[cost]
+        if not isinstance(v, int):
+            raise TypeMismatch(f"extremum over non-integer value {v!r}")
+        key = key_of(t)
+        held = best.get(key)
+        if held is None or (v < held if kind == "min" else v > held):
+            best[key] = v
+    return {t for t in rel if best[key_of(t)] == t[cost]}
+
+
+def apply_constraint_by_copy(constraint, interp):
+    """engine.apply_constraint as it was when it copied every relation."""
+    out = {p: set(rel) for p, rel in interp.items()}
+    for part in constraint_conjuncts(constraint):
+        rel = out.get(part.predicate)
+        if not rel:
+            continue
+        if isinstance(part, Bound):
+            rel = {t for t in rel if compare_values(part.op, t[part.cost], part.limit)}
+        else:
+            rel = keep_extremal_by_tuple(rel, part.kind, part.cost, part.group_by)
+        out[part.predicate] = rel
+    return out
+
+
+def check_prem_empirical_by_draw(program, constraint, samples=1000, seed=0, procedure=None):
+    """The falsifier's sample loop as premlog ran it before it inlined the
+    draws and skipped the second side of a sample that gamma leaves as it
+    is: randint and randrange per draw, both sides of every sample. The
+    reference verify.check_prem_empirical is held to."""
+    rules, sampled_preds, pools = _sample_space(program, constraint, procedure)
+    if not rules:
+        return PremCheckReport(0, "passed", None)
+    touched = set(sampled_preds) | {constraint_predicate(constraint)}
+    fixed = facts_to_interp(program.facts)
+    rest = {p: rel for p, rel in fixed.items() if p not in touched}
+    step = ConsequenceStep(rules, rest)
+    rng = random.Random(seed)
+    for n in range(1, samples + 1):
+        interp = {p: set(rel) for p, rel in fixed.items() if p in touched}
+        for _ in range(rng.randint(0, 12)):
+            pred = sampled_preds[rng.randrange(len(sampled_preds))]
+            t = tuple(pool[rng.randrange(len(pool))] for pool in pools[pred])
+            interp.setdefault(pred, set()).add(t)
+        try:
+            lhs = apply_constraint_by_copy(constraint, step(interp))
+            rhs = apply_constraint_by_copy(constraint, step(apply_constraint_by_copy(constraint, interp)))
+        except (TypeMismatch, Overflow):
+            continue
+        if not interp_eq(lhs, rhs):
+            return PremCheckReport(n, "falsified", ({**rest, **interp}, {**rest, **lhs}, {**rest, **rhs}))
+    return PremCheckReport(samples, "passed", None)
 
 
 def random_positive_program(seed: int) -> str:

@@ -606,3 +606,13 @@ def test_bench_facts_file(write, tmp_path, capsys):
     assert main(["bench", "--facts", str(tsv), "--runs", "1",
                  "--variants", "spath_prem"]) == EXIT_OK
     assert "spath_prem" in capsys.readouterr().out
+
+
+def test_sum_past_int_max_is_an_error(write, capsys):
+    prog = write("sum.dl", (
+        "r1: t(G,S) :- w(G,K,V), sum((G),(K,V),S).\n"
+        "w(a,1,9223372036854775807). w(a,2,1).\n"
+    ))
+    for mode in ("seminaive", "naive"):
+        assert main(["run", prog, "--mode", mode]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: integer 9223372036854775808 outside signed 64-bit range\n")

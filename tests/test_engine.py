@@ -1,6 +1,7 @@
 """Stores, plans, fixpoint evaluation in both modes, run_program wiring."""
 from __future__ import annotations
 
+import random
 import traceback
 
 import pytest
@@ -51,6 +52,32 @@ def test_relation_store_match_uses_indexes():
     s.remove(("a", "b", 1))
     assert ("a", "b", 1) not in s
     assert set(s.match((0,), ("a",))) == {("a", "c", 2), ("a", "d", 4)}
+
+
+def _index_by_tuple(tuples, positions):
+    """An index as RelationStore built one before it paired keys and tuples
+    at C speed: one key tuple per tuple, added in iteration order."""
+    ix = {}
+    for t in tuples:
+        ix.setdefault(tuple(t[p] for p in positions), set()).add(t)
+    return ix
+
+
+@pytest.mark.parametrize("positions", [(0,), (1,), (2,), (0, 1), (2, 0), (0, 1, 2)])
+def test_relation_store_index_is_the_tuple_loop_in_order(positions):
+    rng = random.Random(len(positions) * 10 + positions[0])
+    tuples = {(rng.choice("abcdefg"), rng.randrange(40), rng.randrange(-3, 9)) for _ in range(600)}
+    s = RelationStore(tuples)
+    s.match(positions, ())
+    want = _index_by_tuple(s.tuples, positions)
+    ix = s.indexes[positions]
+    # same keys, in the same order, and each bucket iterates as the loop's
+    assert list(ix) == list(want)
+    assert all(list(ix[key]) == list(bucket) for key, bucket in want.items())
+    # add() keeps the index current with one key per tuple
+    for t in [("z", 1, 1), ("a", 5, 5), (9, 9, 9)]:
+        s.add(t)
+        assert t in s.match(positions, tuple(t[p] for p in positions))
 
 
 def test_extrema_index_strict_improvement_only():

@@ -27,7 +27,7 @@ from premlog.model import (
     make_constraint,
 )
 
-from conftest import eval_aggregate, random_positive_program, run_text
+from conftest import eval_aggregate, keep_extremal_by_tuple, random_positive_program, run_text
 
 KEYS = st.sampled_from(["a", "b", "c", "d"])
 COSTS = st.integers(min_value=-20, max_value=50)
@@ -262,6 +262,46 @@ def test_keep_extremal_rejects_a_symbol_cost():
         keep_extremal({("a", "x")}, "min", 1)
     with pytest.raises(TypeMismatch, match=r"^extremum over non-integer value 'x'$"):
         keep_extremal({("a", "x")}, "max", 1, (0,))
+
+
+def _outcome(f, *args):
+    """f's result as a list, in its iteration order, or the error it raised."""
+    try:
+        return list(f(*args))
+    except TypeMismatch as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(extremal_cases(), st.sets(st.sampled_from(["x", "y", 7]), max_size=2))
+def test_keep_extremal_equals_the_tuple_loop_in_order(case, mixed):
+    # The same tuples, in the same order, or the same TypeMismatch naming the
+    # first non-integer cost in the set's iteration order.
+    rel, kind, cost, group, _ = case
+    arity = len(next(iter(rel))) if rel else 0
+    rel = set(rel)
+    for i, v in enumerate(sorted(mixed, key=str) if arity else ()):
+        rel.add(tuple(v if j == cost else ("a", "b")[i] for j in range(arity)))
+    want = _outcome(keep_extremal_by_tuple, rel, kind, cost, group)
+    assert _outcome(keep_extremal, rel, kind, cost, group) == want
+
+
+def test_keep_extremal_on_empty_and_arity_one_relations():
+    for kind in ("min", "max"):
+        for group in (None, ()):
+            assert keep_extremal(set(), kind, 0, group) == set()
+            rel = {(3,), (-1,), (3,), (8,), (-1,)}
+            want = keep_extremal_by_tuple(rel, kind, 0, group)
+            assert keep_extremal(rel, kind, 0, group) == want == ({(-1,)} if kind == "min" else {(8,)})
+    assert keep_extremal(set(), "max", 1, (0,)) == set()
+
+
+def test_keep_extremal_names_the_first_symbol_of_a_mixed_cost_column():
+    rel = {("a", i) for i in range(40)} | {("b", "x"), ("c", "y"), ("d", 3)}
+    for kind, group in (("min", None), ("max", (0,)), ("min", ())):
+        want = _outcome(keep_extremal_by_tuple, rel, kind, 1, group)
+        assert want.startswith("extremum over non-integer value '")
+        assert _outcome(keep_extremal, rel, kind, 1, group) == want
 
 
 # ===== WORKING-SET INDEX ======================================================

@@ -1,6 +1,11 @@
 """Empirical equation checking, brute-force oracle, trust-but-verify audits."""
 from __future__ import annotations
 
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 import premlog as P
@@ -23,6 +28,7 @@ from conftest import (
     PART_EXPLOSION,
     PART_EXPLOSION_FINALCOST,
     PART_EXPLOSION_NOGUARD,
+    check_prem_empirical_by_draw,
     run_text,
 )
 
@@ -139,6 +145,87 @@ def test_falsifier_outcomes_are_frozen(fixture, constraint):
         else:
             got = tuple(_rows(rel) for rel in report.counterexample)
             assert (report.samples, report.verdict, got) == (expected[0], "falsified", expected[1])
+
+
+def _corpus():
+    """perfbench/corpus.py, the benchmark's program generator, read as a module."""
+    name = "premlog_bench_corpus"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # its dataclasses look themselves up there
+    return sys.modules[name]
+
+
+def _report(check, target, samples, seed):
+    program, c, procedure = target
+    try:
+        return check(program, c, samples=samples, seed=seed, procedure=procedure)
+    except P.PremlogError as exc:  # a budget stop ends both checks alike
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("fixture, constraint", sorted(FALSIFIER_TABLE))
+def test_sample_loop_equals_the_reference_on_every_fixture(fixture, constraint):
+    text = getattr(conftest, fixture) + _WITH_FACTS.get(fixture, "")
+    [target] = [t for t in _verify_targets(text) if repr(t[1]) == constraint]
+    for seed in range(5):
+        want = _report(check_prem_empirical_by_draw, target, 500, seed)
+        assert _report(P.check_prem_empirical, target, 500, seed) == want
+
+
+def test_sample_loop_equals_the_reference_on_the_corpus():
+    # The 96 programs of the benchmark corpus at seed 1, every target as
+    # `premlog verify` lists it, at seeds 0-4: same samples, verdict and
+    # counterexample as the randrange loop that checks both sides.
+    checked = falsified = 0
+    for text in _corpus().generated_programs(random.Random(1), 96):
+        for target in _verify_targets(text):
+            for seed in range(5):
+                want = _report(check_prem_empirical_by_draw, target, 60, seed)
+                assert _report(P.check_prem_empirical, target, 60, seed) == want, (text, seed)
+                checked += 1
+                falsified += getattr(want, "verdict", "") == "falsified"
+    assert checked > 300 and falsified > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_draws_are_randrange_on_this_interpreter(seed):
+    # check_prem_empirical inlines each draw as getrandbits(n.bit_length()),
+    # redrawn while it is n or more; randrange(n) and randint(0, 12) must
+    # draw exactly that, or every seed would find other counterexamples.
+    def inlined(getrandbits, n):
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return r
+
+    ns = [n for n in range(1, 65) for _ in range(20)]
+    ref = random.Random(seed)
+    want = [ref.randrange(n) for n in ns] + [ref.randint(0, 12) for _ in range(200)]
+    getrandbits = random.Random(seed).getrandbits
+    got = [inlined(getrandbits, n) for n in ns] + [inlined(getrandbits, 13) for _ in range(200)]
+    assert got == want
+
+
+# Every consequence step totals w's group a past INT_MAX, so the falsifier
+# skips every sample as an Overflow and passes with the full count.
+SUM_OVERFLOW = """
+r1: t(G,S) :- w(G,K,V), sum((G),(K,V),S).
+r2: best(G,S) :- t(G,S), is_max((G),(S)).
+w(a,1,9223372036854775807). w(a,2,1).
+"""
+
+
+def test_falsifier_skips_a_sample_whose_sum_overflows():
+    program, c = _first_constraint(SUM_OVERFLOW)
+    with pytest.raises(P.Overflow, match="^integer 9223372036854775808 outside signed 64-bit range$"):
+        P.apply_ico(program.rules_defining("t"), facts_to_interp(program.facts))
+    report = P.check_prem_empirical(program, c, samples=200, seed=0)
+    assert report == check_prem_empirical_by_draw(program, c, samples=200, seed=0)
+    assert report == P.PremCheckReport(200, "passed", None)
 
 
 # p is sampled and has fixed facts, and step is a fixed relation the samples
