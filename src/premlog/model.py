@@ -515,10 +515,6 @@ Relation = set  # set of GroundTuple, one predicate
 Interpretation = Dict[str, set]  # predicate -> Relation
 
 
-def interp_copy(i: Interpretation) -> Interpretation:
-    return {p: set(r) for p, r in i.items()}
-
-
 def interp_eq(a: Interpretation, b: Interpretation) -> bool:
     preds = set(a) | set(b)
     return all(a.get(p, set()) == b.get(p, set()) for p in preds)

@@ -10,12 +10,15 @@ count and sum inside recursion are compiled by reading them as max over
 their monotonic counterparts: the max is transferred out, the push check
 runs on the mcount/msum shadow, and on approval the original program runs
 natively with running accumulators that release only at the fixpoint.
+monotonic_form turns a count/sum rule into that mcount/msum ladder;
+standard_form turns the ladders a max keeps only the top of back into
+count/sum, so the falsifier derives one total per key instead of every rung.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import AmbiguousCost, NoCost, PlanMismatch, PremlogError
 from .model import (
@@ -25,6 +28,7 @@ from .model import (
     Atom,
     Bound,
     Comparison,
+    Constraint,
     Extremum,
     FinalConstraint,
     Goal,
@@ -221,6 +225,42 @@ def monotonic_form(rule: Rule) -> Tuple[Rule, int]:
     ladder = AggregateGoal("m" + agg.kind, agg.group_by, agg.measured, agg.result)
     body = tuple(ladder if g is agg else g for g in rule.body)
     return Rule(rule.id, rule.head, body, rule.extremum), pos
+
+
+def standard_form(rules: Sequence[Rule], constraint: Constraint) -> List[Rule]:
+    """rules with each mcount/msum ladder that constraint keeps only the top
+    of read as its count/sum: the inverse of monotonic_form, under a max.
+
+    For a key with total t a ladder rule derives the head with every result
+    1..t, its count/sum with t alone, and the head's other positions do not
+    read the result. So each lower rung differs from the top only in the
+    cost, where it is lower, and a max that does not group by the cost drops
+    it: gamma(T) is the same for both forms. A rule is kept as it is unless
+    the constraint is a single max on its head predicate, the result is a
+    bare variable at the cost position and nowhere else in the head, and no
+    other goal reads it (a post filter would cut the ladder, not the total).
+    """
+    if not (
+        isinstance(constraint, Extremum)
+        and constraint.kind == "max"
+        and constraint.cost not in constraint.group_by
+    ):
+        return list(rules)
+    out: List[Rule] = []
+    for r in rules:
+        agg = r.aggregate()
+        if (
+            agg is not None
+            and agg.kind in ("mcount", "msum")
+            and r.head.predicate == constraint.predicate
+            and r.head.args[constraint.cost] == Variable(agg.result)
+            and list(r.head.variables()).count(agg.result) == 1
+            and all(agg.result not in g.variables() for g in r.body if g is not agg)
+        ):
+            total = replace(agg, kind=agg.kind[1:])
+            r = replace(r, body=tuple(total if g is agg else g for g in r.body))
+        out.append(r)
+    return out
 
 
 def materialize_monotonic(program: Program) -> Tuple[Program, Dict[str, int]]:

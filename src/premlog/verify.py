@@ -48,7 +48,7 @@ from .model import (
     tuple_sort_key,
     value_sort_key,
 )
-from .rewrite import CompileObligation, desugar_extremum, materialize_monotonic
+from .rewrite import CompileObligation, desugar_extremum, materialize_monotonic, standard_form
 
 # =====================================================================================
 # SAMPLED TRANSFER CHECK
@@ -169,6 +169,9 @@ def check_prem_empirical(
     constrained result is returned as a counterexample. A sample that the
     constraint leaves as it is (gamma(I) = I) cannot be one: after its
     first consequence step, which may raise, nothing more is evaluated.
+    An mcount/msum ladder under a max is checked as its count/sum
+    (rewrite.standard_form): max of msum is sum, so gamma(T) is the same,
+    and a key derives its total instead of every natural up to it.
     """
     rules, sampled_preds, pools = _sample_space(program, constraint, procedure)
     if not rules:
@@ -182,7 +185,7 @@ def check_prem_empirical(
     rest = {p: rel for p, rel in fixed.items() if p not in touched}
     seeded = [(p, rel) for p, rel in fixed.items() if p in touched]
     constrained = {part.predicate for part in constraint_conjuncts(constraint)}
-    step = ConsequenceStep(rules, rest)
+    step = ConsequenceStep(standard_form(rules, constraint), rest)
 
     # Each draw is what Random.randrange(n) returns on this interpreter,
     # inlined: getrandbits(n.bit_length()), drawn again while it is n or

@@ -19,7 +19,6 @@ from premlog.model import (
     constraint_predicate,
     facts_to_interp,
     format_value,
-    interp_copy,
     interp_eq,
     make_constraint,
     tuple_sort_key,
@@ -75,7 +74,7 @@ def test_atom_variables_and_tuple():
 def test_interp_helpers():
     i = facts_to_interp(P.parse_facts("arc(a,b,1). arc(b,c,2)."))
     assert set(i["arc"]) == {("a", "b", 1), ("b", "c", 2)}
-    j = interp_copy(i)
+    j = {p: set(r) for p, r in i.items()}
     assert interp_eq(i, j)
     j["arc"].add(("c", "d", 3))
     assert not interp_eq(i, j)

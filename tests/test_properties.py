@@ -1,6 +1,8 @@
 """Property tests for the algebraic laws the evaluator depends on."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +15,10 @@ from premlog.engine import (
     apply_constraint,
     apply_ico,
     naive_fixpoint,
+    plan,
     seminaive_fixpoint,
 )
-from premlog.errors import TypeMismatch
+from premlog.errors import Overflow, TypeMismatch
 from premlog.model import (
     AggregateGoal,
     Atom,
@@ -23,11 +26,22 @@ from premlog.model import (
     Extremum,
     Rule,
     Variable,
+    facts_to_interp,
     keep_extremal,
     make_constraint,
 )
+from premlog.rewrite import standard_form
+from premlog.verify import _sample_space
 
-from conftest import eval_aggregate, keep_extremal_by_tuple, random_positive_program, run_text
+from conftest import (
+    CLIQUE_FACTS,
+    PART_EXPLOSION,
+    PARTY_GATED,
+    eval_aggregate,
+    keep_extremal_by_tuple,
+    random_positive_program,
+    run_text,
+)
 
 KEYS = st.sampled_from(["a", "b", "c", "d"])
 COSTS = st.integers(min_value=-20, max_value=50)
@@ -110,6 +124,49 @@ def test_counting_rule_agrees_in_every_path(kind, rows):
     expected = {(g, n) for (g,), ns in static.items() for n in ({ns} if isinstance(ns, int) else ns)}
     for mode in ("naive", "seminaive"):
         assert set(run_text(text, mode=mode).answers("t")) == expected
+
+
+def _gamma_of_step(rules, constraint, interp):
+    try:
+        return apply_constraint(constraint, apply_ico(rules, interp))
+    except (TypeMismatch, Overflow) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _ladder_check(text):
+    """The first check `premlog verify` lists: a count/sum obligation's
+    shadow, or else the final constraint."""
+    planned = plan(P.parse_program(text), push=False)
+    for ob in planned.obligations:
+        return ob.verdict.program, ob.verdict.constraint, ob.verdict.procedure
+    return planned.executed, planned.executed.final_constraints[0].constraint, None
+
+
+@pytest.mark.parametrize(
+    "text", [PART_EXPLOSION, PARTY_GATED + CLIQUE_FACTS], ids=["sum", "mcount"]
+)
+def test_max_of_the_ladder_step_is_max_of_the_total_step(text):
+    # gamma(T_msum(J)) = gamma(T_sum(J)), and the same for mcount/count, on
+    # random J drawn from the pools the falsifier draws from.
+    program, constraint, procedure = _ladder_check(text)
+    rules, sampled, pools = _sample_space(program, constraint, procedure)
+    totals = standard_form(rules, constraint)
+    assert totals != rules
+    facts = facts_to_interp(program.facts)
+    climbed = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        interp = {p: set(rel) for p, rel in facts.items()}
+        for _ in range(rng.randint(0, 12)):
+            pred = rng.choice(sampled)
+            interp.setdefault(pred, set()).add(tuple(rng.choice(pool) for pool in pools[pred]))
+        want = _gamma_of_step(rules, constraint, interp)
+        assert _gamma_of_step(totals, constraint, interp) == want, seed
+        if isinstance(want, dict):
+            climbed += len(apply_ico(rules, interp)[constraint.predicate]) > len(
+                apply_ico(totals, interp)[constraint.predicate]
+            )
+    assert climbed > 50  # most draws have a ladder longer than its top
 
 
 # ===== STRATIFIED EXTREMA =====================================================

@@ -1,18 +1,33 @@
 """Constraint pushing, extremum desugaring, counting-aggregate compilation."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import premlog as P
 from premlog.errors import PlanMismatch
-from premlog.model import AggregateGoal, Negated, keep_extremal
+from premlog.model import (
+    AggregateGoal,
+    ArithExpr,
+    Atom,
+    Bound,
+    Constant,
+    Extremum,
+    Negated,
+    Variable,
+    keep_extremal,
+    make_constraint,
+)
 from premlog.parser import format_goal
 from premlog.rewrite import (
     desugar_extremum,
     expand_msum,
     materialize_monotonic,
+    monotonic_form,
+    standard_form,
 )
 
 from conftest import (
@@ -25,6 +40,7 @@ from conftest import (
     PARTY_COUNT,
     PART_EXPLOSION,
     PART_EXPLOSION_NOGUARD,
+    MUTUAL_COUNT,
 )
 
 
@@ -207,3 +223,104 @@ def test_compile_ignores_nonrecursive_count():
     )
     _, obligations = P.compile_count_in_recursion(prog)
     assert obligations == []
+
+
+# ===== ladders under a max ====================================================
+
+
+def _kinds(rules):
+    return [r.aggregate().kind if r.aggregate() else None for r in rules]
+
+
+def test_standard_form_undoes_monotonic_form_under_its_max():
+    prog = P.parse_program(PART_EXPLOSION)
+    r2 = prog.rules_defining("cost")[1]
+    ladder, pos = monotonic_form(r2)
+    assert ladder.aggregate().kind == "msum"
+    assert standard_form([ladder], Extremum("max", "cost", (0,), pos)) == [r2]
+
+
+def test_standard_form_reads_a_check_ladder_as_its_total():
+    _, [ob] = P.compile_count_in_recursion(P.parse_program(PART_EXPLOSION))
+    rules = list(ob.verdict.procedure)
+    assert _kinds(rules) == [None, "msum"]
+    out = standard_form(rules, ob.verdict.constraint)
+    assert _kinds(out) == [None, "sum"]
+    assert out[0] is rules[0]
+    assert [(r.id, r.head, r.extremum) for r in out] == [(r.id, r.head, r.extremum) for r in rules]
+
+
+LADDER = """
+r1: attend(X) :- organizer(X).
+r2: attend(X) :- cntfriends(X,N), N>=3.
+r3: cntfriends(Y,N) :- attend(X), friend(Y,X), mcount((Y),(X),N).
+"""
+LADDER_MAX = Extremum("max", "cntfriends", (0,), 1)
+
+
+def test_standard_form_reads_mcount_under_max_as_count():
+    rules = P.parse_program(LADDER).rules
+    assert _kinds(standard_form(rules, LADDER_MAX)) == [None, None, "count"]
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        Bound("lower", "cntfriends", 1, ">=", 3),
+        make_constraint([Bound("upper", "cntfriends", 1, "<", 10), LADDER_MAX]),
+        Extremum("min", "cntfriends", (0,), 1),
+        Extremum("max", "cntfriends", (0, 1), 1),
+        Extremum("max", "attend", (), 0),
+    ],
+    ids=repr,
+)
+def test_standard_form_keeps_ladders_another_constraint_could_see(constraint):
+    rules = P.parse_program(LADDER).rules
+    assert standard_form(rules, constraint) == list(rules)
+
+
+@pytest.mark.parametrize(
+    "rule, constraint",
+    [
+        # a post filter cuts the ladder at 4, where count would drop the key
+        (
+            "r3: cntfriends(Y,N) :- attend(X), friend(Y,X), mcount((Y),(X),N), N<5.",
+            LADDER_MAX,
+        ),
+        # the result in a second head position: a rung is not below the top there
+        (
+            "r3: cntfriends(Y,N,N) :- attend(X), friend(Y,X), mcount((Y),(X),N).",
+            LADDER_MAX,
+        ),
+        (
+            "r3: cntfriends(Y,N,N) :- attend(X), friend(Y,X), mcount((Y),(X),N).",
+            Extremum("max", "cntfriends", (0,), 2),
+        ),
+    ],
+)
+def test_standard_form_keeps_a_ladder_the_max_does_not_only_top(rule, constraint):
+    rules = P.parse_program(rule).rules
+    assert standard_form(rules, constraint) == list(rules)
+
+
+def test_standard_form_keeps_a_result_only_inside_head_arithmetic():
+    # the parser reads no head arithmetic; the rule is built by hand
+    [r3] = P.parse_program(
+        "r3: cntfriends(Y,N) :- attend(X), friend(Y,X), mcount((Y),(X),N)."
+    ).rules
+    shifted = ArithExpr("+", Variable("N"), Constant(1))
+    rule = replace(r3, head=Atom("cntfriends", (Variable("Y"), shifted)))
+    assert standard_form([rule], LADDER_MAX) == [rule]
+
+
+def test_standard_form_keeps_the_ladder_of_another_recursive_predicate():
+    rules = P.parse_program(MUTUAL_COUNT).rules
+    out = standard_form(rules, Extremum("max", "cp", (), 0))
+    # cq's ladder is read by r2 and not constrained: only cp's is a total
+    assert [(r.head.predicate, k) for r, k in zip(out, _kinds(out))] == [
+        ("cq", "mcount"),
+        ("p", None),
+        ("cp", "count"),
+        ("q", None),
+    ]
+    assert out[0] is rules[0]

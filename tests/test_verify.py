@@ -2,16 +2,21 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import random
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import premlog as P
-from premlog.engine import plan
-from premlog.model import facts_to_interp, tuple_sort_key
+from premlog.engine import ConsequenceStep, plan
+from premlog.model import INT_MAX, facts_to_interp, tuple_sort_key
 from premlog.parser import format_value
+from premlog.rewrite import standard_form
+from premlog.verify import _sample_space
 
 import conftest
 from conftest import (
@@ -226,6 +231,62 @@ def test_falsifier_skips_a_sample_whose_sum_overflows():
     report = P.check_prem_empirical(program, c, samples=200, seed=0)
     assert report == check_prem_empirical_by_draw(program, c, samples=200, seed=0)
     assert report == P.PremCheckReport(200, "passed", None)
+
+
+# A seat that costs INT_MAX. A sampled bike with another part of positive
+# cost overflows (a skipped sample); with the seat alone it totals INT_MAX:
+# no Overflow, and an msum ladder of INT_MAX rungs.
+HUGE_SEAT = PART_EXPLOSION.replace("basic(seat,5)", f"basic(seat,{INT_MAX})")
+
+HUGE_SEAT_CHECKS = """
+import sys
+import premlog as P
+from premlog.engine import plan
+[ob] = plan(P.parse_program(sys.stdin.read()), push=False).obligations
+for seed in (0, 1, 2):
+    report = P.check_prem_empirical(
+        ob.verdict.program, ob.verdict.constraint, samples=1000, seed=seed,
+        procedure=ob.verdict.procedure,
+    )
+    print(report.samples, report.verdict)
+"""
+
+
+def _address_space_1_5_gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+def test_a_huge_sum_under_max_is_checked_without_its_ladder():
+    # In a child process with 1.5 GB of address space, so that a ladder
+    # released in full ends in its MemoryError instead of the suite's.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", HUGE_SEAT_CHECKS],
+        input=HUGE_SEAT,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_address_space_1_5_gb,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "1000 passed\n" * 3
+
+
+def test_a_falsifier_step_derives_one_total_per_key_under_max():
+    program = P.parse_program(HUGE_SEAT)
+    [ob] = plan(program, push=False).obligations
+    rules, sampled, _ = _sample_space(
+        ob.verdict.program, ob.verdict.constraint, ob.verdict.procedure
+    )
+    assert sampled == ["cost"]
+    fixed = {p: rel for p, rel in facts_to_interp(program.facts).items() if p != "cost"}
+    step = ConsequenceStep(standard_form(rules, ob.verdict.constraint), fixed)
+    got = step({"cost": {("wheel", 10), ("frame", 50), ("seat", 10**5)}})["cost"]
+    assert got == {
+        ("wheel", 10), ("frame", 50), ("seat", 10**5), ("seat", INT_MAX),
+        ("bike", 2 * 10 + 50 + 10**5), ("cart", 4 * 10 + 50),
+    }
 
 
 # p is sampled and has fixed facts, and step is a fixed relation the samples
