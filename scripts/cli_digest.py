@@ -2,15 +2,15 @@
 """Print one SHA-256 over the CLI's output on the generated benchmark corpus.
 
 For each seed, the 96 programs of `perfbench/corpus.generated_programs` are
-run in-process through `premlog.cli.main` under eight commands: `check`,
+run in-process through `premlog.cli.main` under nine commands: `check`,
 `optimize`, `run --mode naive --stats`, `run --stats`,
 `run --trust-but-verify --stats`, `verify --samples 100` and
 `run --stats --max-tuples 4` (a budget stop on most programs, with its
-stats line) on the program as generated, and `run --stats --facts F` on its
-rule lines (those holding `:-`) with the other lines, its facts, in the
-fact file F. The digest
-covers each command's exit code, stdout and stderr, with the `wall_ms` of a
-stats line and the temporary directory masked. Two checkouts that print the
+stats line) on the program as generated, and `run --stats --facts F` and
+`optimize --facts F` on its rule lines (those holding `:-`) with the other
+lines, its facts, in the fact file F (optimize prints those facts back).
+The digest covers each command's exit code, stdout and stderr, with the
+`wall_ms` of a stats line and the temporary directory masked. Two checkouts that print the
 same digest gave byte-identical output on every invocation.
 
     python3 scripts/cli_digest.py --seeds 1-5
@@ -44,7 +44,7 @@ COMMANDS = (
     ["run", "--stats", "--max-tuples", "4"],
 )
 # Run on the rule lines, with the fact lines in a .dl file after --facts.
-FACTS_COMMAND = ["run", "--stats", "--facts"]
+FACTS_COMMANDS = (["run", "--stats", "--facts"], ["optimize", "--facts"])
 PROGRAMS_PER_SEED = 96
 _WALL_MS = re.compile(r"wall_ms=[0-9.]+")
 
@@ -86,7 +86,8 @@ def digest(seeds: List[int]) -> str:
                         fh.write(part)
                 for command in COMMANDS:
                     run([command[0], path, *command[1:]])
-                run([FACTS_COMMAND[0], rules, *FACTS_COMMAND[1:], facts])
+                for command in FACTS_COMMANDS:
+                    run([command[0], rules, *command[1:], facts])
     return h.hexdigest()
 
 

@@ -127,7 +127,7 @@ def variant_program(variant: str, arcs: Iterable[Arc], source: Value) -> Tuple[P
     template, query = VARIANTS[variant]
     src = source if isinstance(source, str) else str(source)
     program = parse_program(template.format(src=src))
-    return program.with_facts(arc_facts(arcs)), query
+    return program.with_runs([("arc", map(tuple, arcs))]), query
 
 
 def shortest_paths(

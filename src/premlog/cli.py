@@ -26,7 +26,7 @@ from .bench import GraphSpec, gen_graph, run_benchmark
 from .engine import EvalOptions, default_query, execute, plan
 from .errors import ArityConflict, BudgetExceeded, PremlogError
 from .model import Program, format_value, tuple_sort_key
-from .parser import format_program, load_edge_list, parse_program, read_facts_path
+from .parser import format_program, parse_program, read_edge_list, read_facts_path
 from .verify import check_prem_empirical, trust_but_verify_run
 
 EXIT_OK = 0
@@ -130,12 +130,12 @@ def _load_program(args) -> Program:
         program = parse_program(fh.read())
     arities = program.arities()
     for path in args.facts:
-        facts, fact_arities = read_facts_path(path)
+        runs, fact_arities = read_facts_path(path)
         for predicate, arity in fact_arities.items():
             prior = arities.setdefault(predicate, arity)
             if prior != arity:
                 raise ArityConflict(f"{path}: {predicate} used with arity {arity}, earlier {prior}")
-        program = program.with_facts(facts)
+        program = program.with_runs(runs)
     return program
 
 
@@ -210,11 +210,10 @@ def _print_answers(result, args) -> None:
     query = args.query or default_query(result.program)
     if query is None:
         return
-    rows = sorted(result.db.get(query, set()), key=tuple_sort_key)
+    rows = result.answers(query)
     out = sys.stdout
     if args.format == "text":
-        for t in rows:
-            out.write(f"{query}({','.join(format_value(v) for v in t)}).\n")
+        out.writelines([f"{query}({','.join(map(str, t))}).\n" for t in rows])
     elif args.format == "csv":
         import csv as _csv
 
@@ -348,7 +347,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.facts:
-        arcs = [fact.values for path in args.facts for fact in load_edge_list(path)]
+        arcs = [row for path in args.facts for row in read_edge_list(path)]
         spec = None
     else:
         spec = GraphSpec(

@@ -122,11 +122,12 @@ from .model import (
     compare_values,
     constraint_conjuncts,
     constraint_predicate,
-    facts_to_interp,
     final_rules,
     head_var_positions,
     keep_extremal,
+    runs_to_interp,
     term_variables,
+    tuple_sort_key,
 )
 from .rewrite import CompileObligation, RewriteTrace, compile_count_in_recursion, push_constraint
 
@@ -1540,14 +1541,14 @@ def iterated_fixpoint(
 ) -> Tuple[Interpretation, EvalStats]:
     """Evaluate a program stratum by stratum, bottom up.
 
-    In seminaive mode the relations stay resident for the whole run: each
-    relation's facts are copied into its store once, as seminaive_fixpoint
-    copies them (so both scan them in the same order), and every stratum
-    runs on the same stores, so an index built in one serves the next. The
-    result is the stores' sets; only a budget stop copies them."""
+    Fact sets are filled by one set.update per run. In seminaive mode every
+    relation is copied into its store once, as seminaive_fixpoint copies its
+    input (adopting the set would change the scan order), and the stores stay
+    resident: every stratum runs on them, so an index built in one serves the
+    next. The result is the stores' sets; only a budget stop copies them."""
     options = options or EvalOptions()
     strata = stratify(program)
-    db = facts_to_interp(program.facts)
+    db = runs_to_interp(program.runs)
     stores = None
     if options.mode == "seminaive":
         stores = {pred: RelationStore(rel) for pred, rel in db.items()}
@@ -1689,9 +1690,11 @@ class RunResult:
     fallback: bool  # a rejected constraint stayed in its stratified final rule
 
     def answers(self, predicate: str) -> List[GroundTuple]:
-        from .model import tuple_sort_key
-
-        return sorted(self.db.get(predicate, set()), key=tuple_sort_key)
+        rel = self.db.get(predicate, set())
+        try:  # at C speed: the natural order is tuple_sort_key's unless an int meets a str
+            return sorted(rel)
+        except TypeError:
+            return sorted(rel, key=tuple_sort_key)
 
 
 def default_query(program: Program) -> Optional[str]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
@@ -20,7 +21,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -436,7 +436,7 @@ class FinalConstraint:
 
 
 class Fact(NamedTuple):
-    """A ground fact: the EDB travels as these from loading to the engine's sets."""
+    """A ground fact. Facts travel as per-predicate runs of rows; Program.facts builds these."""
 
     predicate: str
     values: Tuple[Value, ...]
@@ -445,15 +445,16 @@ class Fact(NamedTuple):
         return self.values
 
 
-# Fact((predicate, values)) at C speed, for readers that build Facts in bulk:
-# the Python-level Fact.__new__ costs about as much as matching a fact line.
+# Fact((predicate, values)) at C speed: Fact.__new__ runs Python code.
 new_fact = partial(tuple.__new__, Fact)
 
 
 @dataclass(frozen=True)
 class Program:
+    """Rules, and facts as canonical runs (predicate, rows): maximal stretches of
+    one predicate's consecutive facts, repeats kept. Program.facts is a view."""
     rules: Tuple[Rule, ...]
-    facts: Tuple[Fact, ...] = ()
+    runs: Tuple[Run, ...] = ()
     final_constraints: Tuple[FinalConstraint, ...] = ()
     # Rules defining int_up2; documentation for the range generator, not executed.
     support_rules: Tuple[Rule, ...] = ()
@@ -468,6 +469,10 @@ class Program:
 
         return build_dependency_graph(self.rules)
 
+    @cached_property
+    def facts(self) -> Tuple[Fact, ...]:
+        return tuple(run_facts(self.runs))
+
     def adopt_graph(self, graph: DependencyGraph) -> "Program":
         """Take graph, built by the caller from these rules, as Program.graph."""
         self.__dict__["graph"] = graph  # where cached_property keeps its value
@@ -480,7 +485,7 @@ class Program:
             negated = [g.atom for g in r.body if isinstance(g, Negated)]
             for atom in [r.head, *r.regular_goals(), *negated]:
                 used.setdefault(atom.predicate, atom.arity)
-        return {**fact_arities(self.facts), **used}
+        return {**{p: len(rows[-1]) for p, rows in self.runs}, **used}
 
     def rules_defining(self, predicate: str) -> List[Rule]:
         return [r for r in self.rules if r.head.predicate == predicate]
@@ -489,8 +494,18 @@ class Program:
         return replace(self, rules=tuple(rules))
 
     def with_facts(self, extra: Iterable[Fact]) -> "Program":
+        return self.with_runs((p, map(itemgetter(1), f)) for p, f in groupby(extra, itemgetter(0)))
+
+    def with_runs(self, extra: Iterable[Tuple[str, Iterable[GroundTuple]]]) -> "Program":
+        """This program with extra's (predicate, rows) pairs after its facts, as canonical runs."""
+        runs: List[Tuple[str, List[GroundTuple]]] = []
+        for predicate, rows in chain(self.runs, extra):
+            if runs and runs[-1][0] == predicate:
+                runs[-1][1].extend(rows)
+            elif rows := list(rows):
+                runs.append((predicate, rows))
         # Facts are not in the graph, so the new program shares it.
-        return replace(self, facts=self.facts + tuple(extra)).adopt_graph(self.graph)
+        return replace(self, runs=tuple((p, tuple(r)) for p, r in runs)).adopt_graph(self.graph)
 
 
 def final_rules(rules: Iterable[Rule]) -> List[Rule]:
@@ -513,6 +528,7 @@ def final_rules(rules: Iterable[Rule]) -> List[Rule]:
 GroundTuple = Tuple[Value, ...]
 Relation = set  # set of GroundTuple, one predicate
 Interpretation = Dict[str, set]  # predicate -> Relation
+Run = Tuple[str, Tuple[GroundTuple, ...]]  # (predicate, rows) of consecutive facts
 
 
 def interp_eq(a: Interpretation, b: Interpretation) -> bool:
@@ -520,21 +536,17 @@ def interp_eq(a: Interpretation, b: Interpretation) -> bool:
     return all(a.get(p, set()) == b.get(p, set()) for p in preds)
 
 
-def fact_arities(facts: Sequence[Fact]) -> Dict[str, int]:
-    """Each predicate's arity in `facts`, as its last fact has it: one pass at
-    C speed, then one len per predicate."""
-    last = dict(zip(map(itemgetter(0), facts), facts))
-    return {predicate: len(f.values) for predicate, f in last.items()}
+def run_facts(runs: Iterable[Run]) -> Iterator[Fact]:
+    """The Facts of runs, in order, built at C speed."""
+    return chain.from_iterable(map(new_fact, zip(repeat(p), rows)) for p, rows in runs)
 
 
-def facts_to_interp(facts: Iterable[Fact]) -> Interpretation:
-    """The EDB as sets per predicate, each filled in fact order."""
+def runs_to_interp(runs: Iterable[Run]) -> Interpretation:
+    """The EDB as one set per predicate: one set.update per run adds the rows
+    in fact order, so each set has the layout adding fact by fact gives."""
     out: Interpretation = {}
-    for predicate, values in facts:
-        rel = out.get(predicate)
-        if rel is None:
-            rel = out[predicate] = set()
-        rel.add(values)
+    for predicate, rows in runs:
+        out.setdefault(predicate, set()).update(rows)
     return out
 
 

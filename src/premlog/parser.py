@@ -2,13 +2,12 @@
 
 Hand-written lexer and recursive-descent parser. A plain fact line, such as
 `arc(a,b,5).`, that starts at a clause boundary never reaches the tokenizer:
-a line reader turns each run of them straight into ground Facts, and their
-arities are checked once per run. Within a run, lines of one arity are read
-in chunks, through a pattern for that arity, converting each distinct
-argument text once and building the Facts in bulk. Everything else is
-tokenized, so every error keeps its message, line and column. Fact files go
-through the same parse_program; edge lists are read whole and load straight
-into Facts, each distinct field converted once. Syntax:
+a line reader turns each run of them straight into per-predicate rows, read
+in chunks of one arity through a pattern for that arity, each distinct
+argument text converted once, and checks one arity per chunk. Everything
+else is tokenized, so every error keeps its message, line and column. Fact
+files go through the same parse_program; edge lists are read whole, each
+distinct field converted once. A Program keeps the rows as runs. Syntax:
 
     r1: path(Y,Dy) :- arc(a,Y,Dy), Dy>=0.
     r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy.
@@ -36,7 +35,8 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat, takewhile
+from itertools import groupby, repeat, takewhile
+from operator import itemgetter
 from re import Match
 from typing import (
     AbstractSet, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
@@ -65,10 +65,12 @@ from .model import (
     Fact,
     FinalConstraint,
     Goal,
+    GroundTuple,
     HeadExtremum,
     Negated,
     Program,
     Rule,
+    Run,
     Term,
     Value,
     Variable,
@@ -78,6 +80,7 @@ from .model import (
     head_var_positions,
     make_constraint,
     new_fact,
+    run_facts,
     term_variables,
 )
 
@@ -98,7 +101,7 @@ _PUNCT_ONE = "()<>=,.+-*:"
 
 # A plain fact line holds one fact p(a1,...,an). or p. whose arguments are
 # lowercase ASCII identifiers or optionally negative integers, blanks around
-# them: the line reader gives it the same Fact the tokenizer and parser would.
+# them: the line reader gives it the same row the tokenizer and parser would.
 # int() converts 640 digits under any limit Python allows; a longer literal is
 # left to the tokenizer, whose parser reports one int() refuses.
 _ARG_TEXT = r"[a-z][A-Za-z0-9_']*|-?[0-9]{1,640}"
@@ -127,17 +130,12 @@ _CHUNK_LINES = 256
 
 @dataclass
 class _FactRun:
-    """Consecutive plain fact lines, read without tokens, from line `line` on.
-
-    `arities` holds each predicate's arity at its first fact, and `mixed`
-    whether a later fact has another: _check_arities reads a run once, and
-    looks at its facts one by one only to name a conflict.
-    """
+    """Consecutive plain fact lines, read without tokens, from line `line` on:
+    their rows as (predicate, rows) pieces in line order, each piece of one
+    predicate and one arity, so _check_arities reads one arity per piece."""
 
     line: int
-    facts: List[Fact]
-    arities: Dict[str, int]
-    mixed: bool
+    pieces: List[Tuple[str, List[GroundTuple]]]
 
 
 class _ArgValues(dict):
@@ -155,14 +153,12 @@ def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
 
     The run is read in chunks of up to _CHUNK_LINES lines of one arity: the
     arity's pattern is matched line after line up to the first line it does
-    not take, each distinct argument text is converted once, and the Facts
-    are built in bulk. A `p.` line, one of more than _PATTERN_ARITIES
-    arguments, or one whose next two lines have another number of commas is
-    read alone.
+    not take, each distinct argument text is converted once, and the rows
+    are built in bulk, split where the predicate changes. A `p.` line, one
+    of more than _PATTERN_ARITIES arguments, or one whose next two lines
+    have another number of commas is read alone.
     """
-    facts: List[Fact] = []
-    arities: Dict[str, int] = {}
-    mixed = False
+    pieces: List[Tuple[str, List[GroundTuple]]] = []
     match = _FACT_LINE.fullmatch
     value = _ArgValues().__getitem__
     i, n = start, len(lines)
@@ -181,19 +177,17 @@ def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
             chunk = map(lines.__getitem__, range(i, min(n, i + _CHUNK_LINES)))
             matches = takewhile(bool, map(_fact_line_of_arity(arity).fullmatch, chunk))
             predicates, *columns = zip(*map(Match.groups, matches))
-            values = zip(*[map(value, column) for column in columns])
-            facts.extend(map(new_fact, zip(map(sys.intern, predicates), values)))
-            for p in dict.fromkeys(predicates):
-                if arities.setdefault(p, arity) != arity:
-                    mixed = True
+            rows = zip(*[map(value, column) for column in columns])
+            if predicates.count(predicate) == len(predicates):
+                pieces.append((predicate, list(rows)))
+            else:
+                for p, group in groupby(zip(predicates, rows), itemgetter(0)):
+                    pieces.append((p, list(map(itemgetter(1), group))))
             i += len(predicates)
         else:  # a line read alone
-            values = tuple(map(value, args.split(","))) if arity else ()
-            facts.append(new_fact((predicate, values)))
-            if arities.setdefault(predicate, arity) != arity:
-                mixed = True
+            pieces.append((predicate, [tuple(map(value, args.split(","))) if arity else ()]))
             i += 1
-    return _FactRun(start + 1, facts, arities, mixed), i
+    return _FactRun(start + 1, pieces), i
 
 
 def _int_value(t: Token) -> int:
@@ -529,11 +523,11 @@ def _parse_program(text: str) -> Tuple[Program, Dict[str, int]]:
     """The program, and each predicate's arity as its clauses use it."""
     clauses = Parser(tokenize(text)).parse_clauses()
 
-    facts: List[Fact] = []
+    pieces: List[Tuple[str, Sequence[GroundTuple]]] = []
     rule_clauses: List[_Clause] = []
     for c in clauses:
         if isinstance(c, _FactRun):
-            facts.extend(c.facts)
+            pieces.extend(c.pieces)
         elif not c.body:
             if c.annotations:
                 raise ParseError(f"fact {c.head.predicate} carries an annotation", c.line)
@@ -541,7 +535,7 @@ def _parse_program(text: str) -> Tuple[Program, Dict[str, int]]:
                 raise ParseError(f"fact {c.head!r} is not ground", c.line)
             if c.label is not None:
                 raise ParseError("facts take no label", c.line)
-            facts.append(Fact(c.head.predicate, c.head.as_tuple()))
+            pieces.append((c.head.predicate, (c.head.as_tuple(),)))
         else:
             rule_clauses.append(c)
 
@@ -565,10 +559,9 @@ def _parse_program(text: str) -> Tuple[Program, Dict[str, int]]:
     final = _extract_final_constraints(rules)
     program = Program(
         rules=tuple(rules),
-        facts=tuple(facts),
         final_constraints=tuple(final),
         support_rules=tuple(support),
-    ).adopt_graph(graph)
+    ).adopt_graph(graph).with_runs(pieces)
     return program, arities
 
 
@@ -598,14 +591,12 @@ def _check_arities(clauses: List[Union[_Clause, _FactRun]]) -> Dict[str, int]:
     seen: Dict[str, int] = {}
     for c in clauses:
         if isinstance(c, _FactRun):
-            clash = [p for p, n in c.arities.items() if seen.setdefault(p, n) != n]
-            if clash or c.mixed:
-                k, (p, values) = next(
-                    (k, f) for k, f in enumerate(c.facts) if len(f.values) != seen[f.predicate]
-                )
-                raise ArityConflict(
-                    f"{p} used with arity {len(values)}, earlier {seen[p]}", c.line + k
-                )
+            line = c.line
+            for p, rows in c.pieces:
+                n = len(rows[0])
+                if seen.setdefault(p, n) != n:
+                    raise ArityConflict(f"{p} used with arity {n}, earlier {seen[p]}", line)
+                line += len(rows)
             continue
         for g in (c.head,) + c.body:
             if isinstance(g, Negated):
@@ -847,14 +838,14 @@ def format_program(p: Program) -> str:
 
 
 def parse_facts(text: str) -> List[Fact]:
-    return _parse_facts(text)[0]
+    return list(run_facts(_parse_facts(text)[0]))
 
 
-def _parse_facts(text: str) -> Tuple[List[Fact], Dict[str, int]]:
+def _parse_facts(text: str) -> Tuple[Tuple[Run, ...], Dict[str, int]]:
     program, arities = _parse_program(text)
     if program.rules or program.support_rules:
         raise ParseError("facts input contains rules")
-    return list(program.facts), arities
+    return program.runs, arities
 
 
 # What int() accepts in a field without spaces: 3, -3, +4, 007, 1_000, ٣.
@@ -896,7 +887,12 @@ def _csv_fields(line: str) -> List[str]:
 
 
 def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Fact]:
-    """Load arc/3 facts from a tsv or csv edge list.
+    """read_edge_list's rows as arc/3 Facts."""
+    return list(map(new_fact, zip(repeat("arc"), read_edge_list(path, fmt))))
+
+
+def read_edge_list(path: str, fmt: Optional[str] = None) -> Tuple[GroundTuple, ...]:
+    """The arc/3 rows of a tsv or csv edge list, in file order.
 
     Lines hold `src dst length` or `src dst` (length defaults to 1); blank
     lines and lines starting with '#' are skipped, and a repeated line is
@@ -904,7 +900,7 @@ def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Fact]:
     integer field of more digits than int() converts is a LoadError.
 
     The file is read whole: each distinct field text is converted once, and
-    the lines are deduplicated and turned into Facts in bulk. A bad line is
+    the lines are deduplicated and turned into rows in bulk. A bad line is
     then looked for line by line, so the first one is reported.
     """
     if fmt is None:
@@ -920,7 +916,7 @@ def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Fact]:
         rows = [fields for fields in rows if fields[0][:1] != "#"]
     del text
     if not rows:
-        return []
+        return ()
     try:
         counts = set(map(len, rows))
         if not counts <= {2, 3}:
@@ -945,7 +941,7 @@ def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Fact]:
         if any(value is not field for field, value in nodes.items()):  # some node is an integer
             sources, targets, lengths = zip(*keys)
             keys = zip(map(nodes.__getitem__, sources), map(nodes.__getitem__, targets), lengths)
-        return list(map(new_fact, zip(repeat("arc"), keys)))
+        return tuple(keys)
     except LoadError as exc:
         raise _first_bad_line(lines, split) or exc from None
 
@@ -968,15 +964,15 @@ def _first_bad_line(lines: List[str], split: Callable[[str], List[str]]) -> Opti
 
 def load_facts_path(path: str) -> List[Fact]:
     """Dispatch on extension: .tsv/.csv edge lists, anything else fact syntax."""
-    return read_facts_path(path)[0]
+    return list(run_facts(read_facts_path(path)[0]))
 
 
-def read_facts_path(path: str) -> Tuple[List[Fact], Dict[str, int]]:
-    """load_facts_path, with each predicate's arity in the facts, as the
-    reader found it: a fact file's from its parse, an edge list's arc/3."""
+def read_facts_path(path: str) -> Tuple[Tuple[Run, ...], Dict[str, int]]:
+    """load_facts_path's facts as canonical runs, with each predicate's arity:
+    a fact file's from its parse (one per chunk of rows), an edge list's arc/3."""
     ext = os.path.splitext(path)[1].lower()
     if ext in (".tsv", ".csv"):
-        facts = load_edge_list(path, ext.lstrip("."))
-        return facts, ({"arc": 3} if facts else {})
+        rows = read_edge_list(path, ext.lstrip("."))
+        return ((("arc", rows),), {"arc": 3}) if rows else ((), {})
     with open(path, "r", encoding="utf-8-sig") as fh:
         return _parse_facts(fh.read())

@@ -41,10 +41,10 @@ from .model import (
     Variable,
     constraint_conjuncts,
     constraint_predicate,
-    facts_to_interp,
     final_rules,
     interp_eq,
     keep_extremal,
+    runs_to_interp,
     tuple_sort_key,
     value_sort_key,
 )
@@ -80,9 +80,9 @@ def _position_pools(program: Program, arities: Dict[str, int]) -> Dict[str, List
     pools: Dict[str, List[Set[Value]]] = {
         p: [set() for _ in range(n)] for p, n in arities.items()
     }
-    for predicate, values in program.facts:
-        for i, v in enumerate(values):
-            pools[predicate][i].add(v)
+    for predicate, rows in program.runs:
+        for pool, column in zip(pools[predicate], zip(*rows)):
+            pool.update(column)
     for r in program.rules:
         for atom in [r.head] + r.regular_goals():
             for i, a in enumerate(atom.args):
@@ -181,7 +181,7 @@ def check_prem_empirical(
     # samples, or between the two sides of the equation; the rest of the EDB
     # is compiled into the step once and joined back into a counterexample.
     touched = set(sampled_preds) | {constraint_predicate(constraint)}
-    fixed = facts_to_interp(program.facts)
+    fixed = runs_to_interp(program.runs)
     rest = {p: rel for p, rel in fixed.items() if p not in touched}
     seeded = [(p, rel) for p, rel in fixed.items() if p in touched]
     constrained = {part.predicate for part in constraint_conjuncts(constraint)}
@@ -264,7 +264,7 @@ def brute_force_oracle(
             rules.append(r)
     prepared = mono.with_rules(tuple(rules))
     strata = stratify(prepared)
-    db = facts_to_interp(prepared.facts)
+    db = runs_to_interp(prepared.runs)
     for stratum in strata:
         db, _ = naive_fixpoint(stratum.rules, db, options)
         for pred in stratum.predicates:

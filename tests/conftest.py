@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import random
 import re
+from operator import itemgetter
 
 import premlog as P
 from premlog.engine import ConsequenceStep
@@ -18,7 +19,6 @@ from premlog.model import (
     compare_values,
     constraint_conjuncts,
     constraint_predicate,
-    facts_to_interp,
     interp_eq,
 )
 from premlog.parser import _digit_limit
@@ -235,6 +235,25 @@ def eval_aggregate(kind, rows):
     if kind in ("mcount", "msum"):
         return {key: set(range(1, total + 1)) for key, total in totals.items()}
     return {key: total for key, total in totals.items() if total > 0}
+
+
+def facts_to_interp(facts):
+    """The EDB as sets per predicate, each filled fact by fact in fact
+    order: the reference for the engine's one set.update per run."""
+    out = {}
+    for predicate, values in facts:
+        rel = out.get(predicate)
+        if rel is None:
+            rel = out[predicate] = set()
+        rel.add(values)
+    return out
+
+
+def fact_arities(facts):
+    """Each predicate's arity in `facts`, as its last fact has it: the
+    reference for the arities read one per run."""
+    last = dict(zip(map(itemgetter(0), facts), facts))
+    return {predicate: len(f.values) for predicate, f in last.items()}
 
 
 def load_edge_list_by_line(path, fmt=None):

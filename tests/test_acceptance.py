@@ -15,9 +15,9 @@ import pytest
 
 import premlog as P
 from premlog import bench
-from premlog.model import facts_to_interp
 
 from conftest import (
+    facts_to_interp,
     SPATH_STRATIFIED,
     SPATH_PRECONSTRAINED,
     SPATH_MONOTONIC,

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+import premlog as P
 import premlog.analysis as analysis_module
 import premlog.parser as parser_module
 from premlog.bench import SPATH_PREM_TEMPLATE, dijkstra_reference
@@ -55,6 +56,22 @@ def test_run_jsonl(write, capsys):
     assert main(["run", prog, "--format", "jsonl"]) == EXIT_OK
     rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
     assert {"predicate": "spath", "args": ["b", 1]} in rows
+
+
+def test_run_prints_integers_before_symbols_in_a_mixed_column(write, capsys):
+    # The natural order raises where an int meets a str; the answers are
+    # then sorted by tuple_sort_key, integers first in every column.
+    text = "r1: q(X,Y) :- p(X,Y).\np(b,2). p(10,x). p(a,1). p(9,y). p(a,c). p(a,-1). p(b,z).\n"
+    prog = write("mixed.dl", text)
+    expected = ["q(9,y).", "q(10,x).", "q(a,-1).", "q(a,1).", "q(a,c).", "q(b,2).", "q(b,z)."]
+    assert main(["run", prog]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == expected
+    assert main(["run", prog, "--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [line[2:-2] for line in expected]
+    result = P.run_program(P.parse_program(text))
+    assert [f"q({','.join(map(str, t))})." for t in result.answers("q")] == expected
+    with pytest.raises(TypeError):
+        sorted(result.db["q"])
 
 
 RULES_ONLY = "\n".join(SHORTEST_PATH.strip().splitlines()[:-1])

@@ -21,9 +21,10 @@ from premlog.engine import (
     plan,
 )
 from premlog.errors import BudgetExceeded, Overflow, SafetyError, TypeMismatch, UnboundVariable
-from premlog.model import Bound, Extremum, facts_to_interp
+from premlog.model import Bound, Extremum
 
 from conftest import (
+    facts_to_interp,
     SPATH_STRATIFIED,
     SPATH_PRECONSTRAINED,
     SPATH_MONOTONIC,

@@ -17,12 +17,13 @@ from premlog.model import (
     compare_values,
     constraint_conjuncts,
     constraint_predicate,
-    facts_to_interp,
     format_value,
     interp_eq,
     make_constraint,
     tuple_sort_key,
 )
+
+from conftest import facts_to_interp
 
 
 def test_checked_arith_basic():

@@ -11,7 +11,9 @@ from premlog.model import AggregateGoal, Bound, Conjunction, Extremum, Fact, Hea
 from premlog import parser
 from premlog.parser import Token, load_edge_list
 
-from conftest import CAPPED_MAX, BOUNDED_PATH, PARTY_GATED, PART_EXPLOSION, load_edge_list_by_line
+from conftest import (
+    CAPPED_MAX, BOUNDED_PATH, PARTY_GATED, PART_EXPLOSION, fact_arities, load_edge_list_by_line
+)
 
 
 def test_labels_and_facts():
@@ -252,9 +254,11 @@ def test_load_facts_path_dispatches_on_extension(tmp_path):
 def test_read_facts_path_gives_the_arities_of_its_facts(tmp_path, name, text):
     f = tmp_path / name
     f.write_text(text)
-    facts, arities = parser.read_facts_path(str(f))
-    assert facts == parser.load_facts_path(str(f))
-    assert list(arities.items()) == list(P.model.fact_arities(facts).items())
+    runs, arities = parser.read_facts_path(str(f))
+    facts = parser.load_facts_path(str(f))
+    assert list(P.model.run_facts(runs)) == facts
+    assert runs == P.Program(()).with_facts(facts).runs
+    assert list(arities.items()) == list(fact_arities(facts).items())
 
 
 def test_load_edge_list_integer_fields_are_what_int_accepts(tmp_path):

@@ -26,7 +26,6 @@ from premlog.model import (
     Extremum,
     Rule,
     Variable,
-    facts_to_interp,
     keep_extremal,
     make_constraint,
 )
@@ -34,6 +33,7 @@ from premlog.rewrite import standard_form
 from premlog.verify import _sample_space
 
 from conftest import (
+    facts_to_interp,
     CLIQUE_FACTS,
     PART_EXPLOSION,
     PARTY_GATED,

@@ -16,9 +16,11 @@ import pytest
 
 import premlog as P
 import premlog.engine as engine
+import premlog.parser as parser
 from premlog.cli import EXIT_INPUT, EXIT_OK, main
 from premlog.errors import BudgetExceeded
-from premlog.model import facts_to_interp
+
+from conftest import facts_to_interp
 
 # Three strata: a greedy min recursion, a plain recursion that reads it and
 # probes arc on the same index, and a range goal over what that derived.
@@ -225,3 +227,83 @@ def test_head_column_proof_is_a_greatest_fixpoint():
     stores = {p: engine.RelationStore(rel) for p, rel in facts_to_interp(program.facts).items()}
     seeds = {"q": {("x",)}}
     assert ("q", 0) not in engine._proven_columns(program.rules, stores, seeds)[0]
+
+
+# ===== scan order of the fact stores ============================================
+
+SCAN_RULES = """\
+r1: path(Y,min<D>) :- arc(a0,Y,D).
+r2: path(Y,min<D>) :- path(X,D0), arc(X,Y,W), D=D0+W, D>D0.
+r3: near(X,Y) :- node(X), w(X,Y,C), C<5.
+"""
+# Interleaved predicates of one arity (the line reader splits its chunks where
+# the predicate changes), lines of another arity between them, and repeats.
+SCAN_LINES = [f"arc(a{i},a{i * 7 % 60},{i % 9 + 1}).\n" for i in range(60)]
+for i in range(0, 60, 4):
+    SCAN_LINES.insert(i + 2, f"w(a{i},a{i + 1},{i % 7}).\n")
+for i in range(0, 70, 10):
+    SCAN_LINES.insert(i, f"node(a{i}).\n")
+SCAN_LINES[30:30] = [SCAN_LINES[12], SCAN_LINES[12], SCAN_LINES[3]]
+
+
+def _fact(line):
+    predicate, _, args = line.rstrip(".\n").rstrip(")").partition("(")
+    return P.Fact(predicate, tuple(int(a) if a.isdigit() else a for a in args.split(",")))
+
+
+def _resident_stores(monkeypatch, argv):
+    """The stores of the fact relations as the first stratum of a run finds them."""
+    first = []
+    real_stratum = engine._seminaive_stratum
+
+    def stratum(rules, stores, options, monitor):
+        if not first:
+            first.append({p: list(store.tuples) for p, store in stores.items()})
+        return real_stratum(rules, stores, options, monitor)
+
+    monkeypatch.setattr(engine, "_seminaive_stratum", stratum)
+    assert main(argv) == EXIT_OK
+    return first[0]
+
+
+@pytest.mark.parametrize("where", ["dl", "tsv", "program"])
+def test_stores_scan_the_facts_as_a_fact_by_fact_load_would(tmp_path, capsys, monkeypatch, where):
+    rules = tmp_path / "rules.dl"
+    if where == "tsv":
+        # Integer nodes, a two-field row (length 1) and a repeated row, which
+        # the edge list reader loads once.
+        arcs = [(i, i * 13 % 300, i % 5 + 1) for i in range(300)]
+        lines = [f"{u}\t{v}\t{d}\n" for u, v, d in arcs]
+        lines[40:40] = [lines[7], "3\t9\n"]
+        arcs[40:40] = [(3, 9, 1)]
+        facts = [P.Fact("arc", arc) for arc in arcs]
+        rules.write_text(SCAN_RULES.replace("a0", "0"))
+        path = tmp_path / "arcs.tsv"
+        path.write_text("".join(lines))
+        argv = ["run", str(rules), "--facts", str(path)]
+    else:
+        lines, facts = SCAN_LINES, [_fact(line) for line in SCAN_LINES]
+        if where == "dl":
+            rules.write_text(SCAN_RULES)
+            path = tmp_path / "facts.dl"
+            path.write_text("".join(lines))
+            argv = ["run", str(rules), "--facts", str(path)]
+        else:
+            rules.write_text(SCAN_RULES + "".join(lines))
+            argv = ["run", str(rules)]
+    program = P.parse_program(rules.read_text())
+    if where != "program":
+        program = program.with_runs(parser.read_facts_path(str(path))[0])
+    # Program.facts keeps every fact in file order, repeats included (an edge
+    # list's repeated row is loaded once), and prints as it is written.
+    assert list(program.facts) == facts
+    if where != "tsv":
+        assert P.format_program(program) == "".join(lines) + P.format_program(
+            P.parse_program(SCAN_RULES)
+        )
+    resident = _resident_stores(monkeypatch, argv)
+    reference = facts_to_interp(program.facts)
+    assert set(reference) == ({"arc"} if where == "tsv" else {"arc", "node", "w"})
+    for p, rel in reference.items():
+        assert resident[p] == list(engine.RelationStore(rel).tuples)
+    capsys.readouterr()

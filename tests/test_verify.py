@@ -13,13 +13,14 @@ import pytest
 
 import premlog as P
 from premlog.engine import ConsequenceStep, plan
-from premlog.model import INT_MAX, facts_to_interp, tuple_sort_key
+from premlog.model import INT_MAX, tuple_sort_key
 from premlog.parser import format_value
 from premlog.rewrite import standard_form
 from premlog.verify import _sample_space
 
 import conftest
 from conftest import (
+    facts_to_interp,
     SPATH_STRATIFIED,
     CAPPED_MAX,
     MUTUAL_COUNT,
