@@ -2,11 +2,12 @@
 """Print one SHA-256 over the CLI's output on the generated benchmark corpus.
 
 For each seed, the 96 programs of `perfbench/corpus.generated_programs` are
-run in-process through `premlog.cli.main` under nine commands: `check`,
+run in-process through `premlog.cli.main` under ten commands: `check`,
 `optimize`, `run --mode naive --stats`, `run --stats`,
-`run --trust-but-verify --stats`, `verify --samples 100` and
-`run --stats --max-tuples 4` (a budget stop on most programs, with its
-stats line) on the program as generated, and `run --stats --facts F` and
+`run --trust-but-verify --stats`, `verify --samples 100`,
+`verify --samples 300 --seed 7` (several batches of the falsifier's
+samples) and `run --stats --max-tuples 4` (a budget stop on most programs,
+with its stats line) on the program as generated, and `run --stats --facts F` and
 `optimize --facts F` on its rule lines (those holding `:-`) with the other
 lines, its facts, in the fact file F (optimize prints those facts back).
 The digest covers each command's exit code, stdout and stderr, with the
@@ -41,6 +42,7 @@ COMMANDS = (
     ["run", "--stats"],
     ["run", "--trust-but-verify", "--stats"],
     ["verify", "--samples", "100"],
+    ["verify", "--samples", "300", "--seed", "7"],
     ["run", "--stats", "--max-tuples", "4"],
 )
 # Run on the rule lines, with the fact lines in a .dl file after --facts.

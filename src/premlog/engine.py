@@ -16,8 +16,9 @@ EvalStats when it returns. Seeds, count/sum releases and is_min/is_max
 winners enter through `<premlog admit P>`, generated from the same source. A
 stratified is_min/is_max rule keeps each key's best rows in a dict inside the
 function, and its caller emits the winners. ConsequenceStep, the full join
-of T that the naive loop sweeps with and the falsifier applies per sample
-(apply_ico too), collects each head tuple in a set of its own instead.
+of T that the naive loop sweeps with and the falsifier applies to a batch
+of tagged samples (apply_ico too), collects each head tuple in a set of its
+own instead.
 
 The naive loop literally iterates I <- gamma(T(I u edb)): every sweep is one
 call of its stratum's ConsequenceStep, then the working constraints (head

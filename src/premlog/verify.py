@@ -5,7 +5,8 @@ count/sum runs on trust, these checks probe the semantics directly:
 
   * check_prem_empirical samples random interpretations and tests the
     transfer equation gamma(T(I)) = gamma(T(gamma(I))) on each, looking for
-    a concrete refutation;
+    a concrete refutation; it checks 64 samples at a time, their tuples
+    told apart by a leading tag column, with one consequence step per side;
   * brute_force_oracle evaluates a program the slow safe way (no pushing,
     monotonic aggregate forms, extrema as negation) for answer comparison;
   * trust_but_verify_run executes unproven aggregates natively, samples
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .analysis import classify_premability, stratify
@@ -29,12 +31,16 @@ from .engine import (
     naive_fixpoint,
     plan,
 )
-from .errors import AmbiguousCost, BudgetExceeded, NoCost, Overflow, TypeMismatch
+from .errors import AmbiguousCost, BudgetExceeded, NoCost, Overflow, PremlogError, TypeMismatch
 from .model import (
     EXTREMA_KINDS,
+    AggregateGoal,
+    Atom,
+    Bound,
     Constant,
     Constraint,
     Interpretation,
+    Negated,
     Program,
     Rule,
     Value,
@@ -42,8 +48,8 @@ from .model import (
     constraint_conjuncts,
     constraint_predicate,
     final_rules,
-    interp_eq,
     keep_extremal,
+    make_constraint,
     runs_to_interp,
     tuple_sort_key,
     value_sort_key,
@@ -57,6 +63,11 @@ from .rewrite import CompileObligation, desugar_extremum, materialize_monotonic,
 _INT_POOL: Tuple[int, ...] = tuple(range(-2, 13))
 _MAX_POOL = 24
 _MAX_SAMPLE_SIZE = 12
+# Samples checked by one tagged consequence step; the tag column and the
+# relation of a batch's tags have names no parsed program can use.
+_BATCH_SIZE = 64
+_TAG = "#tag"
+_BATCH_PRED = "#batch"
 
 
 @dataclass(frozen=True)
@@ -154,6 +165,55 @@ def _sample_space(
     return rules, sampled_preds, pools
 
 
+def _tag_rules(rules: Sequence[Rule], tagged: Set[str]) -> List[Rule]:
+    """rules over relations with a leading tag column: each atom over a tagged
+    predicate has the tag first and each aggregate groups by it first; a rule
+    that reads no tagged predicate positively reads the tags of _BATCH_PRED."""
+    tag = Variable(_TAG)
+
+    def atom(a: Atom) -> Atom:
+        return Atom(a.predicate, (tag,) + a.args) if a.predicate in tagged else a
+
+    out = []
+    for r in rules:
+        reads = any(isinstance(g, Atom) and g.predicate in tagged for g in r.body)
+        body = [] if reads else [Atom(_BATCH_PRED, (tag,))]
+        for g in r.body:
+            if isinstance(g, Atom):
+                g = atom(g)
+            elif isinstance(g, Negated):
+                g = Negated(atom(g.atom))
+            elif isinstance(g, AggregateGoal):
+                g = replace(g, group_by=(_TAG,) + g.group_by)
+            body.append(g)
+        extremum = r.extremum and replace(r.extremum, cost=r.extremum.cost + 1)
+        out.append(replace(r, head=atom(r.head), body=tuple(body), extremum=extremum))
+    return out
+
+
+def _tag_constraint(constraint: Constraint) -> Constraint:
+    """constraint on relations with a leading tag column, each tag apart."""
+    return make_constraint(
+        replace(part, cost=part.cost + 1)
+        if isinstance(part, Bound)
+        else replace(part, group_by=(0,) + tuple(g + 1 for g in part.group_by), cost=part.cost + 1)
+        for part in constraint_conjuncts(constraint)
+    )
+
+
+def _by_tag(interp: Interpretation) -> Dict[int, Interpretation]:
+    """The rows of interp by tag, still tagged, in the relations that hold them."""
+    out: Dict[int, Interpretation] = {}
+    for p, rel in interp.items():
+        for row in rel:
+            out.setdefault(row[0], {}).setdefault(p, set()).add(row)
+    return out
+
+
+def _only(interp: Interpretation, tags: Set[int]) -> Interpretation:
+    return {p: {row for row in rel if row[0] in tags} for p, rel in interp.items()}
+
+
 def check_prem_empirical(
     program: Program,
     constraint: Constraint,
@@ -166,9 +226,17 @@ def check_prem_empirical(
     The fixed facts are kept in every sample; the recursive predicates get
     random relations of up to 12 tuples drawn from the inferred pools. Any
     sample where constraining before the consequence step changes the
-    constrained result is returned as a counterexample. A sample that the
-    constraint leaves as it is (gamma(I) = I) cannot be one: after its
-    first consequence step, which may raise, nothing more is evaluated.
+    constrained result is returned as a counterexample, the first in draw
+    order. A sample that the constraint leaves as it is (gamma(I) = I)
+    cannot be one, and nothing of it is evaluated but gamma(I).
+
+    Samples are checked in batches of 64. Each tuple carries a leading tag
+    column, its sample's index in the batch, and so do the rules and the
+    constraint: one tagged step evaluates T on the whole batch. When gamma(I)
+    or a step raises, the batch's samples are checked again one by one, in
+    order: TypeMismatch and Overflow skip only the samples that raise them,
+    and the first BudgetExceeded or counterexample is the one a
+    sample-by-sample check meets.
     An mcount/msum ladder under a max is checked as its count/sum
     (rewrite.standard_form): max of msum is sum, so gamma(T) is the same,
     and a key derives its total instead of every natural up to it.
@@ -180,12 +248,48 @@ def check_prem_empirical(
     # Only the sampled predicates and the constrained one differ between
     # samples, or between the two sides of the equation; the rest of the EDB
     # is compiled into the step once and joined back into a counterexample.
-    touched = set(sampled_preds) | {constraint_predicate(constraint)}
+    cp = constraint_predicate(constraint)
+    touched = set(sampled_preds) | {cp}
     fixed = runs_to_interp(program.runs)
     rest = {p: rel for p, rel in fixed.items() if p not in touched}
     seeded = [(p, rel) for p, rel in fixed.items() if p in touched]
-    constrained = {part.predicate for part in constraint_conjuncts(constraint)}
-    step = ConsequenceStep(standard_form(rules, constraint), rest)
+    step = ConsequenceStep(_tag_rules(standard_form(rules, constraint), touched), rest)
+    gamma = partial(apply_constraint, _tag_constraint(constraint))
+
+    def refute(interp: Interpretation, tags: Sequence[int]) -> Optional[Tuple[int, Tuple]]:
+        """The first of tags whose sample in interp refutes the equation, and
+        its counterexample, untagged; None if there is none."""
+        live = tags
+        try:
+            before = gamma(interp)
+            live = {row[0] for row in interp.get(cp, set()) - before.get(cp, set())}
+            if not live:
+                return None
+            if len(live) < len(tags):
+                interp, before = _only(interp, live), _only(before, live)
+            batch = {(t,) for t in live}
+            t_i = step({**interp, _BATCH_PRED: batch})
+            lhs = gamma(t_i)
+            t_gi = step({**before, _BATCH_PRED: batch})
+            rhs = gamma(t_gi)
+        except PremlogError as exc:
+            if len(live) > 1:  # check the samples one by one, in order
+                parts = _by_tag(interp)
+                return next(filter(None, (refute(parts[t], (t,)) for t in sorted(parts))), None)
+            if isinstance(exc, (TypeMismatch, Overflow)):
+                return None
+            raise
+        wrong = {row[0] for p in {*lhs, *rhs} for row in lhs.get(p, set()) ^ rhs.get(p, set())}
+        if not wrong:
+            return None
+        t = min(wrong)
+        # A sample-by-sample check has the relations that hold a row of t,
+        # and every relation of I on its constrained-before side.
+        keys = lambda rel: {p for p, r in rel.items() if any(x[0] == t for x in r)} - {_BATCH_PRED}
+        untag = lambda rel, ps: {p: {row[1:] for row in rel.get(p, ()) if row[0] == t} for p in ps}
+        sample = untag(interp, keys(interp))
+        sides = (sample, untag(lhs, keys(t_i)), untag(rhs, sample.keys() | keys(t_gi)))
+        return t, tuple({**rest, **side} for side in sides)
 
     # Each draw is what Random.randrange(n) returns on this interpreter,
     # inlined: getrandbits(n.bit_length()), drawn again while it is n or
@@ -200,36 +304,28 @@ def check_prem_empirical(
         (pred, [(pool, len(pool), len(pool).bit_length()) for pool in pools[pred]])
         for pred in sampled_preds
     ]
-    for n in range(1, samples + 1):
-        interp = {p: set(rel) for p, rel in seeded}
-        size = getrandbits(size_bits)
-        while size >= sizes:
+    for start in range(0, samples, _BATCH_SIZE):
+        tags = range(min(_BATCH_SIZE, samples - start))
+        interp = {p: {(t, *row) for t in tags for row in rel} for p, rel in seeded}
+        for t in tags:
             size = getrandbits(size_bits)
-        for _ in range(size):
-            i = getrandbits(pred_bits)
-            while i >= n_preds:
+            while size >= sizes:
+                size = getrandbits(size_bits)
+            for _ in range(size):
                 i = getrandbits(pred_bits)
-            pred, positions = draws[i]
-            values = []
-            for pool, m, bits in positions:
-                j = getrandbits(bits)
-                while j >= m:
+                while i >= n_preds:
+                    i = getrandbits(pred_bits)
+                pred, positions = draws[i]
+                values = [t]
+                for pool, m, bits in positions:
                     j = getrandbits(bits)
-                values.append(pool[j])
-            interp.setdefault(pred, set()).add(tuple(values))
-        try:
-            derived = step(interp)
-            before = apply_constraint(constraint, interp)
-            if all(len(before[p]) == len(interp[p]) for p in constrained if p in interp):
-                continue  # gamma(I) = I: both sides are gamma(T(I))
-            lhs = apply_constraint(constraint, derived)
-            rhs = apply_constraint(constraint, step(before))
-        except (TypeMismatch, Overflow):
-            continue
-        if not interp_eq(lhs, rhs):
-            return PremCheckReport(
-                n, "falsified", ({**rest, **interp}, {**rest, **lhs}, {**rest, **rhs})
-            )
+                    while j >= m:
+                        j = getrandbits(bits)
+                    values.append(pool[j])
+                interp.setdefault(pred, set()).add(tuple(values))
+        found = refute(interp, tags)
+        if found is not None:
+            return PremCheckReport(start + found[0] + 1, "falsified", found[1])
     return PremCheckReport(samples, "passed", None)
 
 

@@ -234,6 +234,144 @@ def test_falsifier_skips_a_sample_whose_sum_overflows():
     assert report == P.PremCheckReport(200, "passed", None)
 
 
+# Arcs with integer, symbolic and near-INT_MAX weights, and a sum over a
+# sampled relation w: with the explicit procedure the cost pool holds x and
+# the huge weight, so some samples are vacuous, some raise TypeMismatch in
+# gamma(I) or in a step ('+' on x), some overflow ('+' or the sum), and the
+# rest are checked; the check passes.
+MIXED_WEIGHTS = """
+start(a). seedw(a,1,9223372036854775800). seedw(b,2,5).
+arc(a,b,1). arc(b,c,2). arc(c,a,4). arc(b,d,x). arc(c,e,9223372036854775800). arc(e,a,1).
+r1: path(Y,D) :- start(X), arc(X,Y,D).
+r2: path(Y,D) :- path(X,Dx), arc(X,Y,Dxy), D=Dx+Dxy.
+r3: w(Y,K,V) :- seedw(Y,K,V).
+r4: tot(Y,S) :- w(Y,K,V), sum((Y),(K,V),S).
+r5: sp(Y,D) :- path(Y,D), is_min((Y),(D)).
+"""
+
+
+@pytest.mark.parametrize("samples", [1, 63, 64, 65, 129, 500])
+def test_batches_where_some_samples_raise_equal_the_reference(samples):
+    prog, c = _first_constraint(MIXED_WEIGHTS)
+    procedure = [r for r in prog.rules if r.head.predicate in ("path", "w", "tot")]
+    for seed in range(10):
+        report = P.check_prem_empirical(prog, c, samples=samples, seed=seed, procedure=procedure)
+        assert report == check_prem_empirical_by_draw(
+            prog, c, samples=samples, seed=seed, procedure=procedure
+        ), seed
+        assert report == P.PremCheckReport(samples, "passed", None)
+
+
+# r3 puts x, 4 and 11 in p's pool: gamma(I), a max, raises on a sample that
+# draws p(x), and a sample that draws p(4) but not p(11) refutes.
+SYMBOL_IN_THE_COST = CAPPED_MAX + "r3: odd(1) :- p(x), p(4), p(11).\n"
+
+
+def test_a_sample_whose_gamma_raises_is_skipped_alone():
+    prog, c = _first_constraint(SYMBOL_IN_THE_COST)
+    rules = prog.rules_defining("p")
+    verdicts = set()
+    for seed in range(10):
+        want = check_prem_empirical_by_draw(prog, c, samples=64, seed=seed, procedure=rules)
+        assert P.check_prem_empirical(prog, c, samples=64, seed=seed, procedure=rules) == want
+        verdicts.add(want.verdict)
+    assert verdicts == {"passed", "falsified"}
+
+
+# gamma keeps no p tuple of any sample, so each counterexample's
+# constrained-before side holds p as an empty relation.
+BOUND_EMPTIES_P = """
+r1: p(J1) :- p(J), J > 2, J1 = J - 20.
+r2: low(J) :- p(J), J < -2.
+"""
+
+
+def test_a_counterexample_keeps_the_relation_gamma_empties():
+    prog, c = _first_constraint(BOUND_EMPTIES_P)
+    for seed in range(5):
+        report = P.check_prem_empirical(prog, c, samples=64, seed=seed)
+        assert report == check_prem_empirical_by_draw(prog, c, samples=64, seed=seed)
+        assert report.counterexample[2] == {"p": set()}
+
+
+# r1 reads fixed facts only, and r3 reads the sampled path only under not:
+# in a batch both read the batch's tags instead of a sampled relation.
+NEGATED_READ = """
+node(a). node(b). node(c). arc(a,b,1). arc(b,c,2). arc(a,c,5).
+r1: path(Y,D) :- arc(a,Y,D).
+r2: path(Y,D) :- path(X,Dx), arc(X,Y,Dxy), D=Dx+Dxy.
+r3: cut(Y) :- node(Y), not path(Y,3).
+r4: sp(Y,D) :- path(Y,D), is_min((Y),(D)).
+"""
+
+
+def test_rules_without_a_positive_sampled_read_equal_the_reference():
+    prog, c = _first_constraint(NEGATED_READ)
+    path = prog.rules_defining("path")
+    for procedure in (path, path + prog.rules_defining("cut")):
+        for seed in range(10):
+            want = check_prem_empirical_by_draw(prog, c, 300, seed, procedure=procedure)
+            assert P.check_prem_empirical(prog, c, 300, seed, procedure=procedure) == want
+
+
+# Every step reads lim(20000000) and enumerates past the step's budget.
+RANGE_PAST_BUDGET = """
+r1: upto(J) :- lim(K), int_up2(K,J).
+r2: best(J) :- upto(J), is_max((),(J)).
+lim(20000000).
+"""
+
+
+def test_a_budget_stop_ends_a_check_as_in_the_reference():
+    [target] = _verify_targets(RANGE_PAST_BUDGET)
+    for seed in range(5):
+        want = _report(check_prem_empirical_by_draw, target, 200, seed)
+        assert want == ("BudgetExceeded", "range 1..20000000 exceeds the tuple budget")
+        assert _report(P.check_prem_empirical, target, 200, seed) == want
+
+
+# Every value of p's pool is below 100, so the bound leaves every sample as
+# it is; a step would read lim(20000000) and stop on the budget.
+VACUOUS_PAST_BUDGET = """
+r1: p(J) :- lim(K), int_up2(K,J).
+r2: small(J) :- p(J), J < 100.
+lim(20000000).
+"""
+
+
+def test_a_vacuous_sample_takes_no_step():
+    # The one outcome that differs from the reference, which steps T(I) on
+    # every sample and so stops on the budget at the first one.
+    [target] = _verify_targets(VACUOUS_PAST_BUDGET)
+    assert _report(check_prem_empirical_by_draw, target, 200, 0)[0] == "BudgetExceeded"
+    assert _report(P.check_prem_empirical, target, 200, 0) == P.PremCheckReport(
+        200, "passed", None
+    )
+
+
+# CAPPED_MAX with a rule that enumerates 1..K for a sampled p(K) over 100:
+# a sample that draws p(20000000) (r4 puts it in the pool) stops on the budget.
+BUDGET_AFTER_COUNTEREXAMPLE = CAPPED_MAX + """
+r3: p(J) :- p(K), K>100, int_up2(K,J).
+r4: huge(1) :- p(20000000).
+"""
+
+
+@pytest.mark.parametrize("seed", [8, 9, 12])
+def test_a_counterexample_before_a_budget_stop_in_its_batch_wins(seed):
+    prog, c = _first_constraint(BUDGET_AFTER_COUNTEREXAMPLE)
+    rules = prog.rules_defining("p")
+    want = check_prem_empirical_by_draw(prog, c, samples=64, seed=seed, procedure=rules)
+    assert want.verdict == "falsified"
+    # The same draws, checked through the enumerating rule alone, pass the
+    # first want.samples samples and stop on the budget later in the batch.
+    [enumerate_rule] = [r for r in rules if r.id == "r3"]
+    check_prem_empirical_by_draw(prog, c, want.samples, seed, procedure=[enumerate_rule])
+    with pytest.raises(P.BudgetExceeded):
+        check_prem_empirical_by_draw(prog, c, 64, seed, procedure=[enumerate_rule])
+    assert P.check_prem_empirical(prog, c, samples=64, seed=seed, procedure=rules) == want
+
+
 # A seat that costs INT_MAX. A sampled bike with another part of positive
 # cost overflows (a skipped sample); with the seat alone it totals INT_MAX:
 # no Overflow, and an msum ladder of INT_MAX rungs.
