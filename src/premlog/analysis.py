@@ -370,10 +370,8 @@ def interval(t: Term, region: Region) -> Intv:
             iv = region.get(v, FULL)
             acc = _iadd(acc, _imul((c, c), iv))
         return acc
-    if isinstance(t, Constant):
-        return (t.value, t.value) if isinstance(t.value, int) else FULL
-    if isinstance(t, Variable):
-        return region.get(t.name, FULL)
+    if isinstance(t, Constant):  # a symbol: linear_form reads integers and variables
+        return FULL
     left = interval(t.left, region)
     right = interval(t.right, region)
     if t.op == "+":
@@ -403,10 +401,8 @@ def direction(t: Term, x: str, region: Region) -> str:
     if lf is not None:
         c = lf[0].get(x, 0)
         return "indep" if c == 0 else ("inc" if c > 0 else "dec")
-    if isinstance(t, Constant):
+    if isinstance(t, Constant):  # a symbol, as in interval
         return "indep"
-    if isinstance(t, Variable):
-        return "inc" if t.name == x else "indep"
     dl = direction(t.left, x, region)
     dr = direction(t.right, x, region)
     if t.op == "+":
@@ -459,30 +455,29 @@ def _single_var_interval(coeff: int, const: int, op: str) -> Optional[Intv]:
     return None
 
 
+def _solve_guard(left: Term, right: Term, op: str) -> Optional[Tuple[str, Intv]]:
+    """The variable of a guard left OP right linear in one variable, and the
+    interval the guard keeps it in; None for any other guard."""
+    lf = linear_form(ArithExpr("-", left, right))
+    if lf is None or len(lf[0]) != 1:  # linear_form keeps no zero coefficient
+        return None
+    [(v, c)] = lf[0].items()
+    iv = _single_var_interval(c, lf[1], op)
+    return None if iv is None else (v, iv)
+
+
 def guard_region(guards: Sequence[Comparison], defs: Dict[str, Term]) -> Region:
     """Intervals implied by single-variable guards, raw and def-expanded."""
     region: Region = {}
-
-    def feed(left: Term, right: Term, op: str) -> None:
-        lf = linear_form(ArithExpr("-", left, right))
-        if lf is None:
-            return
-        coeffs, const = lf
-        live = {v: c for v, c in coeffs.items() if c != 0}
-        if len(live) != 1:
-            return
-        (v, c) = next(iter(live.items()))
-        iv = _single_var_interval(c, const, op)
-        if iv is None:
-            return
-        lo, hi = region.get(v, FULL)
-        nlo = iv[0] if lo is None else (lo if iv[0] is None else max(lo, iv[0]))
-        nhi = iv[1] if hi is None else (hi if iv[1] is None else min(hi, iv[1]))
-        region[v] = (nlo, nhi)
-
     for g in guards:
-        feed(g.left, g.right, g.op)
-        feed(subst_defs(g.left, defs), subst_defs(g.right, defs), g.op)
+        for left, right in ((g.left, g.right), (subst_defs(g.left, defs), subst_defs(g.right, defs))):
+            solved = _solve_guard(left, right, g.op)
+            if solved is not None:
+                v, (glo, ghi) = solved
+                lo, hi = region.get(v, FULL)
+                nlo = glo if lo is None else (lo if glo is None else max(lo, glo))
+                nhi = ghi if hi is None else (hi if ghi is None else min(hi, ghi))
+                region[v] = (nlo, nhi)
     return region
 
 
@@ -552,19 +547,8 @@ def provably_positive(var: str, defs: Dict[str, Term], region: Region) -> bool:
 
 def _positivity_guards(view: RuleCostView, summand: str) -> Set[int]:
     """Indices of guards that only lower-bound the summand variable."""
-    out: Set[int] = set()
-    for i, g in enumerate(view.guards):
-        lf = linear_form(ArithExpr("-", g.left, g.right))
-        if lf is None:
-            continue
-        coeffs, const = lf
-        live = {v: c for v, c in coeffs.items() if c != 0}
-        if set(live) != {summand}:
-            continue
-        iv = _single_var_interval(live[summand], const, g.op)
-        if iv is not None and iv[1] is None and iv[0] is not None:
-            out.add(i)
-    return out
+    solved = [_solve_guard(g.left, g.right, g.op) for g in view.guards]
+    return {i for i, s in enumerate(solved) if s is not None and s[0] == summand and s[1][1] is None}
 
 
 def _noncost_argument_terms(view: RuleCostView, costmap: Dict[str, int], scc: Set[str]):

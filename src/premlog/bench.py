@@ -63,6 +63,7 @@ def check_lengths(arcs: Iterable[Arc]) -> None:
 
 
 def arc_facts(arcs: Iterable[Arc]) -> Tuple[Fact, ...]:
+    """arcs as arc/3 Facts, for perfbench's replay (Program.with_facts)."""
     return tuple(map(new_fact, zip(repeat("arc"), map(tuple, arcs))))
 
 

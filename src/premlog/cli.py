@@ -130,8 +130,10 @@ def _load_program(args) -> Program:
         program = parse_program(fh.read())
     arities = program.arities()
     for path in args.facts:
-        runs, fact_arities = read_facts_path(path)
-        for predicate, arity in fact_arities.items():
+        runs = read_facts_path(path)
+        # The parse checked that every fact of a predicate has one arity.
+        for predicate, rows in runs:
+            arity = len(rows[0])
             prior = arities.setdefault(predicate, arity)
             if prior != arity:
                 raise ArityConflict(f"{path}: {predicate} used with arity {arity}, earlier {prior}")

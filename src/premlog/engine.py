@@ -139,6 +139,7 @@ from .rewrite import CompileObligation, RewriteTrace, compile_count_in_recursion
 
 @dataclass
 class EvalOptions:
+    """Evaluation settings; perfbench's replay sets every field."""
     mode: str = "seminaive"
     max_iterations: Optional[int] = None
     max_tuples: int = 10_000_000
@@ -1018,7 +1019,10 @@ def _rule_candidates(
     tally = _Tally(agg.kind, None if watch is None else partial(watch, code.plan.rule.id))
     code.run(ctx, tally.add)
     for key in tally.witnesses:
-        code.release(key, tally.release(key), emit)
+        values = tally.release(key)
+        if ctx.stats is None and len(values) > ctx.max_tuples:  # a counted step stops in count
+            ctx.stop(_TUPLE_BUDGET % ctx.max_tuples)
+        code.release(key, values, emit)
 
 
 # =====================================================================================
@@ -1170,7 +1174,8 @@ def seminaive_fixpoint(
     monitor: Optional[List[str]] = None,
 ) -> Tuple[Interpretation, EvalStats]:
     """Evaluate one stratum incrementally; returns edb extended with results.
-    The stores are copies of edb, so edb is left as it was."""
+    The stores are copies of edb, so edb is left as it was. A run keeps its
+    stores resident instead; perfbench's replay and the tests call this."""
     stores = {pred: RelationStore(rel) for pred, rel in edb.items()}
     stats = _seminaive_stratum(rules, stores, options or EvalOptions(), monitor)
     return _relations(stores), stats
@@ -1411,7 +1416,8 @@ def naive_fixpoint(
     options: Optional[EvalOptions] = None,
     monitor: Optional[List[str]] = None,
 ) -> Tuple[Interpretation, EvalStats]:
-    """Iterate I <- gamma(T(I u edb)) until the interpretation repeats."""
+    """Iterate I <- gamma(T(I u edb)) until the interpretation repeats.
+    perfbench's replay calls it per stratum, as iterated_fixpoint does."""
     options = options or EvalOptions()
     stats = EvalStats()
     started = time.perf_counter()

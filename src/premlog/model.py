@@ -471,6 +471,7 @@ class Program:
 
     @cached_property
     def facts(self) -> Tuple[Fact, ...]:
+        """The runs as Facts, for the API and perfbench's replay."""
         return tuple(run_facts(self.runs))
 
     def adopt_graph(self, graph: DependencyGraph) -> "Program":
@@ -494,6 +495,7 @@ class Program:
         return replace(self, rules=tuple(rules))
 
     def with_facts(self, extra: Iterable[Fact]) -> "Program":
+        """with_runs for Facts; perfbench's replay adds its loaded facts so."""
         return self.with_runs((p, map(itemgetter(1), f)) for p, f in groupby(extra, itemgetter(0)))
 
     def with_runs(self, extra: Iterable[Tuple[str, Iterable[GroundTuple]]]) -> "Program":

@@ -7,7 +7,8 @@ in chunks of one arity through a pattern for that arity, each distinct
 argument text converted once, and checks one arity per chunk. Everything
 else is tokenized, so every error keeps its message, line and column. Fact
 files go through the same parse_program; edge lists are read whole, each
-distinct field converted once. A Program keeps the rows as runs. Syntax:
+distinct field converted once (.csv on commas, else on whitespace). Readers
+return (predicate, rows) runs; Program.facts serves the API and perfbench. Syntax:
 
     r1: path(Y,Dy) :- arc(a,Y,Dy), Dy>=0.
     r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy.
@@ -35,7 +36,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, repeat, takewhile
+from itertools import groupby, takewhile
 from operator import itemgetter
 from re import Match
 from typing import (
@@ -79,7 +80,6 @@ from .model import (
     goal_conjunct,
     head_var_positions,
     make_constraint,
-    new_fact,
     run_facts,
     term_variables,
 )
@@ -273,17 +273,11 @@ def _tokenize_line(text: str, line: int, toks: List[Token]) -> None:
 _ANNOTATIONS = ("min", "max", "mmin", "mmax")
 
 
-@dataclass(frozen=True)
-class _HeadAnnotation:
-    kind: str
-    var: str
-
-
 @dataclass
 class _Clause:
     label: Optional[str]
     head: Atom
-    annotations: Tuple[Tuple[int, _HeadAnnotation], ...]  # (position, annotation)
+    annotations: Tuple[Tuple[int, str], ...]  # (position, kind) of min<V> and the like
     body: Tuple[Goal, ...]
     line: int
 
@@ -342,37 +336,14 @@ class Parser:
         if self.peek().kind == "ident" and self.at_punct(":", 1):
             label = self.next().value
             self.next()
-        head, annotations = self.parse_head()
+        annotations: List[Tuple[int, str]] = []
+        head = self.parse_atom(annotations)
         body: Tuple[Goal, ...] = ()
         if self.at_punct(":-"):
             self.next()
             body = tuple(self.parse_body())
         self.expect("punct", ".")
         return _Clause(label, head, tuple(annotations), body, start.line)
-
-    def parse_head(self):
-        name = self.expect("ident").value
-        args: List[Term] = []
-        annotations: List[Tuple[int, _HeadAnnotation]] = []
-        if self.at_punct("("):
-            self.next()
-            while True:
-                t = self.peek()
-                if t.kind == "ident" and t.value in _ANNOTATIONS and self.at_punct("<", 1):
-                    self.next()
-                    self.next()
-                    var = self.expect("var").value
-                    self.expect("punct", ">")
-                    annotations.append((len(args), _HeadAnnotation(t.value, var)))
-                    args.append(Variable(var))
-                else:
-                    args.append(self.parse_simple_term())
-                if self.at_punct(","):
-                    self.next()
-                    continue
-                self.expect("punct", ")")
-                break
-        return Atom(name, tuple(args)), annotations
 
     # -- goals ------------------------------------------------------------------------
 
@@ -401,13 +372,23 @@ class Parser:
             return Atom(t.value, ())
         return self.parse_comparison()
 
-    def parse_atom(self) -> Atom:
+    def parse_atom(self, annotations: Optional[List[Tuple[int, str]]] = None) -> Atom:
+        """An atom; given a list, a head's min<V> (or max, mmin, mmax) adds (position, kind)."""
         name = self.expect("ident").value
         args: List[Term] = []
         if self.at_punct("("):
             self.next()
             while True:
-                args.append(self.parse_simple_term())
+                t = self.peek()
+                if annotations is not None and t.value in _ANNOTATIONS and self.at_punct("<", 1):
+                    self.next()
+                    self.next()
+                    var = self.expect("var").value
+                    self.expect("punct", ">")
+                    annotations.append((len(args), t.value))
+                    args.append(Variable(var))
+                else:
+                    args.append(self.parse_simple_term())
                 if self.at_punct(","):
                     self.next()
                     continue
@@ -516,11 +497,6 @@ class Parser:
 
 
 def parse_program(text: str) -> Program:
-    return _parse_program(text)[0]
-
-
-def _parse_program(text: str) -> Tuple[Program, Dict[str, int]]:
-    """The program, and each predicate's arity as its clauses use it."""
     clauses = Parser(tokenize(text)).parse_clauses()
 
     pieces: List[Tuple[str, Sequence[GroundTuple]]] = []
@@ -540,7 +516,7 @@ def _parse_program(text: str) -> Tuple[Program, Dict[str, int]]:
             rule_clauses.append(c)
 
     ids = _assign_ids(rule_clauses)
-    arities = _check_arities(clauses)
+    _check_arities(clauses)
     # Normalizing annotations, which reads the recursive set, moves aggregates
     # and never an atom: the clauses as written give the program's graph.
     written = [Rule(rid, c.head, c.body) for rid, c in zip(ids, rule_clauses)]
@@ -557,12 +533,11 @@ def _parse_program(text: str) -> Tuple[Program, Dict[str, int]]:
             rules.append(rule)
 
     final = _extract_final_constraints(rules)
-    program = Program(
+    return Program(
         rules=tuple(rules),
         final_constraints=tuple(final),
         support_rules=tuple(support),
     ).adopt_graph(graph).with_runs(pieces)
-    return program, arities
 
 
 def _assign_ids(clauses: List[_Clause]) -> List[str]:
@@ -585,9 +560,9 @@ def _assign_ids(clauses: List[_Clause]) -> List[str]:
     return ids
 
 
-def _check_arities(clauses: List[Union[_Clause, _FactRun]]) -> Dict[str, int]:
-    """Facts and rules in source order, each atom at its clause's line; the
-    arity of each predicate they use, in the order of first use."""
+def _check_arities(clauses: List[Union[_Clause, _FactRun]]) -> None:
+    """Each predicate keeps the arity of its first use: facts and rules are
+    checked in source order, each atom at its clause's line."""
     seen: Dict[str, int] = {}
     for c in clauses:
         if isinstance(c, _FactRun):
@@ -609,7 +584,6 @@ def _check_arities(clauses: List[Union[_Clause, _FactRun]]) -> Dict[str, int]:
                     )
     if seen.get(RANGE_PREDICATE, 2) != 2:
         raise ArityConflict(f"{RANGE_PREDICATE} has arity 2")
-    return seen
 
 
 def _normalize_rule(rid: str, c: _Clause, recursive: AbstractSet[str]) -> Rule:
@@ -619,13 +593,13 @@ def _normalize_rule(rid: str, c: _Clause, recursive: AbstractSet[str]) -> Rule:
 
     if len(c.annotations) > 1:
         raise ParseError(f"rule {rid} carries several head annotations", c.line)
-    for pos, ann in c.annotations:
-        if ann.kind in ("mmin", "mmax"):
-            extremum = HeadExtremum(ann.kind[1:], True, pos)
+    for pos, kind in c.annotations:
+        if kind in ("mmin", "mmax"):
+            extremum = HeadExtremum(kind[1:], True, pos)
         elif head.predicate in recursive:
-            extremum = HeadExtremum(ann.kind, False, pos)
+            extremum = HeadExtremum(kind, False, pos)
         else:
-            body.append(_extremum_goal(head, ann.kind, pos))
+            body.append(_extremum_goal(head, kind, pos))
 
     if head.predicate in recursive:
         hv = head_var_positions(head)
@@ -817,14 +791,13 @@ def format_rule(rule: Rule) -> str:
     return f"{rule.id}: {head_text} :- {', '.join(goals)}."
 
 
-def format_fact(f: Fact) -> str:
-    if not f.values:
-        return f"{f.predicate}."
-    return f"{f.predicate}({','.join(map(format_value, f.values))})."
-
-
 def format_program(p: Program) -> str:
-    lines = [format_fact(f) for f in p.facts]
+    """Facts, then rules, as text: what `optimize` (and perfbench's replay) prints."""
+    lines = [
+        f"{predicate}({','.join(map(format_value, row))})." if row else f"{predicate}."
+        for predicate, rows in p.runs
+        for row in rows
+    ]
     for r in p.support_rules:
         lines.append(format_rule(r))
     for r in p.rules:
@@ -837,15 +810,12 @@ def format_program(p: Program) -> str:
 # =====================================================================================
 
 
-def parse_facts(text: str) -> List[Fact]:
-    return list(run_facts(_parse_facts(text)[0]))
-
-
-def _parse_facts(text: str) -> Tuple[Tuple[Run, ...], Dict[str, int]]:
-    program, arities = _parse_program(text)
+def _parse_facts(text: str) -> Tuple[Run, ...]:
+    """The runs of a fact file's text, which holds no rule."""
+    program = parse_program(text)
     if program.rules or program.support_rules:
         raise ParseError("facts input contains rules")
-    return program.runs, arities
+    return program.runs
 
 
 # What int() accepts in a field without spaces: 3, -3, +4, 007, 1_000, ٣.
@@ -886,31 +856,22 @@ def _csv_fields(line: str) -> List[str]:
     return [f.strip() for f in text.split(",")] if text else []
 
 
-def load_edge_list(path: str, fmt: Optional[str] = None) -> List[Fact]:
-    """read_edge_list's rows as arc/3 Facts."""
-    return list(map(new_fact, zip(repeat("arc"), read_edge_list(path, fmt))))
+def read_edge_list(path: str) -> Tuple[GroundTuple, ...]:
+    """The arc/3 rows of an edge list, in file order.
 
-
-def read_edge_list(path: str, fmt: Optional[str] = None) -> Tuple[GroundTuple, ...]:
-    """The arc/3 rows of a tsv or csv edge list, in file order.
-
-    Lines hold `src dst length` or `src dst` (length defaults to 1); blank
-    lines and lines starting with '#' are skipped, and a repeated line is
-    loaded once. Node fields that int() accepts are loaded as integers; an
+    Lines hold `src dst length` or `src dst` (length defaults to 1), split on
+    commas in a .csv file and on whitespace in any other; blank lines and
+    lines starting with '#' are skipped, and a repeated line is loaded once. Node fields that int() accepts are loaded as integers; an
     integer field of more digits than int() converts is a LoadError.
 
     The file is read whole: each distinct field text is converted once, and
     the lines are deduplicated and turned into rows in bulk. A bad line is
     then looked for line by line, so the first one is reported.
     """
-    if fmt is None:
-        fmt = "csv" if os.path.splitext(path)[1].lower() == ".csv" else "tsv"
-    if fmt not in ("tsv", "csv"):
-        raise LoadError(f"unknown edge list format {fmt!r}")
+    split = _csv_fields if os.path.splitext(path)[1].lower() == ".csv" else str.split
     with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     lines = text.split("\n")
-    split = str.split if fmt == "tsv" else _csv_fields
     rows = list(filter(None, map(split, lines)))  # the lines that are not blank
     if "#" in text:
         rows = [fields for fields in rows if fields[0][:1] != "#"]
@@ -963,16 +924,15 @@ def _first_bad_line(lines: List[str], split: Callable[[str], List[str]]) -> Opti
 
 
 def load_facts_path(path: str) -> List[Fact]:
-    """Dispatch on extension: .tsv/.csv edge lists, anything else fact syntax."""
-    return list(run_facts(read_facts_path(path)[0]))
+    """read_facts_path's runs as Facts, for perfbench's replay; the CLI keeps runs."""
+    return list(run_facts(read_facts_path(path)))
 
 
-def read_facts_path(path: str) -> Tuple[Tuple[Run, ...], Dict[str, int]]:
-    """load_facts_path's facts as canonical runs, with each predicate's arity:
-    a fact file's from its parse (one per chunk of rows), an edge list's arc/3."""
-    ext = os.path.splitext(path)[1].lower()
-    if ext in (".tsv", ".csv"):
-        rows = read_edge_list(path, ext.lstrip("."))
-        return ((("arc", rows),), {"arc": 3}) if rows else ((), {})
+def read_facts_path(path: str) -> Tuple[Run, ...]:
+    """The facts of a file as canonical runs, by extension: a .tsv or .csv
+    edge list's arc/3 rows, else a fact file's."""
+    if os.path.splitext(path)[1].lower() in (".tsv", ".csv"):
+        rows = read_edge_list(path)
+        return (("arc", rows),) if rows else ()
     with open(path, "r", encoding="utf-8-sig") as fh:
         return _parse_facts(fh.read())

@@ -256,9 +256,9 @@ def fact_arities(facts):
     return {predicate: len(f.values) for predicate, f in last.items()}
 
 
-def load_edge_list_by_line(path, fmt=None):
+def load_edge_list_by_line(path):
     """The edge-list reader line by line, as premlog read edge lists before
-    it read them in bulk: the reference parser.load_edge_list is held to."""
+    it read them in bulk: the reference parser.read_edge_list is held to."""
 
     def int_field(field, line):
         try:
@@ -275,16 +275,15 @@ def load_edge_list_by_line(path, fmt=None):
                 return value
         return field
 
-    if fmt is None:
-        fmt = "csv" if os.path.splitext(path)[1].lower() == ".csv" else "tsv"
-    facts = []
+    csv = os.path.splitext(path)[1].lower() == ".csv"
+    rows = []
     seen = set()
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
-            fields = [f.strip() for f in text.split(",")] if fmt == "csv" else text.split()
+            fields = [f.strip() for f in text.split(",")] if csv else text.split()
             if len(fields) == 2:
                 fields.append("1")
             if len(fields) != 3:
@@ -297,8 +296,8 @@ def load_edge_list_by_line(path, fmt=None):
                 continue
             seen.add(key)
             source, target = node_value(fields[0], lineno), node_value(fields[1], lineno)
-            facts.append(P.Fact("arc", (source, target, length)))
-    return facts
+            rows.append((source, target, length))
+    return rows
 
 
 def keep_extremal_by_tuple(rel, kind, cost, group=None):

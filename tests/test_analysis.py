@@ -5,14 +5,16 @@ import pytest
 
 import premlog as P
 from premlog.analysis import (
+    _unify_args,
     build_dependency_graph,
     compose_procedure,
     find_cost_arguments,
     lacks,
     stratify,
 )
+from premlog.cli import main
 from premlog.errors import AmbiguousCost, NoCost, StratificationError
-from premlog.model import Bound, Extremum
+from premlog.model import ArithExpr, Bound, Constant, Extremum, Variable
 
 import conftest
 from conftest import SPATH_PRECONSTRAINED, CAPPED_MAX, MUTUAL_COUNT, CLIQUE_FACTS, BOUNDED_PATH, PARTY_GATED, PARTY_COUNT, PART_EXPLOSION
@@ -308,6 +310,87 @@ def test_classify_product_cost(guard, final, rejection):
         assert v.approved
     else:
         assert (v.rejection.condition, v.rejection.rule_id) == (rejection, "r2")
+
+
+# A DAG, so that the unconstrained fixpoint the oracle computes is finite.
+_DAG_ARCS = "arc(a,b,2). arc(a,c,1). arc(c,b,1). arc(b,d,3). arc(c,d,5).\n"
+
+
+def _verdict_on_dag(goals, final):
+    prog = P.parse_program(
+        "r1: path(Y,Dy) :- arc(a,Y,Dy).\n"
+        f"r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,W), {goals}.\n"
+        f"r3: out(Y,Dy) :- path(Y,Dy), {final}.\n" + _DAG_ARCS
+    )
+    return prog, P.classify_premability(prog, prog.final_constraints[0].constraint)
+
+
+# Guards and costs that the linear form does not cover: a product inside a
+# sum or a difference, a product guard, a guard on a symbol, an equality
+# guard on a variable an atom binds. Each approval is held to the oracle.
+@pytest.mark.parametrize(
+    "goals, final, verdict",
+    [
+        ("W>=1, Dy=Dx*W+1", "is_min((Y),(Dy))", "min-deflation (deflation-safe: r1, r2)"),
+        ("Dy=Dx*W+1", "is_min((Y),(Dy))", "not deflation-preserving: head cost may fall as Dx grows"),
+        ("W>=1, Dy=Dx*W-1", "is_min((Y),(Dy))", "min-deflation (deflation-safe: r1, r2)"),
+        ("W>=1, Dy=1-Dx*W", "is_min((Y),(Dy))", "not deflation-preserving: head cost may fall as Dx grows"),
+        ("Dy=Dx+W*W", "is_min((Y),(Dy))", "min-deflation (deflation-safe: r1, r2)"),
+        ("W>=1, Dy=Dx*W+Dx", "is_min((Y),(Dy))", "min-deflation (deflation-safe: r1, r2)"),
+        ("W>=1, Dy=Dx*W-Dx", "is_min((Y),(Dy))", "not deflation-preserving: head cost may fall as Dx grows"),
+        ("Y!=d, Dy=Dx+W", "is_min((Y),(Dy))", "min-deflation (deflation-safe: r1, r2)"),
+        ("W>=1, Dy=Dx*W+1", "Dy<100", "not an ascending mapping: head cost may drop below Dx"),
+        ("Dx*W<100, Dy=Dx+W", "is_min((Y),(Dy))", "not deflation-preserving: guard (Dx * W) < 100 pins Dx"),
+        ("W=2, Dy=Dx+W", "Dy<100", "upper-ascending (ascending-safe: r1, r2)"),
+        ("Dy=Dx+W", "Dy<100", "not an ascending mapping: head cost may drop below Dx"),
+        ("2*W=3, Dy=Dx+W", "Dy<100", "not an ascending mapping: head cost may drop below Dx"),
+    ],
+)
+def test_classify_nonlinear_costs_and_guards(goals, final, verdict):
+    prog, v = _verdict_on_dag(goals, final)
+    if v.approved:
+        assert [text for _, text in v.plan] == [verdict]
+        oracle = P.brute_force_oracle(prog)["out"]
+        assert set(P.run_program(prog, push=True).answers("out")) == set(oracle)
+    else:
+        assert (v.rejection.condition, v.rejection.rule_id) == (verdict, "r2")
+
+
+def test_unify_args_fails_on_clashing_terms():
+    x = Variable("X")
+    assert _unify_args((Constant("a"), x), (Variable("Z"), Constant(1))) == {"Z": Constant("a"), "X": Constant(1)}
+    assert _unify_args((Constant("a"),), (Constant("b"),)) is None
+    assert _unify_args((ArithExpr("+", x, Constant(1)),), (Constant(2),)) is None
+
+
+def test_compose_procedure_declines_what_it_cannot_unfold():
+    prog = P.parse_program(PARTY_GATED + CLIQUE_FACTS)
+    assert compose_procedure(prog, "cntfriends", "nobody") is None  # no companion rules
+    assert compose_procedure(prog, "attend", "cntfriends") is None  # the companion aggregates
+    two = P.parse_program(PARTY_GATED + "r5: attend(X) :- cntfriends(X,N), N>=5.\n" + CLIQUE_FACTS)
+    assert compose_procedure(two, "cntfriends", "attend") is None  # two companion rules recurse
+    twice = P.parse_program(
+        "r1: a(X,D) :- e(X,D).\nr2: a(Y,D) :- b(X,D1), b(Y,D2), D=D1+D2.\nr3: b(Y,D) :- a(Y,D).\n"
+    )
+    assert compose_procedure(twice, "a", "b") is None  # a rule reads the companion twice
+    # A companion head whose constant clashes with the goal's is no unfolding;
+    # a variable in the goal takes the constant.
+    heads = "r1: a(X,D) :- e(X,D).\nr2: a(Y,D) :- b({},Y,D1), D=D1+1.\nr3: b(j,Y,D) :- a(Y,D).\n"
+    assert [r.id for r in compose_procedure(P.parse_program(heads.format("k")), "a", "b")] == ["r1"]
+    composed = compose_procedure(P.parse_program(heads.format("Z")), "a", "b")
+    assert [r.id for r in composed] == ["r1", "r2+r3"]
+
+
+def test_classify_uncomposable_companion_is_no_cost(tmp_path, capsys):
+    text = PARTY_GATED + "r5: attend(X) :- cntfriends(X,N), N>=5.\n" + CLIQUE_FACTS
+    prog = P.parse_program(text)
+    message = "recursion through attend cannot be composed into cntfriends"
+    with pytest.raises(NoCost, match=f"^{message}$"):
+        P.classify_premability(prog, prog.final_constraints[0].constraint)
+    path = tmp_path / "party.dl"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().out == f"REJECTED: {message}\n"
 
 
 def test_classify_rejection_names_smallest_rule_id():

@@ -6,7 +6,10 @@ modules share is public. A program's dependency graph is built in one place,
 Program.graph, besides the parser's graph of the clauses it reads. The
 executor's _Context is built in two: the consequence step T, which the naive
 loop and the falsifier run, and the seminaive stratum, which
-seminaive_fixpoint and the resident run of iterated_fixpoint share.
+seminaive_fixpoint and the resident run of iterated_fixpoint share. Every
+name the package exports has a caller outside the tests: some module uses
+it as code (its defining module too, its definition aside), or a script or
+the benchmark does.
 """
 from __future__ import annotations
 
@@ -15,8 +18,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "premlog"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "premlog"
 MODULES = sorted(SRC.glob("*.py"))
+# The reference primitives the tests hold the engine to; nothing else calls them.
+REFERENCE_EXPORTS = {"apply_ico", "dijkstra_reference"}
 
 
 def _imports(tree: ast.Module):
@@ -68,7 +74,7 @@ def private_sibling_imports(source: str):
 # (module, function) pairs that may call build_dependency_graph (Program.graph
 # and the parser's body of parse_program), and _Context
 # (ConsequenceStep.__call__, the only __call__ in engine.py, and seminaive).
-GRAPH_BUILDERS = {("model.py", "graph"), ("parser.py", "_parse_program")}
+GRAPH_BUILDERS = {("model.py", "graph"), ("parser.py", "parse_program")}
 CONTEXT_BUILDERS = {("engine.py", "__call__"), ("engine.py", "_seminaive_stratum")}
 
 
@@ -100,6 +106,26 @@ def callers(callee: str):
     }
 
 
+def code_names(source: str):
+    """The names source reads as code: names and attribute names loaded,
+    not strings, not a def, class or assignment of the name."""
+    nodes = [n for n in ast.walk(ast.parse(source)) if isinstance(getattr(n, "ctx", None), ast.Load)]
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def exports_without_a_caller():
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    [exported] = [
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    ]
+    callers = [path for path in MODULES if path.name != "__init__.py"]
+    callers += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(code_names(path.read_text(encoding="utf-8")) for path in callers))
+    return [name for name in exported if name not in used | REFERENCE_EXPORTS]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -112,6 +138,10 @@ def test_no_private_imports_from_siblings(path):
 
 def test_dependency_graph_built_only_by_program_graph():
     assert callers("build_dependency_graph") <= GRAPH_BUILDERS
+
+
+def test_every_export_has_a_caller():
+    assert exports_without_a_caller() == []
 
 
 def test_context_built_only_by_the_consequence_step_and_seminaive():
@@ -145,3 +175,12 @@ def test_the_checks_see_what_they_look_for():
         ]
     )
     assert calls("build_dependency_graph", builds, "m.py") == [("m.py", None, 2), ("m.py", "inner", 5)]
+    uses = "\n".join(
+        [
+            "from .parser import parse_program",
+            "def unused(): 'format_program, in a docstring'",
+            "CONSTANT = P.load_facts_path(path)",
+            "run(parse_program)",
+        ]
+    )
+    assert code_names(uses) == {"P", "load_facts_path", "path", "run", "parse_program"}

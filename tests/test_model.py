@@ -73,7 +73,7 @@ def test_atom_variables_and_tuple():
 
 
 def test_interp_helpers():
-    i = facts_to_interp(P.parse_facts("arc(a,b,1). arc(b,c,2)."))
+    i = facts_to_interp(P.parse_program("arc(a,b,1). arc(b,c,2).").facts)
     assert set(i["arc"]) == {("a", "b", 1), ("b", "c", 2)}
     j = {p: set(r) for p, r in i.items()}
     assert interp_eq(i, j)

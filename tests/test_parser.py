@@ -9,7 +9,7 @@ import premlog as P
 from premlog.errors import ArityConflict, MalformedAggregate, ParseError, SafetyError
 from premlog.model import AggregateGoal, Bound, Conjunction, Extremum, Fact, HeadExtremum
 from premlog import parser
-from premlog.parser import Token, load_edge_list
+from premlog.parser import Token, read_edge_list
 
 from conftest import (
     CAPPED_MAX, BOUNDED_PATH, PARTY_GATED, PART_EXPLOSION, fact_arities, load_edge_list_by_line
@@ -38,8 +38,7 @@ def test_comments_and_whitespace():
 
 
 def test_negative_int_constants():
-    facts = P.parse_facts("w(a,-3).")
-    assert facts[0].as_tuple() == ("a", -3)
+    assert P.parse_program("w(a,-3).").runs == (("w", (("a", -3),)),)
 
 
 def test_arity_conflict():
@@ -205,28 +204,35 @@ def test_format_parse_round_trip_is_stable():
 # ===== fact loaders ===========================================================
 
 
-def test_load_edge_list_tsv(tmp_path):
+def test_read_edge_list_tsv(tmp_path):
     f = tmp_path / "g.tsv"
     f.write_text("# src\tdst\tlen\na\tb\t3\nb\tc\t4\n")
-    arcs = load_edge_list(str(f))
-    assert [a.as_tuple() for a in arcs] == [("a", "b", 3), ("b", "c", 4)]
-    assert all(a.predicate == "arc" for a in arcs)
+    arcs = (("a", "b", 3), ("b", "c", 4))
+    assert read_edge_list(str(f)) == arcs
+    assert parser.read_facts_path(str(f)) == (("arc", arcs),)
 
 
-def test_load_edge_list_csv(tmp_path):
+def test_read_edge_list_csv(tmp_path):
     f = tmp_path / "g.csv"
     f.write_text("# src,dst,length\n1,2,9\n3,4\n")
-    arcs = load_edge_list(str(f))
-    assert [a.as_tuple() for a in arcs] == [(1, 2, 9), (3, 4, 1)]
+    assert read_edge_list(str(f)) == ((1, 2, 9), (3, 4, 1))
 
 
-def test_load_edge_list_rejects_bad_row(tmp_path):
+def test_read_edge_list_splits_by_extension(tmp_path):
+    # .csv on commas, any other extension on whitespace.
+    for name, rows in [("g.CSV", (("a b", "c", 1),)), ("g.txt", (("a", "b", 1), ("c,d", "e", 2)))]:
+        f = tmp_path / name
+        f.write_text("a b,c\n" if name == "g.CSV" else "a b\nc,d e 2\n")
+        assert read_edge_list(str(f)) == rows
+
+
+def test_read_edge_list_rejects_bad_row(tmp_path):
     from premlog.errors import LoadError
 
     f = tmp_path / "g.tsv"
     f.write_text("a\tb\tlots\n")
     with pytest.raises(LoadError):
-        load_edge_list(str(f))
+        read_edge_list(str(f))
 
 
 def test_load_facts_path_dispatches_on_extension(tmp_path):
@@ -251,20 +257,21 @@ def test_load_facts_path_dispatches_on_extension(tmp_path):
     ],
     ids=["dl", "dl-runs-and-tokens", "dl-empty", "tsv", "csv-empty"],
 )
-def test_read_facts_path_gives_the_arities_of_its_facts(tmp_path, name, text):
+def test_read_facts_path_runs_give_the_arities_of_their_facts(tmp_path, name, text):
     f = tmp_path / name
     f.write_text(text)
-    runs, arities = parser.read_facts_path(str(f))
+    runs = parser.read_facts_path(str(f))
     facts = parser.load_facts_path(str(f))
     assert list(P.model.run_facts(runs)) == facts
     assert runs == P.Program(()).with_facts(facts).runs
+    arities = P.Program((), runs).arities()
     assert list(arities.items()) == list(fact_arities(facts).items())
 
 
-def test_load_edge_list_integer_fields_are_what_int_accepts(tmp_path):
+def test_read_edge_list_integer_fields_are_what_int_accepts(tmp_path):
     f = tmp_path / "g.tsv"
     f.write_text("-3\t+4\t5\n007\t1_000\t2\nn17\tn18\n1x\t-\t3\n+a\t_1\t4\n")
-    assert [a.as_tuple() for a in load_edge_list(str(f))] == [
+    assert list(read_edge_list(str(f))) == [
         (-3, 4, 5),
         (7, 1000, 2),
         ("n17", "n18", 1),
@@ -273,10 +280,10 @@ def test_load_edge_list_integer_fields_are_what_int_accepts(tmp_path):
     ]
 
 
-def test_load_edge_list_csv_with_spaces(tmp_path):
+def test_read_edge_list_csv_with_spaces(tmp_path):
     f = tmp_path / "g.csv"
     f.write_text("a , b , 3\n 1,2 , 4\n\n n17 ,-3\n")
-    assert [a.as_tuple() for a in load_edge_list(str(f))] == [
+    assert list(read_edge_list(str(f))) == [
         ("a", "b", 3),
         (1, 2, 4),
         ("n17", -3, 1),
@@ -304,13 +311,13 @@ def _edge_list(draw, fmt):
 
 def _load_outcome(load, path):
     try:
-        return load(path)
+        return list(load(path))
     except Exception as exc:  # both readers must fail alike, whatever the error
         return (type(exc), str(exc), getattr(exc, "line", None))
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "csv"])
-def test_load_edge_list_agrees_with_the_line_reader(fmt, tmp_path_factory):
+def test_read_edge_list_agrees_with_the_line_reader(fmt, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("edges") / f"g.{fmt}")
 
     @settings(max_examples=300, deadline=None)
@@ -319,9 +326,9 @@ def test_load_edge_list_agrees_with_the_line_reader(fmt, tmp_path_factory):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         expected = _load_outcome(load_edge_list_by_line, path)
-        assert _load_outcome(load_edge_list, path) == expected
+        assert _load_outcome(read_edge_list, path) == expected
         if isinstance(expected, list):
-            assert all(type(f) is Fact for f in load_edge_list(path))
+            assert all(type(row) is tuple for row in read_edge_list(path))
 
     agree()
 
@@ -338,15 +345,15 @@ def test_load_edge_list_agrees_with_the_line_reader(fmt, tmp_path_factory):
         ("a\t" + "1" * 4301 + "\t2\na\tb\tc\td\n", "line 1: integer literal of 4301 digits"),
     ],
 )
-def test_load_edge_list_line_ends_repeats_and_first_error(tmp_path, text, expected):
+def test_read_edge_list_line_ends_repeats_and_first_error(tmp_path, text, expected):
     f = tmp_path / "g.tsv"
     f.write_bytes(text.encode("utf-8"))
     if isinstance(expected, list):
-        assert [a.as_tuple() for a in load_edge_list(str(f))] == expected
+        assert list(read_edge_list(str(f))) == expected
     else:
         with pytest.raises(P.LoadError, match="^" + expected):
-            load_edge_list(str(f))
-    assert _load_outcome(load_edge_list, str(f)) == _load_outcome(load_edge_list_by_line, str(f))
+            read_edge_list(str(f))
+    assert _load_outcome(read_edge_list, str(f)) == _load_outcome(load_edge_list_by_line, str(f))
 
 
 # ===== the line fact reader ===================================================
@@ -380,15 +387,14 @@ def _count_tokens(monkeypatch):
 def test_fact_lines_read_plain_facts(monkeypatch):
     text = "arc(a,b,-3).\n  arc( n1 , 007 ,5) . \r\n\n\tq.\nw(x'y,aB_1,-0).\n"
     built = _count_tokens(monkeypatch)
-    facts = P.parse_facts(text)
-    assert facts == [
-        Fact("arc", ("a", "b", -3)),
-        Fact("arc", ("n1", 7, 5)),
-        Fact("q", ()),
-        Fact("w", ("x'y", "aB_1", 0)),
-    ]
+    runs = parser._parse_facts(text)
+    assert runs == (
+        ("arc", (("a", "b", -3), ("n1", 7, 5))),
+        ("q", ((),)),
+        ("w", (("x'y", "aB_1", 0),)),
+    )
     assert {kind for kind, *_ in built} == {"facts", "eof"}  # a blank line ends a run
-    assert facts == list(P.parse_program(_tokenized(text)).facts)
+    assert runs == P.parse_program(_tokenized(text)).runs
 
 
 @pytest.mark.parametrize(
@@ -418,21 +424,21 @@ def test_fact_lines_fall_back_to_the_program_parser(text):
     text += "\n"
     expected = _outcome(P.parse_program, _tokenized(text))
     assert _outcome(P.parse_program, text) == expected
-    facts = _outcome(P.parse_facts, text)
-    assert facts == (list(expected.facts) if isinstance(expected, P.Program) else expected)
+    runs = _outcome(parser._parse_facts, text)
+    assert runs == (expected.runs if isinstance(expected, P.Program) else expected)
 
 
 def test_fact_lines_keep_error_positions():
     with pytest.raises(ArityConflict, match="arc used with arity 2, earlier 3"):
-        P.parse_facts("arc(a,b,1).\narc(a,b).\n")
+        parser._parse_facts("arc(a,b,1).\narc(a,b).\n")
     with pytest.raises(ParseError, match="line 2, col 9: expected a term"):
-        P.parse_facts("arc(a,b,1).\narc(a,b,,1).\n")
+        parser._parse_facts("arc(a,b,1).\narc(a,b,,1).\n")
     with pytest.raises(ParseError, match="line 3, col 1: unexpected character"):
-        P.parse_facts("arc(a,b,1).\n\n\x0c\n")
+        parser._parse_facts("arc(a,b,1).\n\n\x0c\n")
     with pytest.raises(ParseError, match="facts input contains rules"):
-        P.parse_facts("p(X) :- q(X).\nq(a).\n")
+        parser._parse_facts("p(X) :- q(X).\nq(a).\n")
     with pytest.raises(ArityConflict, match="^int_up2 has arity 2$"):
-        P.parse_facts("p(a).\nint_up2(1,2,3).\n")
+        parser._parse_facts("p(a).\nint_up2(1,2,3).\n")
     with pytest.raises(ArityConflict, match="^line 4: q used with arity 1, earlier 2$"):
         P.parse_program("p(a).\nr(X) :- q(X,Y).\np(b).\nq(a).\n")
 
@@ -480,7 +486,7 @@ def _lines_text(lines):
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_LINE, max_size=6).map(_lines_text))
 def test_fact_reader_agrees_with_the_program_parser(text):
-    assert _outcome(P.parse_facts, text) == _outcome(P.parse_facts, _tokenized(text))
+    assert _outcome(parser._parse_facts, text) == _outcome(parser._parse_facts, _tokenized(text))
 
 
 @settings(max_examples=400, deadline=None)
@@ -552,16 +558,18 @@ def test_fact_runs_are_read_in_chunks_of_one_arity(monkeypatch):
     patterns = []
     real = parser._fact_line_of_arity
     monkeypatch.setattr(parser, "_fact_line_of_arity", lambda arity: patterns.append(arity) or real(arity))
-    facts = P.parse_facts(_ARCS + "p.\n" + _NODES + "q(a,b).\n" + _ARCS)
+    program = P.parse_program(_ARCS + "p.\n" + _NODES + "q(a,b).\n" + _ARCS)
     assert patterns == [3, 1, 3]  # the p. and q lines are read alone
+    facts = program.facts
     assert [tuple(f) for f in facts[2:6]] == [("arc", ("c", "d", -3)), ("p", ()), ("n", ("a",)), ("n", ("b",))]
     assert all(type(f) is Fact for f in facts)
     with pytest.raises(ArityConflict, match="^line 8: arc used with arity 2, earlier 3$"):
-        P.parse_facts(_ARCS + _NODES + "e(a,b).\narc(c,d).\ne(e,f).\n")
+        parser._parse_facts(_ARCS + _NODES + "e(a,b).\narc(c,d).\ne(e,f).\n")
     with pytest.raises(ArityConflict, match="^line 4: n used with arity 0, earlier 1$"):
-        P.parse_facts(_NODES + "n.\n")
+        parser._parse_facts(_NODES + "n.\n")
     long = "7" * 641
-    assert P.parse_facts(f"{_ARCS}arc(b,c,{long}).\n{_ARCS}")[3].values == ("b", "c", int(long))
+    (_, rows), = parser._parse_facts(f"{_ARCS}arc(b,c,{long}).\n{_ARCS}")
+    assert rows[3] == ("b", "c", int(long))
 
 
 def test_plain_fact_lines_build_no_tokens(monkeypatch):
@@ -576,11 +584,12 @@ def test_plain_fact_lines_build_no_tokens(monkeypatch):
     assert len(program.facts) == 100
     assert len(built) == rule_tokens + 1  # and one 'facts' token
     del built[:]
-    assert len(P.parse_facts("% arcs, one a line\n" + arcs)) == 100
+    (_, rows), = parser._parse_facts("% arcs, one a line\n" + arcs)
+    assert len(rows) == 100
     assert [kind for kind, *_ in built] == ["facts", "eof"]
     del built[:]
-    facts = P.parse_facts("".join(lines[:50] + ["p(a). q(b).\n"] + lines[50:]))
-    assert [f.predicate for f in facts[49:53]] == ["arc", "p", "q", "arc"]
+    runs = parser._parse_facts("".join(lines[:50] + ["p(a). q(b).\n"] + lines[50:]))
+    assert [(p, len(rows)) for p, rows in runs] == [("arc", 50), ("p", 1), ("q", 1), ("arc", 50)]
     one_fact = ["ident", "punct", "ident", "punct", "punct"]
     assert [kind for kind, *_ in built] == ["facts", *one_fact, *one_fact, "facts", "eof"]
 
@@ -589,6 +598,6 @@ def test_format_program_prints_facts_as_parsed():
     text = "q.\narc(a,-3,007).\nr1: p(X) :- q, arc(X,Y,Z).\n"
     program = P.parse_program(text)
     assert P.format_program(program) == "q.\narc(a,-3,7).\nr1: p(X) :- q, arc(X,Y,Z).\n"
-    assert P.format_program(program.with_facts(P.parse_facts("q.\nw(b,-1).\n"))).startswith(
+    assert P.format_program(program.with_runs(parser._parse_facts("q.\nw(b,-1).\n"))).startswith(
         "q.\narc(a,-3,7).\nq.\nw(b,-1).\n"
     )

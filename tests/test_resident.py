@@ -293,7 +293,7 @@ def test_stores_scan_the_facts_as_a_fact_by_fact_load_would(tmp_path, capsys, mo
             argv = ["run", str(rules)]
     program = P.parse_program(rules.read_text())
     if where != "program":
-        program = program.with_runs(parser.read_facts_path(str(path))[0])
+        program = program.with_runs(parser.read_facts_path(str(path)))
     # Program.facts keeps every fact in file order, repeats included (an edge
     # list's repeated row is loaded once), and prints as it is written.
     assert list(program.facts) == facts

@@ -428,6 +428,45 @@ def test_a_falsifier_step_derives_one_total_per_key_under_max():
     }
 
 
+# An msum ladder under a Bound: the falsifier's step releases it rung by
+# rung, so a ladder longer than the tuple budget has to stop on the budget.
+BOUNDED_LADDER = (
+    PART_EXPLOSION.replace("basic(seat,5)", "basic(seat,1099511627776)")
+    .replace(" sum((Part)", " msum((Part)")
+    .replace("finalcost(Part,Cost) :- cost(Part,Cost).", "cheap(Part,Cost) :- cost(Part,Cost), Cost<100.")
+)
+
+
+def test_verify_stops_on_a_ladder_longer_than_the_tuple_budget(tmp_path):
+    # In a child process with 1.5 GB of address space: the ladder released
+    # in full ends in a MemoryError, exit 1, after several seconds.
+    path = tmp_path / "ladder.dl"
+    path.write_text(BOUNDED_LADDER)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "premlog.cli", "verify", str(path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_address_space_1_5_gb,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "budget exceeded: tuple budget of 10000000 exhausted\n"
+
+
+def test_a_step_without_stats_stops_on_a_release_longer_than_its_budget():
+    program = P.parse_program(BOUNDED_LADDER)
+    fixed = {p: rel for p, rel in facts_to_interp(program.facts).items() if p != "cost"}
+    step = ConsequenceStep(program.rules_defining("cost"), fixed, max_tuples=100)
+    # bike totals 2*10+50+30 = 100: a ladder of 100 rungs, the budget's length.
+    got = step({"cost": {("wheel", 10), ("frame", 50), ("seat", 30)}})["cost"]
+    assert {c for part, c in got if part == "bike"} == set(range(1, 101))
+    with pytest.raises(P.BudgetExceeded, match="^tuple budget of 100 exhausted$") as stop:
+        step({"cost": {("seat", 101)}})
+    assert (stop.value.stats, stop.value.partial) == (None, None)
+
+
 # p is sampled and has fixed facts, and step is a fixed relation the samples
 # never touch, so a check shares both with the consequence step it compiles.
 CAPPED_STEP = """
