@@ -761,10 +761,6 @@ class PremVerdict:
     def approved(self) -> bool:
         return self.rejection is None
 
-    @property
-    def procedure_rule_ids(self) -> Tuple[str, ...]:
-        return tuple(r.id for r in self.procedure)
-
 
 # The property every procedure rule needs for a conjunct of each kind to be
 # pushed, and the rejection that names a rule lacking it.

@@ -26,15 +26,15 @@ extrema, implicit count/sum projection) filter the result through
 model.keep_extremal, the one gamma that apply_constraint and the oracle's
 count projection use too; the loop stops when the interpretation repeats,
 and the confirming sweep is counted. The seminaive loop admits each head
-tuple through its predicate's one gate (an ExtremaIndex's kind, cost and
-monotonic flag): a min/max or mmin/mmax annotation, or the implicit max of
-count/sum, admits a tuple only if it strictly beats its key's incumbent. A
-min/max gate deletes the beaten tuple from the store and from any pending
-delta, so it never fires a rule; mmin/mmax delete nothing. Each counting
-rule keeps one _Tally of witnesses per key. A full join (ConsequenceStep)
-releases what the tally holds once the join is done; seminaive releases
-mcount/msum ladders as fresh witnesses arrive, and count/sum totals only
-when the fixpoint quiesces, which may restart the loop.
+tuple through its predicate's one gate, a model.HeadExtremum: a min/max or
+mmin/mmax annotation, or the implicit max of count/sum, admits a tuple only
+if it strictly beats its key's incumbent. A min/max gate deletes the beaten
+tuple from the store and from any pending delta, so it never fires a rule;
+mmin/mmax delete nothing. Each counting rule keeps one _Tally of witnesses
+per key. A full join (ConsequenceStep) releases what the tally holds once
+the join is done; seminaive releases mcount/msum ladders as fresh witnesses
+arrive, and count/sum totals only when the fixpoint quiesces, which may
+restart the loop.
 
 Each seminaive iteration takes as its delta what the one before admitted
 (breadth-first), except in a greedy stratum: one whose heads all carry a
@@ -112,6 +112,7 @@ from .model import (
     Constant,
     Constraint,
     GroundTuple,
+    HeadExtremum,
     Interpretation,
     Negated,
     Program,
@@ -163,7 +164,7 @@ class EvalStats:
 
 
 # =====================================================================================
-# STORES AND WORKING-SET INDEXES
+# STORES AND TALLIES
 # =====================================================================================
 
 
@@ -237,39 +238,6 @@ class RelationStore:
         return known
 
 
-class ExtremaIndex:
-    """The working-set gate of one predicate: does t strictly beat the
-    incumbent of its key? Ties keep the incumbent. min/max keep one tuple per
-    key, so the newcomer displaces the incumbent; mmin/mmax (monotonic)
-    delete nothing and only remember the best so far. naive_fixpoint's gamma
-    calls insert; seminaive code writes the same test against `best` (_admit_tuple)."""
-
-    __slots__ = ("kind", "cost", "monotonic", "best")
-
-    def __init__(self, kind: str, cost: int, monotonic: bool = False):
-        self.kind = kind
-        self.cost = cost
-        self.monotonic = monotonic
-        self.best: Dict[Tuple, GroundTuple] = {}
-
-    def insert(self, t: GroundTuple) -> Tuple[bool, Optional[GroundTuple]]:
-        """Return whether t was admitted, and the incumbent it displaced or None."""
-        c = self.cost
-        v = t[c]
-        if not isinstance(v, int):
-            raise TypeMismatch(f"extremum over non-integer value {v!r}")
-        key = t[:c] + t[c + 1 :]
-        incumbent = self.best.get(key)
-        if incumbent is not None:
-            held = incumbent[c]
-            if v >= held if self.kind == "min" else v <= held:
-                return False, None
-        self.best[key] = t
-        return True, None if self.monotonic else incumbent
-
-
-# An ExtremaIndex's (kind, cost, monotonic): what generated admission tests.
-_GateSpec = Tuple[str, int, bool]
 # Relation columns, (predicate, position), proven to hold only integers.
 _Columns = FrozenSet[Tuple[str, int]]
 
@@ -600,7 +568,7 @@ def _generate(
     plan: _Plan,
     mutable: FrozenSet[str],
     version: Optional[int],
-    gate: Optional[_GateSpec],
+    gate: Optional[HeadExtremum],
     proven: _Columns,
 ) -> Tuple[str, Dict]:
     """Source of `rule(ctx, sink)`, plus `release(key, values, emit)` for a
@@ -679,7 +647,7 @@ def _generate(
     return src.text() + rel.text(), namespace
 
 
-def _admit_prologue(src: _Source, pred: str, gate: Optional[_GateSpec]) -> str:
+def _admit_prologue(src: _Source, pred: str, gate: Optional[HeadExtremum]) -> str:
     """Resolve, once per call, what admitting into pred touches: its store and
     indexes, the next delta, the gate's incumbents and the room left in the
     tuple budget; return the name that holds pred. The counters are local
@@ -691,11 +659,11 @@ def _admit_prologue(src: _Source, pred: str, gate: Optional[_GateSpec]) -> str:
     src.add("_Hk = _H._keyed")
     src.add(f"_nd = ctx.next_delta.setdefault({p}, set())")
     if gate is not None:
-        src.add(f"_best = ctx.gates[{p}].best")
+        src.add(f"_best = ctx.gates[{p}]")
     src.add("_stats = ctx.stats")
     src.add("_room = ctx.max_tuples - _stats.derived")
     src.counters = src.stats = ("_derived", "_retained") + (
-        ("_deleted",) if gate and not gate[2] else ()
+        ("_deleted",) if gate and not gate.monotonic else ()
     )
     src.add(" = ".join(src.stats) + " = 0")
     src.tail = [f"    _stats.{c[1:]} += {c}" for c in src.stats]
@@ -703,7 +671,7 @@ def _admit_prologue(src: _Source, pred: str, gate: Optional[_GateSpec]) -> str:
 
 
 def _admit_tuple(
-    src: _Source, name: str, gate: Optional[_GateSpec], items: List[Tuple[str, bool]]
+    src: _Source, name: str, gate: Optional[HeadExtremum], items: List[Tuple[str, bool]]
 ) -> None:
     """Admit one head tuple into the predicate held by name, given its items'
     expressions and whether each is known to be an integer.
@@ -711,8 +679,8 @@ def _admit_tuple(
     A plain head admits what its store lacks. A gated head admits what
     strictly beats its key's incumbent (ties keep the incumbent); min/max then
     displace the incumbent from the store and both deltas, so it fires no
-    rule, while mmin/mmax delete nothing. The same test as ExtremaIndex.insert,
-    which naive_fixpoint runs.
+    rule, while mmin/mmax delete nothing. This is the engine's one
+    strict-improvement test.
     """
     src.add(f"_h = {_tuple_text([x for x, _ in items])}")
     src.add("_derived += 1")
@@ -720,7 +688,7 @@ def _admit_tuple(
     if gate is None:
         src.add("if _h not in _Ht:")
     else:
-        kind, cost, monotonic = gate
+        cost = gate.cost
         value, known = items[cost]
         if not known:
             src.add(
@@ -729,9 +697,9 @@ def _admit_tuple(
             )
         key = _tuple_text([x for i, (x, _) in enumerate(items) if i != cost])
         src.add(f"_o = _best.get({key})")
-        src.add(f"if _o is None or {value} {'<' if kind == 'min' else '>'} _o[{cost}]:")
+        src.add(f"if _o is None or {value} {'<' if gate.kind == 'min' else '>'} _o[{cost}]:")
         src.add(f"    _best[{key}] = _h")
-        if not monotonic:
+        if not gate.monotonic:
             src.add("    if _o is not None:")
             src.add(f"        ctx.drop({name}, _o)")
             src.add("        _deleted += 1")
@@ -873,7 +841,7 @@ def _rule_code(
     rule: Rule,
     mutable: FrozenSet[str],
     version: Optional[int],
-    gate: Optional[_GateSpec] = None,
+    gate: Optional[HeadExtremum] = None,
     proven: _Columns = frozenset(),
 ) -> _RuleCode:
     """Generate and compile one rule's nested-loop function.
@@ -883,9 +851,9 @@ def _rule_code(
     collects before it writes). version is the ordinal, among the body
     atoms over mutable relations, of the one that reads the current delta;
     None reads full stores. When the head is mutable, the function admits
-    its tuples through gate, the head predicate's (kind, cost, monotonic) or
-    None; the rule alone does not fix it, since an unannotated rule can
-    define a gated predicate. proven names the columns the stratum proved
+    its tuples through gate, the head predicate's HeadExtremum or None; the
+    rule alone does not fix it, since an unannotated rule can define a
+    gated predicate. proven names the columns the stratum proved
     integer (_proven_columns); a value read from one skips its isinstance
     test, so the same rule over other data is other code, and the proof is
     part of the cache key. The cache, keyed on the rule's value, serves a
@@ -901,7 +869,7 @@ def _rule_code(
 
 @lru_cache(maxsize=256)
 def _admit_code(
-    pred: str, arity: int, gate: Optional[_GateSpec], proven: _Columns = frozenset()
+    pred: str, arity: int, gate: Optional[HeadExtremum], proven: _Columns = frozenset()
 ) -> Callable:
     """`admit(ctx, t)`: the admission a rule function writes for its head,
     as a function of one tuple, for what arrives from outside a rule
@@ -925,7 +893,8 @@ def _admit_code(
 
 class _Context:
     """Shared state for one fixpoint loop or consequence step: the stores, the
-    current and next delta, the working-set gates, the stats and the budget."""
+    current and next delta, each gated predicate's incumbents (key -> best
+    tuple), the stats and the budget."""
 
     __slots__ = ("stores", "delta", "next_delta", "gates", "stats", "max_tuples", "started", "collected")
 
@@ -934,7 +903,7 @@ class _Context:
         stores: Dict[str, RelationStore],
         max_tuples: int,
         stats: Optional[EvalStats] = None,
-        gates: Optional[Dict[str, ExtremaIndex]] = None,
+        gates: Optional[Dict[str, Dict[Tuple, GroundTuple]]] = None,
         started: float = 0.0,
     ):
         self.stores = stores
@@ -1030,29 +999,28 @@ def _rule_candidates(
 # =====================================================================================
 
 
-def _build_gates(rules: Sequence[Rule]) -> Dict[str, ExtremaIndex]:
+def _build_gates(rules: Sequence[Rule]) -> Dict[str, HeadExtremum]:
     # A count/sum rule carries an implicit max on its result: the predicate is
     # read as the max projection of the monotonic form. Unannotated rules of
     # the same predicate feed the same gate; only two different annotations
     # conflict.
-    specs: Dict[str, Set[Tuple[str, int, bool]]] = {}
+    specs: Dict[str, Set[HeadExtremum]] = {}
     for r in rules:
-        pred = r.head.predicate
-        entry = specs.setdefault(pred, set())
+        entry = specs.setdefault(r.head.predicate, set())
         if r.extremum is not None:
-            entry.add((r.extremum.kind, r.extremum.cost, r.extremum.monotonic))
+            entry.add(r.extremum)
             continue
         agg = r.aggregate()
         if agg is not None and agg.kind in ("count", "sum"):
             pos = head_var_positions(r.head).get(agg.result)
             if pos is not None:
-                entry.add(("max", pos, False))
-    gates: Dict[str, ExtremaIndex] = {}
+                entry.add(HeadExtremum("max", False, pos))
+    gates: Dict[str, HeadExtremum] = {}
     for pred, entry in specs.items():
         if len(entry) > 1:
             raise PremlogError(f"rules defining {pred} disagree on its working constraint")
         if entry:
-            gates[pred] = ExtremaIndex(*next(iter(entry)))
+            gates[pred] = next(iter(entry))
     return gates
 
 
@@ -1201,13 +1169,12 @@ def _seminaive_stratum(
             seeds[pred] = facts.tuples
             stores[pred] = RelationStore()
     gates = _build_gates(rules)
-    ctx = _Context(stores, options.max_tuples, stats, gates, started)
-    specs = {pred: (g.kind, g.cost, g.monotonic) for pred, g in gates.items()}
+    ctx = _Context(stores, options.max_tuples, stats, {pred: {} for pred in gates}, started)
     mutable = frozenset(head_preds)
     proven, held = _proven_columns(rules, stores, seeds)
 
     def code_for(r: Rule, version: Optional[int]) -> _RuleCode:
-        return _rule_code(r, mutable, version, specs.get(r.head.predicate), proven)
+        return _rule_code(r, mutable, version, gates.get(r.head.predicate), proven)
 
     # One delta version per goal on a head predicate, as compile_plan numbers them.
     n_scc = {r.id: sum(g.predicate in head_preds for g in r.regular_goals()) for r in rules}
@@ -1216,7 +1183,7 @@ def _seminaive_stratum(
     code_of = {r.id: code for r, code in exit_code + delta_code}
     arity = {r.head.predicate: r.head.arity for r in rules}
     admit = {
-        pred: partial(_admit_code(pred, arity[pred], specs.get(pred), proven), ctx)
+        pred: partial(_admit_code(pred, arity[pred], gates.get(pred), proven), ctx)
         for pred in head_preds
     }
 
@@ -1268,8 +1235,8 @@ def _seminaive_stratum(
     for r, code in exit_code:
         run_rule(r, code)
 
-    if delta_code and not tallies and _greedy(rules, specs, head_preds):
-        _drain_by_cost(ctx, [code.run for _, code in delta_code], options)
+    if delta_code and not tallies and _greedy(rules, gates, head_preds):
+        _drain_by_cost(ctx, [code.run for _, code in delta_code], options, gates)
     else:
         next_round()
         while True:
@@ -1290,15 +1257,15 @@ def _seminaive_stratum(
     return stats
 
 
-def _greedy(rules: Sequence[Rule], specs: Dict[str, _GateSpec], head_preds: Set[str]) -> bool:
+def _greedy(rules: Sequence[Rule], gates: Dict[str, HeadExtremum], head_preds: Set[str]) -> bool:
     """Whether a stratum is greedy (see the module docstring). Any order of
     draining reaches the same constrained fixpoint; the cost order of a
     greedy stratum fires only tuples that are final."""
-    kinds = {kind for kind, _, _ in specs.values()}
-    if len(specs) != len(head_preds) or len(kinds) != 1:
+    kinds = {g.kind for g in gates.values()}
+    if len(gates) != len(head_preds) or len(kinds) != 1:
         return False
     kind = kinds.pop()
-    costs = tuple(sorted((pred, cost) for pred, (_, cost, _) in specs.items()))
+    costs = tuple(sorted((pred, g.cost) for pred, g in gates.items()))
     return all(_settles_in_order(r, kind, costs) for r in rules)
 
 
@@ -1315,7 +1282,9 @@ def _settles_in_order(rule: Rule, kind: str, costs: Tuple[Tuple[str, int], ...])
         return False
 
 
-def _drain_by_cost(ctx: _Context, runs: List[Callable], options: EvalOptions) -> None:
+def _drain_by_cost(
+    ctx: _Context, runs: List[Callable], options: EvalOptions, gates: Dict[str, HeadExtremum]
+) -> None:
     """The greedy seminaive loop: what an iteration admits is queued by its
     cost, and each iteration takes the cheapest queued level (the dearest
     under max) as its delta. Each predicate queues a dict cost -> tuples, and
@@ -1326,11 +1295,11 @@ def _drain_by_cost(ctx: _Context, runs: List[Callable], options: EvalOptions) ->
     not an iteration, as is the second pop of a cost two predicates queued."""
     stats = ctx.stats
     limit = options.max_iterations
-    sign = 1 if next(iter(ctx.gates.values())).kind == "min" else -1
+    sign = 1 if next(iter(gates.values())).kind == "min" else -1
     lanes = []  # per predicate: name, cost position, queue, a level's incumbents
-    for pred, gate in ctx.gates.items():
+    for pred, gate in gates.items():
         if gate.monotonic:
-            live = partial(_incumbents, gate.best, gate.cost)
+            live = partial(_incumbents, ctx.gates[pred], gate.cost)
         else:
             live = ctx.store(pred).tuples.intersection
         lanes.append((pred, gate.cost, {}, live))
@@ -1438,14 +1407,14 @@ def naive_fixpoint(
         for pred in head_preds:
             rel = out[pred]
             gate = gates.get(pred)
-            if gate is not None and not gate.monotonic:
+            if gate is not None:
+                # The step is inclusive, so out holds current; a gate key is
+                # every position but the cost, so a key's best in out is new
+                # exactly when it beats every tuple current holds for the key.
+                # mmin/mmax keep those too.
                 rel = keep_extremal(rel, gate.kind, gate.cost)
-            elif gate is not None:
-                # Only a key's best fresh candidate can beat its incumbent.
-                rel = set(current[pred])
-                for t in keep_extremal(out[pred] - current[pred], gate.kind, gate.cost):
-                    if gate.insert(t)[0]:
-                        rel.add(t)
+                if gate.monotonic:
+                    rel |= current[pred]
             new[pred] = rel
             stats.retained += len(rel - current[pred])
             stats.deleted += len(current[pred] - rel)
@@ -1693,7 +1662,8 @@ class RunResult:
     obligations: List[CompileObligation]
     db: Interpretation
     stats: EvalStats
-    warnings: List[str]
+    warnings: List[str]  # the plan's
+    positivity: List[str]  # the positivity monitor's lines (monitor_positivity)
     fallback: bool  # a rejected constraint stayed in its stratified final rule
 
     def answers(self, predicate: str) -> List[GroundTuple]:
@@ -1724,7 +1694,8 @@ def execute(planned: ProgramPlan, options: Optional[EvalOptions] = None) -> RunR
         planned.obligations,
         db,
         stats,
-        planned.warnings + monitor,
+        planned.warnings,
+        monitor,
         fallback,
     )
 

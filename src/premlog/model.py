@@ -533,11 +533,6 @@ Interpretation = Dict[str, set]  # predicate -> Relation
 Run = Tuple[str, Tuple[GroundTuple, ...]]  # (predicate, rows) of consecutive facts
 
 
-def interp_eq(a: Interpretation, b: Interpretation) -> bool:
-    preds = set(a) | set(b)
-    return all(a.get(p, set()) == b.get(p, set()) for p in preds)
-
-
 def run_facts(runs: Iterable[Run]) -> Iterator[Fact]:
     """The Facts of runs, in order, built at C speed."""
     return chain.from_iterable(map(new_fact, zip(repeat(p), rows)) for p, rows in runs)

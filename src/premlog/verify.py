@@ -406,10 +406,6 @@ def trust_but_verify_run(
     options = options or EvalOptions()
     planned = plan(program, trust=True)
     result = execute(planned, replace(options, monitor_positivity=True))
-    # execute() appends the positivity monitor's lines to the plan's warnings;
-    # they are reported once, as audit lines.
-    positivity = result.warnings[len(planned.warnings):]
-    del result.warnings[len(planned.warnings):]
     sampled = [
         (
             ob,
@@ -430,7 +426,7 @@ def trust_but_verify_run(
         )
     except BudgetExceeded as exc:
         unverified = f"oracle stopped ({exc}); answers not verified"
-        return result, TrustReport(positivity, sampled, {}, [], unverified)
+        return result, TrustReport(result.positivity, sampled, {}, [], unverified)
 
     finals = {r.head.predicate for r in final_rules(program.rules)}
     head_of = {r.id: r.head.predicate for r in program.rules}
@@ -445,4 +441,4 @@ def trust_but_verify_run(
                 sorted(expected - native, key=tuple_sort_key),
                 sorted(native - expected, key=tuple_sort_key),
             )
-    return result, TrustReport(positivity, sampled, diffs, watched)
+    return result, TrustReport(result.positivity, sampled, diffs, watched)

@@ -19,10 +19,16 @@ from premlog.model import (
     compare_values,
     constraint_conjuncts,
     constraint_predicate,
-    interp_eq,
 )
 from premlog.parser import _digit_limit
 from premlog.verify import PremCheckReport, _sample_space
+
+
+def interp_eq(a, b) -> bool:
+    """Whether two interpretations agree, an absent relation equal to an empty one."""
+    preds = set(a) | set(b)
+    return all(a.get(p, set()) == b.get(p, set()) for p in preds)
+
 
 # ===== shortest-path family ==================================================
 

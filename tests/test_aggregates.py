@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 import premlog as P
+from premlog.engine import execute, plan
 from premlog.errors import TypeMismatch
 
 from conftest import (
@@ -167,6 +168,19 @@ def test_trust_run_flags_nonpositive_summand():
     res, report = P.trust_but_verify_run(prog)
     assert report.positivity
     assert any("gizmo" in line or "0" in line for line in report.positivity)
+    # the monitor's lines are the run's own; its warnings are the plan's alone
+    assert report.positivity == res.positivity
+    assert res.warnings == plan(prog, trust=True).warnings
+
+
+def test_execute_keeps_positivity_apart_from_the_plan_warnings():
+    prog = P.parse_program(PART_EXPLOSION_NOGUARD + "basic(gizmo,0).\nassb(bike,gizmo,2).")
+    planned = plan(prog, trust=True)
+    watched = execute(planned, P.EvalOptions(monitor_positivity=True))
+    assert watched.positivity == ["rule r2: non-positive summand 0 for key ('bike',)"]
+    assert watched.warnings == planned.warnings and len(planned.warnings) == 3
+    plain = execute(planned)
+    assert plain.positivity == [] and plain.warnings == planned.warnings
 
 
 def test_count_gate_pred_wide_with_plain_rules():

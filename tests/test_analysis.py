@@ -410,7 +410,7 @@ def test_classify_composed_max_push():
     prog = P.parse_program(PARTY_GATED + CLIQUE_FACTS)
     v = P.classify_premability(prog, prog.final_constraints[0].constraint)
     assert v.approved and v.composed
-    assert v.procedure_rule_ids == ("r3+r1", "r3+r2")
+    assert tuple(r.id for r in v.procedure) == ("r3+r1", "r3+r2")
 
 
 def test_constraint_from_annotations():
@@ -426,6 +426,78 @@ def test_verdict_for_sum_shadow():
     assert ob.kind == "sum" and ob.approved
     assert isinstance(ob.verdict.constraint, Extremum)
     assert ob.verdict.constraint.kind == "max"
+
+
+# A cost that steers a non-cost argument or an aggregate: the first rule
+# classified (r2) lacks the property, and the rejection names why.
+@pytest.mark.parametrize(
+    "text, prop, reason",
+    [
+        (  # a body goal's non-cost argument reads the cost
+            "r1: path(Y,Dy) :- arc(a,Y,Dy).\n"
+            "r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,W), W>=0, Dy=Dx+W, ok(Dx).\n"
+            "r3: out(Y,Dy) :- path(Y,Dy), is_min((Y),(Dy)).\n",
+            "deflation",
+            "argument Dx depends on the cost Dx",
+        ),
+        (  # a bound on a recursive msum result
+            "r1: cost(P,C) :- basic(P,C).\n"
+            "r2: cost(P,N) :- assb(P,S,Q), cost(S,C), CQ=C*Q, CQ>0, msum((P),(S,CQ),N).\n"
+            "r3: cheap(P,C) :- cost(P,C), C<100.\n",
+            "ascending",
+            "aggregate result is not comparable to body costs",
+        ),
+        (  # a min over a recursive msum result
+            "r1: cost(P,C) :- basic(P,C).\n"
+            "r2: cost(P,N) :- assb(P,S,Q), cost(S,C), CQ=C*Q, CQ>0, msum((P),(S,CQ),N).\n"
+            "r3: least(P,C) :- cost(P,C), is_min((P),(C)).\n",
+            "deflation",
+            "msum results only grow",
+        ),
+        (  # the cost is a counted witness, and the head cost the count
+            "r1: c(X,N) :- e(X,N).\n"
+            "r2: c(Y,N) :- c(X,M), e2(X,Y), mcount((Y),(X,M),N).\n"
+            "r3: top(Y,N) :- c(Y,N), is_max((Y),(N)).\n",
+            "inflation",
+            "cost M selects the aggregated witnesses",
+        ),
+        (  # the cost is a count's group, and the head cost the cost itself
+            "r1: p(X,D) :- e(X,D).\n"
+            "r2: p(Y,D) :- p(X,D), e2(X,Y), mcount((Y,D),(X),N), N>=1.\n"
+            "r3: top(Y,D) :- p(Y,D), is_max((Y),(D)).\n",
+            "inflation",
+            "cost D selects the aggregated witnesses",
+        ),
+    ],
+)
+def test_classify_rejects_a_cost_that_steers_arguments_or_aggregates(text, prop, reason):
+    prog = P.parse_program(text)
+    v = P.classify_premability(prog, prog.final_constraints[0].constraint)
+    lacking = {
+        "deflation": "not deflation-preserving",
+        "inflation": "not inflation-preserving",
+        "ascending": "not an ascending mapping",
+    }[prop]
+    assert (v.rejection.condition, v.rejection.rule_id) == (f"{lacking}: {reason}", "r2")
+    r2 = {r.id: r for r in prog.rules}["r2"]
+    assert lacks(r2, prop, v.costmap, set(v.costmap)) == reason
+
+
+def test_check_refuses_a_recursive_count_read_only_downward(tmp_path, capsys):
+    # N<3 is the count's only reader, so the count has no ladder to transfer
+    # a max from: the obligation has no verdict, and its note is the reason.
+    text = (
+        "r1: attend(X) :- organizer(X).\n"
+        "r2: attend(Y) :- attend(X), friend(Y,X), count((Y),(X),N), N<3.\n"
+        "organizer(o). friend(x,o). friend(y,x).\n"
+    )
+    message = "rule r2: aggregate result N is not in the head"
+    _, (ob,) = P.compile_count_in_recursion(P.parse_program(text))
+    assert (ob.kind, ob.verdict, ob.approved, ob.reason) == ("count", None, False, message)
+    path = tmp_path / "down.dl"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().out == f"REJECTED: rule r2 count in recursion: {message}\n"
 
 
 def test_sum_without_positive_guard_rejected():

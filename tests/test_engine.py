@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import traceback
+from functools import partial
 
 import pytest
 
@@ -11,8 +12,10 @@ import premlog.analysis as analysis_module
 import premlog.parser as parser_module
 from premlog.engine import (
     ConsequenceStep,
-    ExtremaIndex,
+    EvalStats,
     RelationStore,
+    _admit_code,
+    _Context,
     apply_constraint,
     apply_ico,
     compile_plan,
@@ -21,7 +24,7 @@ from premlog.engine import (
     plan,
 )
 from premlog.errors import BudgetExceeded, Overflow, SafetyError, TypeMismatch, UnboundVariable
-from premlog.model import Bound, Extremum
+from premlog.model import Bound, Extremum, HeadExtremum
 
 from conftest import (
     facts_to_interp,
@@ -81,35 +84,60 @@ def test_relation_store_index_is_the_tuple_loop_in_order(positions):
         assert t in s.match(positions, tuple(t[p] for p in positions))
 
 
-def test_extrema_index_strict_improvement_only():
-    ix = ExtremaIndex("min", 1)
-    assert ix.insert(("b", 5)) == (True, None)
-    inserted, displaced = ix.insert(("b", 3))
-    assert inserted and displaced == ("b", 5)
-    assert ix.insert(("b", 3)) == (False, None)  # tie keeps the incumbent
-    assert ix.insert(("b", 7)) == (False, None)
-    assert ix.best[("b",)] == ("b", 3)
+# ===== working-set gates ======================================================
 
 
-def test_extrema_index_max_direction():
-    ix = ExtremaIndex("max", 1)
-    ix.insert(("b", 5))
-    assert ix.insert(("b", 9)) == (True, ("b", 5))
-    assert ix.insert(("b", 9)) == (False, None)
+def _gate(kind, cost, monotonic=False, arity=2):
+    """A context holding p's gate, and p's generated admission bound to it."""
+    ctx = _Context({}, 100, EvalStats(), {"p": {}})
+    return ctx, partial(_admit_code("p", arity, HeadExtremum(kind, monotonic, cost)), ctx)
 
 
-def test_extrema_index_rejects_symbolic_cost():
-    ix = ExtremaIndex("min", 0)
-    with pytest.raises(TypeMismatch):
-        ix.insert(("oops",))
+def _admits(ctx, admit, t):
+    """Admit t; return whether it was retained and how many tuples it displaced."""
+    retained, deleted = ctx.stats.retained, ctx.stats.deleted
+    admit(t)
+    return ctx.stats.retained - retained == 1, ctx.stats.deleted - deleted
 
 
-def test_monotonic_index_never_retreats():
-    ix = ExtremaIndex("min", 1, monotonic=True)
-    assert ix.insert(("b", 5)) == (True, None)
-    assert ix.insert(("b", 3)) == (True, None)
-    assert ix.insert(("b", 4)) == (False, None)
-    assert ix.insert(("b", 3)) == (False, None)
+def test_admission_strict_improvement_only():
+    ctx, admit = _gate("min", 1)
+    assert _admits(ctx, admit, ("b", 5)) == (True, 0)
+    assert _admits(ctx, admit, ("b", 3)) == (True, 1)
+    # the displaced incumbent left the store and the next delta
+    assert ctx.stores["p"].tuples == {("b", 3)} == ctx.next_delta["p"]
+    assert _admits(ctx, admit, ("b", 3)) == (False, 0)  # tie keeps the incumbent
+    assert _admits(ctx, admit, ("b", 7)) == (False, 0)
+    assert ctx.gates["p"] == {("b",): ("b", 3)}
+    assert ctx.stores["p"].tuples == {("b", 3)} == ctx.next_delta["p"]
+    assert (ctx.stats.derived, ctx.stats.retained, ctx.stats.deleted) == (4, 2, 1)
+
+
+def test_admission_max_direction():
+    ctx, admit = _gate("max", 1)
+    admit(("b", 5))
+    assert _admits(ctx, admit, ("b", 9)) == (True, 1)
+    assert ctx.stores["p"].tuples == {("b", 9)}
+    assert _admits(ctx, admit, ("b", 9)) == (False, 0)
+    assert ctx.gates["p"] == {("b",): ("b", 9)}
+
+
+def test_admission_rejects_symbolic_cost():
+    ctx, admit = _gate("min", 0, arity=1)
+    with pytest.raises(TypeMismatch, match=r"^extremum over non-integer value 'oops'$"):
+        admit(("oops",))
+    assert not ctx.stores["p"].tuples and not ctx.gates["p"]
+
+
+def test_monotonic_admission_never_retreats():
+    ctx, admit = _gate("min", 1, monotonic=True)
+    assert _admits(ctx, admit, ("b", 5)) == (True, 0)
+    assert _admits(ctx, admit, ("b", 3)) == (True, 0)
+    assert _admits(ctx, admit, ("b", 4)) == (False, 0)
+    assert _admits(ctx, admit, ("b", 3)) == (False, 0)
+    # mmin deletes nothing: the beaten tuple stays in the store and the delta
+    assert ctx.stores["p"].tuples == {("b", 5), ("b", 3)} == ctx.next_delta["p"]
+    assert ctx.gates["p"] == {("b",): ("b", 3)}
 
 
 # ===== plans ==================================================================

@@ -18,12 +18,11 @@ from premlog.model import (
     constraint_conjuncts,
     constraint_predicate,
     format_value,
-    interp_eq,
     make_constraint,
     tuple_sort_key,
 )
 
-from conftest import facts_to_interp
+from conftest import facts_to_interp, interp_eq
 
 
 def test_checked_arith_basic():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 import premlog as P
 from premlog import analysis
 from premlog.engine import (
-    ExtremaIndex,
+    EvalStats,
     RelationStore,
+    _admit_code,
+    _Context,
     apply_constraint,
     apply_ico,
     naive_fixpoint,
@@ -24,6 +27,7 @@ from premlog.model import (
     Atom,
     Bound,
     Extremum,
+    HeadExtremum,
     Rule,
     Variable,
     keep_extremal,
@@ -361,7 +365,7 @@ def test_keep_extremal_names_the_first_symbol_of_a_mixed_cost_column():
         assert _outcome(keep_extremal, rel, kind, 1, group) == want
 
 
-# ===== WORKING-SET INDEX ======================================================
+# ===== WORKING-SET GATE =======================================================
 
 
 @pytest.mark.parametrize("monotonic", [False, True])
@@ -369,27 +373,33 @@ def test_keep_extremal_names_the_first_symbol_of_a_mixed_cost_column():
     st.sampled_from(["min", "max"]),
     st.lists(st.tuples(KEYS, st.integers(min_value=-50, max_value=50)), max_size=40),
 )
-def test_extrema_index_keeps_one_best_per_key(monotonic, kind, inserts):
-    idx = ExtremaIndex(kind, 1, monotonic)
+def test_admission_keeps_one_best_per_key(monotonic, kind, inserts):
+    ctx = _Context({}, 10_000, EvalStats(), {"p": {}})
+    admit = partial(_admit_code("p", 2, HeadExtremum(kind, monotonic, 1)), ctx)
+    best = ctx.gates["p"]
     pick = min if kind == "min" else max
     best_value = {}
-    admitted = displaced = 0
+    kept = set()
     for k, v in inserts:
         held = best_value.get((k,))
         improves = held is None or pick(held, v) != held
-        inserted, incumbent = idx.insert((k, v))
-        assert inserted == improves  # exactly the strict improvements
-        if monotonic:
-            assert incumbent is None  # mmin/mmax delete nothing
-        admitted += 1 if inserted else 0
-        displaced += 1 if incumbent is not None else 0
+        retained, deleted = ctx.stats.retained, ctx.stats.deleted
+        admit((k, v))
+        assert ctx.stats.retained - retained == improves  # exactly the strict improvements
+        # min/max displace the incumbent; mmin/mmax delete nothing
+        displaced = improves and held is not None and not monotonic
+        assert ctx.stats.deleted - deleted == displaced
         if improves:
             best_value[(k,)] = v
-    assert set(idx.best) == set(best_value)
-    for key, t in idx.best.items():
+            kept.add((k, v))
+            if displaced:
+                kept.discard((k, held))
+    assert set(best) == set(best_value)
+    for key, t in best.items():
         assert t[1] == best_value[key]
+    assert ctx.store("p").tuples == kept == ctx.next_delta.get("p", set())
     if not monotonic:
-        assert admitted - displaced == len(idx.best)
+        assert ctx.stats.retained - ctx.stats.deleted == len(best) == len(kept)
 
 
 # ===== SYNTAX ROUND-TRIP ======================================================

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import premlog as P
+from premlog.cli import main
 from premlog.engine import ConsequenceStep, plan
 from premlog.model import INT_MAX, tuple_sort_key
 from premlog.parser import format_value
@@ -69,6 +70,24 @@ def test_counterexample_is_reproducible():
     b = P.check_prem_empirical(prog, c, samples=1000, seed=3)
     assert a.samples == b.samples
     assert a.counterexample == b.counterexample
+
+
+def test_verify_samples_the_recursion_when_classification_finds_no_cost(tmp_path, capsys):
+    # r5 makes a second rule through attend, so cntfriends cannot be composed
+    # and classification raises NoCost: the check samples the recursion's rules.
+    text = PARTY_GATED + "r5: attend(X) :- cntfriends(X,N), N>=5.\n" + CLIQUE_FACTS
+    prog, c = _first_constraint(text)
+    with pytest.raises(P.NoCost, match="^recursion through attend cannot be composed into cntfriends$"):
+        P.classify_premability(prog, c)
+    rules, sampled, _ = _sample_space(prog, c, None)
+    assert [r.id for r in rules] == ["r1", "r2", "r3", "r5"]
+    assert sampled == ["attend", "cntfriends"]
+    path = tmp_path / "party.dl"
+    path.write_text(text)
+    assert main(["verify", str(path), "--samples", "50"]) == 0
+    assert capsys.readouterr().out == (
+        "PASSED: max(cntfriends: group [0], cost 1): no counterexample in 50 samples\n"
+    )
 
 
 def test_explicit_procedure_override():
