@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the CLI's output on the generated benchmark corpus.
+"""Print a SHA-256 over the CLI's output on the generated benchmark corpus.
 
 For each seed, the 96 programs of `perfbench/corpus.generated_programs` are
 run in-process through `premlog.cli.main` under ten commands: `check`,
@@ -13,6 +13,12 @@ lines, its facts, in the fact file F (optimize prints those facts back).
 The digest covers each command's exit code, stdout and stderr, with the
 `wall_ms` of a stats line and the temporary directory masked. Two checkouts that print the
 same digest gave byte-identical output on every invocation.
+
+Before the total, one line per command gives the first 16 hex digits of a
+SHA-256 over that command's invocations alone, then the command without its
+paths, so a changed total points at the commands whose output changed. The
+total hashes the same bytes in the same order as the per-command digests
+together.
 
     python3 scripts/cli_digest.py --seeds 1-5
 
@@ -31,7 +37,7 @@ import re
 import sys
 import tempfile
 from pathlib import Path
-from typing import List
+from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,19 +66,23 @@ def parse_seeds(text: str) -> List[int]:
     return seeds
 
 
-def digest(seeds: List[int]) -> str:
+def digest(seeds: List[int]) -> Tuple[str, Dict[str, str]]:
+    """The total digest, and a digest per command (keyed by its words)."""
     import premlog.cli
     import corpus
 
     h = hashlib.sha256()
+    per_command = {" ".join(c): hashlib.sha256() for c in COMMANDS + FACTS_COMMANDS}
 
-    def run(argv: List[str]) -> None:
+    def run(argv: List[str], command: List[str]) -> None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = premlog.cli.main(argv)
         for part in (str(code), out.getvalue(), err.getvalue()):
             part = _WALL_MS.sub("wall_ms=*", part.replace(tmp, "<tmp>"))
-            h.update(part.encode("utf-8") + b"\0")
+            data = part.encode("utf-8") + b"\0"
+            h.update(data)
+            per_command[" ".join(command)].update(data)
 
     with tempfile.TemporaryDirectory() as tmp:
         path, rules, facts = (os.path.join(tmp, f) for f in ("program.dl", "rules.dl", "facts.dl"))
@@ -87,10 +97,10 @@ def digest(seeds: List[int]) -> str:
                     with open(name, "w", encoding="utf-8") as fh:
                         fh.write(part)
                 for command in COMMANDS:
-                    run([command[0], path, *command[1:]])
+                    run([command[0], path, *command[1:]], command)
                 for command in FACTS_COMMANDS:
-                    run([command[0], rules, *command[1:], facts])
-    return h.hexdigest()
+                    run([command[0], rules, *command[1:], facts], command)
+    return h.hexdigest(), {c: d.hexdigest() for c, d in per_command.items()}
 
 
 def main() -> int:
@@ -101,7 +111,10 @@ def main() -> int:
         env = dict(os.environ, PYTHONHASHSEED="0")
         os.execve(sys.executable, [sys.executable, __file__, *sys.argv[1:]], env)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    print(digest(parse_seeds(args.seeds)))
+    total, per_command = digest(parse_seeds(args.seeds))
+    for command, hexdigest in per_command.items():
+        print(f"{hexdigest[:16]}  {command}")
+    print(total)
     return 0
 
 

@@ -234,7 +234,7 @@ def run_benchmark(
                     stats = result.stats
                 except BudgetExceeded as exc:
                     status = "non-terminating"
-                    stats = exc.stats or EvalStats()
+                    stats = exc.stats
                 wall = (time.perf_counter() - started) * 1000.0
                 cells.append(
                     BenchCell(

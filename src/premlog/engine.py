@@ -51,7 +51,8 @@ relation's facts into a RelationStore once, every stratum runs on the same
 stores, and only a stratum's head predicates get fresh ones. An index built
 in one stratum serves the next, the result is the stores' own sets, and
 only a budget stop copies them. seminaive_fixpoint runs one stratum the same
-way, on copies of the interpretation it is given.
+way, on copies of the interpretation it is given. Either mode counts every
+stratum of a run into one EvalStats, against one tuple budget and one clock.
 
 Each seminaive stratum also proves, once, which columns hold only integers
 (as Soufflé types its columns at compile time): a relation it only reads is
@@ -149,6 +150,7 @@ class EvalOptions:
 
 @dataclass
 class EvalStats:
+    """A run's counters and wall_ms, one per run; merge serves perfbench's replay and the tests."""
     iterations: int = 0
     derived: int = 0  # produced head tuples, duplicates and rejections included
     retained: int = 0  # tuples that entered a store
@@ -818,7 +820,7 @@ def _range(src: _Source, goal: Atom) -> None:
         src.add(f"if not (isinstance({value}, int) and 1 <= {value} <= {c}): {src.skip()}")
         return
     message = f"'range 1..%s exceeds the tuple budget' % ({c},)"
-    src.add(f"if {c} > ctx.max_tuples: {src.stop(message)}")
+    src.add(f"if {c} > ctx.max_tuples - (ctx.stats.derived if ctx.stats else 0): {src.stop(message)}")
     local = src.bind(j.name)
     src.ints.add(local)
     src.loop(f"for {local} in range(1, {c} + 1):")
@@ -896,7 +898,7 @@ class _Context:
     current and next delta, each gated predicate's incumbents (key -> best
     tuple), the stats and the budget."""
 
-    __slots__ = ("stores", "delta", "next_delta", "gates", "stats", "max_tuples", "started", "collected")
+    __slots__ = ("stores", "delta", "next_delta", "gates", "stats", "max_tuples", "collected")
 
     def __init__(
         self,
@@ -904,7 +906,6 @@ class _Context:
         max_tuples: int,
         stats: Optional[EvalStats] = None,
         gates: Optional[Dict[str, Dict[Tuple, GroundTuple]]] = None,
-        started: float = 0.0,
     ):
         self.stores = stores
         self.delta: Dict[str, Set[GroundTuple]] = {}
@@ -912,7 +913,6 @@ class _Context:
         self.gates = gates or {}
         self.stats = stats
         self.max_tuples = max_tuples
-        self.started = started
         self.collected: Interpretation = {}  # what a full join derived, not stored
 
     def store(self, pred: str) -> RelationStore:
@@ -950,15 +950,7 @@ class _Context:
         stats.derived += derived
         stats.retained += retained
         stats.deleted += deleted
-        raise _budget_stop(message, stats, self.started, self.state())
-
-
-def _budget_stop(
-    message: str, stats: EvalStats, started: float, partial: Interpretation
-) -> BudgetExceeded:
-    """The error a budget stop raises; its stats carry the time spent so far."""
-    stats.wall_ms += (time.perf_counter() - started) * 1000.0
-    return BudgetExceeded(message, stats=stats, partial=partial)
+        raise BudgetExceeded(message, stats=stats, partial=self.state())
 
 
 # =====================================================================================
@@ -1141,11 +1133,12 @@ def seminaive_fixpoint(
     options: Optional[EvalOptions] = None,
     monitor: Optional[List[str]] = None,
 ) -> Tuple[Interpretation, EvalStats]:
-    """Evaluate one stratum incrementally; returns edb extended with results.
-    The stores are copies of edb, so edb is left as it was. A run keeps its
-    stores resident instead; perfbench's replay and the tests call this."""
+    """Evaluate one stratum on copies of edb, which is left as it was; returns
+    edb extended with results, and its stats (wall_ms 0: only a run is timed).
+    A run keeps its stores resident instead; perfbench's replay and tests call this."""
     stores = {pred: RelationStore(rel) for pred, rel in edb.items()}
-    stats = _seminaive_stratum(rules, stores, options or EvalOptions(), monitor)
+    stats = EvalStats()
+    _seminaive_stratum(rules, stores, options or EvalOptions(), monitor, stats)
     return _relations(stores), stats
 
 
@@ -1154,13 +1147,13 @@ def _seminaive_stratum(
     stores: Dict[str, RelationStore],
     options: EvalOptions,
     monitor: Optional[List[str]],
-) -> EvalStats:
+    stats: EvalStats,
+) -> None:
     """Evaluate one stratum incrementally in stores, which then hold its
-    results. Each head predicate gets a fresh store, its facts entering as
-    seeds through the gates; every other store, and the indexes built on it,
-    is read as it stands and kept for the next stratum."""
-    stats = EvalStats()
-    started = time.perf_counter()
+    results, counting into stats. Each head predicate gets a fresh store, its
+    facts entering as seeds through the gates; every other store, and the
+    indexes built on it, is read as it stands and kept for the next stratum."""
+    first = stats.iterations  # the iteration budget is the stratum's
     head_preds = {r.head.predicate for r in rules}
     seeds: Dict[str, Set[GroundTuple]] = {}
     for pred in head_preds:
@@ -1169,7 +1162,7 @@ def _seminaive_stratum(
             seeds[pred] = facts.tuples
             stores[pred] = RelationStore()
     gates = _build_gates(rules)
-    ctx = _Context(stores, options.max_tuples, stats, {pred: {} for pred in gates}, started)
+    ctx = _Context(stores, options.max_tuples, stats, {pred: {} for pred in gates})
     mutable = frozenset(head_preds)
     proven, held = _proven_columns(rules, stores, seeds)
 
@@ -1231,12 +1224,12 @@ def _seminaive_stratum(
 
     # Round 1: exit rules fire once over the full stores.
     stats.iterations += 1
-    _check_iterations(stats, options, started, ctx.state)
+    _check_iterations(stats, options, first, ctx.state)
     for r, code in exit_code:
         run_rule(r, code)
 
     if delta_code and not tallies and _greedy(rules, gates, head_preds):
-        _drain_by_cost(ctx, [code.run for _, code in delta_code], options, gates)
+        _drain_by_cost(ctx, [code.run for _, code in delta_code], options, gates, first)
     else:
         next_round()
         while True:
@@ -1246,15 +1239,13 @@ def _seminaive_stratum(
                     continue
                 break
             stats.iterations += 1
-            _check_iterations(stats, options, started, ctx.state)
+            _check_iterations(stats, options, first, ctx.state)
             for r, code in delta_code:
                 run_rule(r, code)
             next_round()
 
     for pred, i in held:  # the stratum is done: what its heads proved stays true
         ctx.store(pred).ints[i] = True
-    stats.wall_ms += (time.perf_counter() - started) * 1000.0
-    return stats
 
 
 def _greedy(rules: Sequence[Rule], gates: Dict[str, HeadExtremum], head_preds: Set[str]) -> bool:
@@ -1283,7 +1274,7 @@ def _settles_in_order(rule: Rule, kind: str, costs: Tuple[Tuple[str, int], ...])
 
 
 def _drain_by_cost(
-    ctx: _Context, runs: List[Callable], options: EvalOptions, gates: Dict[str, HeadExtremum]
+    ctx: _Context, runs: List[Callable], options: EvalOptions, gates: Dict[str, HeadExtremum], first: int
 ) -> None:
     """The greedy seminaive loop: what an iteration admits is queued by its
     cost, and each iteration takes the cheapest queued level (the dearest
@@ -1294,7 +1285,7 @@ def _drain_by_cost(
     mmin/mmax only from the gate. A level with nothing left is skipped and is
     not an iteration, as is the second pop of a cost two predicates queued."""
     stats = ctx.stats
-    limit = options.max_iterations
+    limit = None if options.max_iterations is None else first + options.max_iterations
     sign = 1 if next(iter(gates.values())).kind == "min" else -1
     lanes = []  # per predicate: name, cost position, queue, a level's incumbents
     for pred, gate in gates.items():
@@ -1328,7 +1319,7 @@ def _drain_by_cost(
                         delta[pred] = held
         stats.iterations += 1
         if limit is not None and stats.iterations > limit:
-            _check_iterations(stats, options, ctx.started, ctx.state)
+            _check_iterations(stats, options, first, ctx.state)
         ctx.delta, ctx.next_delta = delta, {}
         for run in runs:
             run(ctx, None)
@@ -1339,12 +1330,12 @@ def _incumbents(best: Dict[Tuple, GroundTuple], c: int, tuples: List[GroundTuple
 
 
 def _check_iterations(
-    stats: EvalStats, options: EvalOptions, started: float, state: Callable[[], Interpretation]
+    stats: EvalStats, options: EvalOptions, first: int, state: Callable[[], Interpretation]
 ) -> None:
-    if options.max_iterations is not None and stats.iterations > options.max_iterations:
-        raise _budget_stop(
-            f"iteration budget of {options.max_iterations} exhausted", stats, started, state()
-        )
+    """Stop a stratum begun at iteration first once past its iteration budget."""
+    if options.max_iterations is not None and stats.iterations - first > options.max_iterations:
+        message = f"iteration budget of {options.max_iterations} exhausted"
+        raise BudgetExceeded(message, stats=stats, partial=state())
 
 
 def _positivity_watch(
@@ -1384,12 +1375,15 @@ def naive_fixpoint(
     edb: Interpretation,
     options: Optional[EvalOptions] = None,
     monitor: Optional[List[str]] = None,
+    stats: Optional[EvalStats] = None,
 ) -> Tuple[Interpretation, EvalStats]:
     """Iterate I <- gamma(T(I u edb)) until the interpretation repeats.
-    perfbench's replay calls it per stratum, as iterated_fixpoint does."""
+    iterated_fixpoint and the oracle pass one stats for all their strata, and
+    the tuple budget bounds its total; perfbench's replay passes none and gets
+    a fresh EvalStats per stratum. wall_ms stays 0: only a run is timed."""
     options = options or EvalOptions()
-    stats = EvalStats()
-    started = time.perf_counter()
+    stats = EvalStats() if stats is None else stats
+    first = stats.iterations  # the iteration budget is the stratum's
     head_preds = {r.head.predicate for r in rules}
     gates = _build_gates(rules)
     fixed = {pred: rel for pred, rel in edb.items() if pred not in head_preds}
@@ -1400,7 +1394,7 @@ def naive_fixpoint(
     while True:
         stats.iterations += 1
         varying = {p: current[p] | seeds[p] for p in head_preds}
-        _check_iterations(stats, options, started, lambda: _nonempty({**fixed, **varying}))
+        _check_iterations(stats, options, first, lambda: _nonempty({**fixed, **varying}))
         out = step(varying)
 
         new: Dict[str, Set[GroundTuple]] = {}
@@ -1421,8 +1415,6 @@ def naive_fixpoint(
         if new == current:
             break
         current = new
-
-    stats.wall_ms += (time.perf_counter() - started) * 1000.0
     return _nonempty({**edb, **current}), stats
 
 
@@ -1441,12 +1433,12 @@ class ConsequenceStep:
     them plus every derivable head tuple; the fixed relations are not in it.
 
     max_tuples bounds int_up2 enumeration; given stats, a call counts each
-    derived head tuple there and stops past max_tuples, with the stats (timed
-    from the step's creation) and the relations derived so far. Given watch,
-    a msum/sum rule reports its non-positive summands to it (_rule_candidates).
+    derived head tuple there and stops past max_tuples, with the stats and the
+    relations derived so far. Given watch, a msum/sum rule reports its
+    non-positive summands to it (_rule_candidates).
     """
 
-    __slots__ = ("codes", "stores", "max_tuples", "stats", "started", "watch")
+    __slots__ = ("codes", "stores", "max_tuples", "stats", "watch")
 
     def __init__(
         self,
@@ -1456,7 +1448,6 @@ class ConsequenceStep:
         stats: Optional[EvalStats] = None,
         watch: Optional[Callable[[str, Tuple, int], None]] = None,
     ):
-        self.started = time.perf_counter()
         self.codes = [(r.head.predicate, _rule_code(r, frozenset(), None)) for r in rules]
         if {p for p, _ in self.codes} & fixed.keys():
             raise PremlogError("a fixed relation is the head of a rule; pass it as varying")
@@ -1468,7 +1459,7 @@ class ConsequenceStep:
     def __call__(self, varying: Interpretation) -> Interpretation:
         stores = dict(self.stores)
         stores.update((p, RelationStore(rel)) for p, rel in varying.items())
-        ctx = _Context(stores, self.max_tuples, self.stats, started=self.started)
+        ctx = _Context(stores, self.max_tuples, self.stats)
         out = ctx.collected = {p: set(rel) for p, rel in varying.items()}
         for pred, code in self.codes:
             keep = out.setdefault(pred, set()).add
@@ -1521,30 +1512,25 @@ def iterated_fixpoint(
     relation is copied into its store once, as seminaive_fixpoint copies its
     input (adopting the set would change the scan order), and the stores stay
     resident: every stratum runs on them, so an index built in one serves the
-    next. The result is the stores' sets; only a budget stop copies them."""
+    next. The result is the stores' sets; only a budget stop copies them.
+    A stop names options.max_tuples as given and carries the run's stats."""
     options = options or EvalOptions()
     strata = stratify(program)
     db = runs_to_interp(program.runs)
     stores = None
     if options.mode == "seminaive":
         stores = {pred: RelationStore(rel) for pred, rel in db.items()}
-    total = EvalStats()
-    budget = options.max_tuples
-    for stratum in strata:
-        opts = replace(options, max_tuples=budget)
-        try:
+    stats = EvalStats()
+    started = time.perf_counter()
+    try:
+        for stratum in strata:
             if stores is None:
-                db, stats = naive_fixpoint(stratum.rules, db, opts, monitor)
+                db, _ = naive_fixpoint(stratum.rules, db, options, monitor, stats)
             else:
-                stats = _seminaive_stratum(stratum.rules, stores, opts, monitor)
-        except BudgetExceeded as exc:
-            if exc.stats is not None:
-                total.merge(exc.stats)
-            exc.stats = total
-            raise
-        total.merge(stats)
-        budget -= stats.derived
-    return (db if stores is None else _relations(stores)), total
+                _seminaive_stratum(stratum.rules, stores, options, monitor, stats)
+    finally:
+        stats.wall_ms += (time.perf_counter() - started) * 1000.0
+    return (db if stores is None else _relations(stores)), stats
 
 
 # =====================================================================================

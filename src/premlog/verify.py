@@ -25,6 +25,7 @@ from .analysis import classify_premability, stratify
 from .engine import (
     ConsequenceStep,
     EvalOptions,
+    EvalStats,
     RunResult,
     apply_constraint,
     execute,
@@ -342,10 +343,10 @@ def brute_force_oracle(
     count/sum become their monotonic forms; is_min/is_max goals are desugared
     into negation of a witness predicate; the whole thing runs as a plain
     stratified naive fixpoint, whatever options.mode says (options supplies
-    the budgets). A count-form predicate is projected
-    to its maximal result (keep_extremal) as soon as its stratum completes, so
-    later strata read the totals, not the partial tallies. Slow, but every step is
-    ordinary Datalog.
+    the budgets; one tuple budget covers every stratum). A count-form
+    predicate is projected to its maximal result (keep_extremal) as soon as
+    its stratum completes, so later strata read the totals, not the partial
+    tallies. Slow, but every step is ordinary Datalog.
     """
     mono, projections = materialize_monotonic(program)
     rules: List[Rule] = []
@@ -361,8 +362,9 @@ def brute_force_oracle(
     prepared = mono.with_rules(tuple(rules))
     strata = stratify(prepared)
     db = runs_to_interp(prepared.runs)
+    stats = EvalStats()
     for stratum in strata:
-        db, _ = naive_fixpoint(stratum.rules, db, options)
+        db, _ = naive_fixpoint(stratum.rules, db, options, None, stats)
         for pred in stratum.predicates:
             pos = projections.get(pred)
             if pos is not None and db.get(pred):

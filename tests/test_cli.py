@@ -237,6 +237,22 @@ def test_run_budget_exhaustion_exit_code(write, capsys):
     assert main(["run", prog, "--max-tuples", "400"]) == EXIT_BUDGET
 
 
+# Three strata, one tuple per fact in each.
+CHAIN = "r1: p(X) :- e(X).\nr2: q(X) :- p(X).\nr3: s(X) :- q(X).\ne(a). e(b). e(c).\n"
+
+
+@pytest.mark.parametrize(
+    "mode, stats",
+    [("seminaive", "iterations=5 derived=8 retained=7"), ("naive", "iterations=3 derived=8 retained=3")],
+)
+def test_a_later_stratum_stops_on_the_budget_the_run_was_given(write, capsys, mode, stats):
+    prog = write("chain.dl", CHAIN)
+    assert main(["run", prog, "--max-tuples", "7", "--stats", "--mode", mode]) == EXIT_BUDGET
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "budget exceeded: tuple budget of 7 exhausted"
+    assert err[1].startswith(f"# {stats} deleted=0 wall_ms=")
+
+
 @pytest.mark.parametrize("mode, derived", [("seminaive", 3), ("naive", 4)])
 def test_run_iteration_budget_exit_code(write, capsys, mode, derived):
     prog = write("spath.dl", SPATH_STRATIFIED)
@@ -354,6 +370,15 @@ def test_diverging_oracle_leaves_the_run_unverified(write, capsys):
     # a native run over its budget still fails
     assert main(["run", prog, "--trust-but-verify", "--max-tuples", "3"]) == EXIT_BUDGET
     assert capsys.readouterr().err.startswith("budget exceeded: tuple budget of 3 exhausted\n")
+
+
+def test_the_oracle_keeps_one_tuple_budget_across_its_strata(write, capsys):
+    # The native run derives 9 tuples; the oracle's naive sweeps derive 18.
+    prog = write("chain.dl", CHAIN)
+    assert main(["run", prog, "--trust-but-verify", "--max-tuples", "10"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "s(a).\ns(b).\ns(c).\n"
+    assert captured.err == "audit: oracle stopped (tuple budget of 10 exhausted); answers not verified\n"
 
 
 @pytest.mark.parametrize(

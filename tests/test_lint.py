@@ -6,7 +6,10 @@ modules share is public. A program's dependency graph is built in one place,
 Program.graph, besides the parser's graph of the clauses it reads. The
 executor's _Context is built in two: the consequence step T, which the naive
 loop and the falsifier run, and the seminaive stratum, which
-seminaive_fixpoint and the resident run of iterated_fixpoint share. Every
+seminaive_fixpoint and the resident run of iterated_fixpoint share. A
+run's EvalStats and its clock have one owner, iterated_fixpoint: besides it,
+only the fixpoints a caller runs alone and the oracle build an EvalStats, and
+no other engine function reads the clock. Every
 name the package exports has a caller outside the tests: some module uses
 it as code (its defining module too, its definition aside), or a script or
 the benchmark does.
@@ -76,6 +79,14 @@ def private_sibling_imports(source: str):
 # (ConsequenceStep.__call__, the only __call__ in engine.py, and seminaive).
 GRAPH_BUILDERS = {("model.py", "graph"), ("parser.py", "parse_program")}
 CONTEXT_BUILDERS = {("engine.py", "__call__"), ("engine.py", "_seminaive_stratum")}
+# (module, function) pairs that may build an EvalStats: a run, one fixpoint
+# called alone, and the oracle's stratified run.
+STATS_BUILDERS = {
+    ("engine.py", "iterated_fixpoint"),
+    ("engine.py", "seminaive_fixpoint"),
+    ("engine.py", "naive_fixpoint"),
+    ("verify.py", "brute_force_oracle"),
+}
 
 
 def calls(callee: str, source: str, module: str):
@@ -147,6 +158,13 @@ def test_every_export_has_a_caller():
 def test_context_built_only_by_the_consequence_step_and_seminaive():
     # naive_fixpoint sweeps with a ConsequenceStep; it builds no context of its own.
     assert callers("_Context") == CONTEXT_BUILDERS
+
+
+def test_a_run_has_one_stats_and_one_clock():
+    assert callers("EvalStats") == STATS_BUILDERS
+    assert {function for module, function in callers("perf_counter") if module == "engine.py"} == {
+        "iterated_fixpoint"
+    }
 
 
 def test_the_checks_see_what_they_look_for():

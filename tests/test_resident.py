@@ -52,9 +52,9 @@ def test_each_store_and_index_is_built_once_per_run(monkeypatch):
     real_init = engine.RelationStore.__init__
     real_match = engine.RelationStore.match
 
-    def stratum(rules, stores, options, monitor):
+    def stratum(rules, stores, options, monitor, stats):
         strata.append((sorted(r.id for r in rules), dict(stores)))
-        return real_stratum(rules, stores, options, monitor)
+        real_stratum(rules, stores, options, monitor, stats)
 
     def init(self, tuples=None):
         built["stores"] += 1
@@ -106,11 +106,11 @@ def test_seminaive_fixpoint_leaves_its_input_alone():
 
 # Frozen at the commit before resident stores: each stop falls in a later
 # stratum, and carries the stats of the whole run and the state of every
-# stratum so far.
+# stratum so far. A tuple stop names the run's budget.
 LATER_STOPS = [
     (
         dict(max_tuples=6),
-        "tuple budget of 3 exhausted",
+        "tuple budget of 6 exhausted",
         (7, 7, 6, 1),
         {"arc": ARCS, "path": PATH, "hop": {("d", 3), ("e", 3), ("f", 3)}},
     ),
@@ -256,10 +256,10 @@ def _resident_stores(monkeypatch, argv):
     first = []
     real_stratum = engine._seminaive_stratum
 
-    def stratum(rules, stores, options, monitor):
+    def stratum(rules, stores, options, monitor, stats):
         if not first:
             first.append({p: list(store.tuples) for p, store in stores.items()})
-        return real_stratum(rules, stores, options, monitor)
+        real_stratum(rules, stores, options, monitor, stats)
 
     monkeypatch.setattr(engine, "_seminaive_stratum", stratum)
     assert main(argv) == EXIT_OK

@@ -548,6 +548,15 @@ def test_oracle_drops_desugaring_helpers():
     assert not [p for p in oracle if p.startswith(("lesser_", "greater_"))]
 
 
+def test_oracle_keeps_one_tuple_budget_across_its_strata():
+    chain = "r1: p(X) :- e(X). r2: q(X) :- p(X). r3: s(X) :- q(X). e(a). e(b). e(c)."
+    with pytest.raises(P.BudgetExceeded, match="^tuple budget of 10 exhausted$"):
+        P.brute_force_oracle(P.parse_program(chain), P.EvalOptions(mode="naive", max_tuples=10))
+    # Each stratum alone stays within the budget: 6 sweep outputs per stratum, 18 in all.
+    oracle = P.brute_force_oracle(P.parse_program(chain), P.EvalOptions(mode="naive", max_tuples=18))
+    assert oracle["s"] == {("a",), ("b",), ("c",)}
+
+
 def test_oracle_matches_engine_on_party_fixtures():
     for text in (PARTY_GATED + CLIQUE_FACTS, PARTY_COUNT + CASCADE_FACTS):
         res = run_text(text)
