@@ -1,18 +1,25 @@
 """Static analysis: dependencies, strata, and constraint push classification.
 
 The push classifier decides whether a pruning constraint attached to a final
-rule may be applied inside the recursion that feeds it. Each conjunct needs
-one property of every rule in the recursion (NEEDS), and `lacks` is the one
-place that decides each of the four:
+rule may be applied inside the recursion that feeds it, that is, whether the
+transfer equation gamma(T(I)) = gamma(T(gamma(I))) holds for every rule of
+the recursion. Each kind of conjunct asks every rule one question (NEEDS):
 
-  * inflation (for max): raising a recursive body cost can only raise, or
+  * a max needs inflation: raising a recursive body cost can only raise, or
     keep, the derivable head costs;
-  * deflation (for min): lowering a body cost can only lower, or keep, them;
-  * ascending (for an upper bound): the head cost never falls below any
-    recursive body cost, and the rule preserves inflation's guard and
-    argument conditions;
-  * descending (for a lower bound): the head cost never exceeds any body
-    cost, and the rule preserves deflation's guard and argument conditions.
+  * a min needs deflation: lowering a body cost can only lower, or keep, them;
+  * a bound needs its transfer, which lacks_transfer decides per firing. A
+    bound's gamma filters single tuples, so the equation holds when every
+    firing from a body tuple the bound drops derives a head the bound drops.
+    For D<B, each recursive body cost in turn is restricted to what the bound
+    drops (x >= B), and the head cost's interval over the guard region must
+    then lie in [B, inf); an empty region means no such firing. A lower bound
+    is the mirror image. check calls a rule that transfers an upper (lower)
+    bound ascending (descending).
+
+`lacks` decides inflation and deflation, and the cost order that the
+engine's greedy loop reads besides them: nondecreasing (for min: the head
+cost never falls below a recursive body cost) and nonincreasing (for max).
 
 A rejection quotes the reason of the property its conjunct needs. Checks run
 on normalized guards: assignment definitions are substituted so a guard such
@@ -473,12 +480,16 @@ def guard_region(guards: Sequence[Comparison], defs: Dict[str, Term]) -> Region:
         for left, right in ((g.left, g.right), (subst_defs(g.left, defs), subst_defs(g.right, defs))):
             solved = _solve_guard(left, right, g.op)
             if solved is not None:
-                v, (glo, ghi) = solved
-                lo, hi = region.get(v, FULL)
-                nlo = glo if lo is None else (lo if glo is None else max(lo, glo))
-                nhi = ghi if hi is None else (hi if ghi is None else min(hi, ghi))
-                region[v] = (nlo, nhi)
+                v, iv = solved
+                region[v] = _meet(region.get(v, FULL), iv)
     return region
+
+
+def _meet(a: Intv, b: Intv) -> Intv:
+    """The intersection of two intervals; lo > hi when it is empty."""
+    lo = a[0] if b[0] is None else (b[0] if a[0] is None else max(a[0], b[0]))
+    hi = a[1] if b[1] is None else (b[1] if a[1] is None else min(a[1], b[1]))
+    return (lo, hi)
 
 
 def guard_effect(guard: Comparison, x: str, defs: Dict[str, Term], region: Region) -> str:
@@ -506,7 +517,7 @@ def guard_effect(guard: Comparison, x: str, defs: Dict[str, Term], region: Regio
 @dataclass(frozen=True)
 class RuleCostView:
     rule: Rule
-    head_cost: Optional[Term]
+    head_cost: Term
     body_costs: Tuple[Tuple[Atom, str], ...]
     defs: Dict[str, Term]
     guards: Tuple[Comparison, ...]
@@ -514,22 +525,29 @@ class RuleCostView:
 
 
 def make_cost_view(rule: Rule, costmap: Dict[str, int], scc: Set[str]) -> RuleCostView:
+    """The rule's costs and guards. Each recursive body atom contributes one
+    cost variable: a constant, an expression or a variable already read as a
+    cost becomes a fresh variable (the atom's predicate, a prime and its
+    place in the body) with a guard equating it to the argument."""
     defs = definitions(rule)
-    guards = tuple(
+    guards = [
         g
         for g in rule.body
         if isinstance(g, Comparison) and not (g.op == "=" and isinstance(g.left, Variable) and g.left.name in defs and defs[g.left.name] is g.right)
-    )
-    region = guard_region(guards, defs)
-    head_pos = costmap.get(rule.head.predicate)
-    head_cost = rule.head.args[head_pos] if head_pos is not None else None
+    ]
+    head_cost = rule.head.args[costmap[rule.head.predicate]]
     body_costs: List[Tuple[Atom, str]] = []
-    for g in rule.body:
+    for i, g in enumerate(rule.body):
         if isinstance(g, Atom) and g.predicate in scc and g.predicate in costmap:
             arg = g.args[costmap[g.predicate]]
-            if isinstance(arg, Variable):
+            if isinstance(arg, Variable) and all(arg.name != x for _, x in body_costs):
                 body_costs.append((g, arg.name))
-    return RuleCostView(rule, head_cost, tuple(body_costs), defs, guards, region)
+            else:
+                fresh = f"{g.predicate}'{i + 1}"
+                guards.append(Comparison("=", Variable(fresh), arg))
+                body_costs.append((g, fresh))
+    region = guard_region(guards, defs)
+    return RuleCostView(rule, head_cost, tuple(body_costs), defs, tuple(guards), region)
 
 
 # =====================================================================================
@@ -573,7 +591,7 @@ def _structural_reason(
     Names the first guard that caps the cost on that side or pins it, else
     the first non-cost argument that depends on the cost.
     """
-    caps, end = ("upper", "above") if side == "inflation" else ("lower", "below")
+    caps, end = {"inflation": ("upper", "above"), "deflation": ("lower", "below")}[side]
     agg = view.rule.aggregate()
     skip: Set[int] = set()
     if agg is not None and agg.kind in ("msum", "sum"):
@@ -593,42 +611,37 @@ def _structural_reason(
     return ""
 
 
+def _head_is_result(view: RuleCostView) -> bool:
+    """Whether the head cost is the result of the rule's count/sum."""
+    agg, head = view.rule.aggregate(), view.head_cost
+    return agg is not None and agg.kind in COUNTING_KINDS and isinstance(head, Variable) and head.name == agg.result
+
+
 def lacks(rule: Rule, prop: str, costmap: Dict[str, int], scc: Set[str]) -> str:
     """Why `rule` lacks `prop`, or "" when it has it.
 
-    prop is inflation, deflation, ascending or descending (see the module
-    docstring). Exit rules, with no recursive cost input, have all four.
+    prop is inflation, deflation, nondecreasing or nonincreasing (see the
+    module docstring). Exit rules, with no recursive cost input, have all four.
     """
     view = make_cost_view(rule, costmap, scc)
     if not view.body_costs:
         return ""
-    if view.head_cost is None:
-        return f"{rule.head.predicate} has no cost argument"
-    agg = rule.aggregate()
-    head_is_result = (
-        agg is not None
-        and agg.kind in COUNTING_KINDS
-        and isinstance(view.head_cost, Variable)
-        and view.head_cost.name == agg.result
-    )
+    head = subst_defs(view.head_cost, view.defs)
 
-    if prop in ("ascending", "descending"):
-        if head_is_result:
-            return "aggregate result is not comparable to body costs"
-        head = subst_defs(view.head_cost, view.defs)
+    if prop in ("nondecreasing", "nonincreasing"):
         for _, x in view.body_costs:
             lo, hi = interval(ArithExpr("-", head, Variable(x)), view.region)
-            if prop == "ascending" and (lo is None or lo < 0):
+            if prop == "nondecreasing" and (lo is None or lo < 0):
                 return f"head cost may drop below {x}"
-            if prop == "descending" and (hi is None or hi > 0):
+            if prop == "nonincreasing" and (hi is None or hi > 0):
                 return f"head cost may exceed {x}"
-        side = "inflation" if prop == "ascending" else "deflation"
-        return _structural_reason(view, side, costmap, scc)
+        return ""
 
     reason = _structural_reason(view, prop, costmap, scc)
     if reason:
         return reason
-    if head_is_result:
+    agg = rule.aggregate()
+    if _head_is_result(view):
         if prop == "deflation":
             return f"{agg.kind} results only grow"
         summed = agg.kind in ("msum", "sum")
@@ -640,12 +653,37 @@ def lacks(rule: Rule, prop: str, costmap: Dict[str, int], scc: Set[str]) -> str:
         if summed and not provably_positive(summand, view.defs, view.region):
             return f"summand {summand} is not provably positive"
         return ""
-    head = subst_defs(view.head_cost, view.defs)
     for _, x in view.body_costs:
         if direction(head, x, view.region) not in ("inc", "indep"):
             return f"head cost may fall as {x} grows"
         if agg is not None and x in set(agg.group_by) | set(agg.measured):
             return f"cost {x} selects the aggregated witnesses"
+    return ""
+
+
+def lacks_transfer(rule: Rule, bound: Bound, costmap: Dict[str, int], scc: Set[str]) -> str:
+    """Why a firing of `rule` from a body tuple that `bound` drops may derive
+    a head the bound keeps, or "" when none can (see the module docstring)."""
+    view = make_cost_view(rule, costmap, scc)
+    if not view.body_costs:
+        return ""
+    if _head_is_result(view):
+        return "aggregate result is not comparable to body costs"
+    if type(bound.limit) is not int:
+        return f"limit {bound.limit} is not an integer"
+    # the least cost an upper bound drops, or the greatest a lower bound drops
+    b = bound.limit + (bound.op == "<=") - (bound.op == ">=")
+    dropped = (b, None) if bound.kind == "upper" else (None, b)
+    head = subst_defs(view.head_cost, view.defs)
+    for _, x in view.body_costs:
+        region = {**view.region, x: _meet(view.region.get(x, FULL), dropped)}
+        if any(lo is not None and hi is not None and lo > hi for lo, hi in region.values()):
+            continue  # no firing reads a dropped tuple through x
+        iv = interval(head, region)
+        if _meet(iv, dropped) != iv:
+            if bound.kind == "upper":
+                return f"head cost may fall below {b} when {x} >= {b}"
+            return f"head cost may exceed {b} when {x} <= {b}"
     return ""
 
 
@@ -763,7 +801,8 @@ class PremVerdict:
 
 
 # The property every procedure rule needs for a conjunct of each kind to be
-# pushed, and the rejection that names a rule lacking it.
+# pushed, and the rejection that names a rule lacking it. A bound's is its
+# transfer (lacks_transfer), which check calls an ascending (descending) mapping.
 NEEDS = {"min": "deflation", "max": "inflation", "upper": "ascending", "lower": "descending"}
 _REJECTED = {
     "inflation": "not inflation-preserving",
@@ -839,7 +878,8 @@ def classify_premability(program: Program, constraint: Constraint) -> PremVerdic
                 )
                 break
         need = NEEDS[conjunct.kind]
-        failures = [(r.id, why) for r in working if (why := lacks(r, need, costmap, scc))]
+        decide, prop = (lacks_transfer, conjunct) if isinstance(conjunct, Bound) else (lacks, need)
+        failures = [(r.id, why) for r in working if (why := decide(r, prop, costmap, scc))]
         if failures:
             rid, reason = min(failures)
             rejection = Rejection(conjunct, f"{_REJECTED[need]}: {reason}", rid)

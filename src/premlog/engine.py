@@ -39,11 +39,13 @@ restart the loop.
 Each seminaive iteration takes as its delta what the one before admitted
 (breadth-first), except in a greedy stratum: one whose heads all carry a
 min/mmin gate (or all a max/mmax gate), with no counting rule, and whose
-rules analysis.lacks finds deflation-preserving and ascending (inflation-
-preserving and descending). There the cheapest queued cost level (the
-dearest) is final, and each iteration drains one level, skipping tuples
-that lost their gate since they were queued: Dijkstra's algorithm as a
-fixpoint (Knuth 1977; the greedy fixpoint of Ganguly, Greco and Zaniolo).
+rules analysis.lacks finds deflation-preserving and nondecreasing (no head
+cost below a body cost), or inflation-preserving and nonincreasing. There
+the cheapest queued cost level (the dearest) is final, and each iteration
+drains one level, skipping tuples that lost their gate since they were
+queued: Dijkstra's algorithm as a fixpoint (Knuth 1977; the greedy fixpoint
+of Ganguly, Greco and Zaniolo). A guard that caps the cost, such as a pushed
+bound, leaves a stratum greedy.
 
 A seminaive run keeps its relations resident (as BigDatalog keeps its
 recursive relations across iterations): iterated_fixpoint copies each
@@ -1249,9 +1251,11 @@ def _seminaive_stratum(
 
 
 def _greedy(rules: Sequence[Rule], gates: Dict[str, HeadExtremum], head_preds: Set[str]) -> bool:
-    """Whether a stratum is greedy (see the module docstring). Any order of
-    draining reaches the same constrained fixpoint; the cost order of a
-    greedy stratum fires only tuples that are final."""
+    """Whether a stratum is greedy (see the module docstring). Deflation
+    (inflation) makes every order of draining reach the same constrained
+    fixpoint. A nondecreasing (nonincreasing) rule derives no head cheaper
+    (dearer) than the body it fires from, so the cost order fires only
+    tuples that are final."""
     kinds = {g.kind for g in gates.values()}
     if len(gates) != len(head_preds) or len(kinds) != 1:
         return False
@@ -1266,7 +1270,7 @@ def _settles_in_order(rule: Rule, kind: str, costs: Tuple[Tuple[str, int], ...])
     cached like _rule_code, because each lacks call costs tens of µs. A rule
     the analysis cannot read (a definition chain too deep) runs breadth-first."""
     costmap = dict(costs)
-    props = ("deflation", "ascending") if kind == "min" else ("inflation", "descending")
+    props = ("deflation", "nondecreasing") if kind == "min" else ("inflation", "nonincreasing")
     try:
         return not any(lacks(rule, prop, costmap, set(costmap)) for prop in props)
     except PremlogError:

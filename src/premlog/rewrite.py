@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from .errors import AmbiguousCost, NoCost, PlanMismatch, PremlogError
 from .model import (
     EXTREMA_KINDS,
-    RANGE_PREDICATE,
     AggregateGoal,
     Atom,
     Bound,
@@ -31,7 +30,6 @@ from .model import (
     Constraint,
     Extremum,
     FinalConstraint,
-    Goal,
     Negated,
     Program,
     Rule,
@@ -169,52 +167,6 @@ def desugar_extremum(rule: Rule) -> Tuple[Rule, Rule]:
     return main, aux
 
 
-# =====================================================================================
-# MONOTONIC SUM EXPANSION
-# =====================================================================================
-
-
-def expand_msum(goal: AggregateGoal, rule: Optional[Rule] = None) -> Tuple[Tuple[Goal, ...], List[str]]:
-    """Expand msum/sum into a unit range join plus mcount/count.
-
-    sum((),(Pno,C),T)  ->  int_up2(C,Int), count((),(Pno,Int),T)
-
-    The summand's place in the witness goes to Int, so a witness prefix Pno
-    with summands C contributes max(C) distinct witnesses: counting them sums
-    the best summand per prefix, as msum/sum do. Non-positive summands produce
-    no witnesses; the returned warnings flag summands that are not provably
-    positive.
-    """
-    if goal.kind not in ("msum", "sum"):
-        raise PremlogError(f"{goal.kind} is not a summing aggregate")
-    summand = goal.measured[-1]
-    used = set(goal.variables())
-    if rule is not None:
-        used |= set(rule.head.variables()) | set(rule.body_variables())
-    fresh = "Int"
-    n = 1
-    while fresh in used:
-        n += 1
-        fresh = f"Int{n}"
-    range_goal = Atom(RANGE_PREDICATE, (Variable(summand), Variable(fresh)))
-    counter = AggregateGoal(
-        "mcount" if goal.kind == "msum" else "count",
-        goal.group_by,
-        goal.measured[:-1] + (fresh,),
-        goal.result,
-    )
-    warnings: List[str] = []
-    if rule is not None:
-        defs = definitions(rule)
-        region = guard_region([g for g in rule.body if isinstance(g, Comparison)], defs)
-        if not provably_positive(summand, defs, region):
-            warnings.append(
-                f"rule {rule.id}: summand {summand} is not provably positive; "
-                f"non-positive contributions are dropped by the expansion"
-            )
-    return (range_goal, counter), warnings
-
-
 def monotonic_form(rule: Rule) -> Tuple[Rule, int]:
     """The ladder of a count/sum rule: the same rule over mcount/msum, whose
     max is the count/sum, and the head position of the aggregate result."""
@@ -343,8 +295,14 @@ def compile_count_in_recursion(
             pos,
         )
         if agg.kind == "sum":
-            _, warn = expand_msum(shadow_rule.aggregate(), shadow_rule)
-            notes.extend(warn)
+            defs = definitions(r)
+            region = guard_region([g for g in r.body if isinstance(g, Comparison)], defs)
+            summand = agg.measured[-1]
+            if not provably_positive(summand, defs, region):
+                notes.append(
+                    f"rule {r.id}: summand {summand} is not provably positive; "
+                    f"non-positive contributions are dropped by the expansion"
+                )
         try:
             verdict: Optional[PremVerdict] = classify_premability(shadow, constraint)
         except (NoCost, AmbiguousCost) as exc:

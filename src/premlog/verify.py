@@ -134,7 +134,7 @@ def _sample_space(
     """The rules of one transfer check, the predicates its samples draw
     tuples for (in draw order), and the value pool of each of their argument
     positions. Without a procedure, the classifier's is used, or else every
-    rule of the constrained predicate's recursion."""
+    rule of the constrained predicate's recursion; NoCost if there is none."""
     p0 = constraint_predicate(constraint)
     costmap: Dict[str, int] = {}
     if procedure is None:
@@ -150,7 +150,7 @@ def _sample_space(
             procedure = [r for r in program.rules if r.head.predicate in scc]
     rules = list(procedure)
     if not rules:
-        return rules, [], {}
+        raise NoCost(f"no rule defines {p0}, so no sample can test its constraint")
     sampled_preds = sorted({r.head.predicate for r in rules})
     arities = program.arities()
     for r in rules:  # composed rules may not appear in the program
@@ -243,8 +243,6 @@ def check_prem_empirical(
     and a key derives its total instead of every natural up to it.
     """
     rules, sampled_preds, pools = _sample_space(program, constraint, procedure)
-    if not rules:
-        return PremCheckReport(0, "passed", None)
 
     # Only the sampled predicates and the constrained one differ between
     # samples, or between the two sides of the equation; the rest of the EDB

@@ -15,7 +15,10 @@ import premlog as P
 from premlog.engine import ConsequenceStep
 from premlog.errors import LoadError, Overflow, TypeMismatch
 from premlog.model import (
+    AggregateGoal,
+    Atom,
     Bound,
+    Variable,
     compare_values,
     constraint_conjuncts,
     constraint_predicate,
@@ -349,8 +352,6 @@ def check_prem_empirical_by_draw(program, constraint, samples=1000, seed=0, proc
     is: randint and randrange per draw, both sides of every sample. The
     reference verify.check_prem_empirical is held to."""
     rules, sampled_preds, pools = _sample_space(program, constraint, procedure)
-    if not rules:
-        return PremCheckReport(0, "passed", None)
     touched = set(sampled_preds) | {constraint_predicate(constraint)}
     fixed = facts_to_interp(program.facts)
     rest = {p: rel for p, rel in fixed.items() if p not in touched}
@@ -406,3 +407,32 @@ def random_positive_program(seed: int) -> str:
         edges.add(("a", "b", 1))
     lines.extend(f"e({x},{y},{w})." for x, y, w in sorted(edges))
     return "\n".join(lines)
+
+
+def expand_msum(goal, rule=None):
+    """The goals that compute msum/sum as a unit range join plus mcount/count.
+
+    sum((),(Pno,C),T)  ->  int_up2(C,Int), count((),(Pno,Int),T)
+
+    The summand's place in the witness goes to Int, so a witness prefix Pno
+    with summands C contributes max(C) distinct witnesses: counting them sums
+    the best summand per prefix, as msum/sum do, and a non-positive summand
+    contributes none. The reference the native aggregates are held to; Int
+    is renamed to stay clear of the variables of goal and rule.
+    """
+    used = set(goal.variables())
+    if rule is not None:
+        used |= set(rule.head.variables()) | set(rule.body_variables())
+    fresh = "Int"
+    n = 1
+    while fresh in used:
+        n += 1
+        fresh = f"Int{n}"
+    range_goal = Atom(P.model.RANGE_PREDICATE, (Variable(goal.measured[-1]), Variable(fresh)))
+    counter = AggregateGoal(
+        "mcount" if goal.kind == "msum" else "count",
+        goal.group_by,
+        goal.measured[:-1] + (fresh,),
+        goal.result,
+    )
+    return range_goal, counter

@@ -10,6 +10,7 @@ from premlog.analysis import (
     compose_procedure,
     find_cost_arguments,
     lacks,
+    lacks_transfer,
     stratify,
 )
 from premlog.cli import main
@@ -173,17 +174,19 @@ def test_additive_rule_is_inflation_and_deflation():
 
 def test_exit_rule_vacuously_both():
     prog, r1 = _rule(BOUNDED_PATH + "arc(a,b,1).", "r1")
-    for prop in ("inflation", "deflation", "ascending", "descending"):
+    for prop in ("inflation", "deflation", "nondecreasing", "nonincreasing"):
         assert lacks(r1, prop, {"path": 1}, {"path"}) == ""
+    for bound in (Bound("upper", "path", 1, "<", 5), Bound("lower", "path", 1, ">", 5)):
+        assert lacks_transfer(r1, bound, {"path": 1}, {"path"}) == ""
 
 
-def test_nonneg_guard_makes_rule_ascending():
+def test_nonneg_guard_makes_rule_nondecreasing():
     prog, r2 = _rule(BOUNDED_PATH + "arc(a,b,1).", "r2")
-    assert lacks(r2, "ascending", {"path": 1}, {"path"}) == ""
-    assert lacks(r2, "descending", {"path": 1}, {"path"}) != ""
+    assert lacks(r2, "nondecreasing", {"path": 1}, {"path"}) == ""
+    assert lacks(r2, "nonincreasing", {"path": 1}, {"path"}) != ""
 
 
-def test_unguarded_addition_is_not_ascending():
+def test_unguarded_addition_is_not_nondecreasing():
     text = """
     r1: p(Y,D) :- e(Y,D).
     r2: p(Y,D) :- p(X,Dx), e2(X,Y,W), D=Dx+W.
@@ -191,10 +194,15 @@ def test_unguarded_addition_is_not_ascending():
     """
     prog, r2 = _rule(text, "r2")
     # W may be negative, so the head cost can drop below the body cost
-    assert lacks(r2, "ascending", {"p": 1}, {"p"}) != ""
-    assert lacks(r2, "descending", {"p": 1}, {"p"}) != ""
+    assert lacks(r2, "nondecreasing", {"p": 1}, {"p"}) != ""
+    assert lacks(r2, "nonincreasing", {"p": 1}, {"p"}) != ""
     assert lacks(r2, "inflation", {"p": 1}, {"p"}) == ""
     assert lacks(r2, "deflation", {"p": 1}, {"p"}) == ""
+    # ... and a firing from a dropped tuple may derive one a bound keeps
+    upper = lacks_transfer(r2, Bound("upper", "p", 1, "<", 25), {"p": 1}, {"p"})
+    assert upper == "head cost may fall below 25 when Dx >= 25"
+    lower = lacks_transfer(r2, Bound("lower", "p", 1, ">=", 3), {"p": 1}, {"p"})
+    assert lower == "head cost may exceed 2 when Dx <= 2"
 
 
 def test_upper_capped_guard_kills_inflation():
@@ -280,6 +288,29 @@ def test_classify_lower_bound_needs_descending():
     assert not v.approved
 
 
+def test_an_unguarded_path_with_negative_arcs_keeps_its_bound():
+    # b@9 is past the bound, but c@3 is reached through it: pushing Dy<5 loses c.
+    text = (
+        "r1: path(Y,Dy) :- arc(a,Y,Dy).\n"
+        "r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy.\n"
+        "r3: out(Y,Dy) :- path(Y,Dy), Dy<5.\n"
+        "arc(a,b,9). arc(b,c,-6). arc(a,d,2).\n"
+    )
+    prog = P.parse_program(text)
+    v = P.classify_premability(prog, prog.final_constraints[0].constraint)
+    reason = "not an ascending mapping: head cost may fall below 5 when Dx >= 5"
+    assert (v.rejection.condition, v.rejection.rule_id) == (reason, "r2")
+    assert P.run_program(prog).answers("out") == sorted(P.brute_force_oracle(prog)["out"]) == [("c", 3), ("d", 2)]
+    assert P.run_program(prog, force_push=True).answers("out") == [("d", 2)]
+
+
+def test_a_bound_on_a_symbol_is_not_pushed():
+    prog = P.parse_program(BOUNDED_PATH.replace("Dy<143", "Dy<abc") + "arc(a,b,1).")
+    v = P.classify_premability(prog, prog.final_constraints[0].constraint)
+    reason = "not an ascending mapping: limit abc is not an integer"
+    assert (v.rejection.condition, v.rejection.rule_id) == (reason, "r2")
+
+
 # A product cost Dy=Dx*W has no linear form: its direction in Dx comes from
 # the sign the guard gives W, and its interval from interval arithmetic.
 @pytest.mark.parametrize(
@@ -296,7 +327,7 @@ def test_classify_lower_bound_needs_descending():
             "is_min((Y),(Dy))",
             "not deflation-preserving: head cost may fall as Dx grows",
         ),
-        ("W>=1", "Dy<100", "not an ascending mapping: head cost may drop below Dx"),
+        ("W>=1", "Dy<100", None),  # Dx>=100 and W>=1 keep Dy>=100
     ],
 )
 def test_classify_product_cost(guard, final, rejection):
@@ -339,11 +370,16 @@ def _verdict_on_dag(goals, final):
         ("W>=1, Dy=Dx*W+Dx", "is_min((Y),(Dy))", "min-deflation (deflation-safe: r1, r2)"),
         ("W>=1, Dy=Dx*W-Dx", "is_min((Y),(Dy))", "not deflation-preserving: head cost may fall as Dx grows"),
         ("Y!=d, Dy=Dx+W", "is_min((Y),(Dy))", "min-deflation (deflation-safe: r1, r2)"),
-        ("W>=1, Dy=Dx*W+1", "Dy<100", "not an ascending mapping: head cost may drop below Dx"),
+        ("W>=1, Dy=Dx*W+1", "Dy<100", "upper-ascending (ascending-safe: r1, r2)"),
         ("Dx*W<100, Dy=Dx+W", "is_min((Y),(Dy))", "not deflation-preserving: guard (Dx * W) < 100 pins Dx"),
         ("W=2, Dy=Dx+W", "Dy<100", "upper-ascending (ascending-safe: r1, r2)"),
-        ("Dy=Dx+W", "Dy<100", "not an ascending mapping: head cost may drop below Dx"),
-        ("2*W=3, Dy=Dx+W", "Dy<100", "not an ascending mapping: head cost may drop below Dx"),
+        ("Dy=Dx+W", "Dy<100", "not an ascending mapping: head cost may fall below 100 when Dx >= 100"),
+        ("2*W=3, Dy=Dx+W", "Dy<100", "not an ascending mapping: head cost may fall below 100 when Dx >= 100"),
+        # The bound test restricts Dx to what Dy<25 drops: an empty region
+        # (Dy<Dx needs Dx<0), and a head the guard keeps below 40 but at 25 or more.
+        ("Dy=Dx*3, Dy<Dx", "Dy<25", "upper-ascending (ascending-safe: r1, r2)"),
+        ("Dy=Dx+1, Dy<40", "Dy<25", "upper-ascending (ascending-safe: r1, r2)"),
+        ("Dy=Dx+1, Dy<40", "Dy>3", "not a descending mapping: head cost may exceed 3 when Dx <= 3"),
     ],
 )
 def test_classify_nonlinear_costs_and_guards(goals, final, verdict):
@@ -480,7 +516,10 @@ def test_classify_rejects_a_cost_that_steers_arguments_or_aggregates(text, prop,
     }[prop]
     assert (v.rejection.condition, v.rejection.rule_id) == (f"{lacking}: {reason}", "r2")
     r2 = {r.id: r for r in prog.rules}["r2"]
-    assert lacks(r2, prop, v.costmap, set(v.costmap)) == reason
+    if prop == "ascending":
+        assert lacks_transfer(r2, v.rejection.conjunct, v.costmap, set(v.costmap)) == reason
+    else:
+        assert lacks(r2, prop, v.costmap, set(v.costmap)) == reason
 
 
 def test_check_refuses_a_recursive_count_read_only_downward(tmp_path, capsys):

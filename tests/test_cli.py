@@ -533,7 +533,7 @@ def test_check_rejected(write, capsys):
             "r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy.\n"
             "r3: far(Y,Dy) :- path(Y,Dy), Dy>5.\n",
             "cannot push lower(path: arg 1 > 5): not a descending mapping: "
-            "head cost may exceed Dx (rule r2)",
+            "head cost may exceed 5 when Dx <= 5 (rule r2)",
         ),
         (
             "p(2).\n"
@@ -549,6 +549,42 @@ def test_check_rejection_names_the_needed_property(write, capsys, text, rejectio
     prog = write("prog.dl", text)
     assert main(["check", prog]) == EXIT_REJECTED
     assert capsys.readouterr().out == f"REJECTED: {rejection}\n"
+
+
+# A recursive body atom whose cost is a constant, or a variable that another
+# recursive atom reads as its cost too: each is a cost of its own, pinned by
+# an equality guard, so check rejects and run keeps the stratified answers.
+COST_READ_TWICE = "r1: p(Y,D) :- e(a,Y,D).\nr2: p(Y,D) :- p(X,50), e(X,Y,W), D=W.\nr3: q(Y,D) :- p(Y,D), {}.\n"
+
+
+@pytest.mark.parametrize(
+    "text, rejection, answers",
+    [
+        (
+            COST_READ_TWICE.format("D<25") + "e(a,b,50). e(b,c,3).\n",
+            "upper(p: arg 1 < 25): not an ascending mapping: head cost may fall below 25 when p'1 >= 25",
+            "q(c,3).\n",
+        ),
+        (
+            COST_READ_TWICE.format("is_min((Y),(D))") + "e(a,b,50). e(a,b,10). e(b,c,3).\n",
+            "min(p: group [0], cost 1): not deflation-preserving: guard p'1 = 50 pins p'1",
+            "q(b,10).\nq(c,3).\n",
+        ),
+        (
+            COST_READ_TWICE.format("is_min((Y),(D))").replace("p(X,50), e(X,Y,W), D=W", "p(c,D), p(b,D), f(Y)")
+            + "e(a,b,5). e(a,b,3). e(a,c,5). f(z).\n",
+            "min(p: group [0], cost 1): not deflation-preserving: guard p'2 = D pins D",
+            "q(b,3).\nq(c,5).\nq(z,5).\n",
+        ),
+    ],
+    ids=["constant-bound", "constant-min", "shared-min"],
+)
+def test_a_cost_read_as_a_constant_or_twice_is_not_pushed(write, capsys, text, rejection, answers):
+    prog = write("prog.dl", text)
+    assert main(["check", prog]) == EXIT_REJECTED
+    assert capsys.readouterr().out == f"REJECTED: cannot push {rejection} (rule r2)\n"
+    assert main(["run", prog]) == EXIT_OK
+    assert capsys.readouterr() == (answers, f"warning: constraint kept in final rule: cannot push {rejection}\n")
 
 
 def test_check_no_constraints(write, capsys):

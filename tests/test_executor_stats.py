@@ -6,12 +6,12 @@ stops firing within the same iteration). These numbers were taken from the
 recursive-generator executor and must not move when the executor changes,
 with one deliberate exception: the seminaive entries of spath_prem and
 spath_mmin (COUNTS, GATED_BUDGET) were refrozen once when a min recursion
-that is deflation-preserving and ascending began to run greedily, one cost
-level per iteration. That order changes iterations, derived, retained and
-deleted, never the answers, and derived only fell. The naive entries, the
-doubling program (its rule is not ascending) and SPATH_MONOTONIC (no Dy>Dx
-guard, so not ascending either) keep the breadth-first loop and their
-counts. Node ids are integers, so set iteration order, and with it every
+that is deflation-preserving and nondecreasing began to run greedily, one
+cost level per iteration. That order changes iterations, derived, retained
+and deleted, never the answers, and derived only fell. The naive entries,
+the doubling program (its rule is not nondecreasing) and SPATH_MONOTONIC (no
+Dy>Dx guard, so not nondecreasing either) keep the breadth-first loop and
+their counts. Node ids are integers, so set iteration order, and with it every
 count, does not depend on PYTHONHASHSEED (checked under hash seeds 0, 1 and
 12345).
 """

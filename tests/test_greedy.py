@@ -1,11 +1,12 @@
 """The greedy seminaive loop: a min (max) recursion whose rules are
-deflation- (inflation-) preserving and ascending (descending) runs one cost
-level per iteration, cheapest (dearest) first, and skips queued tuples that
-lost their key's gate since they were queued.
+deflation- (inflation-) preserving and nondecreasing (nonincreasing) runs
+one cost level per iteration, cheapest (dearest) first, and skips queued
+tuples that lost their key's gate since they were queued.
 
 Each case runs the guarded program, which qualifies, against the same
-program without its guard, which is not ascending (descending) and so runs
-the breadth-first loop: the answers agree, and greedy derives no more.
+program without its guard, which is not nondecreasing (nonincreasing) and
+so runs the breadth-first loop: the answers agree, and greedy derives no
+more.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import premlog as P
 from premlog import bench
+from premlog.engine import plan
 from premlog.parser import parse_program
 
 TEMPLATE = """
@@ -141,12 +143,36 @@ def test_a_tied_level_is_drained_again():
     assert stats.iterations == 1 + 3 + 2
 
 
-def test_only_an_ascending_recursion_runs_by_cost_level():
+def test_only_a_nondecreasing_recursion_runs_by_cost_level():
     arcs = [("a", "b", 1), ("a", "c", 2)]
     # Greedy: round 1 admits b@1 and c@2, then levels 1 and 2. Without the
     # guard, breadth-first: round 1, then one iteration with both in delta.
     assert evaluate("min", arcs, "a")[1].iterations == 1 + 2 + 2
     assert evaluate("min", arcs, "a", guarded=False)[1].iterations == 1 + 1 + 2
+
+
+BOUNDED_SPATH = """
+r1: path(Y,Dy) :- arc(n0,Y,Dy).
+r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy, Dy>Dx.
+r3: spath(Y,Dy) :- path(Y,Dy), {bound}is_min((Y),(Dy)).
+"""
+
+
+def test_a_pushed_bound_leaves_the_shortest_path_greedy():
+    # The pushed guard Dy<1000000 caps the cost from above, which neither
+    # deflation nor the cost order minds.
+    arcs = bench.gen_graph(bench.GraphSpec("cyclic", 60, 0.1, (1, 20)))
+    runs = []
+    for bound in ("", "Dy<1000000, "):
+        prog = parse_program(BOUNDED_SPATH.format(bound=bound)).with_facts(bench.arc_facts(arcs))
+        result = P.run_program(prog)
+        assert [step.action for step in plan(prog).steps] == ["pushed"]
+        runs.append((dict(result.db["spath"]), result.stats))
+    (free, free_stats), (bounded, stats) = runs
+    assert bounded == free == bench.dijkstra_reference(arcs, "n0")
+    assert stats.derived <= free_stats.derived
+    # Round 1, one iteration per distinct answer cost, two for the final rule.
+    assert stats.iterations == free_stats.iterations == 1 + len(set(bounded.values())) + 2
 
 
 def test_a_rule_the_analysis_cannot_read_runs_breadth_first():

@@ -418,7 +418,7 @@ def test_parse_format_round_trip(seed):
 # ===== STRUCTURAL CHECKS ======================================================
 
 GUARDS = st.sets(
-    st.sampled_from(["Dy>Dx", "Dy>=Dx", "Dy>=0", "Dxy>0", "Dy<100", "Dy!=7"]),
+    st.sampled_from(["Dy>Dx", "Dy>=Dx", "Dy>=0", "Dxy>0", "Dy<100", "Dy!=7", "Dy<=Dx"]),
     max_size=3,
 )
 
@@ -430,18 +430,33 @@ def _guarded_rule(guards):
     return P.parse_program(f"r1: p(Y,Dy) :- {body}.").rules[0]
 
 
-@given(GUARDS)
-def test_ascending_rules_also_preserve_inflation(guards):
-    rule = _guarded_rule(guards)
-    if not analysis.lacks(rule, "ascending", {"p": 1}, {"p"}):
-        assert not analysis.lacks(rule, "inflation", {"p": 1}, {"p"})
+# A DAG over a..e whose arcs may be negative, and one to four seed tuples of p.
+_ARCS = st.lists(
+    st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"), st.integers(-5, 30)).filter(
+        lambda arc: arc[0] < arc[1]
+    ),
+    max_size=8,
+)
+_SEEDS = st.lists(st.tuples(st.sampled_from("abcde"), st.integers(-5, 60)), min_size=1, max_size=4)
 
 
-@given(GUARDS)
-def test_descending_rules_also_preserve_deflation(guards):
+@settings(max_examples=60, deadline=None)
+@given(GUARDS, st.sampled_from(["<", "<=", ">", ">="]), st.integers(-5, 60), _ARCS, _SEEDS)
+def test_every_bound_the_transfer_test_approves_keeps_the_answers(guards, op, limit, arcs, seeds):
     rule = _guarded_rule(guards)
-    if not analysis.lacks(rule, "descending", {"p": 1}, {"p"}):
-        assert not analysis.lacks(rule, "deflation", {"p": 1}, {"p"})
+    text = (
+        "r0: p(Y,Dy) :- s(Y,Dy).\n"
+        + P.format_rule(rule)
+        + f"\nr2: q(Y,Dy) :- p(Y,Dy), Dy{op}{limit}.\n"
+        + "".join(f"s({y},{d}).\n" for y, d in seeds)
+        + "".join(f"e({x},{y},{w}).\n" for x, y, w in arcs)
+    )
+    program = P.parse_program(text)
+    constraint = program.final_constraints[0].constraint
+    if not P.classify_premability(program, constraint).approved:
+        return
+    assert P.run_program(program).db.get("q", set()) == P.brute_force_oracle(program).get("q", set())
+    assert P.check_prem_empirical(program, constraint, samples=64, seed=limit).holds
 
 
 # Each property's reason names a failure of that property, never one that
@@ -449,8 +464,8 @@ def test_descending_rules_also_preserve_deflation(guards):
 OPPOSITE_REASON = {
     "deflation": "from above",
     "inflation": "from below",
-    "descending": "may drop below",
-    "ascending": "may exceed",
+    "nonincreasing": "may drop below",
+    "nondecreasing": "may exceed",
 }
 
 
@@ -459,6 +474,9 @@ def test_lacks_never_quotes_the_opposite_property(guards):
     rule = _guarded_rule(guards)
     for prop, wrong in OPPOSITE_REASON.items():
         assert wrong not in analysis.lacks(rule, prop, {"p": 1}, {"p"})
+    upper, lower = (Bound(kind, "p", 1, op, 20) for kind, op in (("upper", "<"), ("lower", ">")))
+    assert "exceed" not in analysis.lacks_transfer(rule, upper, {"p": 1}, {"p"})
+    assert "fall below" not in analysis.lacks_transfer(rule, lower, {"p": 1}, {"p"})
 
 
 # ===== EVALUATION MODES =======================================================

@@ -24,13 +24,13 @@ from premlog.model import (
 from premlog.parser import format_goal
 from premlog.rewrite import (
     desugar_extremum,
-    expand_msum,
     materialize_monotonic,
     monotonic_form,
     standard_form,
 )
 
 from conftest import (
+    expand_msum,
     CAPPED_MAX,
     CASCADE_FACTS,
     CLIQUE_FACTS,
@@ -133,7 +133,7 @@ def test_desugar_is_max_uses_greater():
 def test_expand_msum_goes_through_mcount():
     prog = P.parse_program("r1: t(S) :- q(X,C), msum((),(X,C),S).\nq(a,2).")
     agg = next(g for g in prog.rules[0].body if isinstance(g, AggregateGoal))
-    goals, _ = expand_msum(agg)
+    goals = expand_msum(agg)
     rendered = [format_goal(g) for g in goals]
     assert rendered == ["int_up2(C,Int)", "mcount((),(X,Int),S)"]
 
@@ -155,7 +155,7 @@ def test_expand_msum_runs_like_the_native_aggregate(rows, kind):
     facts = "".join(f"q({g},{x},{c}).\n" for g, x, c in rows)
     native = f"r1: t(G,S) :- q(G,X,C), {kind}((G),(X,C),S).\n"
     rule = P.parse_program(native).rules[0]
-    goals, _ = expand_msum(rule.aggregate(), rule)
+    goals = expand_msum(rule.aggregate(), rule)
     expanded = f"r1: t(G,S) :- q(G,X,C), {', '.join(map(format_goal, goals))}.\n"
     got, want = _answers(expanded + facts), _answers(native + facts)
     if kind == "msum":  # the ladders may climb in different steps; compare their tops

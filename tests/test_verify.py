@@ -90,6 +90,19 @@ def test_verify_samples_the_recursion_when_classification_finds_no_cost(tmp_path
     )
 
 
+def test_verify_of_a_constraint_on_a_predicate_no_rule_defines_is_an_error(tmp_path, capsys):
+    # q's constraint reads e, which only facts hold: nothing could be sampled.
+    text = "r1: q(X,C) :- e(X,C), C<5.\ne(a,3). e(b,9).\n"
+    prog, c = _first_constraint(text)
+    message = "no rule defines e, so no sample can test its constraint"
+    with pytest.raises(P.NoCost, match=f"^{message}$"):
+        P.check_prem_empirical(prog, c)
+    path = tmp_path / "edb.dl"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_explicit_procedure_override():
     prog, c = _first_constraint(SPATH_STRATIFIED)
     report = P.check_prem_empirical(
