@@ -32,13 +32,14 @@ extremum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import AmbiguousCost, NoCost, PremlogError, StratificationError
+from .errors import AmbiguousCost, NoCost, PremlogError, SafetyError, StratificationError
 from .model import (
     COUNTING_KINDS,
     FLIP_OP,
     RANGE_PREDICATE,
+    AggregateGoal,
     ArithExpr,
     Atom,
     Bound,
@@ -46,6 +47,7 @@ from .model import (
     Constant,
     Constraint,
     Extremum,
+    Goal,
     HeadExtremum,
     Negated,
     Program,
@@ -198,6 +200,101 @@ def stratify(program: Program) -> List[Stratum]:
             continue
         strata.append(Stratum(len(strata), comp, rules, comp[0] in graph.recursive))
     return strata
+
+
+# =====================================================================================
+# RULE SAFETY AND GOAL ORDER
+# =====================================================================================
+
+
+def _needs(goal: Goal, bound: AbstractSet[str]) -> Iterable[str]:
+    """The variables goal waits for, given bound: none for an atom, the count
+    of int_up2, T's for an assignment V=T (V unbound), else all of its own."""
+    if isinstance(goal, Atom):
+        return term_variables(goal.args[0]) if goal.predicate == RANGE_PREDICATE else ()
+    if (
+        isinstance(goal, Comparison)
+        and goal.op == "="
+        and isinstance(goal.left, Variable)
+        and goal.left.name not in bound
+    ):
+        return term_variables(goal.right)
+    return goal.variables()
+
+
+def order_goals(
+    rule: Rule, line: Optional[int] = None
+) -> Tuple[Tuple[Goal, ...], Tuple[Comparison, ...]]:
+    """The body goals of a safe rule in binding order, and its post filters.
+
+    The order is greedy: the first goal, in body order, whose variables are
+    bound (_needs) comes next, and binds its own. Goals that wait for a count
+    or sum's result are its post filters; after the tally a rule sees only
+    its group and its result (the max of the mcount/msum ladder), so they
+    must be comparisons over those. Anything else raises SafetyError, at
+    line: the head, the body goals in body order, the aggregate's coverage of
+    the head, then the goals left waiting.
+    """
+    agg = rule.aggregate()
+    result = agg.result if agg is not None else None
+    pending = [g for g in rule.body if not isinstance(g, AggregateGoal)]
+    bound: Set[str] = set()
+    order: List[Goal] = []
+    i = 0
+    while i < len(pending):
+        if bound.issuperset(_needs(pending[i], bound)):
+            order.append(pending.pop(i))
+            bound.update(order[-1].variables())
+            i = 0
+        else:
+            i += 1
+    seen = bound | {result} if result is not None else bound
+
+    checks: List[Tuple[Iterable[str], str, AbstractSet[str]]] = [(rule.head.variables(), "head", seen)]
+    for g in rule.body:  # a goal that ran has its variables bound
+        if isinstance(g, AggregateGoal):
+            checks.append((g.group_by, "aggregate group", bound))
+            checks.append((g.measured, "aggregate input", bound))
+        elif g not in pending:
+            continue
+        elif isinstance(g, Negated):
+            checks.append((g.variables(), "negation", seen))
+        elif isinstance(g, Comparison):  # V=T as an assignment: T's variables
+            checks.append((_needs(g, ()), "comparison", seen))
+    for names, where, known in checks:
+        for v in names:
+            if v not in known:
+                raise SafetyError(f"rule {rule.id}: variable {v} in {where} is not bound", line)
+    if agg is not None:
+        covered = {result} if agg.kind in COUNTING_KINDS else set(agg.measured)
+        stray = set(rule.head.variables()) - covered - set(agg.group_by)
+        if stray:
+            raise SafetyError(
+                f"rule {rule.id}: head variables {sorted(stray)} not covered by the "
+                f"{agg.kind} group",
+                line,
+            )
+
+    post: List[Comparison] = []
+    for g in pending:
+        if isinstance(g, Comparison) and result is not None:
+            outside = [v for v in g.variables() if v != result and v not in agg.group_by]
+            if not outside:
+                post.append(g)
+                continue
+            v = outside[0]
+        else:
+            v = next(v for v in g.variables() if v not in bound)
+        where = "comparison" if isinstance(g, Comparison) else (
+            "negation" if isinstance(g, Negated) else RANGE_PREDICATE
+        )
+        why = ""
+        if v in bound:
+            why = f" after the {agg.kind}, which binds only its group and result"
+        elif v == result:
+            why = f": only a comparison may read the {agg.kind} result"
+        raise SafetyError(f"rule {rule.id}: variable {v} in {where} is not bound{why}", line)
+    return tuple(order), tuple(post)
 
 
 # =====================================================================================
@@ -441,7 +538,8 @@ def _ceil_div(p: int, q: int) -> int:
 
 
 def _single_var_interval(coeff: int, const: int, op: str) -> Optional[Intv]:
-    """Solve coeff*x + const OP 0 over the integers; None when op is != ."""
+    """Solve coeff*x + const OP 0 over the integers; None when op is != , and
+    an empty interval (lo > hi) for an equality with no integer solution."""
     if op == "!=":
         return None
     if coeff < 0:
@@ -450,7 +548,7 @@ def _single_var_interval(coeff: int, const: int, op: str) -> Optional[Intv]:
         if (-const) % coeff == 0:
             v = (-const) // coeff
             return (v, v)
-        return None
+        return (1, 0)
     if op == "<":
         return (None, _ceil_div(-const, coeff) - 1)
     if op == "<=":

@@ -1,8 +1,9 @@
 """Bottom-up evaluation: naive and seminaive fixpoints under constraints.
 
 Both modes, and the consequence step T, share one rule executor: generated
-code. Each rule's plan (its goals in a safe order) becomes one Python
-function per delta version, compiled on first use and cached. The function
+code. Each rule's plan (its goals in analysis.order_goals's order; a rule
+that is not safe raises SafetyError there) becomes one Python function per
+delta version, compiled on first use and cached. The function
 is a nest of loops, one per body atom, that probes hash indexes with tuple
 keys, binds Datalog variables to locals, and inlines checked 64-bit
 arithmetic and comparisons. Tracebacks and profiles name the function
@@ -90,6 +91,7 @@ from .analysis import (
     Rejection,
     classify_premability,
     lacks,
+    order_goals,
     stratify,
 )
 from .errors import (
@@ -97,9 +99,7 @@ from .errors import (
     BudgetExceeded,
     NoCost,
     PremlogError,
-    SafetyError,
     TypeMismatch,
-    UnboundVariable,
 )
 from .model import (
     COUNTING_KINDS,
@@ -192,9 +192,6 @@ class RelationStore:
         self._keyed: List[Tuple[Callable[[GroundTuple], Tuple], Dict]] = []
         self.ints: Dict[int, bool] = {}  # column -> all integers, once asked
 
-    def __len__(self) -> int:
-        return len(self.tuples)
-
     def __contains__(self, t: GroundTuple) -> bool:
         return t in self.tuples
 
@@ -214,8 +211,6 @@ class RelationStore:
                 bucket.discard(t)
 
     def match(self, positions: Tuple[int, ...], key: Tuple) -> Iterable[GroundTuple]:
-        if not positions:
-            return self.tuples
         ix = self.indexes.get(positions)
         if ix is None:
             # Keys are read at C speed, and each bucket gets its tuples in
@@ -325,85 +320,38 @@ class _Plan:
 
 
 def compile_plan(rule: Rule, scc_preds: Set[str]) -> _Plan:
-    agg = rule.aggregate()
-    pending: List[object] = [g for g in rule.body if not isinstance(g, AggregateGoal)]
+    """The rule's goals in analysis.order_goals's order, each body atom a
+    _Scan that keys on what the goals before it bound, numbering the atoms
+    over scc_preds (delta versions); order_goals raises SafetyError for a
+    rule that is not safe."""
+    goals, post = order_goals(rule)
     bound: Set[str] = set()
     steps: List[object] = []
-    post: List[Comparison] = []
     n_scc = 0
-
-    def ready(g) -> bool:
-        if isinstance(g, Atom):
-            if g.predicate == RANGE_PREDICATE:
-                return all(v in bound for v in term_variables(g.args[0]))
-            return True
-        if isinstance(g, Comparison):
-            if g.op == "=" and isinstance(g.left, Variable) and g.left.name not in bound:
-                return all(v in bound for v in term_variables(g.right))
-            return all(v in bound for v in g.variables())
-        if isinstance(g, Negated):
-            return all(v in bound for v in g.variables())
-        return False
-
-    while pending:
-        chosen = None
-        for g in pending:
-            if ready(g):
-                chosen = g
-                break
-        if chosen is None:
-            leftovers = []
-            for g in pending:
-                names = set(g.variables()) if not isinstance(g, Atom) else set()
-                if (
-                    isinstance(g, Comparison)
-                    and agg is not None
-                    and agg.result is not None
-                    and names <= bound | {agg.result}
-                ):
-                    post.append(g)
-                else:
-                    leftovers.append(g)
-            if leftovers:
-                raise SafetyError(
-                    f"rule {rule.id}: cannot order goals {[repr(g) for g in leftovers]}"
-                )
-            break
-        pending.remove(chosen)
-        if isinstance(chosen, Atom) and chosen.predicate != RANGE_PREDICATE:
+    for g in goals:
+        if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE:
             positions: List[int] = []
             key_parts: List[Tuple[str, object]] = []
             binds: List[Tuple[int, object]] = []
-            seen_here: Set[str] = set()
-            for i, a in enumerate(chosen.args):
+            for i, a in enumerate(g.args):
                 if isinstance(a, Constant):
                     positions.append(i)
                     key_parts.append(("c", a.value))
-                elif a.name in bound or a.name in seen_here:
-                    if a.name in bound:
-                        positions.append(i)
-                        key_parts.append(("v", a.name))
-                    else:
-                        binds.append((i, a.name))
+                elif a.name in bound:
+                    positions.append(i)
+                    key_parts.append(("v", a.name))
                 else:
-                    seen_here.add(a.name)
                     binds.append((i, a.name))
             ordinal = None
-            if chosen.predicate in scc_preds:
+            if g.predicate in scc_preds:
                 ordinal = n_scc
                 n_scc += 1
-            steps.append(
-                _Scan(chosen, tuple(positions), tuple(key_parts), tuple(binds), ordinal)
-            )
-            bound.update(chosen.variables())
+            steps.append(_Scan(g, tuple(positions), tuple(key_parts), tuple(binds), ordinal))
         else:
-            steps.append(chosen)
-            if isinstance(chosen, Atom):  # range goal
-                bound.update(term_variables(chosen.args[1]))
-            elif isinstance(chosen, Comparison) and chosen.op == "=" and isinstance(chosen.left, Variable):
-                bound.add(chosen.left.name)
+            steps.append(g)
+        bound.update(g.variables())
 
-    return _Plan(rule, tuple(steps), agg, tuple(post))
+    return _Plan(rule, tuple(steps), rule.aggregate(), post)
 
 
 # =====================================================================================
@@ -424,7 +372,6 @@ _RUNTIME = {
     "check_int": check_int,
     "checked_arith": checked_arith,
     "compare_values": compare_values,
-    "UnboundVariable": UnboundVariable,
 }
 
 
@@ -505,15 +452,12 @@ class _Source:
 
     def term(self, t) -> Tuple[str, bool]:
         """Write what evaluating t takes; return its expression and whether
-        it is an integer whatever the binding."""
+        it is an integer whatever the binding. The plan's order binds every
+        variable before it is read."""
         if isinstance(t, Constant):
             return self.literal(t.value), type(t.value) is int
         if isinstance(t, Variable):
-            local = self.names.get(t.name)
-            if local is None:  # unbound here: fail where the value is first needed
-                message = f"variable {t.name} is not bound"
-                self.add(f"raise UnboundVariable({message!r})")
-                return "None", False
+            local = self.names[t.name]
             return local, local in self.ints
         left, left_int = self.term(t.left)
         right, right_int = self.term(t.right)
@@ -719,9 +663,10 @@ def _admit_tuple(
 
 def _extremum_row(src: _Source, agg: AggregateGoal, key: str, head: Atom) -> None:
     """Record one row of a stratified is_min/is_max rule in the sink, a dict
-    key -> [extremal value, {measured: (ordinal, head)}]: each measured tuple
-    that ties the key's extremum keeps the head of its first binding, and the
-    ordinal of that binding orders the winners as the rows arrived."""
+    key -> [extremal value, {measured: (ordinal, head)}]. A safe head is a
+    function of the key and the measured values, so each measured tuple that
+    ties the key's extremum has one head; the ordinal of its first row orders
+    the winners as the rows arrived."""
     measured = [src.term(Variable(v)) for v in agg.measured]
     row = _tuple_text([x for x, _ in measured])
     first = f"(_seq, {src.tuple_of(head.args)})"
@@ -1654,7 +1599,6 @@ class RunResult:
     stats: EvalStats
     warnings: List[str]  # the plan's
     positivity: List[str]  # the positivity monitor's lines (monitor_positivity)
-    fallback: bool  # a rejected constraint stayed in its stratified final rule
 
     def answers(self, predicate: str) -> List[GroundTuple]:
         rel = self.db.get(predicate, set())
@@ -1677,16 +1621,8 @@ def execute(planned: ProgramPlan, options: Optional[EvalOptions] = None) -> RunR
     """Evaluate a plan's executed program."""
     monitor: List[str] = []
     db, stats = iterated_fixpoint(planned.executed, options, monitor)
-    fallback = any(step.action == "kept" for step in planned.steps)
     return RunResult(
-        planned.program,
-        planned.executed,
-        planned.obligations,
-        db,
-        stats,
-        planned.warnings,
-        monitor,
-        fallback,
+        planned.program, planned.executed, planned.obligations, db, stats, planned.warnings, monitor
     )
 
 

@@ -32,7 +32,7 @@ class MissingResult(ParseError):
 
 
 class SafetyError(ParseError):
-    """A head variable is not bound by the rule body."""
+    """A rule reads a variable its body leaves unbound, or its aggregate does not cover its head."""
 
 
 class LoadError(PremlogError):

@@ -43,7 +43,7 @@ from typing import (
     AbstractSet, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 )
 
-from .analysis import build_dependency_graph
+from .analysis import build_dependency_graph, order_goals
 from .errors import (
     ArityConflict,
     LoadError,
@@ -55,7 +55,6 @@ from .errors import (
 from .model import (
     AGGREGATE_KINDS,
     COMPARISON_OPS,
-    COUNTING_KINDS,
     EXTREMA_KINDS,
     RANGE_PREDICATE,
     AggregateGoal,
@@ -81,7 +80,6 @@ from .model import (
     head_var_positions,
     make_constraint,
     run_facts,
-    term_variables,
 )
 
 # =====================================================================================
@@ -529,7 +527,9 @@ def parse_program(text: str) -> Program:
         if rule.head.predicate == RANGE_PREDICATE:
             support.append(rule)
         else:
-            _check_safety(rule, c.line)
+            order_goals(rule, c.line)
+            if rule.extremum is not None and not isinstance(rule.head.args[rule.extremum.cost], Variable):
+                raise SafetyError(f"rule {rule.id}: extremum argument must be a variable", c.line)
             rules.append(rule)
 
     final = _extract_final_constraints(rules)
@@ -639,70 +639,6 @@ def _extremum_goal(head: Atom, kind: str, cost: int) -> AggregateGoal:
         a.name for i, a in enumerate(head.args) if isinstance(a, Variable) and i != cost
     )
     return AggregateGoal("is_" + kind, group, (head.args[cost].name,))
-
-
-def _check_safety(rule: Rule, line: int) -> None:
-    bound: Set[str] = set()
-    for g in rule.regular_goals():
-        bound.update(g.variables())
-
-    # Range goals and equality assignments bind left to right; iterate to a fixpoint.
-    changed = True
-    while changed:
-        changed = False
-        for g in rule.body:
-            if isinstance(g, Atom) and g.predicate == RANGE_PREDICATE:
-                src, dst = g.args
-                if all(v in bound for v in term_variables(src)):
-                    for v in term_variables(dst):
-                        if v not in bound:
-                            bound.add(v)
-                            changed = True
-            elif isinstance(g, Comparison) and g.op == "=" and isinstance(g.left, Variable):
-                if g.left.name not in bound and all(
-                    v in bound for v in term_variables(g.right)
-                ):
-                    bound.add(g.left.name)
-                    changed = True
-    agg = rule.aggregate()
-    if agg is not None and agg.result is not None:
-        bound.add(agg.result)
-
-    def require(names, where: str) -> None:
-        for v in names:
-            if v not in bound:
-                raise SafetyError(f"rule {rule.id}: variable {v} in {where} is not bound", line)
-
-    require(rule.head.variables(), "head")
-    for g in rule.body:
-        if isinstance(g, Negated):
-            require(g.atom.variables(), "negation")
-        elif isinstance(g, Comparison):
-            if g.op == "=" and isinstance(g.left, Variable):
-                require(term_variables(g.right), "comparison")
-            else:
-                require(g.variables(), "comparison")
-        elif isinstance(g, AggregateGoal):
-            require(g.group_by, "aggregate group")
-            require(g.measured, "aggregate input")
-
-    if agg is not None:
-        head_vars = set(rule.head.variables())
-        if agg.kind in COUNTING_KINDS:
-            allowed = set(agg.group_by) | {agg.result}
-        else:
-            allowed = set(agg.group_by) | set(agg.measured)
-        stray = head_vars - allowed
-        if stray:
-            raise SafetyError(
-                f"rule {rule.id}: head variables {sorted(stray)} not covered by the "
-                f"{agg.kind} group",
-                line,
-            )
-    if rule.extremum is not None:
-        arg = rule.head.args[rule.extremum.cost]
-        if not isinstance(arg, Variable):
-            raise SafetyError(f"rule {rule.id}: extremum argument must be a variable", line)
 
 
 def _extract_final_constraints(rules: Sequence[Rule]) -> List[FinalConstraint]:

@@ -58,7 +58,6 @@ from .analysis import (
 class RewriteTrace:
     applied: Tuple[Tuple[Union[Bound, Extremum], str], ...]
     renamed: Dict[str, str]
-    final_rule: Optional[Tuple[str, str]]  # (old id, new id)
 
     def lines(self) -> List[str]:
         out = []
@@ -93,7 +92,6 @@ def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, Re
 
     renamed: Dict[str, str] = {}
     new_rules: List[Rule] = []
-    final_ids: Optional[Tuple[str, str]] = None
     for r in program.rules:
         if r.id in targets:
             rewritten = r
@@ -102,15 +100,13 @@ def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, Re
                     raise PlanMismatch(f"rule {r.id} already carries a head extremum")
                 rewritten = apply_conjunct(rewritten, conjunct, costmap)
             rewritten = replace(rewritten, id=r.id + "'" * len(verdict.plan))
-            renamed[r.id] = rewritten.id
-            new_rules.append(rewritten)
         elif final_entry is not None and r.id == final_entry.rule_id:
             rewritten = _strip_final(r, verdict.plan)
-            renamed[r.id] = rewritten.id
-            final_ids = (r.id, rewritten.id)
-            new_rules.append(rewritten)
         else:
             new_rules.append(r)
+            continue
+        renamed[r.id] = rewritten.id
+        new_rules.append(rewritten)
 
     out = replace(
         program,
@@ -120,7 +116,7 @@ def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, Re
             renamed.get(i, i) for i in program.approved_recursive_aggregates
         ),
     )
-    return out, RewriteTrace(verdict.plan, renamed, final_ids)
+    return out, RewriteTrace(verdict.plan, renamed)
 
 
 def _strip_final(rule: Rule, plan) -> Rule:

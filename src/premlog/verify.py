@@ -383,12 +383,7 @@ class TrustReport:
     # The sampled transfer check of each unproven obligation with a verdict.
     sampled: List[Tuple[CompileObligation, PremCheckReport]]
     diffs: Dict[str, Tuple[List[Tuple], List[Tuple]]]  # pred -> (missing, unexpected)
-    compared: List[str]
     unverified: str = ""  # set when the oracle gave no answers to compare
-
-    @property
-    def clean(self) -> bool:
-        return not self.positivity and not self.diffs and not self.unverified
 
 
 def trust_but_verify_run(
@@ -399,9 +394,9 @@ def trust_but_verify_run(
     Summand positivity is monitored during accumulation, each unproven
     aggregate's transfer equation is sampled (400 samples from seed), and
     the observable relations (final predicates plus the aggregate heads) are
-    diffed against the oracle. A report that is not clean means the trusted
-    run is unsound on this database, or, when the oracle runs out of budget,
-    that it is unverified.
+    diffed against the oracle. A report with positivity lines or diffs means
+    the trusted run is unsound on this database; unverified, that the oracle
+    ran out of budget.
     """
     options = options or EvalOptions()
     planned = plan(program, trust=True)
@@ -426,7 +421,7 @@ def trust_but_verify_run(
         )
     except BudgetExceeded as exc:
         unverified = f"oracle stopped ({exc}); answers not verified"
-        return result, TrustReport(result.positivity, sampled, {}, [], unverified)
+        return result, TrustReport(result.positivity, sampled, {}, unverified)
 
     finals = {r.head.predicate for r in final_rules(program.rules)}
     head_of = {r.id: r.head.predicate for r in program.rules}
@@ -441,4 +436,4 @@ def trust_but_verify_run(
                 sorted(expected - native, key=tuple_sort_key),
                 sorted(native - expected, key=tuple_sort_key),
             )
-    return result, TrustReport(result.positivity, sampled, diffs, watched)
+    return result, TrustReport(result.positivity, sampled, diffs)

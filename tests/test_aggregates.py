@@ -159,7 +159,7 @@ def test_user_written_int_up2_rules_are_set_aside():
 def test_unapproved_sum_runs_only_under_trust():
     prog = P.parse_program(PART_EXPLOSION_NOGUARD)
     res, report = P.trust_but_verify_run(prog)
-    assert report.clean
+    assert (report.positivity, report.diffs, report.unverified) == ([], {}, "")
     assert set(res.answers("finalcost")) == PART_EXPLOSION_FINALCOST
 
 

@@ -374,7 +374,8 @@ def _verdict_on_dag(goals, final):
         ("Dx*W<100, Dy=Dx+W", "is_min((Y),(Dy))", "not deflation-preserving: guard (Dx * W) < 100 pins Dx"),
         ("W=2, Dy=Dx+W", "Dy<100", "upper-ascending (ascending-safe: r1, r2)"),
         ("Dy=Dx+W", "Dy<100", "not an ascending mapping: head cost may fall below 100 when Dx >= 100"),
-        ("2*W=3, Dy=Dx+W", "Dy<100", "not an ascending mapping: head cost may fall below 100 when Dx >= 100"),
+        # 2*W=3 has no integer solution: r2 never fires, so it transfers the bound.
+        ("2*W=3, Dy=Dx+W", "Dy<100", "upper-ascending (ascending-safe: r1, r2)"),
         # The bound test restricts Dx to what Dy<25 drops: an empty region
         # (Dy<Dx needs Dx<0), and a head the guard keeps below 40 but at 25 or more.
         ("Dy=Dx*3, Dy<Dx", "Dy<25", "upper-ascending (ascending-safe: r1, r2)"),

@@ -403,6 +403,26 @@ def test_parse_errors_name_the_line_and_a_known_column(write, capsys, text, mess
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# After its count a rule sees only the group and the result: a comparison
+# that reads Y, or a negation that reads the result, is an error at parse in
+# every command (check and optimize approved both, and run then stopped).
+COUNT_ITEMS = "r1: big(G,C) :- item(G,Y), count((G),(Y),C), {}.\nitem(a,1). item(a,2). item(b,5).\nbad(a,2).\n"
+
+
+@pytest.mark.parametrize(
+    "goals, message",
+    [
+        ("C > 1, Y > C", "variable Y in comparison is not bound after the count, which binds only its group and result"),
+        ("not bad(G,C)", "variable C in negation is not bound: only a comparison may read the count result"),
+    ],
+)
+@pytest.mark.parametrize("command", [["check"], ["optimize"], ["verify"], ["run"], ["run", "--mode", "naive"]])
+def test_a_count_rule_reads_only_its_group_and_result(write, capsys, goals, message, command):
+    prog = write("count.dl", COUNT_ITEMS.format(goals))
+    assert main([*command, prog]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: line 1: rule r1: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_facts_file_arity_conflict_names_the_file(write, tmp_path, capsys, command):
     # Once an IndexError from the generated rule code (.dl) and a silent

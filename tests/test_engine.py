@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import random
+import re
 import traceback
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -23,8 +25,8 @@ from premlog.engine import (
     execute,
     plan,
 )
-from premlog.errors import BudgetExceeded, Overflow, SafetyError, TypeMismatch, UnboundVariable
-from premlog.model import Bound, Extremum, HeadExtremum
+from premlog.errors import BudgetExceeded, Overflow, SafetyError, TypeMismatch
+from premlog.model import AggregateGoal, Atom, Bound, Extremum, HeadExtremum, Rule, Variable, runs_to_interp
 
 from conftest import (
     facts_to_interp,
@@ -148,11 +150,29 @@ def test_compile_plan_rejects_unschedulable_comparison():
     rule = prog.rules[0]
     # fabricate an unbound comparison by compiling against the wrong rule is
     # awkward; the parser already blocks it, so go through a raw body here
-    from premlog.model import Comparison, Rule, Variable
+    from premlog.model import Comparison
 
     bad = Rule("rx", rule.head, rule.body + (Comparison("<", Variable("Z"), Variable("W")),), None)
     with pytest.raises(SafetyError):
         compile_plan(bad, set())
+
+
+def test_an_api_rule_is_held_to_parse_safety():
+    # The parser rejects this text. Built through the API, the rule once ran,
+    # and its answer, s(a,1,u) or s(a,1,v), moved with the string hash seed.
+    text = "r1: s(G,D,Z) :- q(G,D,W,Z), is_min((G),(D)).\nq(a,1,x,u). q(a,1,x,v). q(a,2,x,w).\n"
+    message = "rule r1: head variables ['Z'] not covered by the is_min group"
+    with pytest.raises(SafetyError, match=f"^line 1: {re.escape(message)}$"):
+        P.parse_program(text)
+    v = {n: Variable(n) for n in "GDWZ"}
+    body = (Atom("q", tuple(v.values())), AggregateGoal("is_min", ("G",), ("D",)))
+    rule = Rule("r1", Atom("s", (v["G"], v["D"], v["Z"])), body)
+    program = replace(P.parse_program(text.split("\n", 1)[1]), rules=(rule,))
+    for mode in MODES:
+        with pytest.raises(SafetyError, match=f"^{re.escape(message)}$"):
+            P.run_program(program, P.EvalOptions(mode=mode))
+    with pytest.raises(SafetyError, match=f"^{re.escape(message)}$"):
+        apply_ico([rule], runs_to_interp(program.runs))
 
 
 # ===== fixpoints ==============================================================
@@ -241,10 +261,12 @@ def test_naive_matches_seminaive_on_fixtures():
 
 
 def test_c1_stratified_answer():
-    res = run_text(CAPPED_MAX)
+    planned = plan(P.parse_program(CAPPED_MAX))
+    res = execute(planned)
     assert set(res.answers("p")) == CAPPED_MAX_STRATIFIED_P
     assert set(res.answers("topp")) == CAPPED_MAX_STRATIFIED_TOPP
-    assert res.fallback  # the push was rejected, so the final rule ran on top
+    # the push was rejected, so the final rule ran on top
+    assert any(step.action == "kept" for step in planned.steps)
 
 
 def test_c1_forced_push_understates_max():
@@ -263,11 +285,12 @@ def test_c1_forced_naive_converges_in_two_sweeps():
 
 def test_shared_recursion_matches_oracle():
     prog = P.parse_program(SHARED_RECURSION)
-    res = P.run_program(prog)
+    planned = plan(prog)
+    res = execute(planned)
     oracle = P.brute_force_oracle(prog)
     assert set(res.answers("lpath")) == SHARED_RECURSION_LPATH == oracle["lpath"]
     assert res.db["spath"] == oracle["spath"]
-    assert res.fallback
+    assert any(step.action == "kept" for step in planned.steps)
 
 
 def test_plan_rejects_push_into_recursion_read_elsewhere():
@@ -468,8 +491,10 @@ def test_counting_result_filters(mode):
     program = "r1: big(G,C) :- item(G,Y), count((G),(Y),C), {}.\nitem(a,1). item(a,2). item(b,5)."
     assert set(run_text(program.format("C >= 2"), mode=mode).answers("big")) == {("a", 2)}
     assert run_text(program.format("G = C"), mode=mode).answers("big") == []
-    with pytest.raises(UnboundVariable, match="^variable Y is not bound$"):
-        run_text(program.format("C > 1, Y > C"), mode=mode)
+    # Y is bound before the count, but not after it: the parser rejects the rule.
+    after = "after the count, which binds only its group and result"
+    with pytest.raises(SafetyError, match=f"^line 1: rule r1: variable Y in comparison is not bound {after}$"):
+        P.parse_program(program.format("C > 1, Y > C"))
 
 
 @pytest.mark.parametrize(

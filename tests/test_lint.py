@@ -9,8 +9,11 @@ loop and the falsifier run, and the seminaive stratum, which
 seminaive_fixpoint and the resident run of iterated_fixpoint share. A
 run's EvalStats and its clock have one owner, iterated_fixpoint: besides it,
 only the fixpoints a caller runs alone and the oracle build an EvalStats, and
-no other engine function reads the clock. Every
-name the package exports has a caller outside the tests: some module uses
+no other engine function reads the clock. A rule's safety and goal order
+are decided in one place, analysis.order_goals, which the parser and the
+executor's plans both call: it and the parser's annotation check alone
+raise SafetyError, and the generated rule code raises no UnboundVariable.
+Every name the package exports has a caller outside the tests: some module uses
 it as code (its defining module too, its definition aside), or a script or
 the benchmark does.
 """
@@ -87,6 +90,10 @@ STATS_BUILDERS = {
     ("engine.py", "naive_fixpoint"),
     ("verify.py", "brute_force_oracle"),
 }
+
+# (module, function) pairs that may raise SafetyError: the one home of a
+# rule's safety, and parse_program's check of a head annotation's argument.
+SAFETY_RAISERS = {("analysis.py", "order_goals"), ("parser.py", "parse_program")}
 
 
 def calls(callee: str, source: str, module: str):
@@ -165,6 +172,12 @@ def test_a_run_has_one_stats_and_one_clock():
     assert {function for module, function in callers("perf_counter") if module == "engine.py"} == {
         "iterated_fixpoint"
     }
+
+
+def test_rule_safety_is_decided_in_one_place():
+    assert callers("SafetyError") == SAFETY_RAISERS
+    # Every variable a plan reads is bound where it is read.
+    assert "UnboundVariable" not in (SRC / "engine.py").read_text(encoding="utf-8")
 
 
 def test_the_checks_see_what_they_look_for():

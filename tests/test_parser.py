@@ -61,6 +61,33 @@ def test_negation_needs_bound_variables():
         P.parse_program("p(X) :- q(X), not r(Y).\nq(a). r(b).")
 
 
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ("p(X,Y) :- q(X).", "variable Y in head is not bound"),
+        ("p(X) :- q(X), Z>3.", "variable Z in comparison is not bound"),
+        ("p(X) :- q(X), not r(Y).", "variable Y in negation is not bound"),
+        ("p(X) :- q(X), Y = Z + 1, Y > 2.", "variable Z in comparison is not bound"),
+        ("p(G,C) :- q(G), count((G,H),(G),C).", "variable H in aggregate group is not bound"),
+        ("p(G,C) :- q(G), count((G),(Y),C).", "variable Y in aggregate input is not bound"),
+        ("p(G,Y,C) :- q(G,Y), count((G),(Y),C), Y > C.", "head variables ['Y'] not covered by the count group"),
+        ("p(G,Z) :- q(G,D,Z), is_min((G),(D)).", "head variables ['Z'] not covered by the is_min group"),
+        ("p(G,C) :- q(G,Y), count((G),(Y),C), Y > C, X < 2.", "variable X in comparison is not bound"),
+        # Parsed once, then refused by the engine: a goal that can never run.
+        ("p(X) :- q(X), int_up2(K,J).", "variable K in int_up2 is not bound"),
+        ("p(G,C) :- q(G,Y), count((G),(Y),C), D = C + 1.", "variable D in comparison is not bound"),
+        (
+            "p(G,C) :- q(G,Y), count((G),(Y),C), int_up2(C,J).",
+            "variable C in int_up2 is not bound: only a comparison may read the count result",
+        ),
+    ],
+)
+def test_safety_errors_name_the_rule_and_the_variable(rule, message):
+    with pytest.raises(SafetyError) as err:
+        P.parse_program("r1: " + rule)
+    assert str(err.value) == f"line 1: rule r1: {message}"
+
+
 def test_negation_parses_when_bound():
     prog = P.parse_program("p(X) :- q(X), not r(X).\nq(a). r(b).")
     from premlog.model import Negated

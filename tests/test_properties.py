@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from functools import partial
 
 import pytest
@@ -12,7 +13,6 @@ import premlog as P
 from premlog import analysis
 from premlog.engine import (
     EvalStats,
-    RelationStore,
     _admit_code,
     _Context,
     apply_constraint,
@@ -21,7 +21,7 @@ from premlog.engine import (
     plan,
     seminaive_fixpoint,
 )
-from premlog.errors import Overflow, TypeMismatch
+from premlog.errors import Overflow, SafetyError, TypeMismatch
 from premlog.model import (
     AggregateGoal,
     Atom,
@@ -182,7 +182,7 @@ Q_VARS = ("G", "D", "W", "Z")
 @given(
     st.sampled_from(["is_min", "is_max"]),
     st.sampled_from([("D",), ("D", "W")]),
-    st.sampled_from([("G", "D"), ("G", "D", "Z"), ("G", "W", "Z"), ("Z",)]),
+    st.sampled_from([("G", "D"), ("W", "G", "D"), ("G", "D", "Z"), ("G", "W", "Z"), ("Z",)]),
     st.sets(
         st.tuples(
             st.sampled_from(["a", "b"]),
@@ -194,23 +194,30 @@ Q_VARS = ("G", "D", "W", "Z")
         max_size=14,
     ),
 )
-def test_stratified_extremum_is_eval_aggregate_with_first_heads(kind, measured, head, rows):
+def test_stratified_extremum_is_eval_aggregate(kind, measured, head, rows):
     # Small costs make ties; a second measured variable makes several winners
-    # per key; head variables outside the key and the measure (Z) are taken
-    # from the first binding of each (key, measured). The parser admits only
-    # one measured variable, so the rule is built directly.
+    # per key. A head inside the key and the measure is a function of them; a
+    # head variable outside both (Z, or W when only D is measured) is unsafe.
+    # The parser admits only one measured variable, so the rule is built directly.
     rule = Rule(
         "r1",
         Atom("s", tuple(Variable(v) for v in head)),
         (Atom("q", tuple(Variable(v) for v in Q_VARS)), AggregateGoal(kind, ("G",), measured)),
     )
     edb = {"q": set(rows)}
-    first = {}
-    for t in RelationStore(edb["q"]).tuples:  # the order every executor scans q in
+    stray = sorted(set(head) - {"G", *measured})
+    if stray:
+        message = re.escape(f"rule r1: head variables {stray} not covered by the {kind} group")
+        for run in (apply_ico, seminaive_fixpoint, naive_fixpoint):
+            with pytest.raises(SafetyError, match=f"^{message}$"):
+                run([rule], edb)
+        return
+    heads = {}
+    for t in rows:
         b = dict(zip(Q_VARS, t))
-        first.setdefault(((b["G"],), tuple(b[v] for v in measured)), tuple(b[v] for v in head))
-    best = eval_aggregate(kind, first)
-    expected = {h for (key, m), h in first.items() if best[key] == m[0]}
+        heads[(b["G"],), tuple(b[v] for v in measured)] = tuple(b[v] for v in head)
+    best = eval_aggregate(kind, heads)
+    expected = {h for (key, m), h in heads.items() if best[key] == m[0]}
     assert apply_ico([rule], edb)["s"] == expected
     for fixpoint in (seminaive_fixpoint, naive_fixpoint):
         assert fixpoint([rule], edb)[0]["s"] == expected

@@ -61,7 +61,8 @@ def test_push_renames_rules_with_primes():
     pushed, trace = P.push_constraint(prog, v)
     assert [r.id for r in pushed.rules] == ["r1'", "r2'", "r3'"]
     assert trace.renamed == {"r1": "r1'", "r2": "r2'", "r3": "r3'"}
-    assert trace.final_rule == ("r3", "r3'")
+    final = prog.final_constraints[0].rule_id  # the final rule, stripped and renamed
+    assert (final, trace.renamed[final]) == ("r3", "r3'")
 
 
 def test_push_strips_constraint_from_final_rule():

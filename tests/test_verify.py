@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import premlog as P
+import premlog.verify as verify_module
 from premlog.cli import main
 from premlog.engine import ConsequenceStep, plan
 from premlog.model import INT_MAX, tuple_sort_key
@@ -583,7 +584,7 @@ def test_oracle_matches_engine_on_party_fixtures():
 
 def test_trust_clean_on_positive_bom():
     res, report = P.trust_but_verify_run(P.parse_program(PART_EXPLOSION_NOGUARD))
-    assert report.clean
+    assert (report.positivity, report.diffs, report.unverified) == ([], {}, "")
     assert not report.positivity
     assert set(res.answers("finalcost")) == PART_EXPLOSION_FINALCOST
 
@@ -603,11 +604,13 @@ def test_trust_flags_divergent_count_gate():
     _, obligations = P.compile_count_in_recursion(prog)
     assert not obligations[0].approved
     res, report = P.trust_but_verify_run(prog)
-    assert not report.clean
+    assert report.positivity or report.diffs or report.unverified
     missing, unexpected = report.diffs["joins"]
     assert list(missing) == [("x",)] and not list(unexpected)
 
 
-def test_trust_compares_obligation_heads():
+def test_trust_compares_obligation_heads(monkeypatch):
+    # An oracle that answers nothing differs on every relation the audit compares.
+    monkeypatch.setattr(verify_module, "brute_force_oracle", lambda program, options: {})
     _, report = P.trust_but_verify_run(P.parse_program(PART_EXPLOSION_NOGUARD))
-    assert "cost" in report.compared or "finalcost" in report.compared
+    assert {"cost", "finalcost"} <= report.diffs.keys()
