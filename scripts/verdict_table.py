@@ -2,7 +2,7 @@
 """Print every push decision on the generated benchmark corpus, one per line.
 
 For each seed, the 96 programs of `perfbench/corpus.generated_programs` are
-planned (`premlog.engine.plan`), and so are the corpus's fixture programs,
+planned (`premlog.rewrite.plan`), and so are the corpus's fixture programs,
 under the seed `fixture`. Each count/sum obligation and each final
 constraint gets one line:
 
@@ -104,7 +104,7 @@ def decisions(planned) -> Iterator[Tuple[str, str, str, bool]]:
 
 def table(seeds: List[int]) -> Tuple[List[str], Counter]:
     from premlog import parse_program
-    from premlog.engine import plan
+    from premlog.rewrite import plan
 
     lines: List[str] = []
     counts: Counter = Counter()

@@ -5,9 +5,14 @@ can move inside the recursion), optimize (print the rewritten program),
 verify (sample the transfer equation empirically), bench (time the
 shortest-path variants on generated graphs).
 
-run, check and optimize are views over one engine.plan(): run evaluates the
+run, check and optimize are views over one rewrite.plan(): run evaluates the
 planned program, check prints the plan's verdicts, and optimize prints the
 planned program, which is exactly what run executes.
+
+Each command loads only the layers it runs: this module imports the parser,
+the analysis and the rewrite, and a command imports the executor (run,
+bench), the falsifier and oracle (verify, run --trust-but-verify) or the
+benchmark itself, so check and optimize start without them.
 
 Exit codes: 0 success, 1 bad input, 2 budget exhausted, 3 a constraint or
 aggregate was rejected (or an audited run disagreed with the oracle).
@@ -16,18 +21,15 @@ aggregate was rejected (or an audited run disagreed with the oracle).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from typing import List, Optional
 
 from .analysis import PremVerdict, constraint_from_annotations
-from .bench import GraphSpec, gen_graph, run_benchmark
-from .engine import EvalOptions, default_query, execute, plan
 from .errors import ArityConflict, BudgetExceeded, PremlogError
 from .model import Program, format_value, tuple_sort_key
 from .parser import format_program, parse_program, read_edge_list, read_facts_path
-from .verify import check_prem_empirical, trust_but_verify_run
+from .rewrite import plan
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -154,6 +156,8 @@ def _stats_line(stats) -> str:
 
 
 def _cmd_run(args) -> int:
+    from .engine import EvalOptions, execute
+
     program = _load_program(args)
     options = EvalOptions(
         mode=args.mode,
@@ -163,6 +167,8 @@ def _cmd_run(args) -> int:
 
     report = None
     if args.trust_but_verify:
+        from .verify import trust_but_verify_run
+
         result, report = trust_but_verify_run(program, options, args.seed)
     else:
         # Refuse unproven recursive aggregates up front; nothing has run yet.
@@ -209,6 +215,8 @@ def _cmd_run(args) -> int:
 
 
 def _print_answers(result, args) -> None:
+    from .engine import default_query
+
     query = args.query or default_query(result.program)
     if query is None:
         return
@@ -223,6 +231,8 @@ def _print_answers(result, args) -> None:
         for t in rows:
             writer.writerow(t)
     else:
+        import json
+
         for t in rows:
             out.write(json.dumps({"predicate": query, "args": list(t)}) + "\n")
 
@@ -322,6 +332,8 @@ def _cmd_verify(args) -> int:
         print(f"error: no constraint to verify{': ' + why if why else ''}", file=sys.stderr)
         return EXIT_INPUT
 
+    from .verify import check_prem_empirical
+
     all_hold = True
     for prog, constraint, procedure in targets:
         report = check_prem_empirical(
@@ -348,6 +360,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import GraphSpec, gen_graph, run_benchmark
+    from .engine import EvalOptions
+
     if args.facts:
         arcs = [row for path in args.facts for row in read_edge_list(path)]
         spec = None

@@ -50,7 +50,6 @@ from .errors import (
     MalformedAggregate,
     MissingResult,
     ParseError,
-    SafetyError,
 )
 from .model import (
     AGGREGATE_KINDS,
@@ -528,8 +527,6 @@ def parse_program(text: str) -> Program:
             support.append(rule)
         else:
             order_goals(rule, c.line)
-            if rule.extremum is not None and not isinstance(rule.head.args[rule.extremum.cost], Variable):
-                raise SafetyError(f"rule {rule.id}: extremum argument must be a variable", c.line)
             rules.append(rule)
 
     final = _extract_final_constraints(rules)

@@ -13,6 +13,11 @@ natively with running accumulators that release only at the fixpoint.
 monotonic_form turns a count/sum rule into that mcount/msum ladder;
 standard_form turns the ladders a max keeps only the top of back into
 count/sum, so the falsifier derives one total per key instead of every rung.
+
+plan() is the compile layer that run, check and optimize share: it compiles
+recursive count/sum, classifies every final constraint and applies the
+pushes it approves. It runs nothing, so check and optimize never load the
+executor.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .model import (
 )
 from .analysis import (
     PremVerdict,
+    Rejection,
     apply_conjunct,
     classify_premability,
     definitions,
@@ -311,3 +317,111 @@ def compile_count_in_recursion(
     if approved == program.approved_recursive_aggregates:
         return program, obligations  # the same program keeps its graph
     return replace(program, approved_recursive_aggregates=frozenset(approved)), obligations
+
+
+# =====================================================================================
+# PROGRAM PLAN
+# =====================================================================================
+
+
+@dataclass(frozen=True)
+class ConstraintStep:
+    """What plan() did with one final constraint.
+
+    verdict is the classifier's answer, or the NoCost/AmbiguousCost it raised
+    instead. action is 'pushed', 'forced' (pushed despite a rejection), 'kept'
+    (left in its stratified final rule) or 'skipped' (the recursion already
+    carries a working extremum, and the final rule filters on top of it).
+    """
+
+    rule_id: str
+    verdict: Union[PremVerdict, NoCost, AmbiguousCost]
+    action: str
+    trace: Optional[RewriteTrace] = None
+
+
+@dataclass
+class ProgramPlan:
+    program: Program
+    obligations: List[CompileObligation]
+    steps: List[ConstraintStep]
+    executed: Program
+    warnings: List[str]
+
+
+def plan(
+    program: Program, push: bool = True, force_push: bool = False, trust: bool = False
+) -> ProgramPlan:
+    """Compile recursive count/sum, then decide and apply every constraint push.
+
+    A rejected constraint is left in its stratified final rule (the safe
+    fallback); force_push applies it inside the recursion anyway, which can
+    change answers on programs that fail the check. trust runs unproven
+    count/sum natively (see compile_count_in_recursion).
+    """
+    warnings: List[str] = []
+    executed, obligations = compile_count_in_recursion(program, assume=trust)
+    for ob in obligations:
+        if not ob.approved:
+            warnings.append(
+                f"rule {ob.rule_id}: recursive {ob.kind} is not provably safe ({ob.reason}); "
+                f"results may be wrong if run anyway"
+            )
+        if ob.verdict is not None:  # without a verdict, the notes are the reason above
+            warnings.extend(ob.notes)
+        if trust and not ob.approved:
+            warnings.append("running unproven aggregate under trust-but-verify")
+
+    steps: List[ConstraintStep] = []
+    for fc in executed.final_constraints if push else ():
+        try:
+            verdict = classify_premability(executed, fc.constraint)
+        except (NoCost, AmbiguousCost) as exc:
+            warnings.append(f"constraint on rule {fc.rule_id} not pushed: {exc}")
+            steps.append(ConstraintStep(fc.rule_id, exc, "kept"))
+            continue
+        if any(r.extremum is not None for r in verdict.procedure):
+            warnings.append(
+                f"constraint on rule {fc.rule_id} not pushed: the recursion "
+                f"already carries a working extremum"
+            )
+            steps.append(ConstraintStep(fc.rule_id, verdict, "skipped"))
+            continue
+        if verdict.approved:
+            verdict = _reject_other_readers(verdict, fc.rule_id)
+        if verdict.approved:
+            executed, trace = push_constraint(executed, verdict)
+            steps.append(ConstraintStep(fc.rule_id, verdict, "pushed", trace))
+        elif force_push:
+            warnings.append(f"forcing rejected push: {verdict.rejection!r}")
+            forced = replace(
+                verdict,
+                rejection=None,
+                plan=tuple(
+                    (c, "forced despite rejection") for c in constraint_conjuncts(fc.constraint)
+                ),
+            )
+            executed, trace = push_constraint(executed, forced)
+            steps.append(ConstraintStep(fc.rule_id, verdict, "forced", trace))
+        else:
+            warnings.append(f"constraint kept in final rule: {verdict.rejection!r}")
+            steps.append(ConstraintStep(fc.rule_id, verdict, "kept"))
+    return ProgramPlan(program, obligations, steps, executed, warnings)
+
+
+def _reject_other_readers(verdict: PremVerdict, final_rule: str) -> PremVerdict:
+    """Reject a push into a recursion that a rule outside it, other than the
+    constraint's own final rule, also reads: the push changes what that
+    recursion holds, not only what the final rule keeps.
+
+    This lives here rather than in classify_premability because that also
+    classifies count/sum shadows, whose heads other rules are meant to read.
+    """
+    graph = verdict.program.graph
+    scc = graph.scc_members(constraint_predicate(verdict.constraint))
+    for e in graph.edges:
+        if e.body in scc and e.head not in scc and e.rule_id != final_rule:
+            conjunct = constraint_conjuncts(verdict.constraint)[0]
+            rejection = Rejection(conjunct, f"{e.body} is also read by rule {e.rule_id}", e.rule_id)
+            return replace(verdict, rejection=rejection)
+    return verdict

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .analysis import classify_premability, stratify
+from .analysis import classify_premability, order_goals, stratify
 from .engine import (
     ConsequenceStep,
     EvalOptions,
@@ -30,7 +30,6 @@ from .engine import (
     apply_constraint,
     execute,
     naive_fixpoint,
-    plan,
 )
 from .errors import AmbiguousCost, BudgetExceeded, NoCost, Overflow, PremlogError, TypeMismatch
 from .model import (
@@ -55,7 +54,7 @@ from .model import (
     tuple_sort_key,
     value_sort_key,
 )
-from .rewrite import CompileObligation, desugar_extremum, materialize_monotonic, standard_form
+from .rewrite import CompileObligation, desugar_extremum, materialize_monotonic, plan, standard_form
 
 # =====================================================================================
 # SAMPLED TRANSFER CHECK
@@ -344,7 +343,8 @@ def brute_force_oracle(
     the budgets; one tuple budget covers every stratum). A count-form
     predicate is projected to its maximal result (keep_extremal) as soon as
     its stratum completes, so later strata read the totals, not the partial
-    tallies. Slow, but every step is ordinary Datalog.
+    tallies. Slow, but every step is ordinary Datalog. A rule that is not
+    safe raises SafetyError (analysis.order_goals), as it does in run_program.
     """
     mono, projections = materialize_monotonic(program)
     rules: List[Rule] = []
@@ -352,6 +352,7 @@ def brute_force_oracle(
     for r in mono.rules:
         agg = r.aggregate()
         if agg is not None and agg.kind in EXTREMA_KINDS:
+            order_goals(r)  # the desugared pair could run a rule the engine refuses
             main, aux = desugar_extremum(r)
             rules.extend((main, aux))
             aux_preds.add(aux.head.predicate)

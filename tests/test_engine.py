@@ -159,7 +159,8 @@ def test_compile_plan_rejects_unschedulable_comparison():
 
 def test_an_api_rule_is_held_to_parse_safety():
     # The parser rejects this text. Built through the API, the rule once ran,
-    # and its answer, s(a,1,u) or s(a,1,v), moved with the string hash seed.
+    # and its answer, s(a,1,u) or s(a,1,v), moved with the string hash seed;
+    # the oracle answered both.
     text = "r1: s(G,D,Z) :- q(G,D,W,Z), is_min((G),(D)).\nq(a,1,x,u). q(a,1,x,v). q(a,2,x,w).\n"
     message = "rule r1: head variables ['Z'] not covered by the is_min group"
     with pytest.raises(SafetyError, match=f"^line 1: {re.escape(message)}$"):
@@ -173,6 +174,10 @@ def test_an_api_rule_is_held_to_parse_safety():
             P.run_program(program, P.EvalOptions(mode=mode))
     with pytest.raises(SafetyError, match=f"^{re.escape(message)}$"):
         apply_ico([rule], runs_to_interp(program.runs))
+    # The oracle desugars is_min into a negated witness rule, which is safe;
+    # it holds the rule itself to the same check first.
+    with pytest.raises(SafetyError, match=f"^{re.escape(message)}$"):
+        P.brute_force_oracle(program)
 
 
 # ===== fixpoints ==============================================================

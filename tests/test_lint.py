@@ -10,12 +10,14 @@ seminaive_fixpoint and the resident run of iterated_fixpoint share. A
 run's EvalStats and its clock have one owner, iterated_fixpoint: besides it,
 only the fixpoints a caller runs alone and the oracle build an EvalStats, and
 no other engine function reads the clock. A rule's safety and goal order
-are decided in one place, analysis.order_goals, which the parser and the
-executor's plans both call: it and the parser's annotation check alone
-raise SafetyError, and the generated rule code raises no UnboundVariable.
+are decided in one place, analysis.order_goals, which the parser, the
+executor's plans and the oracle all call: it alone raises SafetyError, and
+the generated rule code raises no UnboundVariable.
 Every name the package exports has a caller outside the tests: some module uses
 it as code (its defining module too, its definition aside), or a script or
-the benchmark does.
+the benchmark does. The layers check and optimize run (model, errors,
+analysis, parser, rewrite) import no later layer (engine, verify, bench), and
+the CLI imports those only inside the commands that run them.
 """
 from __future__ import annotations
 
@@ -92,8 +94,36 @@ STATS_BUILDERS = {
 }
 
 # (module, function) pairs that may raise SafetyError: the one home of a
-# rule's safety, and parse_program's check of a head annotation's argument.
-SAFETY_RAISERS = {("analysis.py", "order_goals"), ("parser.py", "parse_program")}
+# rule's safety.
+SAFETY_RAISERS = {("analysis.py", "order_goals")}
+
+
+# The layers `premlog check` and `optimize` run, and the ones they must not load.
+EARLY_LAYERS = ("model.py", "errors.py", "analysis.py", "parser.py", "rewrite.py")
+LATE_LAYERS = {"engine", "verify", "bench"}
+
+
+def late_imports(source: str):
+    """(line, late layer, inside a function) per import of a late layer."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            inside = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            names = set()
+            if isinstance(child, ast.Import):
+                for alias in child.names:
+                    if alias.name.startswith("premlog."):
+                        names.update(alias.name.split("."))
+            elif isinstance(child, ast.ImportFrom):
+                module = child.module or ""
+                if child.level or module.startswith("premlog"):
+                    names = set(module.split(".")) | {alias.name for alias in child.names}
+            found.extend((child.lineno, layer, inside) for layer in sorted(names & LATE_LAYERS))
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
 
 
 def calls(callee: str, source: str, module: str):
@@ -180,6 +210,17 @@ def test_rule_safety_is_decided_in_one_place():
     assert "UnboundVariable" not in (SRC / "engine.py").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", EARLY_LAYERS)
+def test_the_early_layers_import_no_late_layer(name):
+    assert late_imports((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def test_the_cli_imports_a_late_layer_only_in_a_command():
+    found = late_imports((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert {layer for _, layer, _ in found} == LATE_LAYERS
+    assert [(line, layer) for line, layer, inside in found if not inside] == []
+
+
 def test_the_checks_see_what_they_look_for():
     source = "\n".join(
         [
@@ -215,3 +256,23 @@ def test_the_checks_see_what_they_look_for():
         ]
     )
     assert code_names(uses) == {"P", "load_facts_path", "path", "run", "parse_program"}
+    layers = "\n".join(
+        [
+            "from .engine import plan",
+            "import premlog.verify",
+            "from . import bench, model",
+            "from .enginex import run",
+            "import engine",
+            "def cmd():",
+            "    from premlog.engine import execute",
+            "    if x:",
+            "        from .bench import run_benchmark",
+        ]
+    )
+    assert late_imports(layers) == [
+        (1, "engine", False),
+        (2, "verify", False),
+        (3, "bench", False),
+        (7, "engine", True),
+        (9, "bench", True),
+    ]
