@@ -32,10 +32,13 @@ mmin/mmax annotation, or the implicit max of count/sum, admits a tuple only
 if it strictly beats its key's incumbent. A min/max gate deletes the beaten
 tuple from the store and from any pending delta, so it never fires a rule;
 mmin/mmax delete nothing. Each counting rule keeps one _Tally of witnesses
-per key. A full join (ConsequenceStep) releases what the tally holds once
-the join is done; seminaive releases mcount/msum ladders as fresh witnesses
-arrive, and count/sum totals only when the fixpoint quiesces, which may
-restart the loop.
+per key, and its rule function writes the tally itself, per binding (as it
+writes admission): a witness new to its key joins the key's set, and a
+msum/sum summand raises its witness prefix's best and the key's running
+total, so a total is read, never summed again. A full join (ConsequenceStep)
+releases each key's total once the join is done, in first-witness order;
+seminaive releases mcount/msum ladders as their totals grow, and count/sum
+totals only when the fixpoint quiesces, which may restart the loop.
 
 Each seminaive iteration takes as its delta what the one before admitted
 (breadth-first), except in a greedy stratum: one whose heads all carry a
@@ -227,59 +230,35 @@ _Columns = FrozenSet[Tuple[str, int]]
 
 
 class _Tally:
-    """The witnesses of one counting aggregate, per group key.
+    """The witnesses of one counting aggregate, per group key: state only,
+    written by the generated rule code (_tally_row) and read per key.
 
     count and sum are the max of the mcount and msum ladders (Mazuran et al.
     2012), so all four keep one total per key: the number of distinct
-    witnesses, or the sum of the best positive summand per witness prefix.
-    They differ only in what a key releases, every natural up to the total
-    (mcount/msum) or the total itself (count/sum), and in when the caller
-    releases it.
+    witnesses, or the running sum of the best positive summand per witness
+    prefix. They differ only in what a key releases, every natural up to the
+    total (mcount/msum) or the total itself (count/sum), and in when the
+    caller releases it.
     """
 
-    __slots__ = ("kind", "witnesses", "best", "released", "grown", "watch")
+    __slots__ = ("kind", "witnesses", "best", "sums", "released", "grown", "watch", "fresh")
 
-    def __init__(self, kind: str, watch: Optional[Callable[[Tuple, int], None]] = None):
+    def __init__(self, kind: str, watch: Optional[Callable] = None, fresh: Optional[Callable] = None):
         self.kind = kind
-        self.watch = watch  # msum/sum: called with each new non-positive summand
+        self.watch = watch  # msum/sum: called with (key, summand) per new non-positive summand
+        self.fresh = fresh  # seminaive mcount/msum: called with each key whose total grew
         self.witnesses: Dict[Tuple, Set[Tuple]] = {}
         self.best: Dict[Tuple, Dict[Tuple, int]] = {}  # key -> witness prefix -> summand
+        self.sums: Dict[Tuple, int] = {}  # key -> sum of its positive best summands
         self.released: Dict[Tuple, int] = {}  # key -> total released last
-        self.grown: Dict[Tuple, None] = {}  # keys with a witness added since their release
+        self.grown: Dict[Tuple, None] = {}  # seminaive count/sum: keys grown since their release
 
-    def add(self, key: Tuple, measured: Tuple) -> bool:
-        """Record one row; return whether its witness is new to the key."""
-        ws = self.witnesses.setdefault(key, set())
-        if measured in ws:
-            return False
-        ws.add(measured)
-        self.grown[key] = None
+    def totals(self, keys: Optional[Iterable[Tuple]] = None) -> Iterable[Tuple[Tuple, int]]:
+        """(key, total) for keys, by default for every key in first-witness order."""
         if self.kind in ("msum", "sum"):
-            s = measured[-1]
-            if not isinstance(s, int):
-                raise TypeMismatch(f"summand {s!r} is not an integer")
-            if s < 1 and self.watch is not None:
-                self.watch(key, s)
-            best = self.best.setdefault(key, {})
-            prefix = measured[:-1]
-            if prefix not in best or s > best[prefix]:
-                best[prefix] = s
-        return True
-
-    def total(self, key: Tuple) -> int:
-        if self.kind in ("mcount", "count"):
-            return len(self.witnesses[key])
-        return check_int(sum(max(s, 0) for s in self.best[key].values()))
-
-    def release(self, key: Tuple) -> range:
-        """Mark the results of key up to its total released; return the new ones."""
-        self.grown.pop(key, None)
-        total = self.total(key)
-        have = self.released.get(key, 0)
-        if total <= have:
-            return range(0)
-        self.released[key] = total
-        return range(have + 1 if self.kind in ("mcount", "msum") else total, total + 1)
+            return self.sums.items() if keys is None else [(k, self.sums[k]) for k in keys]
+        ws = self.witnesses
+        return zip(ws, map(len, ws.values())) if keys is None else [(k, len(ws[k])) for k in keys]
 
 
 # =====================================================================================
@@ -397,6 +376,10 @@ class _Source:
     def add(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
 
+    def top(self, line: str) -> None:
+        """Add line at the top of the function, before its first loop."""
+        self.lines.insert(1, "    " + line)
+
     def skip(self) -> str:
         return "continue" if self.loops else "return"
 
@@ -504,8 +487,8 @@ def _generate(
     gate: Optional[HeadExtremum],
     proven: _Columns,
 ) -> Tuple[str, Dict]:
-    """Source of `rule(ctx, sink)`, plus `release(key, values, emit)` for a
-    counting aggregate, and the namespace both run in."""
+    """Source of `rule(ctx, sink)`, plus `release(ctx, totals, released, emit)`
+    for a counting aggregate, and the namespace both run in."""
     namespace: Dict[str, object] = dict(_RUNTIME)
     src = _Source(
         "def rule(ctx, sink, isinstance=isinstance, int=int, list=list, range=range):",
@@ -566,18 +549,82 @@ def _generate(
     if agg.kind in EXTREMA_KINDS:
         _extremum_row(src, agg, key, head)
         return src.text(), namespace
-    src.add(f"sink({key}, {src.tuple_of(Variable(v) for v in agg.measured)})")
+    _tally_row(src, agg, key, head.predicate in mutable)
 
+    # Each key releases what its total adds to what it released before: every
+    # natural up to the total (mcount/msum) or the total itself (count/sum).
     # A counting result binds only the group and the result: post filters see
     # that binding and no other, and an assignment among them binds nothing.
-    rel = _Source("def release(key, values, emit, isinstance=isinstance, int=int):", namespace)
+    rel = _Source(
+        "def release(ctx, totals, released, emit, isinstance=isinstance, int=int, range=range):",
+        namespace,
+    )
+    rel.loop("for key, total in totals:")
+    if agg.kind in ("msum", "sum"):
+        rel.add(f"if total > {INT_MAX}: check_int(total)")
+    rel.add("have = released.get(key, 0)")
+    rel.add("if total <= have: continue")
+    rel.add("released[key] = total")
+    first = "have + 1" if agg.kind in ("mcount", "msum") else "total"
+    rel.add(f"values = range({first}, total + 1)")
+    budget = rel.stop("_TUPLE_BUDGET % ctx.max_tuples")  # a counted step stops in emit
+    rel.add(f"if ctx.stats is None and len(values) > ctx.max_tuples: {budget}")
     for i, name in enumerate(agg.group_by):
         rel.add(f"{rel.bind(name)} = key[{i}]")
-    rel.loop(f"for {rel.bind(agg.result)} in values:")
+    result = rel.bind(agg.result)
+    rel.ints.add(result)
+    rel.loop(f"for {result} in values:")
     for goal in plan.post_filters:
         rel.comparison(goal, assign=False)
     rel.add(f"emit({rel.tuple_of(head.args)})")
     return src.text() + rel.text(), namespace
+
+
+def _tally_row(src: _Source, agg: AggregateGoal, key: str, seminaive: bool) -> None:
+    """Record one row of a counting aggregate in the _Tally sink, whose dicts
+    are bound once at the top of the function. A witness new to its key joins
+    the key's set; a msum/sum summand (tested to be an integer unless it is
+    known to be one, and passed to the watch when not positive) then raises
+    its prefix's best, and the key's running total by what the best's
+    positive part grew. In a seminaive stratum a count/sum key that gained a
+    witness joins grown, and a mcount/msum key is released at once (fresh)."""
+    summed = agg.kind in ("msum", "sum")
+    src.top("_W = sink.witnesses")
+    if summed:
+        src.top("_B, _S, _watch = sink.best, sink.sums, sink.watch")
+    if seminaive:
+        src.top("_G = sink.grown" if agg.kind in ("count", "sum") else "_fresh = sink.fresh")
+    measured = [src.term(Variable(v)) for v in agg.measured]
+    src.add(f"_wk = {key}")
+    src.add(f"_wm = {_tuple_text([x for x, _ in measured])}")
+    src.add("_ws = _W.get(_wk)")
+    src.add("if _ws is None: _ws = _W[_wk] = set()")
+    src.add("if _wm not in _ws:")
+    src.indent += 1
+    src.add("_ws.add(_wm)")
+    if seminaive and agg.kind in ("count", "sum"):
+        src.add("_G[_wk] = None")
+    if summed:
+        s, known = measured[-1]
+        if not known:
+            src.add(
+                f"if not isinstance({s}, int): "
+                f"raise TypeMismatch('summand %r is not an integer' % ({s},))"
+            )
+        src.add(f"if {s} < 1 and _watch is not None: _watch(_wk, {s})")
+        src.add("_wb = _B.get(_wk)")
+        src.add("if _wb is None: _wb = _B[_wk] = {}; _S[_wk] = 0")
+        prefix = _tuple_text([x for x, _ in measured[:-1]])
+        src.add(f"_wo = _wb.get({prefix})")
+        src.add(f"if _wo is None or {s} > _wo:")
+        src.add(f"    _wb[{prefix}] = {s}")
+        src.add(f"    if {s} > 0:")  # the total grew
+        src.add(f"        _S[_wk] += {s} - _wo if _wo is not None and _wo > 0 else {s}")
+        if seminaive and agg.kind == "msum":
+            src.add("        _fresh(_wk)")
+    elif seminaive and agg.kind == "mcount":
+        src.add("_fresh(_wk)")
+    src.indent -= 1
 
 
 def _admit_prologue(src: _Source, pred: str, gate: Optional[HeadExtremum]) -> str:
@@ -763,10 +810,12 @@ class _RuleCode:
     plan: _Plan
     # run(ctx, sink): a plain rule whose head the running stratum changes
     # admits each head tuple itself and ignores sink; any other plain rule
-    # calls sink(head) per binding, a counting aggregate sink(key, measured),
-    # and is_min/is_max records its rows in the dict sink (_extremum_row).
+    # calls sink(head) per binding, a counting aggregate writes its rows into
+    # the _Tally sink (_tally_row), and is_min/is_max records its rows in the
+    # dict sink (_extremum_row).
     run: Callable
-    # release(key, values, emit): a counting aggregate's head per result value.
+    # release(ctx, totals, released, emit): a counting aggregate's heads for
+    # the results each (key, total) adds to what released records, updated.
     release: Optional[Callable]
 
 
@@ -898,7 +947,9 @@ def _rule_candidates(
 ) -> None:
     """Pass every head tuple derivable from the current stores to emit; a
     msum/sum rule passes its id, group key and summand to watch for each
-    non-positive summand."""
+    non-positive summand. A counting rule's code fills a fresh _Tally, and
+    then each key, in first-witness order, releases its total (mcount/msum:
+    every natural up to it) as read from the tally."""
     agg = code.plan.agg
     if agg is None:
         code.run(ctx, emit)
@@ -910,12 +961,8 @@ def _rule_candidates(
             emit(head)
         return
     tally = _Tally(agg.kind, None if watch is None else partial(watch, code.plan.rule.id))
-    code.run(ctx, tally.add)
-    for key in tally.witnesses:
-        values = tally.release(key)
-        if ctx.stats is None and len(values) > ctx.max_tuples:  # a counted step stops in count
-            ctx.stop(_TUPLE_BUDGET % ctx.max_tuples)
-        code.release(key, values, emit)
+    code.run(ctx, tally)
+    code.release(ctx, tally.totals(), tally.released, emit)
 
 
 # =====================================================================================
@@ -1112,28 +1159,30 @@ def _seminaive_stratum(
         for pred in head_preds
     }
 
-    # One tally per counting rule: mcount/msum release as witnesses arrive,
-    # count/sum only when the loop quiesces.
+    # One tally per counting rule: mcount/msum release as witnesses arrive
+    # (the rule code calls fresh), count/sum only when the loop quiesces.
+    def fresh(rule: Rule, key: Tuple) -> None:
+        tally = tallies[rule.id]
+        release = code_of[rule.id].release
+        release(ctx, tally.totals((key,)), tally.released, admit[rule.head.predicate])
+
     watch = _positivity_watch(options, monitor)
     tallies: Dict[str, _Tally] = {}
     for r in rules:
         agg = r.aggregate()
         if agg is not None and agg.kind in COUNTING_KINDS:
-            tallies[r.id] = _Tally(agg.kind, None if watch is None else partial(watch, r.id))
-
-    def feed(rule: Rule, code: _RuleCode, tally: _Tally, key: Tuple, measured: Tuple) -> None:
-        if not tally.add(key, measured):
-            return
-        if tally.kind in ("mcount", "msum"):
-            code.release(key, tally.release(key), admit[rule.head.predicate])
+            tallies[r.id] = _Tally(
+                agg.kind, None if watch is None else partial(watch, r.id), partial(fresh, r)
+            )
 
     def release_deferred() -> bool:
         retained = stats.retained
         for r in rules:
             tally = tallies.get(r.id)
             if tally is not None and tally.kind in ("count", "sum"):
-                for key in list(tally.grown):
-                    code_of[r.id].release(key, tally.release(key), admit[r.head.predicate])
+                grown = tally.totals(list(tally.grown))
+                tally.grown.clear()
+                code_of[r.id].release(ctx, grown, tally.released, admit[r.head.predicate])
         return stats.retained > retained  # some release was admitted
 
     def run_rule(rule: Rule, code: _RuleCode) -> None:
@@ -1144,7 +1193,7 @@ def _seminaive_stratum(
             # Stratified filter: body predicates are complete, evaluate statically.
             _rule_candidates(ctx, code, admit[rule.head.predicate])
         else:
-            code.run(ctx, partial(feed, rule, code, tallies[rule.id]))
+            code.run(ctx, tallies[rule.id])
 
     def next_round() -> None:
         ctx.delta, ctx.next_delta = ctx.next_delta, {}
@@ -1369,7 +1418,9 @@ class ConsequenceStep:
     max_tuples bounds int_up2 enumeration; given stats, a call counts each
     derived head tuple there and stops past max_tuples, with the stats and the
     relations derived so far. Given watch, a msum/sum rule reports its
-    non-positive summands to it (_rule_candidates).
+    non-positive summands to it. A counting rule's code writes its witnesses
+    and running totals into a _Tally of the call's own, whose totals are
+    released when its join is done (_rule_candidates).
     """
 
     __slots__ = ("codes", "stores", "max_tuples", "stats", "watch")

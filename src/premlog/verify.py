@@ -234,9 +234,10 @@ def check_prem_empirical(
     column, its sample's index in the batch, and so do the rules and the
     constraint: one tagged step evaluates T on the whole batch. When gamma(I)
     or a step raises, the batch's samples are checked again one by one, in
-    order: TypeMismatch and Overflow skip only the samples that raise them,
-    and the first BudgetExceeded or counterexample is the one a
-    sample-by-sample check meets.
+    order: after a step, each sample gamma changes starts at its own step,
+    from its rows of the batch's gamma(I). TypeMismatch and Overflow skip
+    only the samples that raise them, and the first BudgetExceeded or
+    counterexample is the one a sample-by-sample check meets.
     An mcount/msum ladder under a max is checked as its count/sum
     (rewrite.standard_form): max of msum is sum, so gamma(T) is the same,
     and a key derives its total instead of every natural up to it.
@@ -254,17 +255,21 @@ def check_prem_empirical(
     step = ConsequenceStep(_tag_rules(standard_form(rules, constraint), touched), rest)
     gamma = partial(apply_constraint, _tag_constraint(constraint))
 
-    def refute(interp: Interpretation, tags: Sequence[int]) -> Optional[Tuple[int, Tuple]]:
+    def refute(
+        interp: Interpretation, tags: Sequence[int], before: Optional[Interpretation] = None
+    ) -> Optional[Tuple[int, Tuple]]:
         """The first of tags whose sample in interp refutes the equation, and
-        its counterexample, untagged; None if there is none."""
+        its counterexample, untagged; None if there is none. Given before,
+        gamma(interp), every sample in interp is one gamma changes."""
         live = tags
         try:
-            before = gamma(interp)
-            live = {row[0] for row in interp.get(cp, set()) - before.get(cp, set())}
-            if not live:
-                return None
-            if len(live) < len(tags):
-                interp, before = _only(interp, live), _only(before, live)
+            if before is None:
+                before = gamma(interp)
+                live = {row[0] for row in interp.get(cp, set()) - before.get(cp, set())}
+                if not live:
+                    return None
+                if len(live) < len(tags):
+                    interp, before = _only(interp, live), _only(before, live)
             batch = {(t,) for t in live}
             t_i = step({**interp, _BATCH_PRED: batch})
             lhs = gamma(t_i)
@@ -273,7 +278,12 @@ def check_prem_empirical(
         except PremlogError as exc:
             if len(live) > 1:  # check the samples one by one, in order
                 parts = _by_tag(interp)
-                return next(filter(None, (refute(parts[t], (t,)) for t in sorted(parts))), None)
+                if before is None:  # gamma(I) raised: each sample computes its own
+                    singles = (refute(parts[t], (t,)) for t in sorted(parts))
+                else:  # each starts at its step, from its rows of gamma(I)
+                    befores = _by_tag(before)
+                    singles = (refute(parts[t], (t,), befores.get(t, {})) for t in sorted(live))
+                return next(filter(None, singles), None)
             if isinstance(exc, (TypeMismatch, Overflow)):
                 return None
             raise

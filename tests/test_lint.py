@@ -18,6 +18,10 @@ it as code (its defining module too, its definition aside), or a script or
 the benchmark does. The layers check and optimize run (model, errors,
 analysis, parser, rewrite) import no later layer (engine, verify, bench), and
 the CLI imports those only inside the commands that run them.
+A counting rule's tally (engine._Tally) holds state only, read per key: the
+generated rule code writes its witnesses, best summands and running sums,
+and _tally_row, the helper that emits that code, is the one function that
+writes them, besides the tally's __init__.
 """
 from __future__ import annotations
 
@@ -97,6 +101,13 @@ STATS_BUILDERS = {
 # rule's safety.
 SAFETY_RAISERS = {("analysis.py", "order_goals")}
 
+# The methods of engine._Tally, none of them per row; the fields only the
+# rule code _tally_row emits writes; the calls that change a dict or set.
+TALLY_METHODS = {"__init__", "totals"}
+TALLY_FIELDS = ("witnesses", "best", "sums")
+TALLY_WRITERS = {"__init__", "_tally_row"}
+MUTATORS = {"add", "clear", "discard", "pop", "popitem", "remove", "setdefault", "update"}
+
 
 # The layers `premlog check` and `optimize` run, and the ones they must not load.
 EARLY_LAYERS = ("model.py", "errors.py", "analysis.py", "parser.py", "rewrite.py")
@@ -154,6 +165,44 @@ def callers(callee: str):
     }
 
 
+def tally_writers(source: str):
+    """The functions of source that write a tally field (TALLY_FIELDS): by
+    assignment or deletion, by a mutating call on it, or in the text of the
+    code they generate (a string naming it as an attribute, docstrings aside)."""
+    found = set()
+
+    def writes(node) -> bool:
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            node = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr not in MUTATORS:
+                return False
+            node = node.func.value
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return any(f".{field}" in node.value for field in TALLY_FIELDS)
+        elif not isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+            return False
+        return isinstance(node, ast.Attribute) and node.attr in TALLY_FIELDS
+
+    def visit(node, function):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node):
+            skip = node.body[0]
+        else:
+            skip = None
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if child is skip:
+                continue
+            if writes(child):
+                found.add(function)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def code_names(source: str):
     """The names source reads as code: names and attribute names loaded,
     not strings, not a def, class or assignment of the name."""
@@ -208,6 +257,13 @@ def test_rule_safety_is_decided_in_one_place():
     assert callers("SafetyError") == SAFETY_RAISERS
     # Every variable a plan reads is bound where it is read.
     assert "UnboundVariable" not in (SRC / "engine.py").read_text(encoding="utf-8")
+
+
+def test_the_tally_is_written_by_the_rule_code_alone():
+    source = (SRC / "engine.py").read_text(encoding="utf-8")
+    [tally] = [n for n in ast.parse(source).body if getattr(n, "name", None) == "_Tally"]
+    assert {f.name for f in tally.body if isinstance(f, ast.FunctionDef)} <= TALLY_METHODS
+    assert tally_writers(source) == TALLY_WRITERS
 
 
 @pytest.mark.parametrize("name", EARLY_LAYERS)
@@ -269,6 +325,22 @@ def test_the_checks_see_what_they_look_for():
             "        from .bench import run_benchmark",
         ]
     )
+    tallies = "\n".join(
+        [
+            "class T:",
+            "    def __init__(self): self.sums = {}",
+            "    def add(self, k, m): self.witnesses.setdefault(k, set()).add(m)",
+            "    def total(self, k): return self.sums[k] + len(self.witnesses.get(k, ()))",
+            "def row(src):",
+            "    src.add('_B = sink.best')",
+            "def doc(t):",
+            "    'Reads t.best, in a docstring.'",
+            "    return t.best",
+            "def bump(t, k): t.best[k] += 1",
+            "def drop(t, k): del t.sums[k]",
+        ]
+    )
+    assert tally_writers(tallies) == {"__init__", "add", "row", "bump", "drop"}
     assert late_imports(layers) == [
         (1, "engine", False),
         (2, "verify", False),

@@ -128,6 +128,57 @@ def test_counting_rule_agrees_in_every_path(kind, rows):
     expected = {(g, n) for (g,), ns in static.items() for n in ({ns} if isinstance(ns, int) else ns)}
     for mode in ("naive", "seminaive"):
         assert set(run_text(text, mode=mode).answers("t")) == expected
+    program = P.parse_program(text)
+    assert apply_ico(program.rules, facts_to_interp(program.facts)).get("t", set()) == expected
+
+
+# bike has a basic cost of its own, so kit first counts bike at 1 and its
+# key is released (at once for msum, when the loop quiesces for sum); bike's
+# own total, 70, then raises the best summand of kit's witness prefix bike.
+RISING_PREFIX = """
+r1: cost(Part,Cost) :- basic(Part,Cost).
+r2: cost(Part,Ncost) :- assb(Part,SP,Qty), cost(SP,Cost), CQ=Cost*Qty, CQ>0, KIND((Part),(SP,CQ),Ncost).
+r3: finalcost(Part,Cost) :- cost(Part,Cost), is_max((Part),(Cost)).
+basic(wheel,10). basic(frame,50). basic(bike,1).
+assb(bike,wheel,2). assb(bike,frame,1). assb(kit,bike,1). assb(kit,wheel,1).
+"""
+
+
+@pytest.mark.parametrize("kind", ["sum", "msum"])
+def test_a_prefix_that_rises_after_its_release_agrees_with_the_oracle(kind):
+    program = P.parse_program(RISING_PREFIX.replace("KIND", kind))
+    want = P.brute_force_oracle(program)["finalcost"]
+    assert ("kit", 80) in want and ("bike", 70) in want
+    for mode in ("naive", "seminaive"):
+        assert set(P.run_program(program, P.EvalOptions(mode=mode)).answers("finalcost")) == want
+
+
+# The errors a counting rule stops with, as they read before the rule code
+# wrote its own tally. A msum total past 2^63-1 is left out: seminaive may
+# release a ladder of 2^63-1 rungs, and stop on the tuple budget, before the
+# next witness overflows the total, depending on the order of the facts.
+SUMMAND_ERRORS = {
+    "sum-symbol": ("sum", "w(a,1,x).", TypeMismatch, "summand 'x' is not an integer"),
+    "msum-symbol": ("msum", "w(a,1,x).", TypeMismatch, "summand 'x' is not an integer"),
+    "sum-overflow": (
+        "sum",
+        "w(a,1,9223372036854775807). w(a,2,1).",
+        Overflow,
+        "integer 9223372036854775808 outside signed 64-bit range",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, facts, error, message", SUMMAND_ERRORS.values(), ids=SUMMAND_ERRORS)
+def test_a_bad_summand_stops_every_path_alike(kind, facts, error, message):
+    program = P.parse_program(f"r1: t(G,S) :- w(G,K,V), {kind}((G),(K,V),S).\n{facts}\n")
+    for mode in ("naive", "seminaive"):
+        with pytest.raises(error) as caught:
+            P.run_program(program, P.EvalOptions(mode=mode))
+        assert str(caught.value) == message
+    with pytest.raises(error) as caught:
+        apply_ico(program.rules, facts_to_interp(program.facts))
+    assert str(caught.value) == message
 
 
 def _gamma_of_step(rules, constraint, interp):

@@ -311,6 +311,28 @@ def test_a_sample_whose_gamma_raises_is_skipped_alone():
     assert verdicts == {"passed", "falsified"}
 
 
+def test_samples_of_a_batch_whose_step_raised_reuse_its_gamma(monkeypatch):
+    # On the corpus's symbolic path most samples that gamma changes raise in
+    # their step (a cost of x, y or z is added), so every batch's step raises,
+    # and no gamma(I) does: each batch's gamma(I) runs once, and its samples
+    # are checked again alone from their rows of it. gamma(T(...)) runs on a
+    # step's result, which holds the batch relation.
+    [target] = _verify_targets(_corpus().SYMBOLIC_PATH)
+    gammas_of_samples = []
+
+    def gamma(constraint, interp):
+        gammas_of_samples.append(verify_module._BATCH_PRED not in interp)
+        return P.apply_constraint(constraint, interp)
+
+    for seed in range(3):
+        want = _report(check_prem_empirical_by_draw, target, 1000, seed)
+        gammas_of_samples.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(verify_module, "apply_constraint", gamma)
+            assert _report(P.check_prem_empirical, target, 1000, seed) == want
+        assert gammas_of_samples.count(True) == 16  # ceil(1000 / 64) batches
+
+
 # gamma keeps no p tuple of any sample, so each counterexample's
 # constrained-before side holds p as an empty relation.
 BOUND_EMPTIES_P = """
