@@ -58,7 +58,6 @@ def main(argv=None):
             sources=tails[: args.sources],
             runs=args.runs,
             options=options,
-            spec=spec,
         )
         print(f"== {args.kind} n={n} p={args.p} seed={args.seed} ({len(arcs)} arcs)")
         print(report.format_text())

@@ -12,7 +12,7 @@ none of them, and `premlog check` never loads the executor.
 
 from importlib import import_module
 
-# The home module of each name in __all__.
+# The home module of each exported name; __all__ lists them all.
 _EXPORTS = {
     "analysis": (
         "DependencyGraph", "PremVerdict", "Rejection", "Stratum", "build_dependency_graph",
@@ -48,6 +48,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}
 
 
@@ -67,76 +68,3 @@ def __dir__():
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbiguousCost",
-    "ArityConflict",
-    "Atom",
-    "BenchReport",
-    "Bound",
-    "BudgetExceeded",
-    "Comparison",
-    "CompileObligation",
-    "Conjunction",
-    "Constant",
-    "DependencyGraph",
-    "EvalOptions",
-    "EvalStats",
-    "Extremum",
-    "Fact",
-    "FinalConstraint",
-    "GraphSpec",
-    "LoadError",
-    "MalformedAggregate",
-    "MissingResult",
-    "NegativeLength",
-    "NoCost",
-    "Overflow",
-    "ParseError",
-    "PlanMismatch",
-    "PremCheckReport",
-    "PremVerdict",
-    "PremlogError",
-    "Program",
-    "Rejection",
-    "RewriteTrace",
-    "Rule",
-    "RunResult",
-    "SafetyError",
-    "StratificationError",
-    "Stratum",
-    "TrustReport",
-    "TypeMismatch",
-    "UnboundVariable",
-    "Variable",
-    "apply_constraint",
-    "apply_ico",
-    "brute_force_oracle",
-    "build_dependency_graph",
-    "check_prem_empirical",
-    "classify_premability",
-    "compile_count_in_recursion",
-    "compose_procedure",
-    "constraint_from_annotations",
-    "default_query",
-    "desugar_extremum",
-    "dijkstra_reference",
-    "find_cost_arguments",
-    "format_program",
-    "format_rule",
-    "gen_graph",
-    "iterated_fixpoint",
-    "lacks",
-    "load_facts_path",
-    "make_constraint",
-    "materialize_monotonic",
-    "naive_fixpoint",
-    "parse_program",
-    "push_constraint",
-    "run_benchmark",
-    "run_program",
-    "seminaive_fixpoint",
-    "shortest_paths",
-    "stratify",
-    "trust_but_verify_run",
-]

@@ -162,10 +162,8 @@ def _tarjan(nodes: Sequence[str], adj: Dict[str, Sequence[str]]):
 
 @dataclass(frozen=True)
 class Stratum:
-    index: int
     predicates: Tuple[str, ...]
     rules: Tuple[Rule, ...]
-    recursive: bool
 
 
 def stratify(program: Program) -> List[Stratum]:
@@ -198,7 +196,7 @@ def stratify(program: Program) -> List[Stratum]:
         rules = tuple(r for r in program.rules if r.head.predicate in members)
         if not rules:
             continue
-        strata.append(Stratum(len(strata), comp, rules, comp[0] in graph.recursive))
+        strata.append(Stratum(comp, rules))
     return strata
 
 

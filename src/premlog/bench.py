@@ -162,7 +162,6 @@ class BenchCell:
 
 @dataclass
 class BenchReport:
-    spec: Optional[GraphSpec]
     arcs: int
     cells: List[BenchCell]
 
@@ -214,7 +213,6 @@ def run_benchmark(
     sources: Optional[Sequence[Value]] = None,
     runs: int = 5,
     options: Optional[EvalOptions] = None,
-    spec: Optional[GraphSpec] = None,
 ) -> BenchReport:
     """Time each variant from several sources; budget overruns are recorded,
     not raised, so a diverging variant shows up as 'non-terminating'."""
@@ -248,4 +246,4 @@ def run_benchmark(
                         status,
                     )
                 )
-    return BenchReport(spec, len(arcs), cells)
+    return BenchReport(len(arcs), cells)

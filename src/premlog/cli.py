@@ -377,7 +377,7 @@ def _cmd_bench(args) -> int:
         arcs = gen_graph(spec)
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     options = EvalOptions(max_tuples=args.max_tuples)
-    report = run_benchmark(arcs, variants=variants, runs=args.runs, options=options, spec=spec)
+    report = run_benchmark(arcs, variants=variants, runs=args.runs, options=options)
     if args.format == "csv":
         report.write_csv(sys.stdout)
     else:

@@ -40,16 +40,17 @@ releases each key's total once the join is done, in first-witness order;
 seminaive releases mcount/msum ladders as their totals grow, and count/sum
 totals only when the fixpoint quiesces, which may restart the loop.
 
-Each seminaive iteration takes as its delta what the one before admitted
-(breadth-first), except in a greedy stratum: one whose heads all carry a
-min/mmin gate (or all a max/mmax gate), with no counting rule, and whose
-rules analysis.lacks finds deflation-preserving and nondecreasing (no head
-cost below a body cost), or inflation-preserving and nonincreasing. There
-the cheapest queued cost level (the dearest) is final, and each iteration
-drains one level, skipping tuples that lost their gate since they were
-queued: Dijkstra's algorithm as a fixpoint (Knuth 1977; the greedy fixpoint
-of Ganguly, Greco and Zaniolo). A guard that caps the cost, such as a pushed
-bound, leaves a stratum greedy.
+A seminaive stratum runs one loop, and each iteration takes its delta from
+a picker chosen once per stratum. The breadth-first picker (_admitted)
+takes everything the iteration before admitted. The greedy one
+(_cost_levels) serves a stratum whose heads all carry a min/mmin gate (or
+all a max/mmax gate), with no counting rule, and whose rules analysis.lacks
+finds deflation-preserving and nondecreasing (no head cost below a body
+cost), or inflation-preserving and nonincreasing. There the cheapest queued
+cost level (the dearest) is final, and each pick drains one level, skipping
+tuples that lost their gate since they were queued: Dijkstra's algorithm as
+a fixpoint (Knuth 1977; the greedy fixpoint of Ganguly, Greco and Zaniolo).
+A guard that caps the cost, such as a pushed bound, leaves a stratum greedy.
 
 A seminaive run keeps its relations resident (as BigDatalog keeps its
 recursive relations across iterations): iterated_fixpoint copies each
@@ -179,9 +180,6 @@ class RelationStore:
         self.indexes: Dict[Tuple[int, ...], Dict[Tuple, Set[GroundTuple]]] = {}
         self._keyed: List[Tuple[Callable[[GroundTuple], Tuple], Dict]] = []
         self.ints: Dict[int, bool] = {}  # column -> all integers, once asked
-
-    def __contains__(self, t: GroundTuple) -> bool:
-        return t in self.tuples
 
     def add(self, t: GroundTuple) -> bool:
         if t in self.tuples:
@@ -1195,35 +1193,29 @@ def _seminaive_stratum(
         else:
             code.run(ctx, tallies[rule.id])
 
-    def next_round() -> None:
-        ctx.delta, ctx.next_delta = ctx.next_delta, {}
-
     # Seed: facts for stratum predicates enter through the gates.
     for pred in head_preds:
         for t in seeds.get(pred, ()):
             admit[pred](t)
 
-    # Round 1: exit rules fire once over the full stores.
-    stats.iterations += 1
-    _check_iterations(stats, options, first, ctx.state)
-    for r, code in exit_code:
-        run_rule(r, code)
-
-    if delta_code and not tallies and _greedy(rules, gates, head_preds):
-        _drain_by_cost(ctx, [code.run for _, code in delta_code], options, gates, first)
-    else:
-        next_round()
-        while True:
-            if not any(ctx.delta.values()):
-                if release_deferred():
-                    next_round()
-                    continue
-                break
-            stats.iterations += 1
-            _check_iterations(stats, options, first, ctx.state)
-            for r, code in delta_code:
-                run_rule(r, code)
-            next_round()
+    # Round 1 fires the exit rules once over the full stores, each later round
+    # the delta rules on the delta pick hands out. When that is empty, the
+    # deferred count/sum totals are released, and what they admit restarts
+    # the loop.
+    greedy = delta_code and not tallies and _greedy(rules, gates, head_preds)
+    pick = _cost_levels(ctx, gates) if greedy else partial(_admitted, ctx)
+    fire = exit_code
+    while True:
+        stats.iterations += 1
+        _check_iterations(stats, options, first, ctx.state)
+        for r, code in fire:
+            run_rule(r, code)
+        fire = delta_code
+        ctx.delta = pick()
+        if not any(ctx.delta.values()) and release_deferred():
+            ctx.delta = pick()
+        if not any(ctx.delta.values()):
+            break
 
     for pred, i in held:  # the stratum is done: what its heads proved stays true
         ctx.store(pred).ints[i] = True
@@ -1256,19 +1248,23 @@ def _settles_in_order(rule: Rule, kind: str, costs: Tuple[Tuple[str, int], ...])
         return False
 
 
-def _drain_by_cost(
-    ctx: _Context, runs: List[Callable], options: EvalOptions, gates: Dict[str, HeadExtremum], first: int
-) -> None:
-    """The greedy seminaive loop: what an iteration admits is queued by its
-    cost, and each iteration takes the cheapest queued level (the dearest
-    under max) as its delta. Each predicate queues a dict cost -> tuples, and
-    one heap holds the queued costs, pushed once per new level of a
-    predicate. A queued tuple that is no longer its key's incumbent is
-    dropped when its level comes up: min/max displaced it from the store,
-    mmin/mmax only from the gate. A level with nothing left is skipped and is
-    not an iteration, as is the second pop of a cost two predicates queued."""
-    stats = ctx.stats
-    limit = None if options.max_iterations is None else first + options.max_iterations
+def _admitted(ctx: _Context) -> Dict[str, Set[GroundTuple]]:
+    """The breadth-first delta: everything the last iteration admitted."""
+    delta, ctx.next_delta = ctx.next_delta, {}
+    return delta
+
+
+def _cost_levels(
+    ctx: _Context, gates: Dict[str, HeadExtremum]
+) -> Callable[[], Dict[str, Set[GroundTuple]]]:
+    """The greedy delta picker: what an iteration admits is queued by its
+    cost, and each pick takes the cheapest queued level (the dearest under
+    max). Each predicate queues a dict cost -> tuples, and one heap holds the
+    queued costs, pushed once per new level of a predicate. A queued tuple
+    that is no longer its key's incumbent is dropped when its level comes up:
+    min/max displaced it from the store, mmin/mmax only from the gate. A
+    level with nothing left is skipped, as is the second pop of a cost two
+    predicates queued; with nothing queued the pick is empty."""
     sign = 1 if next(iter(gates.values())).kind == "min" else -1
     lanes = []  # per predicate: name, cost position, queue, a level's incumbents
     for pred, gate in gates.items():
@@ -1278,10 +1274,10 @@ def _drain_by_cost(
             live = ctx.store(pred).tuples.intersection
         lanes.append((pred, gate.cost, {}, live))
     levels: List[int] = []
-    while True:
-        fresh = ctx.next_delta
+
+    def pick() -> Dict[str, Set[GroundTuple]]:
         for pred, c, queue, _ in lanes:
-            for t in fresh.get(pred, ()):
+            for t in ctx.next_delta.get(pred, ()):
                 v = sign * t[c]
                 bucket = queue.get(v)
                 if bucket is None:
@@ -1289,10 +1285,9 @@ def _drain_by_cost(
                     heappush(levels, v)
                 else:
                     bucket.append(t)
+        ctx.next_delta = {}
         delta: Dict[str, Set[GroundTuple]] = {}
-        while not delta:
-            if not levels:
-                return
+        while levels and not delta:
             v = heappop(levels)
             for pred, _, queue, live in lanes:
                 bucket = queue.pop(v, None)
@@ -1300,12 +1295,9 @@ def _drain_by_cost(
                     held = live(bucket)
                     if held:
                         delta[pred] = held
-        stats.iterations += 1
-        if limit is not None and stats.iterations > limit:
-            _check_iterations(stats, options, first, ctx.state)
-        ctx.delta, ctx.next_delta = delta, {}
-        for run in runs:
-            run(ctx, None)
+        return delta
+
+    return pick
 
 
 def _incumbents(best: Dict[Tuple, GroundTuple], c: int, tuples: List[GroundTuple]) -> Set[GroundTuple]:

@@ -429,7 +429,7 @@ def goal_conjunct(goal: Goal, atom: Atom) -> Optional[Union[Bound, Extremum]]:
 
 @dataclass(frozen=True)
 class FinalConstraint:
-    """A pruning constraint split out of a final rule at parse time."""
+    """A pruning constraint that a final rule states (Program.final_constraints)."""
 
     rule_id: str
     constraint: Constraint
@@ -452,10 +452,14 @@ new_fact = partial(tuple.__new__, Fact)
 @dataclass(frozen=True)
 class Program:
     """Rules, and facts as canonical runs (predicate, rows): maximal stretches of
-    one predicate's consecutive facts, repeats kept. Program.facts is a view."""
+    one predicate's consecutive facts, repeats kept. Program.facts is a view.
+
+    A final rule (its head predicate read by no body) that reads one relation
+    and carries no head extremum states its pruning constraint in its goals:
+    bounds and an is_min/is_max on that relation's variables. Those are read
+    off the rules, as Program.final_constraints."""
     rules: Tuple[Rule, ...]
     runs: Tuple[Run, ...] = ()
-    final_constraints: Tuple[FinalConstraint, ...] = ()
     # Rules defining int_up2; documentation for the range generator, not executed.
     support_rules: Tuple[Rule, ...] = ()
     # Rule ids whose recursive count/sum passed the push check and may run natively.
@@ -468,6 +472,27 @@ class Program:
         from .analysis import build_dependency_graph
 
         return build_dependency_graph(self.rules)
+
+    @cached_property
+    def final_constraints(self) -> Tuple[FinalConstraint, ...]:
+        """The constraint each final rule states, in rule order; a rule that
+        also has an extremum over other variables states none."""
+        out = []
+        for r in final_rules(self.rules):
+            regular = r.regular_goals()
+            if r.extremum is not None or len(regular) != 1:
+                continue
+            parts = []
+            for g in r.body:
+                part = goal_conjunct(g, regular[0])
+                if part is not None:
+                    parts.append(part)
+                elif isinstance(g, AggregateGoal) and g.kind in EXTREMA_KINDS:
+                    parts = []  # an extremum over other variables: nothing to push
+                    break
+            if parts:
+                out.append(FinalConstraint(r.id, make_constraint(parts)))
+        return tuple(out)
 
     @cached_property
     def facts(self) -> Tuple[Fact, ...]:

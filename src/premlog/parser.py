@@ -25,8 +25,6 @@ Normalization performed here, after parsing:
     predicates the annotation becomes an is_min/is_max body goal.
   * rules whose head is the interpreted range predicate int_up2 are moved
     aside as support rules (they are not safe as ordinary rules).
-  * final rules (head predicate used in no body) have their pruning
-    constraints extracted into Program.final_constraints.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ from .model import (
     Comparison,
     Constant,
     Fact,
-    FinalConstraint,
     Goal,
     GroundTuple,
     HeadExtremum,
@@ -73,11 +70,8 @@ from .model import (
     Term,
     Value,
     Variable,
-    final_rules,
     format_value,
-    goal_conjunct,
     head_var_positions,
-    make_constraint,
     run_facts,
 )
 
@@ -529,12 +523,8 @@ def parse_program(text: str) -> Program:
             order_goals(rule, c.line)
             rules.append(rule)
 
-    final = _extract_final_constraints(rules)
-    return Program(
-        rules=tuple(rules),
-        final_constraints=tuple(final),
-        support_rules=tuple(support),
-    ).adopt_graph(graph).with_runs(pieces)
+    program = Program(rules=tuple(rules), support_rules=tuple(support))
+    return program.adopt_graph(graph).with_runs(pieces)
 
 
 def _assign_ids(clauses: List[_Clause]) -> List[str]:
@@ -636,27 +626,6 @@ def _extremum_goal(head: Atom, kind: str, cost: int) -> AggregateGoal:
         a.name for i, a in enumerate(head.args) if isinstance(a, Variable) and i != cost
     )
     return AggregateGoal("is_" + kind, group, (head.args[cost].name,))
-
-
-def _extract_final_constraints(rules: Sequence[Rule]) -> List[FinalConstraint]:
-    out: List[FinalConstraint] = []
-    for r in final_rules(rules):
-        if r.extremum is not None:
-            continue
-        regular = r.regular_goals()
-        if len(regular) != 1:
-            continue
-        parts = []
-        for g in r.body:
-            part = goal_conjunct(g, regular[0])
-            if part is not None:
-                parts.append(part)
-            elif isinstance(g, AggregateGoal) and g.kind in EXTREMA_KINDS:
-                parts = []  # an extremum over other variables: nothing to push
-                break
-        if parts:
-            out.append(FinalConstraint(r.id, make_constraint(parts)))
-    return out
 
 
 # =====================================================================================

@@ -34,7 +34,6 @@ from .model import (
     Comparison,
     Constraint,
     Extremum,
-    FinalConstraint,
     Negated,
     Program,
     Rule,
@@ -75,7 +74,10 @@ class RewriteTrace:
 
 
 def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, RewriteTrace]:
-    """Rewrite `program` so the constraint runs inside the recursion."""
+    """Rewrite `program` so the constraint runs inside the recursion.
+
+    The final rule that states the constraint loses the goals that state it,
+    so the result's final_constraints no longer lists it."""
     if verdict.program != program:
         raise PlanMismatch("verdict was computed for a different program")
     if verdict.rejection is not None:
@@ -90,11 +92,8 @@ def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, Re
     else:
         targets = {r.id for r in program.rules if r.head.predicate in costmap}
 
-    final_entry: Optional[FinalConstraint] = None
-    for fc in program.final_constraints:
-        if fc.constraint == verdict.constraint:
-            final_entry = fc
-            break
+    stated = (fc.rule_id for fc in program.final_constraints if fc.constraint == verdict.constraint)
+    final_rule = next(stated, None)
 
     renamed: Dict[str, str] = {}
     new_rules: List[Rule] = []
@@ -106,7 +105,7 @@ def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, Re
                     raise PlanMismatch(f"rule {r.id} already carries a head extremum")
                 rewritten = apply_conjunct(rewritten, conjunct, costmap)
             rewritten = replace(rewritten, id=r.id + "'" * len(verdict.plan))
-        elif final_entry is not None and r.id == final_entry.rule_id:
+        elif r.id == final_rule:
             rewritten = _strip_final(r, verdict.plan)
         else:
             new_rules.append(r)
@@ -117,7 +116,6 @@ def push_constraint(program: Program, verdict: PremVerdict) -> Tuple[Program, Re
     out = replace(
         program,
         rules=tuple(new_rules),
-        final_constraints=tuple(fc for fc in program.final_constraints if fc is not final_entry),
         approved_recursive_aggregates=frozenset(
             renamed.get(i, i) for i in program.approved_recursive_aggregates
         ),

@@ -6,10 +6,13 @@ paper on the tiny graphs) and then frozen here.
 """
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import re
+import sys
 from operator import itemgetter
+from pathlib import Path
 
 import premlog as P
 from premlog.engine import ConsequenceStep
@@ -25,6 +28,17 @@ from premlog.model import (
 )
 from premlog.parser import _digit_limit
 from premlog.verify import PremCheckReport, _sample_space
+
+
+def bench_corpus():
+    """perfbench/corpus.py, the benchmark's program generator, read as a module."""
+    name = "premlog_bench_corpus"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # its dataclasses look themselves up there
+    return sys.modules[name]
 
 
 def interp_eq(a, b) -> bool:

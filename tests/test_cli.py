@@ -391,6 +391,26 @@ def test_the_oracle_keeps_one_tuple_budget_across_its_strata(write, capsys):
         # a digit that int() rejects is no digit to the lexer
         ("p(\u00b2).\n", "line 1, col 3: unexpected character '\u00b2'", True),
         ("q(X) :- p(X), X > \u00b2.\n", "line 1, col 19: unexpected character '\u00b2'", False),
+        ("p(min<X>).\n", "line 1: fact p carries an annotation", True),
+        ("p(X,min<D>,max<E>) :- q(X,D,E).\n", "line 1: rule r1 carries several head annotations", False),
+        (
+            "p(X,D) :- e(X,D).\np(Y,min<D>) :- p(X,E), e(X,Y), D=E+1, is_min((Y),(D)).\n",
+            "line 2: rule r2 has several extremum constraints",
+            False,
+        ),
+        (
+            "p(X,D) :- e(X,D).\np(Y,D) :- p(X,E), e(Y,F), D=E+F, is_min((Y),(F)).\n",
+            "line 2: rule r2: measured variable F not in head",
+            False,
+        ),
+        (
+            "p(X,D) :- e(X,D).\np(X,D) :- p(Y,E), e(Y,X), D=E+1, is_min((),(D)).\n",
+            "line 2: rule r2: group [] must match the other head variables ['X']",
+            False,
+        ),
+        ("q(G,C,S) :- e(G,Y), count((G),(Y),C), sum((G),(Y),S).\n", "line 1: rule r1 has several aggregates", False),
+        ("q(G,C) :- e(G,Y), count((G),(),C).\n", "line 1, col 19: count needs at least one measured variable", False),
+        ("q(X) :- e(X), X.\n", "line 1, col 16: expected a comparison operator", False),
     ],
 )
 def test_parse_errors_name_the_line_and_a_known_column(write, capsys, text, message, facts_only):

@@ -56,7 +56,7 @@ def test_relation_store_match_uses_indexes():
     s.add(("a", "d", 4))
     assert set(s.match((0,), ("a",))) == {("a", "b", 1), ("a", "c", 2), ("a", "d", 4)}
     s.remove(("a", "b", 1))
-    assert ("a", "b", 1) not in s
+    assert ("a", "b", 1) not in s.tuples
     assert set(s.match((0,), ("a",))) == {("a", "c", 2), ("a", "d", 4)}
 
 

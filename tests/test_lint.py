@@ -21,7 +21,10 @@ the CLI imports those only inside the commands that run them.
 A counting rule's tally (engine._Tally) holds state only, read per key: the
 generated rule code writes its witnesses, best summands and running sums,
 and _tally_row, the helper that emits that code, is the one function that
-writes them, besides the tally's __init__.
+writes them, besides the tally's __init__. A program's final constraints are
+read off its rules in one place, Program.final_constraints: it alone builds
+a FinalConstraint. Each fixpoint loop has one iteration counter: only the
+seminaive stratum and the naive loop advance stats.iterations.
 """
 from __future__ import annotations
 
@@ -100,6 +103,10 @@ STATS_BUILDERS = {
 # (module, function) pairs that may raise SafetyError: the one home of a
 # rule's safety.
 SAFETY_RAISERS = {("analysis.py", "order_goals")}
+# The one home of a program's final constraints, and the engine functions
+# that count iterations: one loop each.
+FINAL_CONSTRAINT_BUILDERS = {("model.py", "final_constraints")}
+ITERATION_COUNTERS = {"_seminaive_stratum", "naive_fixpoint"}
 
 # The methods of engine._Tally, none of them per row; the fields only the
 # rule code _tally_row emits writes; the calls that change a dict or set.
@@ -165,6 +172,25 @@ def callers(callee: str):
     }
 
 
+def assigners(target: str, source: str):
+    """The functions of source that assign or augment target, a dotted name."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.Assign, ast.AugAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                if any(ast.unparse(t) == target for t in targets):
+                    found.add(function)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def tally_writers(source: str):
     """The functions of source that write a tally field (TALLY_FIELDS): by
     assignment or deletion, by a mutating call on it, or in the text of the
@@ -212,11 +238,12 @@ def code_names(source: str):
 
 def exports_without_a_caller():
     init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    [exported] = [
+    [homes] = [
         ast.literal_eval(node.value)
         for node in init.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_EXPORTS" for t in node.targets)
     ]
+    exported = [name for names in homes.values() for name in names]
     callers = [path for path in MODULES if path.name != "__init__.py"]
     callers += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     used = set().union(*(code_names(path.read_text(encoding="utf-8")) for path in callers))
@@ -257,6 +284,15 @@ def test_rule_safety_is_decided_in_one_place():
     assert callers("SafetyError") == SAFETY_RAISERS
     # Every variable a plan reads is bound where it is read.
     assert "UnboundVariable" not in (SRC / "engine.py").read_text(encoding="utf-8")
+
+
+def test_final_constraints_are_read_off_the_rules_in_one_place():
+    assert callers("FinalConstraint") == FINAL_CONSTRAINT_BUILDERS
+
+
+def test_a_seminaive_stratum_counts_its_iterations_in_one_loop():
+    source = (SRC / "engine.py").read_text(encoding="utf-8")
+    assert assigners("stats.iterations", source) == ITERATION_COUNTERS
 
 
 def test_the_tally_is_written_by_the_rule_code_alone():
@@ -341,6 +377,16 @@ def test_the_checks_see_what_they_look_for():
         ]
     )
     assert tally_writers(tallies) == {"__init__", "add", "row", "bump", "drop"}
+    counters = "\n".join(
+        [
+            "def loop(stats):",
+            "    stats.iterations += 1",
+            "    def inner(): stats.iterations = 0",
+            "def merge(self, stats): self.iterations += stats.iterations",
+            "def drain(ctx): ctx.stats.iterations += 1",
+        ]
+    )
+    assert assigners("stats.iterations", counters) == {"loop", "inner"}
     assert late_imports(layers) == [
         (1, "engine", False),
         (2, "verify", False),

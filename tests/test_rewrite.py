@@ -1,7 +1,10 @@
 """Constraint pushing, extremum desugaring, counting-aggregate compilation."""
 from __future__ import annotations
 
+import json
+import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +29,13 @@ from premlog.rewrite import (
     desugar_extremum,
     materialize_monotonic,
     monotonic_form,
+    plan,
     standard_form,
 )
 
+import conftest
 from conftest import (
+    bench_corpus,
     expand_msum,
     CAPPED_MAX,
     CASCADE_FACTS,
@@ -101,6 +107,34 @@ def test_push_wrong_program_raises():
     v = P.classify_premability(prog, prog.final_constraints[0].constraint)
     with pytest.raises(PlanMismatch):
         P.push_constraint(other, v)
+
+
+# Program.final_constraints, frozen when the parser still extracted them: the
+# (rule id, constraint) pairs of every conftest program and of the 96 corpus
+# programs at seed 1, as parsed, as planned, and as planned with force_push.
+FINAL_CONSTRAINTS = Path(__file__).with_name("golden_final_constraints.json")
+
+
+def final_constraint_lists():
+    texts = {name: text for name, text in vars(conftest).items() if name.isupper() and isinstance(text, str)}
+    for i, text in enumerate(bench_corpus().generated_programs(random.Random(1), 96)):
+        texts[f"corpus 1 #{i}"] = text
+    lists = {}
+    for name, text in sorted(texts.items()):
+        prog = P.parse_program(text)
+        lists[name] = {
+            stage: [[fc.rule_id, repr(fc.constraint)] for fc in program.final_constraints]
+            for stage, program in (
+                ("parsed", prog),
+                ("planned", plan(prog).executed),
+                ("forced", plan(prog, force_push=True).executed),
+            )
+        }
+    return lists
+
+
+def test_final_constraints_are_read_off_the_rules_as_the_parser_extracted_them():
+    assert final_constraint_lists() == json.loads(FINAL_CONSTRAINTS.read_text(encoding="utf-8"))
 
 
 # ===== extremum desugaring ====================================================

@@ -1,13 +1,11 @@
 """Empirical equation checking, brute-force oracle, trust-but-verify audits."""
 from __future__ import annotations
 
-import importlib.util
 import os
 import random
 import resource
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -22,6 +20,7 @@ from premlog.verify import _sample_space
 
 import conftest
 from conftest import (
+    bench_corpus,
     facts_to_interp,
     SPATH_STRATIFIED,
     CAPPED_MAX,
@@ -186,17 +185,6 @@ def test_falsifier_outcomes_are_frozen(fixture, constraint):
             assert (report.samples, report.verdict, got) == (expected[0], "falsified", expected[1])
 
 
-def _corpus():
-    """perfbench/corpus.py, the benchmark's program generator, read as a module."""
-    name = "premlog_bench_corpus"
-    if name not in sys.modules:
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        sys.modules[name] = module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)  # its dataclasses look themselves up there
-    return sys.modules[name]
-
-
 def _report(check, target, samples, seed):
     program, c, procedure = target
     try:
@@ -214,12 +202,12 @@ def test_sample_loop_equals_the_reference_on_every_fixture(fixture, constraint):
         assert _report(P.check_prem_empirical, target, 500, seed) == want
 
 
-def test_sample_loop_equals_the_reference_on_the_corpus():
+def test_sample_loop_equals_the_reference_on_thebench_corpus():
     # The 96 programs of the benchmark corpus at seed 1, every target as
     # `premlog verify` lists it, at seeds 0-4: same samples, verdict and
     # counterexample as the randrange loop that checks both sides.
     checked = falsified = 0
-    for text in _corpus().generated_programs(random.Random(1), 96):
+    for text in bench_corpus().generated_programs(random.Random(1), 96):
         for target in _verify_targets(text):
             for seed in range(5):
                 want = _report(check_prem_empirical_by_draw, target, 60, seed)
@@ -317,7 +305,7 @@ def test_samples_of_a_batch_whose_step_raised_reuse_its_gamma(monkeypatch):
     # and no gamma(I) does: each batch's gamma(I) runs once, and its samples
     # are checked again alone from their rows of it. gamma(T(...)) runs on a
     # step's result, which holds the batch relation.
-    [target] = _verify_targets(_corpus().SYMBOLIC_PATH)
+    [target] = _verify_targets(bench_corpus().SYMBOLIC_PATH)
     gammas_of_samples = []
 
     def gamma(constraint, interp):
