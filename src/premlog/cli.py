@@ -14,6 +14,11 @@ the analysis and the rewrite, and a command imports the executor (run,
 bench), the falsifier and oracle (verify, run --trust-but-verify) or the
 benchmark itself, so check and optimize start without them.
 
+A command runs with the cyclic garbage collector paused (main restores the
+caller's setting however the command ends): its relations are flat tuples
+that form no cycles, so collecting only rescans them. The library entry
+points leave the collector to their caller.
+
 Exit codes: 0 success, 1 bad input, 2 budget exhausted, 3 a constraint or
 aggregate was rejected (or an audited run disagreed with the oracle).
 """
@@ -21,6 +26,7 @@ aggregate was rejected (or an audited run disagreed with the oracle).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from functools import lru_cache
 from typing import List, Optional
@@ -40,6 +46,9 @@ EXIT_REJECTED = 3
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Relations are flat tuples that form no cycles: collecting only rescans them.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except BudgetExceeded as exc:
@@ -50,6 +59,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (PremlogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @lru_cache(maxsize=None)

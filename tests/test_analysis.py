@@ -16,6 +16,7 @@ from premlog.analysis import (
 from premlog.cli import main
 from premlog.errors import AmbiguousCost, NoCost, StratificationError
 from premlog.model import ArithExpr, Bound, Constant, Extremum, Variable
+from premlog.rewrite import plan
 
 import conftest
 from conftest import SPATH_PRECONSTRAINED, CAPPED_MAX, MUTUAL_COUNT, CLIQUE_FACTS, BOUNDED_PATH, PARTY_GATED, PARTY_COUNT, PART_EXPLOSION
@@ -391,6 +392,69 @@ def test_classify_nonlinear_costs_and_guards(goals, final, verdict):
         assert set(P.run_program(prog, push=True).answers("out")) == set(oracle)
     else:
         assert (v.rejection.condition, v.rejection.rule_id) == (verdict, "r2")
+
+
+# Non-linear cost heads under a sign guard on W, against each final bound or
+# extremum. The head's interval is interval arithmetic over a sum or a
+# difference of products, so reading a sum as a difference (or the reverse)
+# flips 50 of these 240 plans.
+_NONLINEAR_FINALS = (
+    "D<40", "D<=40", "D>5", "D>=5", "D<40, D>5", "is_min((Y),(D))", "is_max((Y),(D))",
+    "is_min((Y),(D)), D<40", "is_max((Y),(D)), D>5", "D<0",
+)
+# (guard, head) -> plan() step action per final above: p pushed, k kept.
+_NONLINEAR_ACTIONS = {
+    ("W>=1", "W*W-Dx"): "kkkkkkkkkk",
+    ("W>=1", "Dx*W+1"): "ppkkkpppkp",
+    ("W>=1", "Dx*W-1"): "kkkkkppkkk",
+    ("W>=1", "W*W+Dx"): "ppkkkpppkp",
+    ("W>=1", "Dx*W+W"): "ppkkkpppkp",
+    ("W>=1", "Dx*W-W"): "kkkkkppkkk",
+    ("W<=-1", "W*W-Dx"): "kkkkkkkkkk",
+    ("W<=-1", "Dx*W+1"): "kkkkkkkkkk",
+    ("W<=-1", "Dx*W-1"): "kkkkkkkkkk",
+    ("W<=-1", "W*W+Dx"): "ppkkkpppkp",
+    ("W<=-1", "Dx*W+W"): "kkkkkkkkkk",
+    ("W<=-1", "Dx*W-W"): "kkkkkkkkkk",
+    ("W>=0", "W*W-Dx"): "kkkkkkkkkk",
+    ("W>=0", "Dx*W+1"): "kkkkkppkkp",
+    ("W>=0", "Dx*W-1"): "kkkkkppkkk",
+    ("W>=0", "W*W+Dx"): "ppkkkpppkp",
+    ("W>=0", "Dx*W+W"): "kkkkkppkkp",
+    ("W>=0", "Dx*W-W"): "kkkkkppkkk",
+    ("W<=0", "W*W-Dx"): "kkkkkkkkkk",
+    ("W<=0", "Dx*W+1"): "kkkkkkkkkk",
+    ("W<=0", "Dx*W-1"): "kkkkkkkkkk",
+    ("W<=0", "W*W+Dx"): "ppkkkpppkp",
+    ("W<=0", "Dx*W+W"): "kkkkkkkkkk",
+    ("W<=0", "Dx*W-W"): "kkkkkkkkkk",
+}
+# A DAG with weights of both signs and zero, so the oracle's fixpoint is finite.
+_SIGNED_DAG = (
+    "e(a,b,3). e(a,c,-2). e(b,c,2). e(b,d,-1). e(c,d,4). e(c,e,-3). e(d,e,1). e(a,d,0). "
+    "e(b,e,-4). e(d,f,6). e(e,f,-5).\n"
+)
+
+
+def _nonlinear_program(guard, head, final):
+    return P.parse_program(
+        "r1: p(Y,D) :- e(a,Y,W), D=W.\n"
+        f"r2: p(Y,D) :- p(X,Dx), e(X,Y,W), {guard}, D={head}.\n"
+        f"r3: q(Y,D) :- p(Y,D), {final}.\n" + _SIGNED_DAG
+    )
+
+
+@pytest.mark.parametrize("guard, head", sorted(_NONLINEAR_ACTIONS))
+def test_nonlinear_cost_heads_are_pushed_only_where_the_oracle_agrees(guard, head):
+    actions = ""
+    for final in _NONLINEAR_FINALS:
+        prog = _nonlinear_program(guard, head, final)
+        [step] = plan(prog).steps
+        actions += step.action[0]
+        if step.action == "pushed":
+            want = P.brute_force_oracle(prog).get("q", set())
+            assert set(P.run_program(prog).answers("q")) == want, final
+    assert actions == _NONLINEAR_ACTIONS[guard, head]
 
 
 def test_unify_args_fails_on_clashing_terms():

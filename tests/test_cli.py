@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, exit codes."""
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
@@ -9,6 +10,7 @@ import pytest
 
 import premlog as P
 import premlog.analysis as analysis_module
+import premlog.cli as cli_module
 import premlog.parser as parser_module
 from premlog.bench import SPATH_PREM_TEMPLATE, dijkstra_reference
 from premlog.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_REJECTED, main
@@ -182,6 +184,63 @@ def test_main_calls_share_no_state(write, capsys):
     assert capsys.readouterr().out == "spath(c,2).\n"
     assert main(["run", rules]) == EXIT_OK
     assert capsys.readouterr().out == ""
+
+
+# ===== the cyclic collector ===================================================
+
+
+@pytest.fixture
+def collector():
+    """Starts a test with the collector on and gives the test's caller its setting back."""
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+# One command per exit code: 0, 1 (a parse error), 2 (a tuple budget), 3 (a rejected check).
+EXIT_CASES = [
+    (EXIT_OK, "run", SHORTEST_PATH, []),
+    (EXIT_INPUT, "run", "q(X) :- e(X), X.\n", []),
+    (EXIT_BUDGET, "run", "r1: p(Y) :- a(Y).\nr2: p(Z) :- p(Y), Z=Y+1.\na(0).\n", ["--max-tuples", "50"]),
+    (EXIT_REJECTED, "check", CAPPED_MAX, []),
+]
+
+
+def test_a_command_runs_with_the_collector_paused(write, capsys, monkeypatch, collector):
+    seen = []
+
+    def load(args):
+        seen.append(gc.isenabled())
+        return P.parse_program("")
+
+    monkeypatch.setattr(cli_module, "_load_program", load)
+    assert main(["check", write("empty.dl", "")]) == EXIT_OK
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("code, command, text, extra", EXIT_CASES, ids=["ok", "input", "budget", "rejected"])
+def test_the_collector_comes_back_on_every_exit_code(write, capsys, collector, code, command, text, extra):
+    assert main([command, write("p.dl", text), *extra]) == code
+    assert gc.isenabled()
+
+
+def test_the_collector_comes_back_when_an_exception_escapes(write, monkeypatch, collector):
+    def load(args):
+        raise RuntimeError("not a premlog error")
+
+    monkeypatch.setattr(cli_module, "_load_program", load)
+    with pytest.raises(RuntimeError):
+        main(["check", write("empty.dl", "")])
+    assert gc.isenabled()
+
+
+def test_a_caller_that_paused_the_collector_finds_it_paused(write, capsys, collector):
+    gc.disable()
+    for code, command, text, extra in EXIT_CASES:
+        assert main([command, write("p.dl", text), *extra]) == code
+        assert not gc.isenabled()
 
 
 def test_run_missing_file_is_input_error(capsys):
@@ -670,6 +729,33 @@ def test_optimize_output_parses_and_runs_to_the_same_answers(write, capsys):
     optimized = capsys.readouterr().out
     assert "p(Y,C0) :- e(a,Y), C0=1, is_min((Y),(C0))." in optimized
     assert main(["run", write("optimized.dl", optimized), "--query", "s"]) == EXIT_OK
+    assert capsys.readouterr().out == answers
+
+
+# A negated goal, a unary minus on a variable, a parenthesized right operand,
+# a comparison led by a constant and user-written int_up2 support rules.
+PRINTER_SHAPES = """
+r1: path(Y,D) :- arc(a,Y,W), a!=Y, not blocked(Y), D=-W+100.
+r2: path(Y,D) :- path(X,Dx), arc(X,Y,W), W>=1, D=Dx-(W-1).
+r3: out(Y,D) :- path(Y,D), is_max((Y),(D)).
+int_up2(C,1) :- C>=1.
+int_up2(C,J) :- int_up2(C,I), I<C, J=I+1.
+arc(a,b,3). arc(b,c,2). arc(a,c,7). arc(a,d,1). arc(d,c,1). arc(a,a,4). blocked(d).
+"""
+
+
+def test_optimize_prints_every_goal_shape_so_that_it_reads_back(write, capsys):
+    prog = write("shapes.dl", PRINTER_SHAPES)
+    assert main(["run", prog]) == EXIT_OK
+    answers = capsys.readouterr().out
+    assert answers == "out(b,97).\nout(c,96).\n"
+    assert main(["optimize", prog]) == EXIT_OK
+    optimized = capsys.readouterr().out
+    assert "r4: int_up2(C,1) :- C>=1.\n" in optimized
+    assert "a!=Y, not blocked(Y), D=(0-W)+100, is_max((Y),(D))." in optimized
+    assert "D=Dx-(W-1), is_max((Y),(D))." in optimized
+    assert P.format_program(P.parse_program(optimized)) == optimized
+    assert main(["run", write("optimized.dl", optimized), "--query", "out"]) == EXIT_OK
     assert capsys.readouterr().out == answers
 
 

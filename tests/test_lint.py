@@ -24,7 +24,9 @@ and _tally_row, the helper that emits that code, is the one function that
 writes them, besides the tally's __init__. A program's final constraints are
 read off its rules in one place, Program.final_constraints: it alone builds
 a FinalConstraint. Each fixpoint loop has one iteration counter: only the
-seminaive stratum and the naive loop advance stats.iterations.
+seminaive stratum and the naive loop advance stats.iterations. The cyclic
+garbage collector is paused and restored in one place, cli.main, around a
+command: the library leaves it to its caller.
 """
 from __future__ import annotations
 
@@ -107,6 +109,9 @@ SAFETY_RAISERS = {("analysis.py", "order_goals")}
 # that count iterations: one loop each.
 FINAL_CONSTRAINT_BUILDERS = {("model.py", "final_constraints")}
 ITERATION_COUNTERS = {"_seminaive_stratum", "naive_fixpoint"}
+# The one home of the collector's pause; no other enable() or disable() is
+# called in the package, so the method name alone finds every call.
+COLLECTOR_SWITCHES = {("cli.py", "main")}
 
 # The methods of engine._Tally, none of them per row; the fields only the
 # rule code _tally_row emits writes; the calls that change a dict or set.
@@ -293,6 +298,10 @@ def test_final_constraints_are_read_off_the_rules_in_one_place():
 def test_a_seminaive_stratum_counts_its_iterations_in_one_loop():
     source = (SRC / "engine.py").read_text(encoding="utf-8")
     assert assigners("stats.iterations", source) == ITERATION_COUNTERS
+
+
+def test_the_collector_is_paused_only_around_a_cli_command():
+    assert callers("disable") | callers("enable") == COLLECTOR_SWITCHES
 
 
 def test_the_tally_is_written_by_the_rule_code_alone():
