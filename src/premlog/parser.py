@@ -2,13 +2,13 @@
 
 Hand-written lexer and recursive-descent parser. A plain fact line, such as
 `arc(a,b,5).`, that starts at a clause boundary never reaches the tokenizer:
-a line reader turns each run of them straight into per-predicate rows, read
-in chunks of one arity through a pattern for that arity, each distinct
-argument text converted once, and checks one arity per chunk. Everything
-else is tokenized, so every error keeps its message, line and column. Fact
-files go through the same parse_program; edge lists are read whole, each
-distinct field converted once (.csv on commas, else on whitespace). Readers
-return (predicate, rows) runs; Program.facts serves the API and perfbench. Syntax:
+a line reader checks a chunk of such lines of one arity with one match of a
+pattern for that arity, splits it into fields at C speed, converts each
+distinct argument text once and checks one arity per chunk. Everything else
+is tokenized, so every error keeps its message, line and column. Fact files
+go through the same parse_program; edge lists are read whole, each distinct
+field converted once (.csv on commas, else on whitespace). Readers return
+(predicate, rows) runs; Program.facts serves the API and perfbench. Syntax:
 
     r1: path(Y,Dy) :- arc(a,Y,Dy), Dy>=0.
     r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy.
@@ -34,9 +34,8 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, takewhile
+from itertools import groupby
 from operator import itemgetter
-from re import Match
 from typing import (
     AbstractSet, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 )
@@ -106,17 +105,26 @@ _FACT_LINE = re.compile(
 # 0.1 ms per argument, so a line of more arguments is read alone.
 _PATTERN_ARITIES = 8
 
+# No quantifier of a chunk pattern could match more by giving back, so from
+# 3.11 on, whose re has them, all of them are possessive.
+_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
+
 
 @lru_cache(maxsize=_PATTERN_ARITIES)
-def _fact_line_of_arity(arity: int) -> "re.Pattern[str]":
-    """The plain fact lines of `arity` > 0: what _FACT_LINE takes with that
-    many arguments, with a group for the predicate and one per argument."""
-    args = ",".join([rf"[ \t\r]*({_ARG_TEXT})[ \t\r]*"] * arity)
-    return re.compile(rf"[ \t\r]*([a-z][A-Za-z0-9_']*)[ \t\r]*\({args}\)[ \t\r]*\.[ \t\r]*")
+def _fact_lines_of_arity(arity: int) -> "re.Pattern[str]":
+    """Consecutive lines that _FACT_LINE takes with `arity` > 0 arguments,
+    each ended by a newline; no group, as the matched text is split."""
+    line = rf"[ \t\r]*[a-z][A-Za-z0-9_']*[ \t\r]*\({','.join([_ARG] * arity)}\)[ \t\r]*\.[ \t\r]*\n"
+    return re.compile(re.sub(r"[*}]", rf"\g<0>{_POSSESSIVE}", rf"(?:{line})*"))
 
 
-# The lines of a fact run whose matches are alive at once, at most.
-_CHUNK_LINES = 256
+# Punctuation to blanks: the text of matched lines then splits into their
+# predicates and arguments, which hold neither.
+_FIELD_TEXT = str.maketrans("(),.", "    ")
+
+# A run's first chunk joins _FIRST_CHUNK_LINES lines, and one that matches whole
+# is followed by one twice as long, up to _CHUNK_LINES: a short run pays little.
+_FIRST_CHUNK_LINES, _CHUNK_LINES = 16, 256
 
 
 @dataclass
@@ -142,12 +150,13 @@ def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
     """The plain fact lines from lines[start] on, and the index of the first
     line that is not one.
 
-    The run is read in chunks of up to _CHUNK_LINES lines of one arity: the
-    arity's pattern is matched line after line up to the first line it does
-    not take, each distinct argument text is converted once, and the rows
-    are built in bulk, split where the predicate changes. A `p.` line, one
-    of more than _PATTERN_ARITIES arguments, or one whose next two lines
-    have another number of commas is read alone.
+    The run is read in chunks of one arity: one match of the arity's pattern
+    takes the chunk's joined lines up to the first it does not take, that
+    text is split into fields at C speed, each distinct argument text is
+    converted once, and the rows are built by column, split where the
+    predicate changes. A `p.` line, one of more than _PATTERN_ARITIES
+    arguments, or one whose next two lines have another number of commas is
+    read alone.
     """
     pieces: List[Tuple[str, List[GroundTuple]]] = []
     match = _FACT_LINE.fullmatch
@@ -165,16 +174,22 @@ def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
             and i + 2 < n
             and arity - 1 == lines[i + 1].count(",") == lines[i + 2].count(",")
         ):
-            chunk = map(lines.__getitem__, range(i, min(n, i + _CHUNK_LINES)))
-            matches = takewhile(bool, map(_fact_line_of_arity(arity).fullmatch, chunk))
-            predicates, *columns = zip(*map(Match.groups, matches))
-            rows = zip(*[map(value, column) for column in columns])
-            if predicates.count(predicate) == len(predicates):
-                pieces.append((predicate, list(rows)))
-            else:
-                for p, group in groupby(zip(predicates, rows), itemgetter(0)):
-                    pieces.append((p, list(map(itemgetter(1), group))))
-            i += len(predicates)
+            size = _FIRST_CHUNK_LINES
+            while i < n:
+                chunk = "\n".join(lines[i : i + size]) + "\n"
+                end = _fact_lines_of_arity(arity).match(chunk).end()
+                fields = chunk[:end].translate(_FIELD_TEXT).split()
+                predicates = fields[:: arity + 1]
+                rows = zip(*[map(value, fields[k :: arity + 1]) for k in range(1, arity + 1)])
+                if predicates and predicates.count(predicates[0]) == len(predicates):
+                    pieces.append((predicates[0], list(rows)))
+                else:  # several predicates, or no line after a whole chunk
+                    for p, group in groupby(zip(predicates, rows), itemgetter(0)):
+                        pieces.append((p, list(map(itemgetter(1), group))))
+                i += len(predicates)
+                if end < len(chunk):
+                    break
+                size = min(2 * size, _CHUNK_LINES)
         else:  # a line read alone
             pieces.append((predicate, [tuple(map(value, args.split(","))) if arity else ()]))
             i += 1

@@ -457,6 +457,55 @@ def test_nonlinear_cost_heads_are_pushed_only_where_the_oracle_agrees(guard, hea
     assert actions == _NONLINEAR_ACTIONS[guard, head]
 
 
+# Signed DAGs whose arcs of weight 0 and below chain, so the oracle's fixpoint
+# is finite and a guard on W<=0 lets some firings through.
+_NONPOSITIVE_DAGS = (
+    _SIGNED_DAG,
+    "e(a,b,5). e(a,c,9). e(b,c,0). e(c,d,-1). e(b,d,-2). e(d,e,0). e(c,e,-3).\n",
+    "e(a,b,20). e(b,c,-1). e(c,d,-2). e(b,d,0). e(d,e,-10). e(a,e,5). e(e,f,0). e(c,f,-3).\n",
+)
+
+
+def _nonpositive_step(goals, final, edb):
+    return P.parse_program(
+        "r1: p(Y,D) :- e(a,Y,D).\n"
+        f"r2: p(Y,D) :- p(X,Dx), e(X,Y,W), W<=0, {goals}.\n"
+        f"r3: q(Y,D) :- p(Y,D), {final}.\n" + edb
+    )
+
+
+# W<=0 gives W the interval up to 0, zero included: the product Dx*W still
+# has a known direction in Dx (it falls as Dx grows), so the guard on it caps
+# Dx from one side rather than pinning it.
+@pytest.mark.parametrize(
+    "guard, final, verdict",
+    [
+        ("Dx*W>-50", "is_min((Y),(D))", "min-deflation (deflation-safe: r1, r2)"),
+        ("Dx*W<-5", "is_max((Y),(D))", "max-inflation (inflation-safe: r1, r2)"),
+    ],
+)
+def test_a_guard_on_a_product_with_a_nonpositive_factor_is_pushed(guard, final, verdict):
+    for edb in _NONPOSITIVE_DAGS:
+        prog = _nonpositive_step(f"{guard}, D=Dx+1", final, edb)
+        v = P.classify_premability(prog, prog.final_constraints[0].constraint)
+        assert [text for _, text in v.plan] == [verdict]
+        assert set(P.run_program(prog, push=True).answers("q")) == P.brute_force_oracle(prog).get("q", set())
+
+
+def test_a_step_of_at_most_zero_leaves_a_max_recursion_greedy():
+    # D=Dx+W with W<=0 never exceeds Dx, zero included: the rule is
+    # nonincreasing, so the pushed max runs by cost level, dearest first.
+    prog = _nonpositive_step("D=Dx+W", "is_max((Y),(D))", _NONPOSITIVE_DAGS[1])
+    assert lacks(prog.rules[1], "nonincreasing", {"p": 1}, {"p"}) == ""
+    assert lacks(prog.rules[1], "nondecreasing", {"p": 1}, {"p"}) == "head cost may drop below Dx"
+    result = P.run_program(prog)
+    assert sorted(result.answers("q")) == [("b", 5), ("c", 9), ("d", 8), ("e", 8)]
+    assert result.stats.iterations == 7  # breadth-first, the same answers take 6
+    for edb in _NONPOSITIVE_DAGS:
+        prog = _nonpositive_step("D=Dx+W", "is_max((Y),(D))", edb)
+        assert set(P.run_program(prog).answers("q")) == P.brute_force_oracle(prog).get("q", set())
+
+
 def test_unify_args_fails_on_clashing_terms():
     x = Variable("X")
     assert _unify_args((Constant("a"), x), (Variable("Z"), Constant(1))) == {"Z": Constant("a"), "X": Constant(1)}

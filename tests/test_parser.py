@@ -1,6 +1,10 @@
 """Grammar, normalization, safety checks, fact loaders."""
 from __future__ import annotations
 
+import re
+import sys
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -526,33 +530,88 @@ _ARCS = "arc(a,b,1).\n arc( b , c ,2).\narc(c,d,-3).\n"
 _NODES = "n(a).\nn(b).\nn(c).\n"
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "p(a) :-\n q(b).\n",  # a continuation line that looks like a fact
-        "r1:\np(a).\n",
-        "p(a). q(b).\nr(c).\n",
-        "p(a).\r\nq(X) :- p(X).\r\nr(c).\r\n",
-        "p(a).\nq(b).\nr(X) :- p(X).\np(c).\nq(d).\n",  # a fact run broken and resumed
-        "p(a).\nr(X) :- p(X).\np(a,b).\n",  # an arity conflict across the break
-        "p(a).\np(a,b).\nq(X) :- p(X,.\n",  # a syntax error after an arity conflict
-        "p(a).\np(a,b).\nq(X).\n",  # a fact check after an arity conflict
-        "q(a,b).\np(a).\np(a,b).\nq(c).\n",
-        "p(a).\n% c\n\np(b).\nint_up2(1,2,3).\n",
-        # runs read in chunks of one arity (three or more lines alike)
-        _ARCS + _NODES + _ARCS + "e(a,b).\ne(b,c).\ne(c,d).\n" + _NODES,  # arity switches
-        _ARCS + "p.\n" + _ARCS + "q .\np.\n" + _NODES,  # `p.` lines inside a run
-        "p.\np.\np.\nq(a).\nq(b).\nq(c).\nr(X) :- q(X), p.\n",
-        _ARCS + _NODES + "arc(a,b).\narc(c,d).\narc(e,f).\n" + _ARCS,  # an arity conflict in a run
-        _NODES + "arc(a,b).\nn(d,e).\narc(c,d).\n",  # ... inside one chunk
-        "arc(a,b,1).\nr(X) :- arc(X,Y,Z).\n" + _NODES + "arc(b,c).\narc(c,d).\narc(d,e).\n",
-        _ARCS + "arc(a,b," + "7" * 641 + ").\n" + _ARCS,  # a 641-digit argument
-        "arc(a,b,1).\narc(b,c,-" + "7" * 641 + ").\narc(c,d,2).\narc(d,e,3).\n",
-        "arc(a,b," + "7" * 640 + ").\narc(b,c,-" + "7" * 640 + ").\narc(c,d,1).\n",
-        _ARCS + "arc(b,c," + "7" * 5000 + ").\n",  # more digits than int() converts
-        "w(a,b,c,d,e,f,g,h,i).\nw(a,b,c,d,e,f,g,h,j).\nw(a,b,c,d,e,f,g,h,1).\n",  # nine arguments
-    ],
-)
+_RUN_TEXTS = [
+    "p(a) :-\n q(b).\n",  # a continuation line that looks like a fact
+    "r1:\np(a).\n",
+    "p(a). q(b).\nr(c).\n",
+    "p(a).\r\nq(X) :- p(X).\r\nr(c).\r\n",
+    "p(a).\nq(b).\nr(X) :- p(X).\np(c).\nq(d).\n",  # a fact run broken and resumed
+    "p(a).\nr(X) :- p(X).\np(a,b).\n",  # an arity conflict across the break
+    "p(a).\np(a,b).\nq(X) :- p(X,.\n",  # a syntax error after an arity conflict
+    "p(a).\np(a,b).\nq(X).\n",  # a fact check after an arity conflict
+    "q(a,b).\np(a).\np(a,b).\nq(c).\n",
+    "p(a).\n% c\n\np(b).\nint_up2(1,2,3).\n",
+    # runs read in chunks of one arity (three or more lines alike)
+    _ARCS + _NODES + _ARCS + "e(a,b).\ne(b,c).\ne(c,d).\n" + _NODES,  # arity switches
+    _ARCS + "p.\n" + _ARCS + "q .\np.\n" + _NODES,  # `p.` lines inside a run
+    "p.\np.\np.\nq(a).\nq(b).\nq(c).\nr(X) :- q(X), p.\n",
+    _ARCS + _NODES + "arc(a,b).\narc(c,d).\narc(e,f).\n" + _ARCS,  # an arity conflict in a run
+    _NODES + "arc(a,b).\nn(d,e).\narc(c,d).\n",  # ... inside one chunk
+    "arc(a,b,1).\nr(X) :- arc(X,Y,Z).\n" + _NODES + "arc(b,c).\narc(c,d).\narc(d,e).\n",
+    _ARCS + "arc(a,b," + "7" * 641 + ").\n" + _ARCS,  # a 641-digit argument
+    "arc(a,b,1).\narc(b,c,-" + "7" * 641 + ").\narc(c,d,2).\narc(d,e,3).\n",
+    "arc(a,b," + "7" * 640 + ").\narc(b,c,-" + "7" * 640 + ").\narc(c,d,1).\n",
+    _ARCS + "arc(b,c," + "7" * 5000 + ").\n",  # more digits than int() converts
+    "w(a,b,c,d,e,f,g,h,i).\nw(a,b,c,d,e,f,g,h,j).\nw(a,b,c,d,e,f,g,h,1).\n",  # nine arguments
+]
+
+
+def _lines_of(count, make):
+    return "".join(make(k) + "\n" for k in range(count))
+
+
+def _arc(k):
+    return f"arc(n{k},n{k + 1},{k % 7 - 3})."
+
+
+def _node(k):
+    return f"n(m{k})."
+
+
+# Where a run's first seven chunks end: each joins twice the lines of the one
+# before, at most parser._CHUNK_LINES, so a longer run crosses several.
+_BOUNDARIES = list(accumulate(min(parser._FIRST_CHUNK_LINES << k, parser._CHUNK_LINES) for k in range(7)))
+_LONG = _BOUNDARIES[-1] + 40
+_PADS = [" ", "\t", "\r", " \t\r ", ""]
+_640 = "7" * 640
+
+
+def _padded(k):
+    a, b, c, d = (_PADS[(k + j) % len(_PADS)] for j in range(4))
+    return f"{a}arc{b}({c}n{k}{d},{a}-{k}{b},{c}x'{k % 3}{d}){a}.{b}"
+
+
+_CHUNK_TEXTS = [
+    # a predicate change on each side of every boundary, in one run of one
+    # arity: on a chunk's last line, and on the next chunk's first
+    *(_lines_of(_LONG, lambda k, d=d: _arc(k).replace("arc", "e" if k + d in _BOUNDARIES else "arc")) for d in (1, 0)),
+    _lines_of(_LONG, lambda k: _arc(k).replace("arc", "e" if k % 2 else "arc")),
+    # blanks, tabs and \r around every (, `,`, ) and ., and \r\n line ends
+    _lines_of(60, _padded),
+    _lines_of(60, _padded).replace("\n", "\r\n"),
+    _lines_of(30, lambda k: _padded(k).replace("x'", "X")),  # a variable: not ground
+    # a last line with no newline, inside a chunk and as a chunk's last line
+    _lines_of(11, _arc)[:-1],
+    *(_lines_of(b, _arc)[:-1] for b in _BOUNDARIES[:2]),
+    _lines_of(_BOUNDARIES[0] + 1, _arc)[:-1].replace("\n", "\r\n"),
+    # lines the chunk pattern refuses, in the middle of a chunk
+    *(
+        _lines_of(before, _arc) + line + "\n" + _lines_of(40, _arc)
+        for before in (4, _BOUNDARIES[0] + 5)
+        for line in ["arc(a,B,1).", "arc(a,b,- 5).", "arc(a,b," + "7" * 641 + ").", "arc(a,b,-" + "7" * 641 + ")."]
+    ),
+    # a 640-digit integer on a chunk's last line, and a negative one on the next
+    *(_lines_of(last, _arc) + f"arc(a,b,{_640}).\narc(b,c,-{_640}).\n" + _lines_of(30, _arc) for last in (_BOUNDARIES[0] - 1, _BOUNDARIES[1] - 1)),
+    # the arity change on each side of a boundary: on a chunk's last line, and
+    # on the first line after whole chunks, which the next chunk does not take
+    *(_lines_of(b + d, _arc) + _lines_of(3, _node) + _lines_of(300, _arc) for b in _BOUNDARIES[:6] for d in (-1, 0)),
+    *(_lines_of(b + d, _arc) + "arc(a,b).\n" + _lines_of(20, _arc) for b in _BOUNDARIES[:5:2] for d in (-1, 0)),
+    _lines_of(_BOUNDARIES[0], _arc) + "p.\n" + _lines_of(30, _arc),
+    _lines_of(_BOUNDARIES[1], _arc) + "r(X) :- arc(X,Y,Z).\n" + _lines_of(30, _arc),
+]
+
+
+@pytest.mark.parametrize("text", [*_RUN_TEXTS, *(pytest.param(t, id=f"chunks{i}") for i, t in enumerate(_CHUNK_TEXTS))])
 def test_program_parse_agrees_with_the_tokenizer_alone_on(text):
     assert _outcome(P.parse_program, text) == _outcome(P.parse_program, _tokenized(text))
 
@@ -560,18 +619,27 @@ def test_program_parse_agrees_with_the_tokenizer_alone_on(text):
 _RUN_ARGS = ["a", "b'", "0", "-3", "007", " x ", "\t1", "X", "- 5", "7" * 641, "7" * 5000]
 
 
+def _run_line(name, arity, args, pads):
+    a, b, c, d = pads
+    return f"{a}{name}{b}" + (f"({c}{(d + ',' + a).join(args[:arity])}{b})" if arity else "") + f"{c}.{d}"
+
+
 @st.composite
 def _fact_run(draw):
     # Lines of one arity, so that they are read in chunks; now and then one
-    # of another arity, or an argument the line reader does not take.
+    # of another arity, or an argument the line reader does not take; blanks
+    # around the punctuation; and now and then the drawn lines repeated into
+    # a run that crosses a chunk boundary.
     arity = draw(st.sampled_from([0, 1, 2, 3, 9]))
     arg = st.one_of(st.sampled_from(_RUN_ARGS[:7]), st.sampled_from(_RUN_ARGS[:7]), st.sampled_from(_RUN_ARGS))
-    line = st.tuples(
+    line = st.builds(
+        _run_line,
         st.sampled_from(["p", "q", "arc"]),
         st.one_of(st.just(arity), st.just(arity), st.just(arity), st.sampled_from([0, 1, 2])),
         st.lists(arg, min_size=9, max_size=9),
-    ).map(lambda t: t[0] + (f"({','.join(t[2][: t[1]])})" if t[1] else "") + ".")
-    return draw(st.lists(line, min_size=1, max_size=8))
+        st.one_of(st.just([""] * 4), st.lists(st.sampled_from(["", " ", "\t", "\r", " \t\r"]), min_size=4, max_size=4)),
+    )
+    return draw(st.lists(line, min_size=1, max_size=8)) * draw(st.sampled_from([1, 1, 1, 4, 40]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -583,8 +651,8 @@ def test_program_parse_agrees_with_the_tokenizer_alone_on_fact_runs(blocks):
 
 def test_fact_runs_are_read_in_chunks_of_one_arity(monkeypatch):
     patterns = []
-    real = parser._fact_line_of_arity
-    monkeypatch.setattr(parser, "_fact_line_of_arity", lambda arity: patterns.append(arity) or real(arity))
+    real = parser._fact_lines_of_arity
+    monkeypatch.setattr(parser, "_fact_lines_of_arity", lambda arity: patterns.append(arity) or real(arity))
     program = P.parse_program(_ARCS + "p.\n" + _NODES + "q(a,b).\n" + _ARCS)
     assert patterns == [3, 1, 3]  # the p. and q lines are read alone
     facts = program.facts
@@ -597,6 +665,23 @@ def test_fact_runs_are_read_in_chunks_of_one_arity(monkeypatch):
     long = "7" * 641
     (_, rows), = parser._parse_facts(f"{_ARCS}arc(b,c,{long}).\n{_ARCS}")
     assert rows[3] == ("b", "c", int(long))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="possessive quantifiers need Python 3.11")
+def test_chunk_patterns_take_the_same_lines_in_either_spelling(monkeypatch):
+    # Python 3.10 compiles the chunk patterns without possessive quantifiers:
+    # from every line start of the reader tests' texts, both spellings take
+    # the same lines.
+    spelled = {}
+    for possessive in ("", "+"):
+        monkeypatch.setattr(parser, "_POSSESSIVE", possessive)
+        spelled[possessive] = [parser._fact_lines_of_arity.__wrapped__(k) for k in range(1, parser._PATTERN_ARITIES + 1)]
+    assert "+" not in spelled[""][2].pattern
+    assert "]*+" in spelled["+"][2].pattern and "{1,640}+" in spelled["+"][2].pattern
+    for text in _RUN_TEXTS + _CHUNK_TEXTS:
+        starts = [0, *(m.end() for m in re.finditer("\n", text))]
+        for plain, possessive in zip(spelled[""], spelled["+"]):
+            assert [plain.match(text, i).end() for i in starts] == [possessive.match(text, i).end() for i in starts]
 
 
 def test_plain_fact_lines_build_no_tokens(monkeypatch):
