@@ -1,14 +1,16 @@
 """Parser for the rule language, a pretty printer, and fact loaders.
 
-Hand-written lexer and recursive-descent parser. A plain fact line, such as
-`arc(a,b,5).`, that starts at a clause boundary never reaches the tokenizer:
-a line reader checks a chunk of such lines of one arity with one match of a
-pattern for that arity, splits it into fields at C speed, converts each
-distinct argument text once and checks one arity per chunk. Everything else
-is tokenized, so every error keeps its message, line and column. Fact files
-go through the same parse_program; edge lists are read whole, each distinct
-field converted once (.csv on commas, else on whitespace). Readers return
-(predicate, rows) runs; Program.facts serves the API and perfbench. Syntax:
+Hand-written lexer and recursive-descent parser: tokens are plain
+(kind, value, line, col) tuples, which the parser reads by index. A plain
+fact line, such as `arc(a,b,5).`, that starts at a clause boundary never
+reaches the tokenizer: a line reader checks a chunk of such lines of one
+arity with one match of a pattern for that arity, splits it into fields at
+C speed, converts each distinct argument text once and checks one arity per
+chunk. Everything else is tokenized, so every error keeps its message, line
+and column. Fact files go through the same parse_program; edge lists are
+read whole, each distinct field converted once (.csv on commas, else on
+whitespace). Readers return (predicate, rows) runs; Program.facts serves
+the API and perfbench. Syntax:
 
     r1: path(Y,Dy) :- arc(a,Y,Dy), Dy>=0.
     r2: path(Y,Dy) :- path(X,Dx), arc(X,Y,Dxy), Dy=Dx+Dxy.
@@ -36,9 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from typing import (
-    AbstractSet, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
-)
+from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .analysis import build_dependency_graph, order_goals
 from .errors import (
@@ -77,13 +77,6 @@ from .model import (
 # =====================================================================================
 # LEXER
 # =====================================================================================
-
-
-class Token(NamedTuple):
-    kind: str  # 'ident' | 'var' | 'int' | 'punct' | 'facts' | 'eof'
-    value: object  # the text; for 'facts', the _FactRun read in its place
-    line: int
-    col: int
 
 
 _PUNCT_TWO = (":-", "<=", ">=", "!=")
@@ -146,9 +139,9 @@ class _ArgValues(dict):
         return value
 
 
-def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
+def _read_fact_run(lines: List[str], start: int, m: "re.Match[str]") -> Tuple[_FactRun, int]:
     """The plain fact lines from lines[start] on, and the index of the first
-    line that is not one.
+    line that is not one; m is the caller's _FACT_LINE match of lines[start].
 
     The run is read in chunks of one arity: one match of the arity's pattern
     takes the chunk's joined lines up to the first it does not take, that
@@ -162,10 +155,7 @@ def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
     match = _FACT_LINE.fullmatch
     value = _ArgValues().__getitem__
     i, n = start, len(lines)
-    while i < n:
-        m = match(lines[i])
-        if m is None:
-            break
+    while True:
         predicate, args = m.groups()
         arity = 0 if args is None else args.count(",") + 1
         # A chunk pays for itself when the next two lines look alike.
@@ -193,14 +183,17 @@ def _read_fact_run(lines: List[str], start: int) -> Tuple[_FactRun, int]:
         else:  # a line read alone
             pieces.append((predicate, [tuple(map(value, args.split(","))) if arity else ()]))
             i += 1
+        if i == n or not (m := match(lines[i])):
+            break
     return _FactRun(start + 1, pieces), i
 
 
-def _int_value(t: Token) -> int:
+def _int_value(token: tuple) -> int:
+    _, text, line, col = token
     try:
-        return int(t.value)
+        return int(text)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ParseError(_digit_limit(len(t.value)), t.line, t.col) from None
+        raise ParseError(_digit_limit(len(text)), line, col) from None
 
 
 def _digit_limit(digits: int) -> str:
@@ -208,32 +201,33 @@ def _digit_limit(digits: int) -> str:
     return f"integer literal of {digits} digits exceeds the limit of {sys.get_int_max_str_digits()}"
 
 
-def tokenize(text: str) -> List[Token]:
-    """The tokens of `text`, line by line.
+def tokenize(text: str) -> List[tuple]:
+    """The tokens of `text`, line by line: plain (kind, value, line, col)
+    tuples. kind is 'ident', 'var', 'int', 'punct', 'facts' or 'eof'; value
+    is the text, '' for 'eof' and the _FactRun read in place of a 'facts'.
 
     Where a line starts at a clause boundary (no token yet, or the last one
     is a 'facts' token or the '.' that ends a clause), the line reader takes
     the run of plain fact lines from there and leaves one 'facts' token in
     its place.
     """
-    toks: List[Token] = []
+    toks: List[tuple] = []
     lines = text.split("\n")
     n = len(lines)
     i = 0
     while i < n:
-        at_boundary = not toks or toks[-1].value == "." or toks[-1].kind == "facts"
-        if at_boundary and _FACT_LINE.fullmatch(lines[i]):
-            run, end = _read_fact_run(lines, i)
-            toks.append(Token("facts", run, i + 1, 1))
-            i = end
+        at_boundary = not toks or toks[-1][1] == "." or toks[-1][0] == "facts"
+        if at_boundary and (m := _FACT_LINE.fullmatch(lines[i])):
+            run, i = _read_fact_run(lines, i, m)
+            toks.append(("facts", run, run.line, 1))
         else:
             _tokenize_line(lines[i], i + 1, toks)
             i += 1
-    toks.append(Token("eof", "", n, len(lines[-1]) + 1))
+    toks.append(("eof", "", n, len(lines[-1]) + 1))
     return toks
 
 
-def _tokenize_line(text: str, line: int, toks: List[Token]) -> None:
+def _tokenize_line(text: str, line: int, toks: List[tuple]) -> None:
     i = 0
     n = len(text)
     while i < n:
@@ -248,7 +242,7 @@ def _tokenize_line(text: str, line: int, toks: List[Token]) -> None:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            toks.append(Token("int", text[i:j], line, col))
+            toks.append(("int", text[i:j], line, col))
             i = j
             continue
         if c.isalpha() or c == "_":
@@ -257,16 +251,16 @@ def _tokenize_line(text: str, line: int, toks: List[Token]) -> None:
                 j += 1
             word = text[i:j]
             kind = "var" if (c == "_" or c.isupper()) else "ident"
-            toks.append(Token(kind, word, line, col))
+            toks.append((kind, word, line, col))
             i = j
             continue
         two = text[i : i + 2]
         if two in _PUNCT_TWO:
-            toks.append(Token("punct", two, line, col))
+            toks.append(("punct", two, line, col))
             i += 2
             continue
         if c in _PUNCT_ONE:
-            toks.append(Token("punct", c, line, col))
+            toks.append(("punct", c, line, col))
             i += 1
             continue
         raise ParseError(f"unexpected character {c!r}", line, col)
@@ -289,122 +283,123 @@ class _Clause:
 
 
 class Parser:
-    def __init__(self, tokens: Sequence[Token]):
-        # Two more copies of the eof token let peek look two tokens past it.
+    """Recursive descent over tokenize's tokens. The hot paths read
+    self.tokens[self.pos] and advance self.pos themselves; expect and fail
+    build the errors. A value alone tells punctuation: no other token carries
+    a punctuation text, and only 'eof' carries ''."""
+
+    def __init__(self, tokens: Sequence[tuple]):
+        # Two more copies of the eof token let a lookahead read two tokens past it.
         self.tokens = [*tokens, tokens[-1], tokens[-1]]
         self.pos = 0
         self._anon = 0
 
     # -- token plumbing ---------------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
-
-    def next(self) -> Token:
+    def expect(self, kind: str, value: Optional[str] = None) -> tuple:
         t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+        if t[0] != kind or (value is not None and t[1] != value):
+            want = value if value is not None else kind
+            raise ParseError(f"expected {want!r}, found {t[1] or t[0]!r}", t[2], t[3])
+        self.pos += 1
         return t
 
-    def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (value is not None and t.value != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.value or t.kind!r}", t.line, t.col)
-        return self.next()
-
-    def at_punct(self, value: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == "punct" and t.value == value
-
     def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
+        _, _, line, col = self.tokens[self.pos]
+        return ParseError(message, line, col)
 
     # -- clauses ----------------------------------------------------------------------
 
     def parse_clauses(self) -> List[Union[_Clause, _FactRun]]:
         """Clauses and runs of plain fact lines, in source order."""
         out: List[Union[_Clause, _FactRun]] = []
+        tokens = self.tokens
         while True:
-            t = self.peek()
-            if t.kind == "facts":
-                out.append(t.value)
+            kind, value, _, _ = tokens[self.pos]
+            if kind == "facts":
+                out.append(value)
                 self.pos += 1
-            elif t.kind == "eof":
+            elif kind == "eof":
                 return out
             else:
                 out.append(self.parse_clause())
 
     def parse_clause(self) -> _Clause:
-        start = self.peek()
-        label = None
-        if self.peek().kind == "ident" and self.at_punct(":", 1):
-            label = self.next().value
-            self.next()
+        tokens = self.tokens
+        kind, label, line, _ = tokens[self.pos]
+        if kind == "ident" and tokens[self.pos + 1][1] == ":":
+            self.pos += 2
+        else:
+            label = None
         annotations: List[Tuple[int, str]] = []
         head = self.parse_atom(annotations)
         body: Tuple[Goal, ...] = ()
-        if self.at_punct(":-"):
-            self.next()
+        if tokens[self.pos][1] == ":-":
+            self.pos += 1
             body = tuple(self.parse_body())
         self.expect("punct", ".")
-        return _Clause(label, head, tuple(annotations), body, start.line)
+        return _Clause(label, head, tuple(annotations), body, line)
 
     # -- goals ------------------------------------------------------------------------
 
     def parse_body(self) -> List[Goal]:
         goals = [self.parse_goal()]
-        while self.at_punct(","):
-            self.next()
+        tokens = self.tokens
+        while tokens[self.pos][1] == ",":
+            self.pos += 1
             goals.append(self.parse_goal())
         return goals
 
     def parse_goal(self) -> Goal:
-        t = self.peek()
-        if t.kind == "ident":
-            if t.value == "not" and self.peek(1).kind == "ident":
-                self.next()
+        tokens, pos = self.tokens, self.pos
+        kind, value, _, _ = tokens[pos]
+        if kind == "ident":
+            next_kind, next_value, _, _ = tokens[pos + 1]
+            if value == "not" and next_kind == "ident":
+                self.pos += 1
                 return Negated(self.parse_atom())
-            if t.value in AGGREGATE_KINDS and self.at_punct("(", 1) and self.at_punct("(", 2):
-                return self.parse_aggregate()
-            if self.at_punct("(", 1):
+            if next_value == "(":
+                if value in AGGREGATE_KINDS and tokens[pos + 2][1] == "(":
+                    return self.parse_aggregate()
                 return self.parse_atom()
-            nxt = self.peek(1)
-            if nxt.kind == "punct" and (nxt.value in COMPARISON_OPS or nxt.value in "+-*"):
+            # "" in "+-*": the kind test keeps eof out
+            if next_kind == "punct" and (next_value in COMPARISON_OPS or next_value in "+-*"):
                 return self.parse_comparison()
             # nullary predicate
-            self.next()
-            return Atom(t.value, ())
+            self.pos += 1
+            return Atom(value, ())
         return self.parse_comparison()
 
     def parse_atom(self, annotations: Optional[List[Tuple[int, str]]] = None) -> Atom:
         """An atom; given a list, a head's min<V> (or max, mmin, mmax) adds (position, kind)."""
-        name = self.expect("ident").value
+        tokens = self.tokens
+        kind, name, _, _ = tokens[self.pos]
+        if kind != "ident":
+            self.expect("ident")
+        self.pos += 1
         args: List[Term] = []
-        if self.at_punct("("):
-            self.next()
+        if tokens[self.pos][1] == "(":
             while True:
-                t = self.peek()
-                if annotations is not None and t.value in _ANNOTATIONS and self.at_punct("<", 1):
-                    self.next()
-                    self.next()
-                    var = self.expect("var").value
+                self.pos += 1
+                value = tokens[self.pos][1]
+                if annotations is not None and value in _ANNOTATIONS and tokens[self.pos + 1][1] == "<":
+                    self.pos += 2
+                    var = self.expect("var")[1]
                     self.expect("punct", ">")
-                    annotations.append((len(args), t.value))
+                    annotations.append((len(args), value))
                     args.append(Variable(var))
                 else:
                     args.append(self.parse_simple_term())
-                if self.at_punct(","):
-                    self.next()
-                    continue
+                if tokens[self.pos][1] != ",":
+                    break
+            if tokens[self.pos][1] != ")":
                 self.expect("punct", ")")
-                break
+            self.pos += 1
         return Atom(name, tuple(args))
 
     def parse_aggregate(self) -> AggregateGoal:
-        t = self.next()
-        kind = t.value
+        _, kind, line, col = self.tokens[self.pos]
+        self.pos += 1
         self.expect("punct", "(")
         self.expect("punct", "(")
         group = self.parse_var_list()
@@ -414,82 +409,88 @@ class Parser:
         measured = self.parse_var_list()
         self.expect("punct", ")")
         result = None
-        if self.at_punct(","):
-            self.next()
-            result = self.expect("var").value
+        if self.tokens[self.pos][1] == ",":
+            self.pos += 1
+            result = self.expect("var")[1]
         self.expect("punct", ")")
         if not measured:
-            raise MalformedAggregate(f"{kind} needs at least one measured variable", t.line, t.col)
+            raise MalformedAggregate(f"{kind} needs at least one measured variable", line, col)
         if kind in EXTREMA_KINDS:
             if result is not None:
-                raise MalformedAggregate(f"{kind} takes no result variable", t.line, t.col)
+                raise MalformedAggregate(f"{kind} takes no result variable", line, col)
             if len(measured) != 1:
-                raise MalformedAggregate(f"{kind} measures a single variable", t.line, t.col)
+                raise MalformedAggregate(f"{kind} measures a single variable", line, col)
         elif result is None:
-            raise MissingResult(f"{kind} needs a result variable", t.line, t.col)
+            raise MissingResult(f"{kind} needs a result variable", line, col)
         return AggregateGoal(kind, tuple(group), tuple(measured), result)
 
     def parse_var_list(self) -> List[str]:
-        if self.at_punct(")"):
+        tokens = self.tokens
+        if tokens[self.pos][1] == ")":
             return []
-        out = [self.expect("var").value]
-        while self.at_punct(","):
-            self.next()
-            out.append(self.expect("var").value)
+        out = [self.expect("var")[1]]
+        while tokens[self.pos][1] == ",":
+            self.pos += 1
+            out.append(self.expect("var")[1])
         return out
 
     def parse_comparison(self) -> Comparison:
         left = self.parse_expr()
-        t = self.peek()
-        if t.kind != "punct" or t.value not in COMPARISON_OPS:
+        op = self.tokens[self.pos][1]
+        if op not in COMPARISON_OPS:
             raise self.fail("expected a comparison operator")
-        self.next()
-        right = self.parse_expr()
-        return Comparison(t.value, left, right)
+        self.pos += 1
+        return Comparison(op, left, self.parse_expr())
 
     # -- terms ------------------------------------------------------------------------
 
     def parse_simple_term(self) -> Term:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Constant(_int_value(t))
-        if t.kind == "punct" and t.value == "-" and self.peek(1).kind == "int":
-            self.next()
-            return Constant(-_int_value(self.next()))
-        if t.kind == "var":
-            self.next()
-            if t.value == "_":
+        t = self.tokens[self.pos]
+        kind, value, _, _ = t
+        if kind == "var":
+            self.pos += 1
+            if value == "_":
                 self._anon += 1
                 return Variable(f"_A{self._anon}")
-            return Variable(t.value)
-        if t.kind == "ident":
-            self.next()
-            return Constant(t.value)
+            return Variable(value)
+        if kind == "ident":
+            self.pos += 1
+            return Constant(value)
+        if kind == "int":
+            self.pos += 1
+            return Constant(_int_value(t))
+        if value == "-" and self.tokens[self.pos + 1][0] == "int":
+            self.pos += 2
+            return Constant(-_int_value(self.tokens[self.pos - 1]))
         raise self.fail("expected a term")
 
     def parse_expr(self) -> Term:
         left = self.parse_mul()
-        while self.peek().kind == "punct" and self.peek().value in "+-":
-            op = self.next().value
+        tokens = self.tokens
+        # "" in "+-": the kind test keeps eof out
+        while tokens[self.pos][0] == "punct" and tokens[self.pos][1] in "+-":
+            op = tokens[self.pos][1]
+            self.pos += 1
             left = ArithExpr(op, left, self.parse_mul())
         return left
 
     def parse_mul(self) -> Term:
         left = self.parse_primary()
-        while self.at_punct("*"):
-            self.next()
+        tokens = self.tokens
+        while tokens[self.pos][1] == "*":
+            self.pos += 1
             left = ArithExpr("*", left, self.parse_primary())
         return left
 
     def parse_primary(self) -> Term:
-        if self.at_punct("("):
-            self.next()
+        value = self.tokens[self.pos][1]
+        if value == "(":
+            self.pos += 1
             inner = self.parse_expr()
             self.expect("punct", ")")
             return inner
-        if self.at_punct("-"):
-            self.next()
+        if value == "-":
+            self.pos += 1
             inner = self.parse_primary()
             if isinstance(inner, Constant) and isinstance(inner.value, int):
                 return Constant(-inner.value)

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import premlog as P
-from premlog.errors import ArityConflict, MalformedAggregate, ParseError, SafetyError
-from premlog.model import AggregateGoal, Bound, Conjunction, Extremum, Fact, HeadExtremum
+from premlog.errors import ArityConflict, MalformedAggregate, MissingResult, ParseError, SafetyError
+from premlog.model import (
+    AggregateGoal, ArithExpr, Bound, Comparison, Conjunction, Constant, Extremum, Fact, HeadExtremum, Variable
+)
 from premlog import parser
-from premlog.parser import Token, read_edge_list
+from premlog.parser import read_edge_list
 
 from conftest import (
     CAPPED_MAX, BOUNDED_PATH, PARTY_GATED, PART_EXPLOSION, fact_arities, load_edge_list_by_line
@@ -129,6 +131,100 @@ def test_superscript_digit_is_an_unexpected_character(text, col):
     with pytest.raises(ParseError) as err:
         P.parse_program(text)
     assert str(err.value) == f"line 1, col {col}: unexpected character '\u00b2'"
+
+
+_AGG = "p(X,N) :- q(X,D), "
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("r1:", ParseError, "line 1, col 4: expected 'ident', found 'eof'"),
+        ("p(a).\np(X) :- q(X)", ParseError, "line 2, col 13: expected '.', found 'eof'"),
+        ("p(X,min<3>) :- q(X).", ParseError, "line 1, col 9: expected 'var', found '3'"),
+        ("p(X,min<X) :- q(X).", ParseError, "line 1, col 10: expected '>', found ')'"),
+        ("p(a b).", ParseError, "line 1, col 5: expected ')', found 'b'"),
+        (_AGG + "is_min((a),(D)).", ParseError, "line 1, col 27: expected 'var', found 'a'"),
+        (_AGG + "is_min((X,a),(D)).", ParseError, "line 1, col 29: expected 'var', found 'a'"),
+        (_AGG + "is_min((X D),(D)).", ParseError, "line 1, col 29: expected ')', found 'D'"),
+        (_AGG + "is_min((X)(D)).", ParseError, "line 1, col 29: expected ',', found '('"),
+        (_AGG + "is_min((X),D).", ParseError, "line 1, col 30: expected '(', found 'D'"),
+        (_AGG + "is_min((X),(D X)).", ParseError, "line 1, col 33: expected ')', found 'X'"),
+        (_AGG + "count((X),(D),a).", ParseError, "line 1, col 33: expected 'var', found 'a'"),
+        (_AGG + "count((X),(D),N N).", ParseError, "line 1, col 35: expected ')', found 'N'"),
+        (_AGG + "is_min((X),()).", MalformedAggregate, "line 1, col 19: is_min needs at least one measured variable"),
+        (_AGG + "is_min((X),(D),N).", MalformedAggregate, "line 1, col 19: is_min takes no result variable"),
+        (_AGG + "is_min((X),(D,X)).", MalformedAggregate, "line 1, col 19: is_min measures a single variable"),
+        (_AGG + "count((X),(D)).", MissingResult, "line 1, col 19: count needs a result variable"),
+        ("p(X) :- q(X), X <> a.", ParseError, "line 1, col 18: expected a term"),
+        ("p(X) :- q(X), X =< 3.", ParseError, "line 1, col 18: expected a term"),
+        ("p(X) :- q(X), X = 3 +.", ParseError, "line 1, col 22: expected a term"),
+        ("p(X) :- q(X), X + 1.", ParseError, "line 1, col 20: expected a comparison operator"),
+        ("p(X) :- q(X), X > (3 .", ParseError, "line 1, col 22: expected ')', found '.'"),
+        ("p(X) :- q(X),\u00a0X > 3.", ParseError, "line 1, col 14: unexpected character '\\xa0'"),
+        ("p(\u2160).", ParseError, "line 1, col 3: unexpected character '\u2160'"),
+        ("p(a).\nq(X) :- p(X), X > \u2160.", ParseError, "line 2, col 19: unexpected character '\u2160'"),
+        ("p(X,,Y).", ParseError, "line 1, col 5: expected a term"),
+    ],
+)
+def test_parse_errors_keep_their_message_line_and_column(text, error, message):
+    with pytest.raises(error) as err:
+        P.parse_program(text)
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, right",
+    [("-(3)", Constant(-3)), ("-X", ArithExpr("-", Constant(0), Variable("X")))],
+)
+def test_unary_minus_negates_a_constant_and_subtracts_anything_else_from_zero(text, right):
+    (rule,) = P.parse_program(f"p(X) :- q(X), X > {text}.").rules
+    assert rule.body[1] == Comparison(">", Variable("X"), right)
+
+
+_PUNCT_TEXTS = (*parser._PUNCT_TWO, *parser._PUNCT_ONE)
+# Characters no token takes: a lone "!" or "'", and non-ASCII text that is
+# not alphanumeric or that isalnum() accepts but isalpha() and isdecimal() do not.
+_UNEXPECTED = "!'²Ⅰ\xa0"
+# ASCII letters and digits, every punctuation text, blanks, a comment, and
+# characters at the edges of what isalpha(), isalnum() and isdecimal() accept.
+_MIXED = [*"azAZ09_", *_PUNCT_TEXTS, "!", " ", "\t", "\r", "\n", "%", "'", "²", "٣", "Ⅰ", "é", "\xa0", "p(a).\n"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_MIXED), max_size=30).map("".join))
+def test_tokens_of_punctuation_text_are_punctuation(text):
+    # The parser tells punctuation by its value alone, and eof by its empty value.
+    try:
+        tokens = parser.tokenize(text)
+    except ParseError as exc:
+        line, col, shown = re.fullmatch(r"line (\d+), col (\d+): unexpected character (.*)", str(exc)).groups()
+        char = text.split("\n")[int(line) - 1][int(col) - 1]
+        assert shown == repr(char) and char in _UNEXPECTED
+        return
+    for kind, value, _, _ in tokens:
+        if kind != "facts":
+            assert (kind == "punct") == (value in _PUNCT_TEXTS)
+            assert (kind == "eof") == (value == "")
+    assert [kind for kind, *_ in tokens].count("eof") == 1
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("x²", [("ident", "x²", 1, 1)]),  # isalnum() accepts ² after a letter
+        ("p(٣)", [("ident", "p", 1, 1), ("punct", "(", 1, 2), ("int", "٣", 1, 3), ("punct", ")", 1, 4)]),
+    ],
+)
+def test_tokenizer_edges(text, tokens):
+    assert parser.tokenize(text) == [*tokens, ("eof", "", 1, len(text) + 1)]
+
+
+def test_edges_parse_as_the_tokenizer_reads_them():
+    assert P.parse_program("p(٣).").runs == (("p", ((3,),)),)
+    with pytest.raises(ParseError) as err:  # isupper() but not isalpha()
+        parser.tokenize("p(a, Ⅰ)")
+    assert str(err.value) == "line 1, col 6: unexpected character 'Ⅰ'"
 
 
 # ===== normalization ==========================================================
@@ -405,13 +501,16 @@ def _tokenized(text):
 
 
 def _count_tokens(monkeypatch):
+    """A list that gathers the tokens of every text parser.tokenize reads."""
     built = []
+    real = parser.tokenize
 
-    def counting(*fields):
-        built.append(fields)
-        return Token(*fields)
+    def recording(text):
+        tokens = real(text)
+        built.extend(tokens)
+        return tokens
 
-    monkeypatch.setattr(parser, "Token", counting)
+    monkeypatch.setattr(parser, "tokenize", recording)
     return built
 
 
