@@ -31,14 +31,17 @@ tuple through its predicate's one gate, a model.HeadExtremum: a min/max or
 mmin/mmax annotation, or the implicit max of count/sum, admits a tuple only
 if it strictly beats its key's incumbent. A min/max gate deletes the beaten
 tuple from the store and from any pending delta, so it never fires a rule;
-mmin/mmax delete nothing. Each counting rule keeps one _Tally of witnesses
-per key, and its rule function writes the tally itself, per binding (as it
-writes admission): a witness new to its key joins the key's set, and a
-msum/sum summand raises its witness prefix's best and the key's running
-total, so a total is read, never summed again. A full join (ConsequenceStep)
-releases each key's total once the join is done, in first-witness order;
-seminaive releases mcount/msum ladders as their totals grow, and count/sum
-totals only when the fixpoint quiesces, which may restart the loop.
+mmin/mmax delete nothing. Each counting rule keeps one _Tally per key, and
+its rule function writes the tally itself, per binding (as it writes
+admission). mcount/count keep the key's distinct witnesses, and a new one
+joins the set. msum/sum keep only the best summand per witness prefix,
+since sum is the max of the msum ladder (Mazuran, Serra and Zaniolo): a
+summand above its prefix's best raises the best and the key's running
+total, so a total is read, never summed again, and a lower one changes
+nothing. A full join (ConsequenceStep) releases each key's total once the
+join is done, in the order of the keys' first rows; seminaive releases
+mcount/msum ladders as their totals grow, and count/sum totals only when
+the fixpoint quiesces, which may restart the loop.
 
 A seminaive stratum runs one loop, and each iteration takes its delta from
 a picker chosen once per stratum. The breadth-first picker (_admitted)
@@ -62,13 +65,17 @@ way, on copies of the interpretation it is given. Either mode counts every
 stratum of a run into one EvalStats, against one tuple budget and one clock.
 
 Each seminaive stratum also proves, once, which columns hold only integers
-(as Soufflé types its columns at compile time): a relation it only reads is
-scanned at C speed in the columns its code tests, and a head column is
-proven by the head terms (an integer literal, arithmetic, a counting result,
-or a variable read from a proven column), given the seeds. The generated
-code then skips the isinstance test on values read from a proven column;
-the proof is part of the code's cache key, and ConsequenceStep, which reads
-no proof, keeps every test.
+(as Soufflé types its columns, Jordan, Scholz and Subotić 2016), in one
+pass. A column that a positive atom reads into a variable, from a relation
+the stratum only reads, takes its type from its store: a scan at C speed
+that stops at the first symbol, kept on the store. A head column takes its
+type from the head terms, as the greatest fixpoint over the stratum's head
+columns given the seeds: an integer literal, arithmetic, or a variable read
+from a proven column, bound by int_up2 or a counting result, or tied to
+one of those by an equality. That last fact ignores goal order, so it
+serves only the head. The generated code skips the isinstance test on
+values read from a proven column; the proof is part of the code's cache
+key, and ConsequenceStep, which reads no proof, keeps every test.
 """
 from __future__ import annotations
 
@@ -120,7 +127,6 @@ from .model import (
     head_var_positions,
     keep_extremal,
     runs_to_interp,
-    term_variables,
     tuple_sort_key,
 )
 from .rewrite import CompileObligation, ProgramPlan, plan
@@ -228,31 +234,33 @@ _Columns = FrozenSet[Tuple[str, int]]
 
 
 class _Tally:
-    """The witnesses of one counting aggregate, per group key: state only,
+    """One counting aggregate's state per group key, and nothing else:
     written by the generated rule code (_tally_row) and read per key.
 
     count and sum are the max of the mcount and msum ladders (Mazuran et al.
-    2012), so all four keep one total per key: the number of distinct
-    witnesses, or the running sum of the best positive summand per witness
-    prefix. They differ only in what a key releases, every natural up to the
-    total (mcount/msum) or the total itself (count/sum), and in when the
-    caller releases it.
+    2012), so all four keep one total per key. mcount/count keep each key's
+    distinct witnesses, and the total is their number. msum/sum keep only the
+    best summand per witness prefix, and the total is the running sum of the
+    positive ones: a lower summand for a prefix changes nothing. The kinds
+    differ only in what a key releases, every natural up to the total
+    (mcount/msum) or the total itself (count/sum), and in when the caller
+    releases it.
     """
 
     __slots__ = ("kind", "witnesses", "best", "sums", "released", "grown", "watch", "fresh")
 
     def __init__(self, kind: str, watch: Optional[Callable] = None, fresh: Optional[Callable] = None):
         self.kind = kind
-        self.watch = watch  # msum/sum: called with (key, summand) per new non-positive summand
+        self.watch = watch  # msum/sum: called with (key, summand) per non-positive summand
         self.fresh = fresh  # seminaive mcount/msum: called with each key whose total grew
-        self.witnesses: Dict[Tuple, Set[Tuple]] = {}
-        self.best: Dict[Tuple, Dict[Tuple, int]] = {}  # key -> witness prefix -> summand
-        self.sums: Dict[Tuple, int] = {}  # key -> sum of its positive best summands
+        self.witnesses: Dict[Tuple, Set[Tuple]] = {}  # mcount/count: key -> witnesses
+        self.best: Dict[Tuple, Dict[Tuple, int]] = {}  # msum/sum: key -> witness prefix -> summand
+        self.sums: Dict[Tuple, int] = {}  # msum/sum: key -> sum of its positive best summands
         self.released: Dict[Tuple, int] = {}  # key -> total released last
-        self.grown: Dict[Tuple, None] = {}  # seminaive count/sum: keys grown since their release
+        self.grown: Dict[Tuple, None] = {}  # seminaive count/sum: keys changed since their release
 
     def totals(self, keys: Optional[Iterable[Tuple]] = None) -> Iterable[Tuple[Tuple, int]]:
-        """(key, total) for keys, by default for every key in first-witness order."""
+        """(key, total) for keys, by default for every key in the order of its first row."""
         if self.kind in ("msum", "sum"):
             return self.sums.items() if keys is None else [(k, self.sums[k]) for k in keys]
         ws = self.witnesses
@@ -580,49 +588,48 @@ def _generate(
 
 def _tally_row(src: _Source, agg: AggregateGoal, key: str, seminaive: bool) -> None:
     """Record one row of a counting aggregate in the _Tally sink, whose dicts
-    are bound once at the top of the function. A witness new to its key joins
-    the key's set; a msum/sum summand (tested to be an integer unless it is
-    known to be one, and passed to the watch when not positive) then raises
-    its prefix's best, and the key's running total by what the best's
-    positive part grew. In a seminaive stratum a count/sum key that gained a
-    witness joins grown, and a mcount/msum key is released at once (fresh)."""
-    summed = agg.kind in ("msum", "sum")
-    src.top("_W = sink.witnesses")
-    if summed:
-        src.top("_B, _S, _watch = sink.best, sink.sums, sink.watch")
-    if seminaive:
-        src.top("_G = sink.grown" if agg.kind in ("count", "sum") else "_fresh = sink.fresh")
+    are bound once at the top of the function. mcount/count: a witness new
+    to its key joins the key's set. msum/sum: the summand (tested to be an
+    integer unless it is known to be one, and passed to the watch when not
+    positive) raises its prefix's best, and the key's running total by what
+    the best's positive part grew. In a seminaive stratum a count/sum key
+    that gained a witness or a best joins grown, and a mcount/msum key whose
+    total grew is released at once (fresh)."""
     measured = [src.term(Variable(v)) for v in agg.measured]
     src.add(f"_wk = {key}")
-    src.add(f"_wm = {_tuple_text([x for x, _ in measured])}")
-    src.add("_ws = _W.get(_wk)")
-    src.add("if _ws is None: _ws = _W[_wk] = set()")
-    src.add("if _wm not in _ws:")
-    src.indent += 1
-    src.add("_ws.add(_wm)")
-    if seminaive and agg.kind in ("count", "sum"):
-        src.add("_G[_wk] = None")
-    if summed:
-        s, known = measured[-1]
-        if not known:
-            src.add(
-                f"if not isinstance({s}, int): "
-                f"raise TypeMismatch('summand %r is not an integer' % ({s},))"
-            )
-        src.add(f"if {s} < 1 and _watch is not None: _watch(_wk, {s})")
-        src.add("_wb = _B.get(_wk)")
-        src.add("if _wb is None: _wb = _B[_wk] = {}; _S[_wk] = 0")
-        prefix = _tuple_text([x for x, _ in measured[:-1]])
-        src.add(f"_wo = _wb.get({prefix})")
-        src.add(f"if _wo is None or {s} > _wo:")
-        src.add(f"    _wb[{prefix}] = {s}")
-        src.add(f"    if {s} > 0:")  # the total grew
-        src.add(f"        _S[_wk] += {s} - _wo if _wo is not None and _wo > 0 else {s}")
-        if seminaive and agg.kind == "msum":
-            src.add("        _fresh(_wk)")
-    elif seminaive and agg.kind == "mcount":
-        src.add("_fresh(_wk)")
-    src.indent -= 1
+    if seminaive:
+        src.top("_G = sink.grown" if agg.kind in ("count", "sum") else "_fresh = sink.fresh")
+    grown = "_G[_wk] = None" if agg.kind in ("count", "sum") else "_fresh(_wk)"
+    if agg.kind in ("mcount", "count"):
+        src.top("_W = sink.witnesses")
+        src.add(f"_wm = {_tuple_text([x for x, _ in measured])}")
+        src.add("_ws = _W.get(_wk)")
+        src.add("if _ws is None: _ws = _W[_wk] = set()")
+        src.add("if _wm not in _ws:")
+        src.add("    _ws.add(_wm)")
+        if seminaive:
+            src.add(f"    {grown}")
+        return
+    src.top("_B, _S, _watch = sink.best, sink.sums, sink.watch")
+    s, known = measured[-1]
+    if not known:
+        src.add(
+            f"if not isinstance({s}, int): "
+            f"raise TypeMismatch('summand %r is not an integer' % ({s},))"
+        )
+    src.add(f"if {s} < 1 and _watch is not None: _watch(_wk, {s})")
+    src.add("_wb = _B.get(_wk)")
+    src.add("if _wb is None: _wb = _B[_wk] = {}; _S[_wk] = 0")
+    prefix = _tuple_text([x for x, _ in measured[:-1]])
+    src.add(f"_wo = _wb.get({prefix})")
+    src.add(f"if _wo is None or {s} > _wo:")
+    src.add(f"    _wb[{prefix}] = {s}")
+    if seminaive and agg.kind == "sum":
+        src.add(f"    {grown}")
+    src.add(f"    if {s} > 0:")  # the total grew
+    src.add(f"        _S[_wk] += {s} - _wo if _wo is not None and _wo > 0 else {s}")
+    if seminaive and agg.kind == "msum":
+        src.add(f"        {grown}")
 
 
 def _admit_prologue(src: _Source, pred: str, gate: Optional[HeadExtremum]) -> str:
@@ -998,105 +1005,76 @@ def _build_gates(rules: Sequence[Rule]) -> Dict[str, HeadExtremum]:
 # =====================================================================================
 
 
-@lru_cache(maxsize=256)
-def _int_needs(rule: Rule) -> Tuple[Tuple[Tuple[int, _Columns], ...], _Columns]:
-    """What proves the head columns of rule integers: (position, columns)
-    for each head column whose term is not an integer whatever the binding,
-    the body columns any one of which, proven, proves it (none: nothing
-    does). And the body columns whose proof removes an isinstance test from
-    the rule's code or proves a head column.
+def _int_term(t, ints: Set[str]) -> bool:
+    """Whether term t is an integer in every binding that passes the body,
+    given the variables ints that are: an integer literal, arithmetic (whose
+    result is an integer, or it raises) or one of ints."""
+    if isinstance(t, Variable):
+        return t.name in ints
+    return isinstance(t, ArithExpr) or type(t.value) is int
 
-    A variable is an integer in every binding that passes the body when a
-    positive atom reads it from a proven column, when int_up2 or a counting
-    result binds it, or when an equality ties it to such a variable, to an
-    integer literal or to arithmetic (whose result is an integer, or it
-    raises): an integer equals no symbol.
-    """
-    alias: Dict[str, str] = {}
 
-    def root(v: str) -> str:
-        while v in alias:
-            v = alias[v]
-        return v
-
-    columns: Dict[str, Set[Tuple[str, int]]] = {}
-    always: Set[str] = set()
-    guarded = set(rule.head.variables())  # variables whose proof is read
+def _int_vars(rule: Rule, proven: _Columns) -> Set[str]:
+    """The variables of rule that hold an integer once its whole body has
+    passed: read by a positive atom from a proven column, bound by int_up2
+    or a counting result, or tied by an equality to an integer term (an
+    integer equals no symbol). Goal order is ignored, so this serves the
+    head, which runs after the body, and not the tests inside the body."""
+    ints: Set[str] = set()
+    ties = []
     for g in rule.body:
         if isinstance(g, Atom) and g.predicate == RANGE_PREDICATE:
-            guarded.update(term_variables(g.args[0]))
             if isinstance(g.args[1], Variable):
-                always.add(g.args[1].name)
+                ints.add(g.args[1].name)
         elif isinstance(g, Atom):
             for i, a in enumerate(g.args):
-                if isinstance(a, Variable):
-                    columns.setdefault(a.name, set()).add((g.predicate, i))
-        elif isinstance(g, Comparison):
-            sides = (g.left, g.right)
-            if g.op not in ("=", "!=") or any(isinstance(t, ArithExpr) for t in sides):
-                guarded.update(g.variables())
-            for a, b in (sides, sides[::-1]) if g.op == "=" else ():
-                if not isinstance(a, Variable):
-                    continue
-                if isinstance(b, Variable):
-                    if root(a.name) != root(b.name):
-                        alias[root(a.name)] = root(b.name)
-                elif isinstance(b, ArithExpr) or (isinstance(b, Constant) and type(b.value) is int):
-                    always.add(a.name)
-        elif isinstance(g, AggregateGoal):
-            if g.kind in COUNTING_KINDS and g.result is not None:
-                always.add(g.result)
-            elif g.kind in EXTREMA_KINDS:
-                guarded.add(g.measured[0])
-    joined: Dict[str, Set[Tuple[str, int]]] = {}
-    ints: Set[str] = set()
-    for v in set(columns) | always | guarded:
-        joined.setdefault(root(v), set()).update(columns.get(v, ()))
-        if v in always:
-            ints.add(root(v))
-
-    pending = []
-    for i, t in enumerate(rule.head.args):
-        if isinstance(t, Constant) and type(t.value) is not int:
-            pending.append((i, frozenset()))
-        elif isinstance(t, Variable) and root(t.name) not in ints:
-            pending.append((i, frozenset(joined[root(t.name)])))
-        # else an integer literal or arithmetic
-    reads = frozenset(c for v in guarded for c in joined[root(v)])
-    return tuple(pending), reads
+                if isinstance(a, Variable) and (g.predicate, i) in proven:
+                    ints.add(a.name)
+        elif isinstance(g, AggregateGoal) and g.kind in COUNTING_KINDS and g.result is not None:
+            ints.add(g.result)
+        elif isinstance(g, Comparison) and g.op == "=":
+            ties += [(g.left, g.right), (g.right, g.left)]
+    grew = True
+    while grew:
+        grew = False
+        for a, b in ties:
+            if isinstance(a, Variable) and a.name not in ints and _int_term(b, ints):
+                ints.add(a.name)
+                grew = True
+    return ints
 
 
 def _proven_columns(
     rules: Sequence[Rule], stores: Dict[str, RelationStore], seeds: Dict[str, Set[GroundTuple]]
 ) -> Tuple[_Columns, _Columns]:
     """The columns a stratum proves to hold only integers, and which of them
-    are its heads'. A relation it reads and does not derive is scanned, once
-    per column a guard or a head reads (RelationStore.int_column). A head
-    column is proven by the head terms: the greatest set of head columns
-    that the seeds and every rule keep integer, given the rest."""
-    needs = [(r.head, _int_needs(r)) for r in rules]
-    heads = {head.predicate for head, _ in needs}
+    are its heads'. Each column that a positive atom reads into a variable
+    from a relation the stratum does not derive is scanned once, the answer
+    kept on its store (RelationStore.int_column). A head column is proven by
+    the head terms: the greatest set of head columns that the seeds and
+    every rule keep integer, given the rest."""
+    heads = {r.head.predicate for r in rules}
     read: Set[Tuple[str, int]] = set()
-    for _, (_, reads) in needs:
-        for col in reads:
-            if col[0] not in heads and col not in read:
-                store = stores.get(col[0])
-                if store is None or store.int_column(col[1]):
-                    read.add(col)
-    held: Set[Tuple[str, int]] = set()
-    for head, _ in needs:
-        facts = seeds.get(head.predicate)
-        held.update((head.predicate, i) for i in range(head.arity) if not facts or all_ints(facts, i))
-    changed = True
-    while changed:
-        changed = False
-        for head, (pending, _) in needs:
-            for i, cols in pending:
-                col = (head.predicate, i)
-                if col in held and cols.isdisjoint(read) and cols.isdisjoint(held):
-                    held.discard(col)
-                    changed = True
-    return frozenset(read | held), frozenset(held)
+    for g in (g for r in rules for g in r.regular_goals() if g.predicate not in heads):
+        store = stores.get(g.predicate)
+        for i, a in enumerate(g.args):
+            if isinstance(a, Variable) and (store is None or store.int_column(i)):
+                read.add((g.predicate, i))
+    held = {
+        (r.head.predicate, i)
+        for r in rules
+        for i in range(r.head.arity)
+        if all_ints(seeds.get(r.head.predicate, ()), i)
+    }
+    while True:
+        proven = read | held
+        lost = set()
+        for r in rules:
+            ints = _int_vars(r, proven)
+            lost.update((r.head.predicate, i) for i, t in enumerate(r.head.args) if not _int_term(t, ints))
+        if lost.isdisjoint(held):
+            return frozenset(proven), frozenset(held)
+        held -= lost
 
 
 # =====================================================================================

@@ -36,7 +36,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -709,8 +709,24 @@ def format_rule(rule: Rule) -> str:
     return f"{rule.id}: {head_text} :- {', '.join(goals)}."
 
 
+def _reads_back(symbol: str) -> bool:
+    """Whether _tokenize_line reads symbol back as that one identifier."""
+    head = symbol[:1]
+    return head.isalpha() and not head.isupper() and symbol.replace("_", "a").replace("'", "a").isalnum()
+
+
 def format_program(p: Program) -> str:
-    """Facts, then rules, as text: what `optimize` (and perfbench's replay) prints."""
+    """Facts, then rules, as text: what `optimize` (and perfbench's replay)
+    prints. A fact symbol the parser would not read back as itself, such as
+    an edge-list node `x-y`, is a LoadError; each distinct value is checked
+    once."""
+    values: Set[object] = set()
+    for _, rows in p.runs:
+        values.update(chain.from_iterable(rows))
+    bad = {v for v in values if type(v) is str and not _reads_back(v)}
+    if bad:
+        predicate, value = next((q, v) for q, rows in p.runs for row in rows for v in row if v in bad)
+        raise LoadError(f"{predicate} value {value!r} is not a constant the parser reads back")
     lines = [
         f"{predicate}({','.join(map(format_value, row))})." if row else f"{predicate}."
         for predicate, rows in p.runs

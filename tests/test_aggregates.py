@@ -1,9 +1,12 @@
 """Aggregate semantics: mcount, msum, count, sum, extrema goals."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import premlog as P
+from premlog.cli import EXIT_OK, main
 from premlog.engine import execute, plan
 from premlog.errors import TypeMismatch
 
@@ -181,6 +184,42 @@ def test_execute_keeps_positivity_apart_from_the_plan_warnings():
     assert watched.warnings == planned.warnings and len(planned.warnings) == 3
     plain = execute(planned)
     assert plain.positivity == [] and plain.warnings == planned.warnings
+
+
+# tot(a,7) is released once the loop quiesces; r3 then derives w(a,s,3) and
+# w(b,s,-3), summands below their prefix's best: a key's total, and so what
+# it releases, cannot change, and the first non-positive summand is
+# reported. Frozen when every new (prefix, summand) witness marked its key.
+LOWER_SUMMAND = """
+r1: tot(K,S) :- w(K,P,V), sum((K),(P,V),S).
+r2: w(K,P,V) :- base(K,P,V).
+r3: w(K,s,V) :- tot(K,S), V=S-4.
+base(a,s,5). base(a,t,2). base(b,s,1).
+"""
+
+
+@pytest.mark.parametrize(
+    "command, stats",
+    [
+        (["--stats"], "iterations=4 derived=7 retained=7 deleted=0"),
+        (["--trust-but-verify", "--stats"], "iterations=4 derived=7 retained=7 deleted=0"),
+        (["--mode", "naive", "--trust-but-verify", "--stats"], "iterations=4 derived=22 retained=7 deleted=0"),
+    ],
+)
+def test_a_lower_summand_after_the_release_changes_nothing(tmp_path, capsys, command, stats):
+    path = tmp_path / "lower.dl"
+    path.write_text(LOWER_SUMMAND)
+    assert main(["run", str(path), "--query", "tot", *command]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == "tot(a,7).\ntot(b,1).\n"
+    lines = [
+        "warning: rule r1: summand V is not provably positive; non-positive contributions are dropped by the expansion",
+        *(["audit: rule r1: non-positive summand -3 for key ('b',)"] if "--trust-but-verify" in command else []),
+        f"# {stats} wall_ms=",
+    ]
+    assert re.sub(r"wall_ms=[0-9.]+", "wall_ms=", err) == "\n".join(lines) + "\n"
+    assert main(["run", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "w(a,s,3).\nw(a,s,5).\nw(a,t,2).\nw(b,s,-3).\nw(b,s,1).\n"
 
 
 def test_count_gate_pred_wide_with_plain_rules():

@@ -531,6 +531,12 @@ def test_compose_procedure_declines_what_it_cannot_unfold():
     assert [r.id for r in composed] == ["r1", "r2+r3"]
 
 
+def test_classify_a_constraint_on_an_undefined_predicate_is_no_cost():
+    prog = P.parse_program(BOUNDED_PATH)
+    with pytest.raises(NoCost, match="^spath is not defined in the program$"):
+        P.classify_premability(prog, Extremum("min", "spath", (0,), 1))
+
+
 def test_classify_uncomposable_companion_is_no_cost(tmp_path, capsys):
     text = PARTY_GATED + "r5: attend(X) :- cntfriends(X,N), N>=5.\n" + CLIQUE_FACTS
     prog = P.parse_program(text)

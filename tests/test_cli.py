@@ -79,6 +79,12 @@ def test_run_prints_integers_before_symbols_in_a_mixed_column(write, capsys):
 RULES_ONLY = "\n".join(SHORTEST_PATH.strip().splitlines()[:-1])
 
 
+def test_run_of_facts_alone_prints_nothing(write, capsys):
+    # No rule, so no default query and no answers to print.
+    assert main(["run", write("facts.dl", "e(a,b). e(b,c).\n")]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+
+
 def test_run_separate_facts_file(write, capsys):
     rules = write("rules.dl", RULES_ONLY)
     facts = write("facts.dl", "arc(a,b,1). arc(b,c,1). arc(a,c,5).")
@@ -470,12 +476,14 @@ def test_the_oracle_keeps_one_tuple_budget_across_its_strata(write, capsys):
         ("q(G,C,S) :- e(G,Y), count((G),(Y),C), sum((G),(Y),S).\n", "line 1: rule r1 has several aggregates", False),
         ("q(G,C) :- e(G,Y), count((G),(),C).\n", "line 1, col 19: count needs at least one measured variable", False),
         ("q(X) :- e(X), X.\n", "line 1, col 16: expected a comparison operator", False),
+        ("r1: p(X) :- q(X).\nr1: p(X) :- s(X).\n", "line 2: duplicate rule label r1", False),
     ],
 )
 def test_parse_errors_name_the_line_and_a_known_column(write, capsys, text, message, facts_only):
     prog = write("bad.dl", text)
-    assert main(["run", prog]) == EXIT_INPUT
-    assert capsys.readouterr().err == f"error: {message}\n"
+    for command in ("run", "check"):
+        assert main([command, prog]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     if facts_only:  # the same text as a --facts file
         facts = write("bad_facts.dl", text)
         assert main(["run", write("empty.dl", ""), "--facts", facts]) == EXIT_INPUT
@@ -757,6 +765,35 @@ def test_optimize_prints_every_goal_shape_so_that_it_reads_back(write, capsys):
     assert P.format_program(P.parse_program(optimized)) == optimized
     assert main(["run", write("optimized.dl", optimized), "--query", "out"]) == EXIT_OK
     assert capsys.readouterr().out == answers
+
+
+# Edge-list nodes that the parser would read as something else: a variable,
+# two tokens, an integer then an identifier, or a comment.
+@pytest.mark.parametrize(
+    "edges, value",
+    [
+        ("a\tN1\t3\nN1\tx-y\t2\n", "N1"),
+        ("a\tx-y\t2\n", "x-y"),
+        ("a\t1b\t2\n", "1b"),
+        ("b\t_c\t2\na\tb%\t1\n", "_c"),
+    ],
+)
+def test_optimize_refuses_a_fact_it_cannot_print_back(write, capsys, edges, value):
+    prog = write("path.dl", "r1: path(Y,D) :- arc(a,Y,D).\nr2: path(Y,D) :- path(X,Dx), arc(X,Y,W), D=Dx+W, D<10.\n")
+    facts = write("edges.tsv", edges)
+    assert main(["optimize", prog, "--facts", facts]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: arc value {value!r} is not a constant the parser reads back\n")
+    assert main(["run", prog, "--facts", facts]) == EXIT_OK  # run reads the same values as they are
+    assert "path(" in capsys.readouterr().out
+
+
+def test_optimize_prints_facts_the_parser_reads_back(write, capsys):
+    prog = write("path.dl", "r1: path(Y,D) :- arc(a,Y,D).\n")
+    facts = write("edges.tsv", "a\tb'c\t1\na\tz9_\t-2\na\t\u00e9t\u00e9\t3\n")
+    assert main(["optimize", prog, "--facts", facts]) == EXIT_OK
+    optimized = capsys.readouterr().out
+    assert optimized == "arc(a,b'c,1).\narc(a,z9_,-2).\narc(a,\u00e9t\u00e9,3).\nr1: path(Y,D) :- arc(a,Y,D).\n"
+    assert P.format_program(P.parse_program(optimized)) == optimized
 
 
 def test_optimize_rejection_exit(write, capsys):

@@ -26,7 +26,10 @@ read off its rules in one place, Program.final_constraints: it alone builds
 a FinalConstraint. Each fixpoint loop has one iteration counter: only the
 seminaive stratum and the naive loop advance stats.iterations. The cyclic
 garbage collector is paused and restored in one place, cli.main, around a
-command: the library leaves it to its caller.
+command: the library leaves it to its caller. Columns are proven integer in
+one place, engine._proven_columns, the one caller of
+RelationStore.int_column; and the only caches keyed on a whole Rule are the
+rule code's and the greedy test's.
 """
 from __future__ import annotations
 
@@ -112,6 +115,11 @@ ITERATION_COUNTERS = {"_seminaive_stratum", "naive_fixpoint"}
 # The one home of the collector's pause; no other enable() or disable() is
 # called in the package, so the method name alone finds every call.
 COLLECTOR_SWITCHES = {("cli.py", "main")}
+
+# The one home of the integer-column proof, and the functions cached with
+# lru_cache on a Rule argument, whose every lookup hashes the whole rule.
+INT_COLUMN_SCANNERS = {("engine.py", "_proven_columns")}
+RULE_KEYED_CACHES = {("engine.py", "_rule_code"), ("engine.py", "_settles_in_order")}
 
 # The methods of engine._Tally, none of them per row; the fields only the
 # rule code _tally_row emits writes; the calls that change a dict or set.
@@ -234,6 +242,21 @@ def tally_writers(source: str):
     return found
 
 
+def rule_keyed_caches(source: str, module: str):
+    """(module, function) per function of source that lru_cache caches and
+    that takes an argument annotated Rule."""
+    return {
+        (module, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)
+        and any(
+            a.annotation is not None and ast.unparse(a.annotation).strip("'\"") == "Rule"
+            for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        )
+    }
+
+
 def code_names(source: str):
     """The names source reads as code: names and attribute names loaded,
     not strings, not a def, class or assignment of the name."""
@@ -309,6 +332,12 @@ def test_the_tally_is_written_by_the_rule_code_alone():
     [tally] = [n for n in ast.parse(source).body if getattr(n, "name", None) == "_Tally"]
     assert {f.name for f in tally.body if isinstance(f, ast.FunctionDef)} <= TALLY_METHODS
     assert tally_writers(source) == TALLY_WRITERS
+
+
+def test_columns_are_proven_integer_in_one_place():
+    assert callers("int_column") == INT_COLUMN_SCANNERS
+    found = set().union(*(rule_keyed_caches(p.read_text(encoding="utf-8"), p.name) for p in MODULES))
+    assert found == RULE_KEYED_CACHES
 
 
 @pytest.mark.parametrize("name", EARLY_LAYERS)
@@ -396,6 +425,21 @@ def test_the_checks_see_what_they_look_for():
         ]
     )
     assert assigners("stats.iterations", counters) == {"loop", "inner"}
+    caches = "\n".join(
+        [
+            "from functools import lru_cache",
+            "@lru_cache(maxsize=256)",
+            "def code(rule: Rule, version: int): pass",
+            "@functools.lru_cache(maxsize=None)",
+            "def needs(r: 'Rule'): pass",
+            "@lru_cache",
+            "def keyed(*, rule: Rule): pass",
+            "def uncached(rule: Rule): pass",
+            "@lru_cache(maxsize=8)",
+            "def pattern(arity: int, rules: Tuple[Rule, ...]): pass",
+        ]
+    )
+    assert rule_keyed_caches(caches, "m.py") == {("m.py", "code"), ("m.py", "needs"), ("m.py", "keyed")}
     assert late_imports(layers) == [
         (1, "engine", False),
         (2, "verify", False),

@@ -6,12 +6,15 @@ import pytest
 import premlog as P
 from premlog.errors import Overflow, TypeMismatch
 from premlog.model import (
+    AggregateGoal,
     Atom,
     Bound,
     Constant,
     Extremum,
     INT_MAX,
     INT_MIN,
+    Negated,
+    Rule,
     Variable,
     checked_arith,
     compare_values,
@@ -100,3 +103,21 @@ def test_program_rules_defining():
     prog = P.parse_program("r1: p(X) :- q(X).\nr2: p(X) :- r(X).\nq(a).")
     assert [r.id for r in prog.rules_defining("p")] == ["r1", "r2"]
     assert prog.rules_defining("missing") == []
+
+
+@pytest.mark.parametrize(
+    "node, text",
+    [
+        (Atom("done", ()), "done"),
+        (Negated(Atom("e", (Variable("X"), Constant(3)))), "not e(X, 3)"),
+        (AggregateGoal("is_min", ("Y",), ("D",)), "is_min((Y), (D))"),
+        (AggregateGoal("sum", ("G",), ("K", "V"), "S"), "sum((G), (K, V), S)"),
+        (Rule("r1", Atom("p", (Constant("a"),)), ()), "r1: p(a)."),
+        (
+            Rule("r2", Atom("p", (Variable("X"),)), (Atom("q", (Variable("X"),)), Atom("done", ()))),
+            "r2: p(X) :- q(X), done.",
+        ),
+    ],
+)
+def test_repr(node, text):
+    assert repr(node) == text

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import premlog as P
-from premlog.errors import ArityConflict, MalformedAggregate, MissingResult, ParseError, SafetyError
+from premlog.errors import ArityConflict, LoadError, MalformedAggregate, MissingResult, ParseError, SafetyError
 from premlog.model import (
     AggregateGoal, ArithExpr, Bound, Comparison, Conjunction, Constant, Extremum, Fact, HeadExtremum, Variable
 )
@@ -812,3 +812,31 @@ def test_format_program_prints_facts_as_parsed():
     assert P.format_program(program.with_runs(parser._parse_facts("q.\nw(b,-1).\n"))).startswith(
         "q.\narc(a,-3,7).\nq.\nw(b,-1).\n"
     )
+
+
+def _one_identifier(text):
+    """Whether the tokenizer reads text as that one identifier."""
+    toks = []
+    try:
+        parser._tokenize_line(text, 1, toks)
+    except ParseError:
+        return False
+    return toks == [("ident", text, 1, 1)]
+
+
+# Lower, upper and title case letters, letter-like and digit-like
+# characters, quotes, punctuation, blanks and the comment sign.
+SYMBOL_CHARS = st.sampled_from("aZz0_'-. %\t\n\u00e9\u01c5\u00b2\u0663\u2160\u00aa\u02b0(")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(SYMBOL_CHARS, max_size=4) | st.text(max_size=4))
+def test_format_program_prints_exactly_the_symbols_that_read_back(symbol):
+    program = P.parse_program("").with_runs([("p", [("a", symbol, 7)])])
+    if not _one_identifier(symbol):
+        with pytest.raises(LoadError, match="^p value .* is not a constant the parser reads back$"):
+            P.format_program(program)
+        return
+    text = P.format_program(program)
+    assert text == f"p(a,{symbol},7).\n"
+    assert P.parse_program(text).runs == program.runs

@@ -10,17 +10,25 @@ it does on its own.
 """
 from __future__ import annotations
 
+import json
+import random
+import re
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import premlog as P
 import premlog.engine as engine
 import premlog.parser as parser
 from premlog.cli import EXIT_INPUT, EXIT_OK, main
-from premlog.errors import BudgetExceeded
+from premlog.errors import BudgetExceeded, PremlogError
 
-from conftest import facts_to_interp
+import conftest
+from conftest import bench_corpus, facts_to_interp, random_positive_program
 
 # Three strata: a greedy min recursion, a plain recursion that reads it and
 # probes arc on the same index, and a range goal over what that derived.
@@ -227,6 +235,92 @@ def test_head_column_proof_is_a_greatest_fixpoint():
     stores = {p: engine.RelationStore(rel) for p, rel in facts_to_interp(program.facts).items()}
     seeds = {"q": {("x",)}}
     assert ("q", 0) not in engine._proven_columns(program.rules, stores, seeds)[0]
+
+
+def test_a_variable_tied_to_a_proven_one_is_proven_whatever_the_goal_order():
+    # r2 copies q's column through Z, which an equality ties to the integer
+    # read from b; r3 through an integer literal; r4 through arithmetic. Tied
+    # to a symbol read from e instead, Z disproves q's column.
+    rules = (
+        "r1: q(X) :- b(X).\nr2: q(Z) :- q(X), b(Y), Z = Y, Y = X.\n"
+        "r3: q(W) :- e(V,V), W = 7.\nr4: q(W) :- e(V,U), W = V + 1.\n"
+    )
+    assert ("q", 0) in proven(rules + "b(1). e(x,y).")
+    assert ("q", 0) not in proven(rules.replace("Z = Y, ", "Z = V, e(V,V), ") + "b(1). e(x,y).")
+
+
+def test_the_body_keeps_its_tests_where_a_later_goal_proves_the_variable():
+    # X = 5 proves X once the body has passed, but Y = X+1 reads X first.
+    text = "r1: p(Y) :- q(X), Y = X+1, X = 5.\n"
+    assert ("p", 0) in proven(text + "q(a). q(5).")
+    with pytest.raises(P.TypeMismatch, match="^arithmetic '\\+' needs integers, got 'a' and 1$"):
+        P.run_program(P.parse_program(text + "q(a). q(5)."))
+    assert P.run_program(P.parse_program(text + "q(5). q(7).")).answers("p") == [(6,)]
+
+
+# engine._proven_columns(...)[0] at the start of every seminaive stratum of
+# the conftest programs and of the 96 corpus programs at seed 1, each run on
+# its own facts (pushed, then stratified; a stop ends a program's list),
+# frozen when a per-rule solver (_int_needs) chose which columns to scan:
+# one line per stratum, its rule ids and its proven columns.
+PROOFS = Path(__file__).with_name("golden_proven_columns.json")
+
+
+def proof_tables():
+    texts = {name: text for name, text in vars(conftest).items() if name.isupper() and isinstance(text, str)}
+    for i, text in enumerate(bench_corpus().generated_programs(random.Random(1), 96)):
+        texts[f"corpus 1 #{i}"] = text
+    real = engine._proven_columns
+    tables = {}
+    for name, text in sorted(texts.items()):
+        strata = []
+
+        def record(rules, stores, seeds):
+            proven, held = real(rules, stores, seeds)
+            strata.append([" ".join(sorted(r.id for r in rules)), sorted(f"{p} {i}" for p, i in proven)])
+            return proven, held
+
+        program = P.parse_program(text)
+        with mock.patch.object(engine, "_proven_columns", record):
+            for push in (True, False):
+                try:
+                    P.run_program(program, P.EvalOptions(max_tuples=20_000), push=push)
+                except PremlogError:
+                    pass
+        tables[name] = strata
+    return tables
+
+
+def test_every_stratum_proves_at_least_what_the_per_rule_solver_proved():
+    frozen = json.loads(PROOFS.read_text(encoding="utf-8"))
+    tables = proof_tables()
+    assert tables.keys() == frozen.keys()
+    for name, strata in tables.items():
+        assert [ids for ids, _ in strata] == [ids for ids, _ in frozen[name]], name
+        for (ids, now), (_, then) in zip(strata, frozen[name]):
+            assert set(then) <= set(now), (name, ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sets(st.sampled_from("abcd")))
+def test_a_column_proven_at_a_stratum_start_holds_only_integers(seed, numbered):
+    # Nodes in numbered become integers, the others stay symbols; weights are
+    # integers. What a stratum proves must hold of the run's whole result.
+    number = {c: str(i) for i, c in enumerate("abcd", 1) if c in numbered}
+    text = re.sub(r"\b[a-d]\b", lambda m: number.get(m[0], m[0]), random_positive_program(seed))
+    claims = []
+    real = engine._proven_columns
+
+    def record(rules, stores, seeds):
+        proven, held = real(rules, stores, seeds)
+        claims.append(proven)
+        return proven, held
+
+    with mock.patch.object(engine, "_proven_columns", record):
+        db = P.run_program(P.parse_program(text)).db
+    assert claims
+    for p, i in set().union(*claims):
+        assert all(type(t[i]) is int for t in db.get(p, ())), (text, p, i)
 
 
 # ===== scan order of the fact stores ============================================

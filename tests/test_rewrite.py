@@ -212,6 +212,16 @@ def test_materialize_monotonic_swaps_sum_for_msum():
     assert {a.kind for a in aggs} == {"msum"}
 
 
+def test_materialize_monotonic_refuses_two_result_positions_of_one_predicate():
+    text = (
+        "r1: c(X,N) :- e(X,Y), count((X),(Y),N).\n"
+        "r2: c(N,X) :- f(X,Y), count((X),(Y),N).\n"
+        "e(a,b). f(a,c).\n"
+    )
+    with pytest.raises(P.PremlogError, match="^c aggregates into different argument positions$"):
+        materialize_monotonic(P.parse_program(text))
+
+
 # ===== count/sum compilation ==================================================
 
 

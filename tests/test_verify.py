@@ -15,7 +15,7 @@ from premlog.cli import main
 from premlog.engine import ConsequenceStep, plan
 from premlog.model import INT_MAX, tuple_sort_key
 from premlog.parser import format_value
-from premlog.rewrite import standard_form
+from premlog.rewrite import desugar_extremum, standard_form
 from premlog.verify import _sample_space
 
 import conftest
@@ -570,6 +570,20 @@ def test_oracle_keeps_monotonic_ladders():
 def test_oracle_drops_desugaring_helpers():
     oracle = P.brute_force_oracle(P.parse_program(SHORTEST_PATH))
     assert not [p for p in oracle if p.startswith(("lesser_", "greater_"))]
+
+
+def test_oracle_renames_past_a_variable_that_already_ends_in_1():
+    # D1 is taken, so the witness copy of D is D11 (and of Y, Y11).
+    text = (
+        "r1: p(Y,D,D1) :- e(Y,D), D1=D+1.\n"
+        "r2: s(Y,D) :- p(Y,D,D1), is_min((Y),(D)).\n"
+        "e(a,3). e(a,1). e(b,2).\n"
+    )
+    program = P.parse_program(text)
+    aux = P.format_rule(desugar_extremum(program.rules[1])[1])
+    assert aux == "lesser_r2: lesser_r2(Y,D) :- p(Y,D,D1), p(Y,D11,D111), D11<D."
+    oracle = P.brute_force_oracle(program)
+    assert sorted(oracle["s"]) == P.run_program(program).answers("s") == [("a", 1), ("b", 2)]
 
 
 def test_oracle_keeps_one_tuple_budget_across_its_strata():
