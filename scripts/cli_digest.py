@@ -23,7 +23,13 @@ together.
     python3 scripts/cli_digest.py --seeds 1-5
 
 The script re-executes itself with PYTHONHASHSEED=0, so that the digest does
-not depend on the interpreter's string hashing. perfbench is only imported.
+not depend on the hash seed. It still depends on the string hash itself:
+sets of tuples that hold strings iterate in hash order, and that order moves
+the `--stats` counts. Python 3.10 hashes strings with siphash24 and 3.11
+with siphash13, so on the same checkout the two print different totals. The
+line before the total names the interpreter and its hash, `python X.Y
+<sys.hash_info.algorithm>`: compare two totals only when that line is the
+same. perfbench is only imported.
 """
 from __future__ import annotations
 
@@ -114,6 +120,7 @@ def main() -> int:
     total, per_command = digest(parse_seeds(args.seeds))
     for command, hexdigest in per_command.items():
         print(f"{hexdigest[:16]}  {command}")
+    print(f"python {sys.version_info[0]}.{sys.version_info[1]} {sys.hash_info.algorithm}")
     print(total)
     return 0
 

@@ -19,8 +19,9 @@ caller's setting however the command ends): its relations are flat tuples
 that form no cycles, so collecting only rescans them. The library entry
 points leave the collector to their caller.
 
-Exit codes: 0 success, 1 bad input, 2 budget exhausted, 3 a constraint or
-aggregate was rejected (or an audited run disagreed with the oracle).
+Exit codes: 0 success, 1 bad input (a number below its option's range too),
+2 budget exhausted, 3 a constraint or aggregate was rejected (or an audited
+run disagreed with the oracle).
 """
 
 from __future__ import annotations
@@ -155,6 +156,13 @@ def _load_program(args) -> Program:
     return program
 
 
+def _at_least(option: str, value: Optional[int], least: int) -> None:
+    """Refuse a number below its option's least value as bad input (exit 1;
+    argparse's own exit 2 would read as a budget stop)."""
+    if value is not None and value < least:
+        raise PremlogError(f"{option} must be at least {least}, got {value}")
+
+
 def _stats_line(stats) -> str:
     return (
         f"# iterations={stats.iterations} derived={stats.derived} "
@@ -170,6 +178,8 @@ def _stats_line(stats) -> str:
 def _cmd_run(args) -> int:
     from .engine import EvalOptions, execute
 
+    _at_least("--max-tuples", args.max_tuples, 0)
+    _at_least("--max-iterations", args.max_iterations, 0)
     program = _load_program(args)
     options = EvalOptions(
         mode=args.mode,
@@ -324,6 +334,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _at_least("--samples", args.samples, 1)  # no PASSED from a check that sampled nothing
     planned = plan(_load_program(args), push=False)
     compiled = planned.executed
     targets = []
@@ -375,6 +386,10 @@ def _cmd_bench(args) -> int:
     from .bench import GraphSpec, gen_graph, run_benchmark
     from .engine import EvalOptions
 
+    _at_least("--runs", args.runs, 1)
+    _at_least("--max-tuples", args.max_tuples, 0)
+    if args.min_length > args.max_length:
+        raise PremlogError(f"--min-length {args.min_length} exceeds --max-length {args.max_length}")
     if args.facts:
         arcs = [row for path in args.facts for row in read_edge_list(path)]
         spec = None

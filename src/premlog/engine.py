@@ -1,13 +1,16 @@
 """Bottom-up evaluation: naive and seminaive fixpoints under constraints.
 
 Both modes, and the consequence step T, share one rule executor: generated
-code. Each rule's plan (its goals in analysis.order_goals's order; a rule
-that is not safe raises SafetyError there) becomes one Python function per
-delta version, compiled on first use and cached. The function
-is a nest of loops, one per body atom, that probes hash indexes with tuple
-keys, binds Datalog variables to locals, and inlines checked 64-bit
-arithmetic and comparisons. Tracebacks and profiles name the function
-`<premlog rule ID vK>` (`full` when no delta is read).
+code. Each rule becomes one Python function per delta version, written
+straight from its goals in analysis.order_goals's order (a rule that is not
+safe raises SafetyError there), compiled on first use and cached. The
+function is a nest of loops, one per body atom, that probes a store's hash
+index on whatever the goals before the atom bound (as Soufflé compiles a
+rule, Jordan, Scholz and Subotić 2016), binds Datalog variables to locals,
+and inlines checked 64-bit arithmetic and comparisons. Each store and index
+is bound once per call, and every probe is a dict lookup. Tracebacks and
+profiles name the function `<premlog rule ID vK>` (`full` when no delta is
+read).
 
 Admission happens inside that function, per binding. In a seminaive stratum
 the function writes its head's admission once per head kind (plain, min/max,
@@ -167,14 +170,6 @@ class EvalStats:
 # =====================================================================================
 
 
-def _key_of(positions: Tuple[int, ...]) -> Callable[[GroundTuple], Tuple]:
-    # Keys stay tuples, as the generated probes build them.
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda t: (t[p],)
-    return itemgetter(*positions)
-
-
 class RelationStore:
     """A set of ground tuples with lazily built positional hash indexes, and
     which of its columns are proven to hold only integers."""
@@ -183,8 +178,8 @@ class RelationStore:
 
     def __init__(self, tuples: Optional[Iterable[GroundTuple]] = None):
         self.tuples: Set[GroundTuple] = set(tuples) if tuples else set()
-        self.indexes: Dict[Tuple[int, ...], Dict[Tuple, Set[GroundTuple]]] = {}
-        self._keyed: List[Tuple[Callable[[GroundTuple], Tuple], Dict]] = []
+        self.indexes: Dict[Tuple[int, ...], Dict[object, Set[GroundTuple]]] = {}
+        self._keyed: List[Tuple[Callable[[GroundTuple], object], Dict]] = []
         self.ints: Dict[int, bool] = {}  # column -> all integers, once asked
 
     def add(self, t: GroundTuple) -> bool:
@@ -202,23 +197,24 @@ class RelationStore:
             if bucket is not None:
                 bucket.discard(t)
 
-    def match(self, positions: Tuple[int, ...], key: Tuple) -> Iterable[GroundTuple]:
+    def index(self, positions: Tuple[int, ...]) -> Dict[object, Set[GroundTuple]]:
+        """The hash index on positions, built on first use and kept current by
+        add and remove. A key is what itemgetter(*positions) reads: the bare
+        value for one column, a tuple for more."""
         ix = self.indexes.get(positions)
         if ix is None:
             # Keys are read at C speed, and each bucket gets its tuples in
             # the order add() one by one would give them.
-            ix = {}
-            for k, t in zip(map(itemgetter(*positions), self.tuples), self.tuples):
+            key_of = itemgetter(*positions)
+            ix = self.indexes[positions] = {}
+            for k, t in zip(map(key_of, self.tuples), self.tuples):
                 bucket = ix.get(k)
                 if bucket is None:
                     ix[k] = {t}
                 else:
                     bucket.add(t)
-            if len(positions) == 1:  # one 1-tuple per key, not per tuple
-                ix = {(k,): bucket for k, bucket in ix.items()}
-            self.indexes[positions] = ix
-            self._keyed.append((_key_of(positions), ix))
-        return ix.get(key, ())
+            self._keyed.append((key_of, ix))
+        return ix
 
     def int_column(self, i: int) -> bool:
         """Whether column i holds only integers. Asked only of a relation
@@ -268,63 +264,6 @@ class _Tally:
 
 
 # =====================================================================================
-# RULE PLANS
-# =====================================================================================
-
-
-@dataclass(frozen=True)
-class _Scan:
-    atom: Atom
-    positions: Tuple[int, ...]  # statically bound positions, index key order
-    key_parts: Tuple[Tuple[str, object], ...]  # ('c', value) | ('v', name) per position
-    binds: Tuple[Tuple[int, str], ...]  # remaining positions: (position, variable name)
-    scc_ordinal: Optional[int]
-
-
-@dataclass(frozen=True)
-class _Plan:
-    rule: Rule
-    steps: Tuple[object, ...]  # _Scan | Comparison | Negated | range Atom
-    agg: Optional[AggregateGoal]
-    post_filters: Tuple[Comparison, ...]
-
-
-def compile_plan(rule: Rule, scc_preds: Set[str]) -> _Plan:
-    """The rule's goals in analysis.order_goals's order, each body atom a
-    _Scan that keys on what the goals before it bound, numbering the atoms
-    over scc_preds (delta versions); order_goals raises SafetyError for a
-    rule that is not safe."""
-    goals, post = order_goals(rule)
-    bound: Set[str] = set()
-    steps: List[object] = []
-    n_scc = 0
-    for g in goals:
-        if isinstance(g, Atom) and g.predicate != RANGE_PREDICATE:
-            positions: List[int] = []
-            key_parts: List[Tuple[str, object]] = []
-            binds: List[Tuple[int, object]] = []
-            for i, a in enumerate(g.args):
-                if isinstance(a, Constant):
-                    positions.append(i)
-                    key_parts.append(("c", a.value))
-                elif a.name in bound:
-                    positions.append(i)
-                    key_parts.append(("v", a.name))
-                else:
-                    binds.append((i, a.name))
-            ordinal = None
-            if g.predicate in scc_preds:
-                ordinal = n_scc
-                n_scc += 1
-            steps.append(_Scan(g, tuple(positions), tuple(key_parts), tuple(binds), ordinal))
-        else:
-            steps.append(g)
-        bound.update(g.variables())
-
-    return _Plan(rule, tuple(steps), rule.aggregate(), post)
-
-
-# =====================================================================================
 # RULE CODE
 # =====================================================================================
 
@@ -359,13 +298,21 @@ class _Source:
     literal (predicate names, terms for error messages) live in the namespace.
     A value read from a proven column, one whose every tuple holds an integer
     there, is known to be an integer and needs no isinstance test.
+
+    What the body reads of the context (each store, its tuples, each index
+    it probes) is bound once per function, on first use, by a line of the
+    prologue, which runs before the body in the order the lines were asked.
     """
 
     def __init__(self, header: str, namespace: Dict[str, object], proven: _Columns = frozenset()):
-        self.lines = [header]
+        self.prologue = [header]  # and the lines that bind what the body reads
+        self.lines: List[str] = []  # the body
         self.namespace = namespace
         self.proven = proven
         self.names: Dict[str, str] = {}  # Datalog variable -> local or literal
+        self.stores: Dict[str, Tuple[str, str]] = {}  # predicate -> store and tuples locals
+        self.indexes: Dict[Tuple[str, Tuple[int, ...]], str] = {}  # (predicate, positions) -> local
+        self.atoms = 0  # body atoms over the running stratum's relations so far
         self.ints: Set[str] = set()  # locals that hold an integer once assigned
         self.indent = 1
         self.loops = 0
@@ -383,8 +330,26 @@ class _Source:
         self.lines.append("    " * self.indent + line)
 
     def top(self, line: str) -> None:
-        """Add line at the top of the function, before its first loop."""
-        self.lines.insert(1, "    " + line)
+        """Add line to the prologue."""
+        self.prologue.append("    " + line)
+
+    def store(self, pred: str) -> Tuple[str, str]:
+        """The locals that hold pred's store and its tuples."""
+        names = self.stores.get(pred)
+        if names is None:
+            s, tuples = names = self.stores[pred] = (self.fresh("_s"), self.fresh("_t"))
+            self.top(f"{s} = ctx.store({self.constant(pred)})")
+            self.top(f"{tuples} = {s}.tuples")
+        return names
+
+    def index(self, pred: str, positions: Tuple[int, ...]) -> str:
+        """The local that holds pred's index on positions."""
+        name = self.indexes.get((pred, positions))
+        if name is None:
+            s = self.store(pred)[0]
+            name = self.indexes[pred, positions] = self.fresh("_i")
+            self.top(f"{name} = {s}.index({positions!r})")
+        return name
 
     def skip(self) -> str:
         return "continue" if self.loops else "return"
@@ -408,7 +373,7 @@ class _Source:
         self.loops += 1
 
     def text(self) -> str:
-        return "\n".join(self.lines + self.calls[::-1] + self.tail) + "\n"
+        return "\n".join(self.prologue + self.lines + self.calls[::-1] + self.tail) + "\n"
 
     def constant(self, value: object) -> str:
         name = f"_k{len(self.namespace)}"
@@ -426,8 +391,8 @@ class _Source:
 
     def term(self, t) -> Tuple[str, bool]:
         """Write what evaluating t takes; return its expression and whether
-        it is an integer whatever the binding. The plan's order binds every
-        variable before it is read."""
+        it is an integer whatever the binding. order_goals's order binds
+        every variable before it is read."""
         if isinstance(t, Constant):
             return self.literal(t.value), type(t.value) is int
         if isinstance(t, Variable):
@@ -487,62 +452,43 @@ class _Source:
 
 
 def _generate(
-    plan: _Plan,
+    rule: Rule,
     mutable: FrozenSet[str],
     version: Optional[int],
     gate: Optional[HeadExtremum],
     proven: _Columns,
 ) -> Tuple[str, Dict]:
     """Source of `rule(ctx, sink)`, plus `release(ctx, totals, released, emit)`
-    for a counting aggregate, and the namespace both run in."""
+    for a counting aggregate, and the namespace both run in. The body's goals
+    come in analysis.order_goals's order, which raises SafetyError for a rule
+    that is not safe."""
+    goals, post = order_goals(rule)
     namespace: Dict[str, object] = dict(_RUNTIME)
     src = _Source(
         "def rule(ctx, sink, isinstance=isinstance, int=int, list=list, range=range):",
         namespace,
         proven,
     )
-    agg = plan.agg
-    head = plan.rule.head
+    agg = rule.aggregate()
+    head = rule.head
     admits = agg is None and head.predicate in mutable
     if admits:
         head_name = _admit_prologue(src, head.predicate, gate)
     elif agg is not None and agg.kind in EXTREMA_KINDS:
         src.add("_seq = 0")
         src.counters = ("_seq",)
-    src.add("store = ctx.store")
     if version is not None:
         src.add("delta = ctx.delta")
-    # Resolve every store once; a store object lives as long as its context.
-    # A relation the stratum cannot change has the same index whenever it is
-    # built, so build it here and probe it without a method call.
-    stores: Dict[str, Tuple[str, str]] = {}
-    indexes: Dict[Tuple[str, Tuple[int, ...]], str] = {}
-    for step in plan.steps:
-        atom = step.atom if isinstance(step, (_Scan, Negated)) else None
-        if atom is None:
-            continue
-        if atom.predicate not in stores:
-            s, tuples = stores[atom.predicate] = (src.fresh("_s"), src.fresh("_t"))
-            src.add(f"{s} = store({src.constant(atom.predicate)})")
-            src.add(f"{tuples} = {s}.tuples")
-        index = (atom.predicate, step.positions) if isinstance(step, _Scan) else None
-        if index and index[1] and atom.predicate not in mutable and index not in indexes:
-            s = stores[atom.predicate][0]
-            indexes[index] = src.fresh("_i")
-            src.add(f"{s}.match({index[1]!r}, ())")
-            src.add(f"{indexes[index]} = {s}.indexes[{index[1]!r}]")
-
-    for step in plan.steps:
-        if isinstance(step, _Scan):
-            index = indexes.get((step.atom.predicate, step.positions))
-            _scan(src, step, stores[step.atom.predicate], index, mutable, version)
-        elif isinstance(step, Comparison):
-            src.comparison(step)
-        elif isinstance(step, Negated):
-            probe = src.tuple_of(step.atom.args)
-            src.add(f"if {probe} in {stores[step.atom.predicate][1]}: {src.skip()}")
+    for goal in goals:
+        if isinstance(goal, Comparison):
+            src.comparison(goal)
+        elif isinstance(goal, Negated):
+            probe = src.tuple_of(goal.atom.args)
+            src.add(f"if {probe} in {src.store(goal.atom.predicate)[1]}: {src.skip()}")
+        elif goal.predicate == RANGE_PREDICATE:
+            _range(src, goal)
         else:
-            _range(src, step)
+            _scan(src, goal, mutable, version)
 
     if agg is None:
         items = [src.term(t) for t in head.args]
@@ -580,7 +526,7 @@ def _generate(
     result = rel.bind(agg.result)
     rel.ints.add(result)
     rel.loop(f"for {result} in values:")
-    for goal in plan.post_filters:
+    for goal in post:
         rel.comparison(goal, assign=False)
     rel.add(f"emit({rel.tuple_of(head.args)})")
     return src.text() + rel.text(), namespace
@@ -727,56 +673,61 @@ def _extremum_row(src: _Source, agg: AggregateGoal, key: str, head: Atom) -> Non
     src.add(f"    _g[1][{row}] = {first}")
 
 
-def _scan(
-    src: _Source,
-    scan: _Scan,
-    store: Tuple[str, str],
-    index: Optional[str],
-    mutable: FrozenSet[str],
-    version: Optional[int],
-) -> None:
+def _scan(src: _Source, atom: Atom, mutable: FrozenSet[str], version: Optional[int]) -> None:
     """Loop over the tuples matching one body atom.
+
+    Each argument is read as the loop reaches the atom: a constant, or a
+    variable an earlier goal bound, is part of the index key; any other
+    binds, or is tested where it repeats in the atom. Atoms over mutable are
+    numbered in goal order (src.atoms): the one numbered version reads the
+    current delta, those before it the full store minus the delta.
 
     Admission happens per binding, so a relation of the running stratum can
     change under the loop: its tuples are snapshot first, and one displaced
     in the meantime is skipped. Relations the stratum cannot change are
     iterated in place, which visits the same tuples in the same order.
     """
-    s, tuples = store
-    pred = scan.atom.predicate
+    pred = atom.predicate
+    tuples = src.store(pred)[1]
+    ordinal = None
+    if pred in mutable:
+        ordinal = src.atoms
+        src.atoms += 1
+    positions: List[int] = []
+    key: List[str] = []
+    binds: List[Tuple[int, str]] = []
+    for i, a in enumerate(atom.args):
+        if isinstance(a, Constant) or a.name in src.names:
+            positions.append(i)
+            key.append(src.term(a)[0])
+        else:
+            binds.append((i, a.name))
     row = src.fresh("_r")
-    key = [
-        (p, src.literal(v) if k == "c" else src.names[v])
-        for p, (k, v) in zip(scan.positions, scan.key_parts)
-    ]
-    if version is not None and scan.scc_ordinal == version:
+    if version is not None and ordinal == version:
         live = src.fresh("_d")
         src.add(f"{live} = delta.get({src.constant(pred)})")
         src.loop(f"for {row} in list({live} or ()):")
         src.add(f"if {row} not in {live}: continue")
-        for p, value in key:
+        for p, value in zip(positions, key):
             src.add(f"if {row}[{p}] != {value}: continue")
     else:
         exclude = None
-        if version is not None and scan.scc_ordinal is not None and scan.scc_ordinal < version:
+        if version is not None and ordinal is not None and ordinal < version:
             # Older versions read the full store minus the current delta.
             exclude = src.fresh("_e")
             src.add(f"{exclude} = delta.get({src.constant(pred)}, ())")
         source = tuples
         if key:
-            parts = ", ".join(value for _, value in key) + ("," if len(key) == 1 else "")
-            if index is None:
-                source = f"{s}.match({scan.positions!r}, ({parts}))"
-            else:
-                source = f"{index}.get(({parts}), ())"
-        if pred in mutable:
+            probe = key[0] if len(key) == 1 else _tuple_text(key)
+            source = f"{src.index(pred, tuple(positions))}.get({probe}, ())"
+        if ordinal is not None:
             source = f"list({source})"
         src.loop(f"for {row} in {source}:")
-        if pred in mutable:
+        if ordinal is not None:
             src.add(f"if {row} not in {tuples}: continue")
         if exclude is not None:
             src.add(f"if {row} in {exclude}: continue")
-    for p, name in scan.binds:
+    for p, name in binds:
         local = src.names.get(name)
         if local is None:
             local = src.bind(name)
@@ -812,7 +763,8 @@ def _range(src: _Source, goal: Atom) -> None:
 
 @dataclass(frozen=True)
 class _RuleCode:
-    plan: _Plan
+    rule: Rule
+    agg: Optional[AggregateGoal]
     # run(ctx, sink): a plain rule whose head the running stratum changes
     # admits each head tuple itself and ignores sink; any other plain rule
     # calls sink(head) per binding, a counting aggregate writes its rows into
@@ -848,11 +800,10 @@ def _rule_code(
     process that re-parses the same text (a test suite, a benchmark pass); it
     is bounded, so a stream of fresh programs does not grow it.
     """
-    plan = compile_plan(rule, mutable)
-    source, namespace = _generate(plan, mutable, version, gate, proven)
+    source, namespace = _generate(rule, mutable, version, gate, proven)
     tag = "full" if version is None else f"v{version}"
     exec(compile(source, f"<premlog rule {rule.id} {tag}>", "exec"), namespace)
-    return _RuleCode(plan, namespace["rule"], namespace.get("release"))
+    return _RuleCode(rule, rule.aggregate(), namespace["rule"], namespace.get("release"))
 
 
 @lru_cache(maxsize=256)
@@ -955,7 +906,7 @@ def _rule_candidates(
     non-positive summand. A counting rule's code fills a fresh _Tally, and
     then each key, in first-witness order, releases its total (mcount/msum:
     every natural up to it) as read from the tally."""
-    agg = code.plan.agg
+    agg = code.agg
     if agg is None:
         code.run(ctx, emit)
         return
@@ -965,7 +916,7 @@ def _rule_candidates(
         for _, head in sorted(first for _, firsts in rows.values() for first in firsts.values()):
             emit(head)
         return
-    tally = _Tally(agg.kind, None if watch is None else partial(watch, code.plan.rule.id))
+    tally = _Tally(agg.kind, None if watch is None else partial(watch, code.rule.id))
     code.run(ctx, tally)
     code.release(ctx, tally.totals(), tally.released, emit)
 
@@ -1124,7 +1075,7 @@ def _seminaive_stratum(
     def code_for(r: Rule, version: Optional[int]) -> _RuleCode:
         return _rule_code(r, mutable, version, gates.get(r.head.predicate), proven)
 
-    # One delta version per goal on a head predicate, as compile_plan numbers them.
+    # One delta version per goal on a head predicate, as _scan numbers them.
     n_scc = {r.id: sum(g.predicate in head_preds for g in r.regular_goals()) for r in rules}
     exit_code = [(r, code_for(r, None)) for r in rules if n_scc[r.id] == 0]
     delta_code = [(r, code_for(r, v)) for r in rules for v in range(n_scc[r.id])]
@@ -1162,7 +1113,7 @@ def _seminaive_stratum(
         return stats.retained > retained  # some release was admitted
 
     def run_rule(rule: Rule, code: _RuleCode) -> None:
-        agg = code.plan.agg
+        agg = code.agg
         if agg is None:
             code.run(ctx, None)
         elif agg.kind in EXTREMA_KINDS:

@@ -327,6 +327,32 @@ def test_run_iteration_budget_exit_code(write, capsys, mode, derived):
     assert err[1].startswith(f"# iterations=3 derived={derived} retained=3 deleted=0 ")
 
 
+# A number below its option's range is bad input, refused by the command
+# before anything runs: argparse's exit 2 would read as a budget stop.
+PATHS = (
+    "r1: path(Y,D) :- arc(a,Y,D).\n"
+    "r2: path(Y,D) :- path(X,Dx), arc(X,Y,W), D=Dx+W, D>Dx.\n"
+    "r3: spath(Y,D) :- path(Y,D), is_min((Y),(D)).\n"
+    "arc(a,b,1). arc(b,c,2). arc(a,c,5).\n"
+)
+
+
+def test_run_refuses_a_negative_tuple_budget(write, capsys):
+    prog = write("paths.dl", PATHS)
+    assert main(["run", prog, "--max-tuples", "-5", "--stats"]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: --max-tuples must be at least 0, got -5\n")
+    assert main(["run", prog, "--max-tuples", "0"]) == EXIT_BUDGET
+    assert capsys.readouterr().err.splitlines()[0] == "budget exceeded: tuple budget of 0 exhausted"
+
+
+def test_run_refuses_a_negative_iteration_budget(write, capsys):
+    prog = write("paths.dl", PATHS)
+    assert main(["run", prog, "--max-iterations", "-1", "--stats"]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: --max-iterations must be at least 0, got -1\n")
+    assert main(["run", prog, "--max-iterations", "0"]) == EXIT_BUDGET
+    assert capsys.readouterr().err.splitlines()[0] == "budget exceeded: iteration budget of 0 exhausted"
+
+
 def test_run_refuses_unapproved_sum(write, capsys):
     prog = write("parts.dl", PART_EXPLOSION_NOGUARD)
     assert main(["run", prog]) == EXIT_REJECTED
@@ -816,6 +842,15 @@ def test_verify_passes_on_pushable(write, capsys):
     assert "PASSED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_verify_refuses_fewer_than_one_sample(write, capsys, samples):
+    prog = write("paths.dl", PATHS)
+    assert main(["verify", prog, "--samples", samples]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: --samples must be at least 1, got {samples}\n")
+    assert main(["verify", prog, "--samples", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == "PASSED: min(path: group [0], cost 1): no counterexample in 1 samples\n"
+
+
 def test_verify_falsifies_c1(write, capsys):
     prog = write("capped.dl", CAPPED_MAX)
     assert main(["verify", prog, "--samples", "1000", "--seed", "0"]) == EXIT_REJECTED
@@ -847,6 +882,20 @@ def test_bench_facts_file(write, tmp_path, capsys):
     assert main(["bench", "--facts", str(tsv), "--runs", "1",
                  "--variants", "spath_prem"]) == EXIT_OK
     assert "spath_prem" in capsys.readouterr().out
+
+
+def test_bench_refuses_lengths_out_of_order(capsys):
+    argv = ["bench", "--n", "5", "--p", "0.5", "--runs", "1", "--min-length", "9", "--max-length", "3"]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: --min-length 9 exceeds --max-length 3\n")
+
+
+@pytest.mark.parametrize(
+    "option, value, least", [("--max-tuples", "-1", 0), ("--runs", "0", 1), ("--runs", "-2", 1)]
+)
+def test_bench_refuses_a_number_below_its_range(capsys, option, value, least):
+    assert main(["bench", "--n", "5", "--p", "0.5", "--runs", "1", option, value]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {option} must be at least {least}, got {value}\n")
 
 
 def test_sum_past_int_max_is_an_error(write, capsys):

@@ -18,9 +18,9 @@ from premlog.engine import (
     RelationStore,
     _admit_code,
     _Context,
+    _rule_code,
     apply_constraint,
     apply_ico,
-    compile_plan,
     default_query,
     execute,
     plan,
@@ -50,22 +50,33 @@ from conftest import (
 # ===== stores =================================================================
 
 
-def test_relation_store_match_uses_indexes():
+def test_relation_store_index_is_kept_current():
     s = RelationStore({("a", "b", 1), ("a", "c", 2), ("b", "c", 3)})
-    assert set(s.match((0,), ("a",))) == {("a", "b", 1), ("a", "c", 2)}
+    assert set(s.index((0,))["a"]) == {("a", "b", 1), ("a", "c", 2)}
     s.add(("a", "d", 4))
-    assert set(s.match((0,), ("a",))) == {("a", "b", 1), ("a", "c", 2), ("a", "d", 4)}
+    assert set(s.index((0,))["a"]) == {("a", "b", 1), ("a", "c", 2), ("a", "d", 4)}
     s.remove(("a", "b", 1))
     assert ("a", "b", 1) not in s.tuples
-    assert set(s.match((0,), ("a",))) == {("a", "c", 2), ("a", "d", 4)}
+    assert set(s.index((0,))["a"]) == {("a", "c", 2), ("a", "d", 4)}
+
+
+def test_relation_store_index_keys_one_column_by_its_value():
+    s = RelationStore({("a", 1, "x"), ("a", 2, "y"), ("b", 1, "x")})
+    assert s.index((0,)) is s.index((0,))
+    assert dict(s.index((0,))) == {"a": {("a", 1, "x"), ("a", 2, "y")}, "b": {("b", 1, "x")}}
+    assert dict(s.index((2, 1))) == {("x", 1): {("a", 1, "x"), ("b", 1, "x")}, ("y", 2): {("a", 2, "y")}}
+    s.add(("c", 3, "z"))
+    assert s.index((0,))["c"] == {("c", 3, "z")} == s.index((2, 1))["z", 3]
 
 
 def _index_by_tuple(tuples, positions):
     """An index as RelationStore built one before it paired keys and tuples
-    at C speed: one key tuple per tuple, added in iteration order."""
+    at C speed: one key per tuple, added in iteration order, keyed as
+    itemgetter(*positions) reads it."""
     ix = {}
     for t in tuples:
-        ix.setdefault(tuple(t[p] for p in positions), set()).add(t)
+        key = tuple(t[p] for p in positions)
+        ix.setdefault(key[0] if len(key) == 1 else key, set()).add(t)
     return ix
 
 
@@ -74,16 +85,16 @@ def test_relation_store_index_is_the_tuple_loop_in_order(positions):
     rng = random.Random(len(positions) * 10 + positions[0])
     tuples = {(rng.choice("abcdefg"), rng.randrange(40), rng.randrange(-3, 9)) for _ in range(600)}
     s = RelationStore(tuples)
-    s.match(positions, ())
+    ix = s.index(positions)
     want = _index_by_tuple(s.tuples, positions)
-    ix = s.indexes[positions]
     # same keys, in the same order, and each bucket iterates as the loop's
     assert list(ix) == list(want)
     assert all(list(ix[key]) == list(bucket) for key, bucket in want.items())
     # add() keeps the index current with one key per tuple
     for t in [("z", 1, 1), ("a", 5, 5), (9, 9, 9)]:
         s.add(t)
-        assert t in s.match(positions, tuple(t[p] for p in positions))
+        key = tuple(t[p] for p in positions)
+        assert t in ix[key[0] if len(key) == 1 else key]
 
 
 # ===== working-set gates ======================================================
@@ -145,7 +156,7 @@ def test_monotonic_admission_never_retreats():
 # ===== plans ==================================================================
 
 
-def test_compile_plan_rejects_unschedulable_comparison():
+def test_rule_code_rejects_unschedulable_comparison():
     prog = P.parse_program("r1: p(X) :- q(X).\nq(a).")
     rule = prog.rules[0]
     # fabricate an unbound comparison by compiling against the wrong rule is
@@ -154,7 +165,7 @@ def test_compile_plan_rejects_unschedulable_comparison():
 
     bad = Rule("rx", rule.head, rule.body + (Comparison("<", Variable("Z"), Variable("W")),), None)
     with pytest.raises(SafetyError):
-        compile_plan(bad, set())
+        _rule_code(bad, frozenset(), None)
 
 
 def test_an_api_rule_is_held_to_parse_safety():
@@ -546,6 +557,78 @@ def test_deeply_nested_rule_runs():
     text = f"r1: short(X0,min<D>) :- k(K), {body}, D=X{n}+K.\nk(5). k(3).\n" + facts
     for mode in MODES:
         assert set(run_text(text, mode=mode).answers("short")) == {(0, n + 3), (1, n + 4), (2, n + 5)}
+
+
+# ===== probes on the running stratum =========================================
+
+_CHAIN = ", ".join(f"e(C{i},C{i + 1})" for i in range(15))
+# Rules that probe, by an index key, a relation their own stratum writes,
+# with the seminaive answers and (iterations, derived, retained, deleted)
+# frozen at the commit before every probe became a lookup in a bound index
+# dict. Node ids are integers, so no count depends on PYTHONHASHSEED.
+RUNNING_PROBES = {
+    "non-linear closure": (
+        "r1: tc(X,Y) :- e(X,Y).\n"
+        "r2: tc(X,Z) :- tc(X,Y), tc(Y,Z).\n"
+        "e(1,2). e(2,3). e(3,4). e(4,5). e(5,1). e(2,6). e(6,7).\n",
+        "tc",
+        {(x, y) for x in range(1, 6) for y in range(1, 8)} | {(6, 7)},
+        (4, 247, 36, 0),
+    ),
+    # d(1,1,0) and d(2,2,0) make X=Y, so a binding displaces a d(Y,W) tuple
+    # that the snapshot of the probed bucket d(Y,_) still holds.
+    "min<> self-join meeting displaced tuples": (
+        "r1: d(X,Y,min<C>) :- e(X,Y,C).\n"
+        "r2: d(X,W,min<C>) :- d(X,Y,C1), d(Y,Z,C2), e(Z,W,C3), C=C1+C2+C3, C<=9.\n"
+        "e(1,1,0). e(1,2,1). e(2,3,1). e(1,3,9). e(1,4,8). e(3,4,1). e(2,4,7). e(4,1,2). e(2,2,0).\n",
+        "d",
+        {
+            (1, 1, 0), (1, 2, 1), (1, 3, 2), (1, 4, 3), (2, 1, 4), (2, 2, 0), (2, 3, 1), (2, 4, 2),
+            (3, 1, 3), (3, 2, 4), (3, 3, 5), (3, 4, 1), (4, 1, 2), (4, 2, 3), (4, 3, 4), (4, 4, 5),
+        },
+        (3, 137, 20, 4),
+    ),
+    "two-column key": (
+        "r1: t(X,Y) :- e(X,Y).\n"
+        "r2: t(X,Z) :- t(X,Y), t(Y,Z), t(Z,Y).\n"
+        "e(1,2). e(2,1). e(2,3). e(3,2). e(3,4). e(4,5). e(5,4). e(5,6).\n",
+        "t",
+        {(x, y) for x in (1, 2, 3) for y in (1, 2, 3)}
+        | {(x, y) for x in (4, 5) for y in (4, 5)}
+        | {(3, 4), (3, 5), (5, 6)},
+        (3, 59, 16, 0),
+    ),
+    "constant and repeated-variable keys": (
+        "r1: m(X,Y) :- e(X,Y).\n"
+        "r2: m(X,Z) :- m(1,X), m(X,Z).\n"
+        "r3: m(X,X) :- m(X,Y), m(Y,Y).\n"
+        "e(1,2). e(2,2). e(2,3). e(3,4). e(4,4). e(4,1). e(5,5).\n",
+        "m",
+        {(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 1), (4, 4), (5, 5)},
+        (3, 22, 9, 0),
+    ),
+    # 17 loops: the probe of c(C15,Z) runs in an inner function.
+    "probe in an inner function": (
+        "r1: c(X,Y) :- e(X,Y).\n"
+        f"r2: c(A,Z) :- c(A,C0), {_CHAIN}, c(C15,Z).\n"
+        "e(1,2). e(2,3). e(3,1). e(3,4).\n",
+        "c",
+        {(x, y) for x in (1, 2, 3) for y in (1, 2, 3, 4)},
+        (3, 52, 12, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RUNNING_PROBES)
+def test_a_probe_on_the_running_stratum_keeps_its_answers_and_counts(name):
+    text, pred, want, counts = RUNNING_PROBES[name]
+    program = P.parse_program(text)
+    result = P.run_program(program)
+    stats = result.stats
+    assert set(result.answers(pred)) == want
+    assert (stats.iterations, stats.derived, stats.retained, stats.deleted) == counts
+    assert set(P.run_program(program, P.EvalOptions(mode="naive")).answers(pred)) == want
+    assert P.brute_force_oracle(program)[pred] == want
 
 
 # ===== helpers on interpretations ============================================

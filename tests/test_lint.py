@@ -11,8 +11,9 @@ run's EvalStats and its clock have one owner, iterated_fixpoint: besides it,
 only the fixpoints a caller runs alone and the oracle build an EvalStats, and
 no other engine function reads the clock. A rule's safety and goal order
 are decided in one place, analysis.order_goals, which the parser, the
-executor's plans and the oracle all call: it alone raises SafetyError, and
-the generated rule code raises no UnboundVariable.
+executor's code generator and the oracle all call: it alone raises
+SafetyError, the generated rule code raises no UnboundVariable, and no
+other record of a rule's goal order is kept.
 Every name the package exports has a caller outside the tests: some module uses
 it as code (its defining module too, its definition aside), or a script or
 the benchmark does. The layers check and optimize run (model, errors,
@@ -108,6 +109,12 @@ STATS_BUILDERS = {
 # (module, function) pairs that may raise SafetyError: the one home of a
 # rule's safety.
 SAFETY_RAISERS = {("analysis.py", "order_goals")}
+# Every caller of order_goals: a rule's join is written straight from it.
+ORDER_READERS = {
+    ("parser.py", "parse_program"),
+    ("engine.py", "_generate"),
+    ("verify.py", "brute_force_oracle"),
+}
 # The one home of a program's final constraints, and the engine functions
 # that count iterations: one loop each.
 FINAL_CONSTRAINT_BUILDERS = {("model.py", "final_constraints")}
@@ -310,6 +317,7 @@ def test_a_run_has_one_stats_and_one_clock():
 
 def test_rule_safety_is_decided_in_one_place():
     assert callers("SafetyError") == SAFETY_RAISERS
+    assert callers("order_goals") == ORDER_READERS
     # Every variable a plan reads is bound where it is read.
     assert "UnboundVariable" not in (SRC / "engine.py").read_text(encoding="utf-8")
 

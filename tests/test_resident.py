@@ -58,7 +58,7 @@ def test_each_store_and_index_is_built_once_per_run(monkeypatch):
     indexed = Counter()  # (store, positions) -> index builds
     real_stratum = engine._seminaive_stratum
     real_init = engine.RelationStore.__init__
-    real_match = engine.RelationStore.match
+    real_index = engine.RelationStore.index
 
     def stratum(rules, stores, options, monitor, stats):
         strata.append((sorted(r.id for r in rules), dict(stores)))
@@ -68,14 +68,14 @@ def test_each_store_and_index_is_built_once_per_run(monkeypatch):
         built["stores"] += 1
         real_init(self, tuples)
 
-    def match(self, positions, key):
-        if positions and positions not in self.indexes:
+    def index(self, positions):
+        if positions not in self.indexes:
             indexed[id(self), positions] += 1
-        return real_match(self, positions, key)
+        return real_index(self, positions)
 
     monkeypatch.setattr(engine, "_seminaive_stratum", stratum)
     monkeypatch.setattr(engine.RelationStore, "__init__", init)
-    monkeypatch.setattr(engine.RelationStore, "match", match)
+    monkeypatch.setattr(engine.RelationStore, "index", index)
     result = P.run_program(program)
 
     # One store for arc, one per head predicate (path, hop, loop).
